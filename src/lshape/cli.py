@@ -22,7 +22,8 @@ import time
 
 import numpy as np
 
-from .field import ResourceLimitError, subspace_from_normals
+from . import __version__
+from .field import ResourceLimitError, check_size, subspace_from_normals
 from .increment import (
     increment_driver,
     planted_row_instance,
@@ -44,8 +45,6 @@ from .spectral import (
 )
 from .structured import FiberFamily, StructuredProductSet, random_family
 from .tables import FunctionTable, IndicatorSet, load_any
-
-VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +124,8 @@ def _emit(report: dict) -> None:
 
 
 def _random_table(p: int, m: int, seed: int) -> FunctionTable:
+    size = check_size(p, m)
     rng = np.random.default_rng(seed)
-    size = p**m
     vals = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
     scale = np.abs(vals).max()
     if scale > 0:
@@ -135,10 +134,11 @@ def _random_table(p: int, m: int, seed: int) -> FunctionTable:
 
 
 def _random_set(p: int, m: int, seed: int, density: float = 0.5) -> IndicatorSet:
+    size = check_size(p, m)
     rng = np.random.default_rng(seed)
-    mask = rng.random(p**m) < density
+    mask = rng.random(size) < density
     if not mask.any():
-        mask[int(rng.integers(p**m))] = True
+        mask[int(rng.integers(size))] = True
     return IndicatorSet.from_mask(p, m, mask)
 
 
@@ -184,7 +184,7 @@ def _cmd_norm(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError(f"unknown norm kind {kind!r}")
     result["p"] = table.p
     result["m"] = table.m
-    return {"command": "norm", "config": settings, "result": result, "version": VERSION}, 0
+    return {"command": "norm", "config": settings, "result": result, "version": __version__}, 0
 
 
 def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
@@ -230,7 +230,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
         "nontrivial_count": None if res.nontrivial_count is None else str(res.nontrivial_count),
     }
     result.update(extras)
-    return {"command": "count", "config": settings, "result": result, "version": VERSION}, 0
+    return {"command": "count", "config": settings, "result": result, "version": __version__}, 0
 
 
 def _check(checks: list, check_id: str, holds: bool, **detail) -> None:
@@ -324,7 +324,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         "config": settings,
         "checks": checks,
         "all_hold": ok,
-        "version": VERSION,
+        "version": __version__,
     }
     return report, 0 if ok else 1
 
@@ -334,7 +334,7 @@ def _cmd_extremal(args: argparse.Namespace) -> tuple[dict, int]:
     settings = _effective_settings(args, defaults)
     res = search_extremal_L_free(settings["p"], settings["n"], settings["method"],
                                  settings["seed"], settings["iterations"])
-    return {"command": "extremal", "config": settings, "result": res, "version": VERSION}, 0
+    return {"command": "extremal", "config": settings, "result": res, "version": __version__}, 0
 
 
 def _cmd_pseudorandomize(args: argparse.Namespace) -> tuple[dict, int]:
@@ -343,7 +343,7 @@ def _cmd_pseudorandomize(args: argparse.Namespace) -> tuple[dict, int]:
     s, t = _random_structured(settings["p"], settings["n"], settings["d"], settings["seed"])
     res = pseudorandomize_u2(s, t, settings["eps"], settings["tau"])
     return {"command": "pseudorandomize", "config": settings, "result": res.report,
-            "version": VERSION}, 0
+            "version": __version__}, 0
 
 
 def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
@@ -375,7 +375,7 @@ def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
         with open(settings["trajectory_file"], "w", encoding="utf-8") as fh:
             for record in res["trajectory"]:
                 fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
-    return {"command": "increment", "config": settings, "result": res, "version": VERSION}, 0
+    return {"command": "increment", "config": settings, "result": res, "version": __version__}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lshape",
                                      description="configuration counting and density increments on pair spaces")
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("norm", help="evaluate a uniformity norm on a table")
@@ -460,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.func(args)
-    except (ValueError, OSError, ResourceLimitError) as exc:
+    except (ValueError, OSError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

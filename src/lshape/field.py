@@ -6,6 +6,14 @@ elements by one fixed encoding: the element with digit vector
 (little-endian base p).  Index <-> digit conversion is a bijection below
 p**m and all vectorised kernels rely on that single convention.
 
+Apart from its independent audits, the rest of the package combines
+elements through three helpers here: ``combine`` gives the index of a
+linear combination of elements, ``line_means`` averages a pair-space
+grid along the lines y = w - c x, and ``rank_mod`` is the rank of a
+residue matrix.  ``check_modulus`` and ``check_size`` hold the input
+rules shared by every table: p an odd prime, and at most
+MAX_ENUMERATION elements.
+
 Cosets w + V are stored in parity-check form: a reduced list of normal
 vectors n_j together with target residues c_j, the coset being
 {x : n_j . x = c_j for all j}.  Inconsistent constraint systems produce
@@ -26,6 +34,8 @@ logger = logging.getLogger("lshape")
 
 __all__ = [
     "ResourceLimitError",
+    "check_modulus",
+    "check_size",
     "PrimeField",
     "GroupVector",
     "AffineSubspace",
@@ -36,6 +46,7 @@ __all__ = [
     "vec_scale",
     "dot",
     "modular_rref",
+    "rank_mod",
     "solve_mod",
     "subspace_from_normals",
     "full_space",
@@ -46,6 +57,8 @@ __all__ = [
     "index_of",
     "add_map",
     "scale_map",
+    "combine",
+    "line_means",
 ]
 
 #: Hard cap on dense enumeration sizes (number of group elements).  The
@@ -69,6 +82,27 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is an odd prime."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p == 2:
+        raise ValueError("p must be odd: the maps y + 2z and 2x + y need 2 invertible")
+
+
+def check_size(p: int, m: int) -> int:
+    """p^m, or ResourceLimitError when that exceeds MAX_ENUMERATION.
+
+    Call it before allocating anything of that size.
+    """
+    if m < 0:
+        raise ValueError(f"the number of digits must be nonnegative, got {m}")
+    size = p**m
+    if size > MAX_ENUMERATION:
+        raise ResourceLimitError(f"refusing to enumerate {size} elements (cap {MAX_ENUMERATION})")
+    return size
+
+
 _small_p_warned: set[int] = set()
 
 
@@ -87,10 +121,7 @@ class PrimeField:
     strict_mode: bool = False
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.p == 2:
-            raise ValueError("p must be odd: the maps y + 2z and 2x + y need 2 invertible")
+        check_modulus(self.p)
         if self.p < 11:
             if self.strict_mode:
                 raise ValueError(f"strict mode requires p >= 11, got p = {self.p}")
@@ -119,10 +150,7 @@ def power_vector(p: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=512)
 def digit_table(p: int, m: int) -> np.ndarray:
     """All p^m digit vectors in index order: row i is the digits of index i."""
-    size = p**m
-    if size > MAX_ENUMERATION:
-        raise ResourceLimitError(f"refusing to enumerate {size} elements (cap {MAX_ENUMERATION})")
-    idx = np.arange(size, dtype=np.int64)
+    idx = np.arange(check_size(p, m), dtype=np.int64)
     out = (idx[:, None] // power_vector(p, m)[None, :]) % p
     out.setflags(write=False)
     return out
@@ -159,6 +187,29 @@ def scale_map(p: int, m: int, c: int) -> np.ndarray:
     out = index_of(p, (c * d) % p)
     out.setflags(write=False)
     return out
+
+
+def combine(p: int, m: int, coeffs: Sequence[int], indices: Sequence[np.ndarray | int]) -> np.ndarray:
+    """Index of sum_j coeffs[j] * (element indices[j]) in Z_p^m.
+
+    The index arrays broadcast against each other like numpy operands.
+    The sum is formed one digit at a time, so no (..., m) digit tensor of
+    the broadcast shape is ever built.
+    """
+    idx = [np.asarray(i, dtype=np.int64) for i in indices]
+    out = np.zeros(np.broadcast_shapes(*(i.shape for i in idx)), dtype=np.int64)
+    for place in power_vector(p, m).tolist():
+        acc = sum(int(c) * (i // place % p) for c, i in zip(coeffs, idx))
+        out += acc % p * place
+    return out
+
+
+def line_means(grid: np.ndarray, p: int, n: int, c: int) -> np.ndarray:
+    """m[w] = E_x grid[x, w - c x]: the means of an N x N pair grid along
+    the lines y = w - c x, one per w in Z_p^n."""
+    x = np.arange(p**n)
+    cols = combine(p, n, (1, -c), (x[:, None], x[None, :]))
+    return grid[x[None, :], cols].mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -263,6 +314,14 @@ def modular_rref(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> tuple[
         pivots.append(c)
         r += 1
     return a[:r].copy(), tuple(pivots)
+
+
+def rank_mod(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
+    """Rank of a residue matrix mod p; 0 for an empty one."""
+    a = np.asarray(matrix)
+    if a.size == 0:
+        return 0
+    return len(modular_rref(a, p)[1])
 
 
 def solve_mod(a: np.ndarray | Sequence[Sequence[int]], b: np.ndarray | Sequence[int], p: int) -> np.ndarray | None:
@@ -375,8 +434,6 @@ class AffineSubspace:
         if self.is_empty:
             return np.zeros(0, dtype=np.int64)
         k = self.dim
-        if self.p**k > MAX_ENUMERATION:
-            raise ResourceLimitError(f"coset enumeration of size {self.p ** k} exceeds cap")
         params = digit_table(self.p, k)
         mat = self._normal_matrix()
         piv, free = self._pivots_free()
@@ -499,8 +556,7 @@ class LinearMap:
     def is_invertible(self) -> bool:
         if self.out_dim != self.in_dim:
             return False
-        _, piv = modular_rref(self.as_array(), self.p)
-        return len(piv) == self.in_dim
+        return rank_mod(self.as_array(), self.p) == self.in_dim
 
     def inverse(self) -> "LinearMap":
         if self.out_dim != self.in_dim:

@@ -36,9 +36,12 @@ from .field import (
     AffineSubspace,
     GroupVector,
     ResourceLimitError,
+    combine,
     digit_table,
     index_of,
+    line_means,
     modular_rref,
+    rank_mod,
     solve_mod,
     subspace_from_normals,
 )
@@ -177,12 +180,8 @@ def refine_on_character(cell: Cell, character: tuple[int, ...] | GroupVector) ->
     of a pair is determined by the character's value on x and on y.
     """
     p = cell.p
+    new_normals = ProductCosetPartition(p, cell.n, cell.normals).refine(character).normals
     row = character.digits if isinstance(character, GroupVector) else tuple(int(v) % p for v in character)
-    stacked = list(cell.normals) + [row]
-    red, piv = modular_rref(np.array(stacked, dtype=np.int64), p)
-    if len(piv) != len(cell.normals) + 1:
-        raise ValueError("character lies in the span of the cell's normals")
-    new_normals = tuple(tuple(int(v) for v in r) for r in red)
     mat = np.array(new_normals, dtype=np.int64)
     # enumerate subcells by the character's value on each side; read the
     # reduced rhs off a concrete point of each subcell
@@ -215,18 +214,10 @@ def _fiber_level_of_points(fam: FiberFamily, normals: tuple[tuple[int, ...], ...
     p, n = fam.p, fam.n
     size = p**n
     k = len(normals)
-    base_mask = fam.base.table.values.real == 1.0
     out = np.full(size, -1, dtype=np.int64)
     r_rows = np.array(normals, dtype=np.int64).reshape(k, n)
-    for x in range(size):
-        if not base_mask[x]:
-            continue
-        if fam.d == 0:
-            out[x] = 0
-            continue
-        stacked = np.vstack([r_rows, fam.normals[x]]) if k else fam.normals[x]
-        rank = len(modular_rref(stacked, p)[1])
-        out[x] = rank - k
+    for x in fam.base.member_indices():
+        out[x] = rank_mod(np.vstack([r_rows, fam.normals[x]]), p) - k if fam.d else 0
     return out
 
 
@@ -237,19 +228,17 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
     k = partition.codim
     big = p**k
     lab = partition.label_index()
-    dt = digit_table(p, n)
     coset_size = p ** (n - k)
 
     def set_density_by_label(s: IndicatorSet) -> np.ndarray:
-        mask = s.table.values.real == 1.0
-        return np.bincount(lab[mask], minlength=big) / coset_size
+        return np.bincount(lab[s.mask], minlength=big) / coset_size
 
     dens_b = set_density_by_label(t.y_set)
     dens_c = set_density_by_label(t.sum_set)
     dens_d = set_density_by_label(t.skew_set)
 
     levels = _fiber_level_of_points(t.fibers, partition.normals)
-    phi_mask = t.fibers.table.table.values.real == 1.0
+    phi_mask = t.fibers.table.mask
     pair_x = np.tile(np.arange(size), size)  # pair index = x + size * y
     pair_y = np.repeat(np.arange(size), size)
     cid = lab[pair_x] + big * lab[pair_y]
@@ -259,12 +248,9 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
         mask_i = phi_mask & (levels[pair_x] >= 0) & (levels[pair_x] <= i)
         phi_dens[i] = np.bincount(cid[mask_i], minlength=big * big) / (coset_size * coset_size)
 
-    # digit labels per label index, for composing sum and skew labels
-    if k:
-        lab_digits = digit_table(p, k)
-    else:
-        lab_digits = np.zeros((1, 0), dtype=np.int64)
-    weights = p ** np.arange(k, dtype=np.int64) if k else np.zeros(0, dtype=np.int64)
+    # labels of the sum coset (a+b) + V and the skew coset (2a+b) + V of
+    # every cell, indexed like cid
+    ca, cb = np.arange(big)[None, :], np.arange(big)[:, None]
     return {
         "lab": lab,
         "big": big,
@@ -274,8 +260,9 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
         "dens_d": dens_d,
         "phi_dens": phi_dens,
         "levels": levels,
-        "lab_digits": lab_digits,
-        "weights": weights,
+        "lab_digits": digit_table(p, k),
+        "sum_lab": combine(p, k, (1, 1), (ca, cb)).reshape(-1),
+        "skew_lab": combine(p, k, (2, 1), (ca, cb)).reshape(-1),
         "cid": cid,
         "pair_x": pair_x,
         "pair_y": pair_y,
@@ -290,24 +277,18 @@ def partition_energy(partition: ProductCosetPartition, t: StructuredProductSet) 
     by 4 + d.  The result lies in [0, 1].
     """
     data = _partition_tables(partition, t)
-    p = t.p
     big = data["big"]
-    lab_digits = data["lab_digits"]
-    weights = data["weights"]
     d = t.fibers.d
-    total = 0.0
-    per_cell = np.zeros(big * big)
-    for cb in range(big):
-        for ca in range(big):
-            cell_id = ca + big * cb
-            sum_lab = int(((lab_digits[ca] + lab_digits[cb]) % p) @ weights) if big > 1 else 0
-            skew_lab = int(((2 * lab_digits[ca] + lab_digits[cb]) % p) @ weights) if big > 1 else 0
-            val = data["dens_b"][cb] ** 2 + data["dens_c"][sum_lab] ** 2 + data["dens_d"][skew_lab] ** 2
-            for i in range(d + 1):
-                val += data["phi_dens"][i][cell_id] ** 2
-            per_cell[cell_id] = val / (4 + d)
-            total += val
-    energy = total / (big * big) / (4 + d)
+    val = (
+        np.repeat(data["dens_b"], big) ** 2
+        + data["dens_c"][data["sum_lab"]] ** 2
+        + data["dens_d"][data["skew_lab"]] ** 2
+    )
+    for i in range(d + 1):
+        val += data["phi_dens"][i] ** 2
+    per_cell = val / (4 + d)
+    # summed cell by cell, in order: np.sum would pair terms and round differently
+    energy = float(np.cumsum(val)[-1]) / (big * big) / (4 + d)
     return {"energy": energy, "per_cell": per_cell, "cells": big * big, "codim": partition.codim}
 
 
@@ -322,7 +303,7 @@ def energy_monotone_check(
         raise ValueError("partitions live in different spaces")
     if coarse.normals:
         stacked = np.array(list(fine.normals) + list(coarse.normals), dtype=np.int64)
-        if len(modular_rref(stacked, coarse.p)[1]) != len(fine.normals):
+        if rank_mod(stacked, coarse.p) != len(fine.normals):
             raise ValueError("fine partition does not refine the coarse one")
     e0 = partition_energy(coarse, t)["energy"]
     e1 = partition_energy(fine, t)["energy"]
@@ -391,14 +372,7 @@ def pseudorandomize_u2(
     """
     p, n = t.p, t.n
     size = p**n
-    s_vals = s_set.table.values.real
-    t_vals = t.table.table.values.real
-    if np.any(s_vals > t_vals + 1e-12):
-        raise ValueError("the candidate set must sit inside the structured set")
-    t_mass = t.table.cardinality
-    if t_mass == 0:
-        raise ValueError("empty structured set")
-    sigma = s_set.cardinality / t_mass
+    sigma = _density_inside(s_set, t.table)
     mu_t = t.table.density
     expiry_floor = tau * mu_t / 4
     d = t.fibers.d
@@ -409,7 +383,6 @@ def pseudorandomize_u2(
     energy_prev = partition_energy(partition, t)["energy"]
     energy_trace = [energy_prev]
     stopped_because = ""
-    dt = digit_table(p, n)
 
     while True:
         if partition.direction_dim == 0:
@@ -417,8 +390,6 @@ def pseudorandomize_u2(
             break
         data = _partition_tables(partition, t)
         big = data["big"]
-        lab_digits = data["lab_digits"]
-        weights = data["weights"]
         coset_dim = partition.direction_dim
 
         # coset bases shared by every cell of the current direction
@@ -427,18 +398,15 @@ def pseudorandomize_u2(
         x_basis = np.array([v.digits for v in basis_vecs], dtype=np.int64).reshape(coset_dim, n)
 
         # members per label, ordered by coset parameters
-        members_by_label: dict[int, np.ndarray] = {}
-        for labels in itertools.product(range(p), repeat=partition.codim):
-            coset = subspace_from_normals(p, n, partition.normals, labels)
-            idx = int((np.array(labels, dtype=np.int64) @ weights)) if partition.codim else 0
-            members_by_label[idx] = coset.member_indices()
+        members_by_label = [subspace_from_normals(p, n, partition.normals, labels).member_indices()
+                            for labels in data["lab_digits"]]
 
         # per-label deviations of the three factor sets
         factor_devs: dict[str, dict[int, tuple[float, tuple[int, ...], float]]] = {}
         for name, s in (("y", t.y_set), ("sum", t.sum_set), ("skew", t.skew_set)):
             vals = s.table.values.real
             found: dict[int, tuple[float, tuple[int, ...], float]] = {}
-            for lab_id, members in members_by_label.items():
+            for lab_id, members in enumerate(members_by_label):
                 table, norm = _coset_balanced_deviation(vals, members, p, coset_dim)
                 if norm >= eps:
                     freq, corr = inverse_u2(table)
@@ -484,8 +452,8 @@ def pseudorandomize_u2(
         for cb in range(big):
             for ca in range(big):
                 cell_id = ca + big * cb
-                sum_lab = int(((lab_digits[ca] + lab_digits[cb]) % p) @ weights) if big > 1 else 0
-                skew_lab = int(((2 * lab_digits[ca] + lab_digits[cb]) % p) @ weights) if big > 1 else 0
+                sum_lab = int(data["sum_lab"][cell_id])
+                skew_lab = int(data["skew_lab"][cell_id])
                 beta = data["dens_b"][cb]
                 gamma = data["dens_c"][sum_lab]
                 delta = data["dens_d"][skew_lab]
@@ -562,12 +530,11 @@ def pseudorandomize_u2(
     data = _partition_tables(partition, t)
     big = data["big"]
     lab_digits = data["lab_digits"]
-    weights = data["weights"]
     cid = data["cid"]
     levels = data["levels"]
     pair_x = data["pair_x"]
-    s_mask = s_vals == 1.0
-    t_mask = t_vals == 1.0
+    s_mask = s_set.mask
+    t_mask = t.table.mask
     best = None
     best_meeting = None
     for i in range(d + 1):
@@ -590,8 +557,8 @@ def pseudorandomize_u2(
     if pick is not None:
         ratio, cell_id, level_pick, s_count, t_count = pick
         ca, cb = cell_id % big, cell_id // big
-        a_rhs = tuple(int(v) for v in lab_digits[ca]) if partition.codim else ()
-        b_rhs = tuple(int(v) for v in lab_digits[cb]) if partition.codim else ()
+        a_rhs = tuple(int(v) for v in lab_digits[ca])
+        b_rhs = tuple(int(v) for v in lab_digits[cb])
         cell_obj = Cell(p, n, partition.normals, a_rhs, b_rhs)
     report = {
         "uniformity_scale": "u2",
@@ -622,6 +589,15 @@ def pseudorandomize_u2(
 
 # ---------------------------------------------------------------------------
 # increment moves
+
+
+def _density_inside(s_set: IndicatorSet, t_set: IndicatorSet) -> float:
+    """sigma = |S| / |T|, after checking that S sits inside a nonempty T."""
+    if np.any(s_set.mask & ~t_set.mask):
+        raise ValueError("the candidate set must sit inside the structured set")
+    if t_set.cardinality == 0:
+        raise ValueError("empty structured set")
+    return s_set.cardinality / t_set.cardinality
 
 
 def _structured_density(s_vals: np.ndarray, t_new: StructuredProductSet) -> tuple[int, int]:
@@ -659,84 +635,27 @@ def _best_row_split(
     return cands
 
 
-def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float) -> dict:
-    """Degree-one density increment from a biased pencil of fiber means.
+def _split_increment(
+    report: dict,
+    s_set: IndicatorSet,
+    sigma: float,
+    factor: IndicatorSet,
+    means: np.ndarray,
+    threshold: float,
+    rebuild,
+) -> dict:
+    """Split a factor set of T by signed means and keep the denser side.
 
-    Scans the x-row, y-column and anti-diagonal pencils of
-    g = S - sigma * T in that order.  A pencil triggers when its mean
-    square bias beats tau times (own factor density) times (product of
-    the other densities)^2; the triggering factor set is then split by
-    the signed means and the denser side is returned as a new
-    structured set, with the densities recounted independently.  If no
-    pencil triggers, or the split cannot beat sigma, the report says so
-    and nothing is replaced.
+    ``rebuild`` turns a candidate sub-factor into the new structured set,
+    or None when that candidate is not viable.  The winner's |S ∩ T| is
+    recounted independently before ``report`` is completed with it.
     """
-    p, n = t.p, t.n
-    size = p**n
     s_vals = s_set.table.values.real
-    t_vals = t.table.table.values.real
-    if np.any(s_vals > t_vals + 1e-12):
-        raise ValueError("the candidate set must sit inside the structured set")
-    t_mass = t.table.cardinality
-    if t_mass == 0:
-        raise ValueError("empty structured set")
-    sigma = s_set.cardinality / t_mass
-    g = (s_vals - sigma * t_vals).reshape((size, size), order="F")
-    alpha = t.fibers.base.density
-    beta = t.y_set.density
-    gamma = t.sum_set.density
-    delta = t.skew_set.density
-    rho = t.fibers.rho
-    dt = digit_table(p, n)
-
-    row_means = g.mean(axis=1)
-    col_means = g.mean(axis=0)
-    anti_means = np.empty(size)
-    for z in range(size):
-        cols = np.asarray(index_of(p, (dt[z] - dt) % p), dtype=np.int64)
-        anti_means[z] = g[np.arange(size), cols].mean()
-
-    pencils = [
-        ("x-rows", row_means, alpha, beta * gamma * delta * rho),
-        ("y-columns", col_means, beta, alpha * gamma * delta * rho),
-        ("anti-diagonals", anti_means, gamma, alpha * beta * delta * rho),
-    ]
-    report: dict = {"sigma": sigma, "tau": tau, "pencils": {}}
-    chosen = None
-    for name, means, own, others in pencils:
-        stat = float(np.mean(np.abs(means) ** 2))
-        trigger = tau * own * others**2
-        report["pencils"][name] = {"stat": stat, "trigger": trigger, "fires": stat >= trigger}
-        if chosen is None and stat >= trigger:
-            chosen = (name, means, others)
-    if chosen is None:
-        report.update({"gained": False, "reason": "no pencil fired"})
-        return report
-
-    name, means, others = chosen
-    threshold = (tau**0.5 / 4) * others
-    report["chosen_pencil"] = name
-    report["fiber_threshold"] = threshold
-    if name == "x-rows":
-        whole_mask = t.fibers.base.table.values.real == 1.0
-    elif name == "y-columns":
-        whole_mask = t.y_set.table.values.real == 1.0
-    else:
-        whole_mask = t.sum_set.table.values.real == 1.0
-
     best = None
-    for cand_name, mask in _best_row_split(whole_mask, means, threshold):
-        new_set = IndicatorSet.from_mask(p, n, mask)
-        if name == "x-rows":
-            try:
-                fam = FiberFamily(p, n, new_set, t.fibers.offset, t.fibers.d, t.fibers.normals)
-            except (ValueError, AssertionError):
-                continue
-            t_new = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam)
-        elif name == "y-columns":
-            t_new = StructuredProductSet(new_set, t.sum_set, t.skew_set, t.fibers)
-        else:
-            t_new = StructuredProductSet(t.y_set, new_set, t.skew_set, t.fibers)
+    for cand_name, mask in _best_row_split(factor.mask, means, threshold):
+        t_new = rebuild(IndicatorSet.from_mask(factor.p, factor.m, mask))
+        if t_new is None:
+            continue
         inter, mass = _structured_density(s_vals, t_new)
         if mass == 0:
             continue
@@ -768,6 +687,65 @@ def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: floa
     return report
 
 
+def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float) -> dict:
+    """Degree-one density increment from a biased pencil of fiber means.
+
+    Scans the x-row, y-column and anti-diagonal pencils of
+    g = S - sigma * T in that order.  A pencil triggers when its mean
+    square bias beats tau times (own factor density) times (product of
+    the other densities)^2; the triggering factor set is then split by
+    the signed means and the denser side is returned as a new
+    structured set, with the densities recounted independently.  If no
+    pencil triggers, or the split cannot beat sigma, the report says so
+    and nothing is replaced.
+    """
+    p, n = t.p, t.n
+    size = p**n
+    sigma = _density_inside(s_set, t.table)
+    g = (s_set.table.values.real - sigma * t.table.table.values.real).reshape((size, size), order="F")
+    alpha = t.fibers.base.density
+    beta = t.y_set.density
+    gamma = t.sum_set.density
+    delta = t.skew_set.density
+    rho = t.fibers.rho
+
+    # (name, means, the factor set the pencil splits, product of the other densities)
+    pencils = [
+        ("x-rows", g.mean(axis=1), t.fibers.base, beta * gamma * delta * rho),
+        ("y-columns", g.mean(axis=0), t.y_set, alpha * gamma * delta * rho),
+        ("anti-diagonals", line_means(g, p, n, 1), t.sum_set, alpha * beta * delta * rho),
+    ]
+    report: dict = {"sigma": sigma, "tau": tau, "pencils": {}}
+    chosen = None
+    for name, means, factor, others in pencils:
+        stat = float(np.mean(np.abs(means) ** 2))
+        trigger = tau * factor.density * others**2
+        report["pencils"][name] = {"stat": stat, "trigger": trigger, "fires": stat >= trigger}
+        if chosen is None and stat >= trigger:
+            chosen = (name, means, factor, others)
+    if chosen is None:
+        report.update({"gained": False, "reason": "no pencil fired"})
+        return report
+
+    name, means, factor, others = chosen
+    threshold = (tau**0.5 / 4) * others
+    report["chosen_pencil"] = name
+    report["fiber_threshold"] = threshold
+
+    def rebuild(new_set: IndicatorSet) -> StructuredProductSet | None:
+        if name == "x-rows":
+            try:
+                fam = FiberFamily(p, n, new_set, t.fibers.offset, t.fibers.d, t.fibers.normals)
+            except (ValueError, AssertionError):
+                return None
+            return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam)
+        if name == "y-columns":
+            return StructuredProductSet(new_set, t.sum_set, t.skew_set, t.fibers)
+        return StructuredProductSet(t.y_set, new_set, t.skew_set, t.fibers)
+
+    return _split_increment(report, s_set, sigma, factor, means, threshold, rebuild)
+
+
 def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float) -> dict:
     """Density increment from biased skew lines 2x + y = w.
 
@@ -777,24 +755,13 @@ def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float
     """
     p, n = t.p, t.n
     size = p**n
-    s_vals = s_set.table.values.real
-    t_vals = t.table.table.values.real
-    if np.any(s_vals > t_vals + 1e-12):
-        raise ValueError("the candidate set must sit inside the structured set")
-    t_mass = t.table.cardinality
-    if t_mass == 0:
-        raise ValueError("empty structured set")
-    sigma = s_set.cardinality / t_mass
-    g = (s_vals - sigma * t_vals).reshape((size, size), order="F")
+    sigma = _density_inside(s_set, t.table)
+    g = (s_set.table.values.real - sigma * t.table.table.values.real).reshape((size, size), order="F")
     alpha = t.fibers.base.density
     beta = t.y_set.density
     gamma = t.sum_set.density
     rho = t.fibers.rho
-    dt = digit_table(p, n)
-    means = np.empty(size)
-    for w in range(size):
-        cols = np.asarray(index_of(p, (dt[w] - 2 * dt) % p), dtype=np.int64)
-        means[w] = g[np.arange(size), cols].mean()
+    means = line_means(g, p, n, 2)
     threshold = tau * alpha * beta * gamma * rho / 4
     fired = bool(np.any(np.abs(means) >= threshold))
     report = {
@@ -807,38 +774,10 @@ def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float
     if not fired:
         report.update({"gained": False, "reason": "no line is biased"})
         return report
-    d_mask = t.skew_set.table.values.real == 1.0
-    best = None
-    for cand_name, mask in _best_row_split(d_mask, means, threshold):
-        new_d = IndicatorSet.from_mask(p, n, mask)
-        t_new = StructuredProductSet(t.y_set, t.sum_set, new_d, t.fibers)
-        inter, mass = _structured_density(s_vals, t_new)
-        if mass == 0:
-            continue
-        ratio = inter / mass
-        if best is None or ratio > best[0]:
-            best = (ratio, cand_name, t_new, inter, mass)
-    if best is None or best[0] <= sigma:
-        report.update({"gained": False, "reason": "no split beat the current density"})
-        return report
-    ratio, cand_name, t_new, inter, mass = best
-    recount = _recount_pairs(s_vals, t_new)
-    if recount != inter:
-        raise AssertionError("density recount disagrees")
-    s_new = IndicatorSet.from_table(s_set.table.times(t_new.table.table))
-    report.update(
-        {
-            "gained": True,
-            "split": cand_name,
-            "new_sigma": ratio,
-            "gain": ratio - sigma,
-            "s_count": str(recount),
-            "t_count": str(mass),
-        }
+    return _split_increment(
+        report, s_set, sigma, t.skew_set, means, threshold,
+        lambda new_d: StructuredProductSet(t.y_set, t.sum_set, new_d, t.fibers),
     )
-    report["_new_t"] = t_new
-    report["_new_s"] = s_new
-    return report
 
 
 def align_offset_increment(
@@ -873,12 +812,7 @@ def align_offset_increment(
         .times(product_lift(skew_set.table, "2x+y"))
         .times(mixed.table.table)
     )
-    t_mixed = IndicatorSet.from_table(lifted)
-    if np.any(s_vals > t_mixed.table.values.real + 1e-12):
-        raise ValueError("the candidate set must sit inside the mixed structured set")
-    if t_mixed.cardinality == 0:
-        raise ValueError("empty mixed structured set")
-    sigma = s_set.cardinality / t_mixed.cardinality
+    sigma = _density_inside(s_set, IndicatorSet.from_table(lifted))
     alpha = mixed.base.density
     rho = mixed.rho
 
@@ -914,10 +848,10 @@ def align_offset_increment(
             continue
         fam = FiberFamily(p, n, sub_base, u_vec, d, mixed.normals)
         t_u = StructuredProductSet(y_set, sum_set, skew_set, fam)
-        if t_u.table.cardinality == 0:
+        inter, mass = _structured_density(s_vals, t_u)
+        if mass == 0:
             continue
-        inter = int(np.rint(np.sum(s_vals * t_u.table.table.values.real)))
-        ratio = inter / t_u.table.cardinality
+        ratio = inter / mass
         if best is None or ratio > best[0]:
             best = (ratio, u, t_u, fam, inter)
     if best is None:
@@ -958,19 +892,17 @@ def _l_quads(p: int, n: int) -> list[tuple[int, int, int, int]]:
     """All configurations ((x,y),(x,y+z),(x,y+2z),(x+z,y)) with z != 0,
     as 4-tuples of pair indices."""
     size = p**n
-    dt = digit_table(p, n)
-    quads = []
-    for zi in range(1, size):
-        z = dt[zi]
-        for x in range(size):
-            x_shift = int(index_of(p, (dt[x] + z) % p))
-            for y in range(size):
-                y1 = int(index_of(p, (dt[y] + z) % p))
-                y2 = int(index_of(p, (dt[y] + 2 * z) % p))
-                quads.append(
-                    (x + size * y, x + size * y1, x + size * y2, x_shift + size * y)
-                )
-    return quads
+    z = np.arange(1, size)[:, None, None]
+    x = np.arange(size)[None, :, None]
+    y = np.arange(size)[None, None, :]
+    corners = np.broadcast_arrays(
+        x + size * y,
+        x + size * combine(p, n, (1, 1), (y, z)),
+        x + size * combine(p, n, (1, 2), (y, z)),
+        combine(p, n, (1, 1), (x, z)) + size * y,
+    )
+    # one quad per (z, x, y), y fastest
+    return list(zip(*(c.ravel().tolist() for c in corners)))
 
 
 def _verify_l_free(p: int, n: int, indices) -> bool:
@@ -1128,12 +1060,9 @@ def planted_skew_instance(p: int, n: int) -> tuple[IndicatorSet, StructuredProdu
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     size = p**n
     half = size // 2
-    dt = digit_table(p, n)
-    mask = np.zeros(size * size, dtype=bool)
-    for y in range(size):
-        w_all = np.asarray(index_of(p, (2 * dt + dt[y][None, :]) % p), dtype=np.int64)
-        mask[np.flatnonzero(w_all < half) + size * y] = True
-    return IndicatorSet.from_mask(p, 2 * n, mask), t
+    points = np.arange(size)
+    w = combine(p, n, (2, 1), (points[None, :], points[:, None]))  # w[y, x] = 2x + y
+    return IndicatorSet.from_mask(p, 2 * n, (w < half).reshape(-1)), t
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1094,6 @@ def _renormalize_to_cell(
     xs = x_coset.member_indices()
     ys = y_coset.member_indices()
     basis = np.array([v.digits for v in x_coset.basis()], dtype=np.int64).reshape(new_n, n)
-    dt = digit_table(p, n)
     dt_new = digit_table(p, new_n)
     x0 = np.array(x_coset.offset_point.digits, dtype=np.int64)
     y0 = np.array(y_coset.offset_point.digits, dtype=np.int64)
@@ -1177,7 +1105,7 @@ def _renormalize_to_cell(
     ys = np.asarray(index_of(p, (y0[None, :] + dt_new @ basis) % p), dtype=np.int64)
 
     new_size = p**new_n
-    base_mask_old = t.fibers.base.table.values.real == 1.0
+    base_mask_old = t.fibers.base.mask
     fam = t.fibers
     u_old = fam.offset.as_array()
     keep = np.zeros(new_size, dtype=bool)
@@ -1205,8 +1133,7 @@ def _renormalize_to_cell(
     mixed = MixedFiberFamily(p, new_n, new_base, new_offsets, level, new_normals)
 
     def reindex_set(s: IndicatorSet, points: np.ndarray) -> IndicatorSet:
-        vals = s.table.values.real[points] == 1.0
-        return IndicatorSet.from_mask(p, new_n, vals)
+        return IndicatorSet.from_mask(p, new_n, s.mask[points])
 
     b_new = reindex_set(t.y_set, ys)
     sum_points = np.asarray(index_of(p, ((x0 + y0)[None, :] + dt_new @ basis) % p), dtype=np.int64)

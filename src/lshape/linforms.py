@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import modular_rref
+from .field import rank_mod
 from .norms import gowers_norm
 from .spectral import u2_fourth_batch
 from .tables import product_lift
@@ -151,17 +151,11 @@ class ComplexityCertificate:
         return self.s is None
 
 
-def _rank(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
-    return len(modular_rref(mat, p)[1])
-
-
 def _span_contains(vectors: np.ndarray, target: np.ndarray, p: int) -> bool:
     if vectors.size == 0:
         return False
-    base = _rank(vectors, p)
-    return _rank(np.vstack([vectors, target[None, :]]), p) == base
+    base = rank_mod(vectors, p)
+    return rank_mod(np.vstack([vectors, target[None, :]]), p) == base
 
 
 def _min_classes(vectors: np.ndarray, j: int, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -30,11 +30,12 @@ patterns.lshape_average.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ResourceLimitError, add_map, digits_of, index_of
+from .field import ResourceLimitError, add_map, combine, line_means
 from .spectral import dft_batch, u2_fourth_batch
 from .tables import FunctionTable
 
@@ -109,24 +110,34 @@ def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
     return float(np.sum(fourths) / len(fourths))
 
 
-def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:
-    """The literal nested sum over all (h_1, ..., h_s) difference tuples."""
-    size = p**m
-    vals = values.astype(np.complex128)
-    conj = np.conj(vals)
+def _cube_average(corners, shifts) -> complex:
+    """E over (h_1, ..., h_s) and x of prod_w C^|w| corners[w](x + w . h).
+
+    ``corners`` holds 2^s flat value arrays, one per w in {0,1}^s taken in
+    itertools.product order, and C is complex conjugation.  ``shifts[i]``
+    lists the index permutations x -> x + h_i, one per value h_i takes.
+    """
+    s = len(shifts)
+    size = corners[0].shape[0]
+    cube = list(itertools.product((0, 1), repeat=s))
+    factors = [np.conj(c) if sum(bits) % 2 else c for bits, c in zip(cube, corners)]
     total = 0.0 + 0.0j
-    for hs in itertools.product(range(size), repeat=s):
-        maps = [add_map(p, m, h) for h in hs]
+    for maps in itertools.product(*shifts):
         prod = np.ones(size, dtype=np.complex128)
-        for bits in itertools.product((0, 1), repeat=s):
+        for bits, vals in zip(cube, factors):
             idx = np.arange(size)
             for i, bit in enumerate(bits):
                 if bit:
                     idx = maps[i][idx]
-            factor = conj[idx] if sum(bits) % 2 else vals[idx]
-            prod = prod * factor
+            prod = prod * vals[idx]
         total += np.sum(prod) / size
-    return complex(total / size**s)
+    return complex(total / math.prod(len(maps) for maps in shifts))
+
+
+def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:
+    """The literal nested sum over all (h_1, ..., h_s) difference tuples."""
+    maps = [add_map(p, m, h) for h in range(p**m)]
+    return _cube_average([values.astype(np.complex128)] * 2**s, [maps] * s)
 
 
 def gowers_norm(
@@ -198,15 +209,11 @@ def slot_norm(g: FunctionTable, slot: int) -> NormValue:
             acc += float(np.mean(u2_fourth_batch(rows, p, n)))
         return _root(acc / size, 8)
     if slot == 1:
-        da = digits_of(p, n, np.arange(size))
-        sub = np.asarray(index_of(p, (da[None, :, :] - da[:, None, :]) % p), dtype=np.int64)
-        sheared = grid[np.arange(size)[:, None], sub]
+        x = np.arange(size)
+        sheared = grid[x[:, None], combine(p, n, (1, -1), (x[None, :], x[:, None]))]
         return box_norm(FunctionTable.from_pair_grid(p, n, sheared))
     if slot == 2:
-        da = digits_of(p, n, np.arange(size))
-        col = np.asarray(index_of(p, (da[:, None, :] - 2 * da[None, :, :]) % p), dtype=np.int64)
-        line_means = grid[np.arange(size)[None, :], col].mean(axis=1)
-        raw = float(np.mean(np.abs(line_means) ** 2))
+        raw = float(np.mean(np.abs(line_means(grid, p, n, 2)) ** 2))
         return _root(raw, 2)
     raise ValueError(f"slot must be 0, 1 or 2, got {slot}")
 
@@ -219,33 +226,20 @@ def directional_average(g: FunctionTable, directions) -> float:
     them.  For real g the average is real; the imaginary part is checked
     against 1e-9 either way.
     """
-    p, n, grid = _pair_split(g)
+    p, n, _ = _pair_split(g)
     dirs = [(int(a) % p, int(b) % p) for a, b in directions]
     if not dirs or len(dirs) > 3:
         raise ResourceLimitError("directional averages support 1 to 3 directions")
     if any(a == 0 and b == 0 for a, b in dirs):
         raise ValueError("direction patterns must be nonzero")
     size = p**n
-    total = 0.0 + 0.0j
-    for hs in itertools.product(range(size), repeat=len(dirs)):
-        prod = np.ones_like(grid)
-        for bits in itertools.product((0, 1), repeat=len(dirs)):
-            xd = np.zeros(n, dtype=np.int64)
-            yd = np.zeros(n, dtype=np.int64)
-            for i, bit in enumerate(bits):
-                if bit:
-                    a, b = dirs[i]
-                    hd = digits_of(p, n, hs[i])
-                    xd = (xd + a * hd) % p
-                    yd = (yd + b * hd) % p
-            rp = add_map(p, n, int(index_of(p, xd)))
-            cp = add_map(p, n, int(index_of(p, yd)))
-            term = grid[rp][:, cp]
-            if sum(bits) % 2:
-                term = np.conj(term)
-            prod = prod * term
-        total += np.mean(prod)
-    total /= size ** len(dirs)
+    h = np.arange(size)
+    shifts = []
+    for a, b in dirs:
+        # the pair index x + N y is the index of (x, y) in Z_p^(2n)
+        steps = combine(p, n, (a,), (h,)) + size * combine(p, n, (b,), (h,))
+        shifts.append([add_map(p, 2 * n, int(k)) for k in steps])
+    total = _cube_average([g.values] * 2 ** len(dirs), shifts)
     if g.kind in ("real", "indicator") and abs(total.imag) > 1e-9:
         raise ValueError(f"directional average of a real table has imaginary part {total.imag}")
     return float(total.real)
@@ -265,20 +259,11 @@ def gcs_check(family, s: int, slack: float = 1e-9) -> dict:
     size = p**m
     if s >= 4 and m >= 2:
         raise ResourceLimitError("the product average is capped at s <= 3 for m >= 2")
-    total = 0.0 + 0.0j
-    for hs in itertools.product(range(size), repeat=s):
-        prod = np.ones(size, dtype=np.complex128)
-        for w, table in enumerate(family):
-            idx = np.arange(size)
-            for i in range(s):
-                if (w >> i) & 1:
-                    idx = add_map(p, m, hs[i])[idx]
-            term = table.values[idx]
-            if bin(w).count("1") % 2:
-                term = np.conj(term)
-            prod = prod * term
-        total += np.sum(prod) / size
-    lhs = abs(complex(total / size**s))
+    maps = [add_map(p, m, h) for h in range(size)]
+    # family position w has bit i = coordinate i of the corner
+    corners = [family[sum(bit << i for i, bit in enumerate(bits))].values
+               for bits in itertools.product((0, 1), repeat=s)]
+    lhs = abs(_cube_average(corners, [maps] * s))
     norms = [gowers_norm(t, s).value for t in family]
     rhs = float(np.prod(norms))
     return {"product_average": lhs, "norm_product": rhs, "norms": norms, "holds": lhs <= rhs + slack}

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import ResourceLimitError, add_map, digit_table, index_of, scale_map
+from .field import ResourceLimitError, add_map, check_size, combine, digit_table, scale_map
 from .tables import FunctionTable, IndicatorSet, balanced
 
 __all__ = [
@@ -169,9 +169,16 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
     """Sets whose configuration count far exceeds the random baseline.
 
     kind "dot": {(x, y) : x . y = 0}.  Its density is exactly
-    ((N-1) N/p + N) / N^2 and its configuration count has the closed
-    form evaluated below; the brute-force count is authoritative and
-    the closed form is carried along for comparison.
+    ((N-1) N/p + N) / N^2.  Its configurations are the pairwise
+    orthogonal triples x . y = x . z = y . z = 0, which gives the closed
+    form, with M = N/p and I the number of nonzero x with x . x = 0:
+
+        [N + (N-1) N/p] + (N-1-I) [M + (M-1) M/p] + I [p M + (M-p) M/p]
+
+    I = p^(n-1) - 1 at odd n, and p^(n-1) - 1 + eta (p-1) p^(n/2-1) at
+    even n, where eta = +1 if (-1)^(n/2) is a square mod p, else -1.
+    The brute-force count stays authoritative; the closed form is
+    carried along for comparison.
 
     kind "random_phi": {(x, y) : phi(x) . (y - u) = 0} with phi and u
     drawn uniformly, resampling any phi(x) = 0 so every row is a
@@ -180,6 +187,7 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
     kind "coordinate": {(x, y) : y_0 = u(x)} with u uniform; density
     exactly 1/p, count ~ N^3/p^3 in expectation.
     """
+    check_size(p, 2 * n)
     size = p**n
     d = digit_table(p, n)
     if kind == "dot":
@@ -189,11 +197,14 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
         s = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))  # pair index = x + N y
         npow = size // p
         predicted_density = ((size - 1) * npow + size) / size**2
+        isotropic = npow - 1
+        if n % 2 == 0:
+            eta = 1 if pow((-1) ** (n // 2) % p, (p - 1) // 2, p) == 1 else -1
+            isotropic += eta * (p - 1) * p ** (n // 2 - 1)
         closed = (
-            ((size - 1) - (p - 1)) * (npow - 1) * size // p**2
-            + (npow - 1) * (p - 1) * npow
-            + size
-            + 2 * (size - 1) * npow
+            size + (size - 1) * size // p
+            + (size - 1 - isotropic) * (npow + (npow - 1) * npow // p)
+            + isotropic * (p * npow + (npow - p) * npow // p)
         )
         return ObstructionExample("dot", p, n, None, s, predicted_density, closed,
                                   {"closed_form_count": closed})
@@ -234,7 +245,6 @@ def count_system(tables, system, n: int, cap: int = 10**8) -> PatternCount:
     if len(tables) != len(system.forms):
         raise ValueError(f"{len(system.forms)} forms but {len(tables)} tables")
     tabs = [t.table if isinstance(t, IndicatorSet) else t for t in tables]
-    d = digit_table(p, n)
     mesh = np.indices((size,) * r).reshape(r, -1)
     all_indicator = all(t.kind == "indicator" for t in tabs)
     if all_indicator:
@@ -248,11 +258,7 @@ def count_system(tables, system, n: int, cap: int = 10**8) -> PatternCount:
         idx = np.zeros(mesh.shape[1], dtype=np.int64)
         stride = 1
         for row in rows:
-            digits = np.zeros((mesh.shape[1], n), dtype=np.int64)
-            for v, c in enumerate(row):
-                if c % p:
-                    digits = digits + c * d[mesh[v]]
-            idx = idx + stride * np.asarray(index_of(p, digits % p), dtype=np.int64)
+            idx = idx + stride * combine(p, n, row, mesh)
             stride *= size
         vals = tab.values[idx]
         prod = prod * (np.rint(vals.real).astype(np.int64) if all_indicator else vals)

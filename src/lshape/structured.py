@@ -32,9 +32,12 @@ from .field import (
     GroupVector,
     ResourceLimitError,
     add_map,
+    combine,
     digit_table,
     index_of,
+    line_means,
     modular_rref,
+    rank_mod,
     subspace_from_normals,
 )
 from .norms import gowers_norm
@@ -57,27 +60,34 @@ __all__ = [
 ]
 
 
-def _fiber_mask(p: int, n: int, base_mask: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """mask[x, y] = base(x) and (normals[x] @ (y - offset_row(x)) == 0)."""
+def _fiber_table(
+    p: int, n: int, base: IndicatorSet, d: int, normals: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, IndicatorSet]:
+    """Validate the fibers offsets[x] + V_x over a base set and build
+    their pair-space indicator Phi(x, y) = A(x) [normals[x] . (y - offsets[x]) = 0].
+
+    Returns the normals reduced mod p and Phi.  Every base point must
+    carry d independent normals, and Phi is audited to hold exactly
+    |A| p^(n - d) points.
+    """
     size = p**n
+    normals = np.asarray(normals, dtype=np.int64) % p
+    if normals.shape != (size, d, n):
+        raise ValueError(f"normals must have shape ({size}, {d}, {n})")
+    if offsets.shape != (size, n):
+        raise ValueError(f"offsets must have shape ({size}, {n})")
     yd = digit_table(p, n)
-    mask = np.zeros((size, size), dtype=bool)
-    for x in range(size):
-        if not base_mask[x]:
-            continue
+    mask = np.zeros((size, size), dtype=bool)  # mask[x, y]
+    for x in np.flatnonzero(base.mask):
+        if rank_mod(normals[x], p) != d:
+            raise ValueError(f"normals at x = {x} are dependent; codimension would drop below {d}")
         rel = (yd - offsets[x][None, :]) % p
-        if normals.shape[1] == 0:
-            mask[x, :] = True
-        else:
-            vals = (normals[x] @ rel.T) % p
-            mask[x, :] = np.all(vals == 0, axis=0)
-    return mask
-
-
-def _rank_mod(mat: np.ndarray, p: int) -> int:
-    if mat.size == 0:
-        return 0
-    return len(modular_rref(mat, p)[1])
+        mask[x, :] = np.all((normals[x] @ rel.T) % p == 0, axis=0)
+    table = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))
+    expected = base.cardinality * p ** (n - d)
+    if table.cardinality != expected:
+        raise AssertionError(f"fiber family has {table.cardinality} points, expected {expected}")
+    return normals, table
 
 
 @dataclass
@@ -93,22 +103,9 @@ class FiberFamily:
     table: IndicatorSet = dc_field(init=False)
 
     def __post_init__(self) -> None:
-        size = self.p**self.n
-        self.normals = np.asarray(self.normals, dtype=np.int64) % self.p
-        if self.normals.shape != (size, self.d, self.n):
-            raise ValueError(f"normals must have shape ({size}, {self.d}, {self.n})")
-        base_mask = self.base.table.values.real == 1.0
-        for x in np.flatnonzero(base_mask):
-            if _rank_mod(self.normals[x], self.p) != self.d:
-                raise ValueError(f"normals at x = {x} are dependent; codimension would drop below {self.d}")
-        offsets = np.repeat(self.offset.as_array()[None, :], size, axis=0)
-        mask = _fiber_mask(self.p, self.n, base_mask, self.normals, offsets)
-        self.table = IndicatorSet.from_mask(self.p, 2 * self.n, mask.T.reshape(-1))
-        expected = self.base.cardinality * self.p ** (self.n - self.d)
-        if self.table.cardinality != expected:
-            raise AssertionError(
-                f"fiber family has {self.table.cardinality} points, expected {expected}"
-            )
+        # a common offset: every row of the offsets repeats u
+        offsets = np.broadcast_to(self.offset.as_array(), (self.p**self.n, self.offset.m))
+        self.normals, self.table = _fiber_table(self.p, self.n, self.base, self.d, self.normals, offsets)
 
     @property
     def rho(self) -> float:
@@ -146,8 +143,7 @@ class FiberFamily:
         phi = np.asarray(phi, dtype=np.int64) % p
         if phi.shape != (size, n):
             raise ValueError(f"phi must have shape ({size}, {n})")
-        base_mask = base.table.values.real == 1.0
-        zero_rows = np.flatnonzero(base_mask & np.all(phi == 0, axis=1))
+        zero_rows = np.flatnonzero(base.mask & np.all(phi == 0, axis=1))
         if zero_rows.size:
             raise ValueError(f"phi vanishes on base points {zero_rows.tolist()}; fibers there would be full")
         return cls(p, n, base, u, 1, phi[:, None, :])
@@ -166,22 +162,8 @@ class MixedFiberFamily:
     table: IndicatorSet = dc_field(init=False)
 
     def __post_init__(self) -> None:
-        size = self.p**self.n
-        self.normals = np.asarray(self.normals, dtype=np.int64) % self.p
         self.offsets = np.asarray(self.offsets, dtype=np.int64) % self.p
-        if self.normals.shape != (size, self.d, self.n):
-            raise ValueError(f"normals must have shape ({size}, {self.d}, {self.n})")
-        if self.offsets.shape != (size, self.n):
-            raise ValueError(f"offsets must have shape ({size}, {self.n})")
-        base_mask = self.base.table.values.real == 1.0
-        for x in np.flatnonzero(base_mask):
-            if _rank_mod(self.normals[x], self.p) != self.d:
-                raise ValueError(f"normals at x = {x} are dependent")
-        mask = _fiber_mask(self.p, self.n, base_mask, self.normals, self.offsets)
-        self.table = IndicatorSet.from_mask(self.p, 2 * self.n, mask.T.reshape(-1))
-        expected = self.base.cardinality * self.p ** (self.n - self.d)
-        if self.table.cardinality != expected:
-            raise AssertionError("mixed fiber family has the wrong cardinality")
+        self.normals, self.table = _fiber_table(self.p, self.n, self.base, self.d, self.normals, self.offsets)
 
     @property
     def rho(self) -> float:
@@ -190,9 +172,8 @@ class MixedFiberFamily:
     def aligned_base_at(self, u: GroupVector) -> IndicatorSet:
         """The set A_u = {x in A : u lies on x's fiber}."""
         ud = u.as_array()
-        base_mask = self.base.table.values.real == 1.0
         keep = []
-        for x in np.flatnonzero(base_mask):
+        for x in self.base.member_indices():
             rel = (ud - self.offsets[x]) % self.p
             if self.d == 0 or not np.any((self.normals[x] @ rel) % self.p):
                 keep.append(int(x))
@@ -230,16 +211,13 @@ class StructuredProductSet:
         self.table = IndicatorSet.from_table(lifted)
         # independent pointwise audit through plain digit arithmetic
         size = p**n
-        bm = b.table.values.real == 1.0
-        cm = c.table.values.real == 1.0
-        dm = d_set.table.values.real == 1.0
-        fm = fam.table.table.values.real == 1.0
+        bm, cm, dm, fm = b.mask, c.mask, d_set.mask, fam.table.mask
         dt = digit_table(p, n)
         for x in range(size):
             sums = np.asarray(index_of(p, (dt[x] + dt) % p), dtype=np.int64)
             skews = np.asarray(index_of(p, (2 * dt[x] + dt) % p), dtype=np.int64)
             direct = bm & cm[sums] & dm[skews] & fm[x + size * np.arange(size)]
-            got = self.table.table.values.real[x + size * np.arange(size)] == 1.0
+            got = self.table.mask[x + size * np.arange(size)]
             if not np.array_equal(direct, got):
                 raise AssertionError(f"product set disagrees with direct evaluation on row x = {x}")
 
@@ -282,17 +260,11 @@ def fiber_stats(t: StructuredProductSet, eps_prime: float) -> dict:
     gamma = t.sum_set.density
     delta = t.skew_set.density
     rho = t.fibers.rho
-    dt = digit_table(p, n)
 
     rows = grid.mean(axis=1)
     cols = grid.mean(axis=0)
-    anti = np.empty(size)
-    skew = np.empty(size)
-    for w in range(size):
-        anti_cols = np.asarray(index_of(p, (dt[w] - dt) % p), dtype=np.int64)
-        skew_cols = np.asarray(index_of(p, (dt[w] - 2 * dt) % p), dtype=np.int64)
-        anti[w] = grid[np.arange(size), anti_cols].mean()
-        skew[w] = grid[np.arange(size), skew_cols].mean()
+    anti = line_means(grid, p, n, 1)
+    skew = line_means(grid, p, n, 2)
 
     def pencil(densities: np.ndarray, target: float) -> dict:
         dev = np.abs(densities - target)
@@ -338,7 +310,7 @@ def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubsp
     size = p**n
     pair_count = size * size
     cell_rows = set(int(i) for i in x_coset.member_indices())
-    base_mask = fam.base.table.values.real == 1.0
+    base_mask = fam.base.mask
     level_masks = [np.zeros(pair_count, dtype=bool) for _ in range(d + 1)]
     phi_in_cell = np.zeros(pair_count, dtype=bool)
     phi_vals = fam.table.table.values.real
@@ -427,7 +399,7 @@ def approx_poly_proportion(
 
     size = p**n
     phi = np.asarray(phi, dtype=np.int64) % p
-    base_mask = np.ones(size, dtype=bool) if base is None else base.table.values.real == 1.0
+    base_mask = np.ones(size, dtype=bool) if base is None else base.mask
     subsets = list(_it.product((0, 1), repeat=s))
     exact = size ** (s + 1) <= cap
     admissible = 0
@@ -499,7 +471,7 @@ def face_derivative_statistic(
     k = 2 * s + 2
     size = p**n
     phi = np.asarray(phi, dtype=np.int64) % p
-    base_mask = np.ones(size, dtype=bool) if base is None else base.table.values.real == 1.0
+    base_mask = np.ones(size, dtype=bool) if base is None else base.mask
     import itertools as _it
 
     subsets = list(_it.product((0, 1), repeat=k))
@@ -576,18 +548,11 @@ def intersection_codim_statistic(fam: FiberFamily, system, shifts, cap: int = 10
     forms = system.scalar_matrix()
     if len(forms) != len(shifts):
         raise ValueError(f"{len(forms)} forms but {len(shifts)} shifts")
-    base_mask = fam.base.table.values.real == 1.0
-    dt = digit_table(p, n)
+    base_mask = fam.base.mask
     ud = fam.offset.as_array()
     shift_digits = [w.as_array() if isinstance(w, GroupVector) else np.asarray(w, dtype=np.int64) % p for w in shifts]
     mesh = np.indices((size,) * r).reshape(r, -1)
-    images = []
-    for row in forms:
-        digits = np.zeros((mesh.shape[1], n), dtype=np.int64)
-        for v, c in enumerate(row):
-            if c % p:
-                digits = digits + c * dt[mesh[v]]
-        images.append(np.asarray(index_of(p, digits % p), dtype=np.int64))
+    images = [combine(p, n, row, mesh) for row in forms]
     admissible = 0
     degenerate = 0
     expected = min(len(forms) * d, n)
@@ -637,13 +602,12 @@ def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) 
             mask[int(rng.integers(size))] = True
         base = IndicatorSet.from_mask(p, n, mask)
     normals = np.zeros((size, d, n), dtype=np.int64)
-    base_mask = base.table.values.real == 1.0
     for x in range(size):
-        if not base_mask[x]:
+        if not base.contains_index(x):
             continue
         while True:
             cand = rng.integers(0, p, size=(d, n))
-            if _rank_mod(cand, p) == d:
+            if rank_mod(cand, p) == d:
                 normals[x] = cand
                 break
     u = GroupVector(p, tuple(int(v) for v in rng.integers(0, p, size=n)))

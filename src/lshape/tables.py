@@ -12,19 +12,19 @@ same data as an N x N array G[x_index, y_index].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .field import (
-    MAX_ENUMERATION,
     AffineSubspace,
     GroupVector,
-    ResourceLimitError,
     add_map,
+    check_modulus,
+    check_size,
+    combine,
     digit_table,
-    digits_of,
-    index_of,
 )
 
 __all__ = [
@@ -73,12 +73,13 @@ class FunctionTable:
     kind: str = "complex"
 
     def __post_init__(self) -> None:
-        size = self.p**self.m
-        if size > MAX_ENUMERATION:
-            raise ResourceLimitError(f"table of {size} entries exceeds cap {MAX_ENUMERATION}")
+        size = check_size(self.p, self.m)
+        check_modulus(self.p)
         vals = np.asarray(self.values, dtype=np.complex128).reshape(-1)
         if vals.shape[0] != size:
             raise ValueError(f"expected {size} values, got {vals.shape[0]}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("table values must be finite")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind in ("real", "indicator") and np.any(vals.imag != 0):
@@ -221,11 +222,18 @@ class IndicatorSet:
     def m(self) -> int:
         return self.table.m
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Membership as a read-only bool array in canonical index order."""
+        out = self.table.values.real == 1.0
+        out.setflags(write=False)
+        return out
+
     def member_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.table.values.real == 1.0)
+        return np.flatnonzero(self.mask)
 
     def contains_index(self, idx: int) -> bool:
-        return self.table.values[idx].real == 1.0
+        return bool(self.mask[idx])
 
     def complement(self) -> "IndicatorSet":
         return IndicatorSet.from_table(
@@ -252,10 +260,7 @@ def slot_index_array(p: int, n: int, slot: str) -> np.ndarray:
         return x_idx
     if slot == "y":
         return y_idx
-    dx = digits_of(p, n, x_idx)
-    dy = digits_of(p, n, y_idx)
-    coeff = 1 if slot == "x+y" else 2
-    return np.asarray(index_of(p, (coeff * dx + dy) % p), dtype=np.int64)
+    return combine(p, n, (1 if slot == "x+y" else 2, 1), (x_idx, y_idx))
 
 
 def product_lift(a: FunctionTable, slot: str) -> FunctionTable:

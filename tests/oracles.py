@@ -40,6 +40,24 @@ def scale_index(c, a, p, m):
     return index_le([c * d for d in digits_le(a, p, m)], p)
 
 
+def combine_oracle(p, m, coeffs, indices):
+    """Index of sum_j coeffs[j] * (element indices[j]) in Z_p^m."""
+    digs = [digits_le(i, p, m) for i in indices]
+    return index_le([sum(c * d[k] for c, d in zip(coeffs, digs)) for k in range(m)], p)
+
+
+def line_means_oracle(grid, p, n, c):
+    """m[w] = E_x grid[x][w - c x] for a pair grid given as a list of rows."""
+    size = p**n
+    out = []
+    for w in range(size):
+        acc = 0
+        for x in range(size):
+            acc += grid[x][combine_oracle(p, n, (1, -c), (w, x))]
+        out.append(acc / size)
+    return out
+
+
 def unit_root(p, k):
     return cmath.exp(2j * math.pi * (k % p) / p)
 

@@ -177,6 +177,28 @@ def test_exit_code_two_on_bad_input(tmp_path):
     run_cli("extremal", "--p", "3", "--n", "9", expect=2)
 
 
+def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
+    odd_modulus = tmp_path / "p9.set"
+    odd_modulus.write_text("p=9 m=2\n0\n")
+    cases = [
+        ("count", "--p", "4", "--n", "1"),
+        ("count", "--p", "2", "--n", "1"),
+        ("count", "--set", str(odd_modulus)),
+        ("norm", "--p", "3", "--m", "30"),
+        ("norm", "--p", "3", "--m", "-1"),
+        ("count", "--p", "3", "--n", "15"),
+    ]
+    for bad in ("nan", "inf"):
+        table = tmp_path / f"{bad}.table"
+        table.write_text(f"p=3 m=1 kind=real\n0.0 0.0\n{bad} 0.0\n1.0 0.0\n")
+        cases.append(("norm", "--table", str(table)))
+    for args in cases:
+        proc = run_cli(*args, expect=2)
+        assert proc.stdout == "", args
+        assert len(proc.stderr.splitlines()) == 1, (args, proc.stderr)
+        assert proc.stderr.startswith("error: "), (args, proc.stderr)
+
+
 def test_exit_code_one_on_failed_assertion():
     proc = run_cli(
         "increment", "--planted", "none", "--p", "3", "--n", "2",

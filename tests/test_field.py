@@ -11,13 +11,16 @@ from lshape.field import (
     PrimeField,
     ResourceLimitError,
     add_map,
+    combine,
     digit_table,
     digits_of,
     dot,
     full_space,
     index_of,
     intersect_subspaces,
+    line_means,
     modular_rref,
+    rank_mod,
     scale_map,
     solve_mod,
     subspace_from_normals,
@@ -99,6 +102,50 @@ def test_modular_rref_properties():
             for i, c in enumerate(pivots):
                 col = red[:, c]
                 assert col[i] == 1 and np.count_nonzero(col) == 1
+
+
+def test_rank_mod_counts_pivots():
+    rng = np.random.default_rng(6)
+    for p in (3, 5):
+        for _ in range(20):
+            mat = rng.integers(0, p, size=(3, 4))
+            assert rank_mod(mat, p) == len(modular_rref(mat, p)[1])
+    assert rank_mod(np.zeros((0, 3), dtype=np.int64), 3) == 0
+    assert rank_mod([[1, 2], [2, 4]], 3) == 1
+    assert rank_mod([[1, 2], [2, 4]], 5) == 1
+    assert rank_mod([[1, 2], [2, 1]], 3) == 1  # (2, 1) = 2 * (1, 2) mod 3
+    assert rank_mod([[1, 2], [2, 1]], 5) == 2
+
+
+def test_combine_matches_oracle():
+    rng = np.random.default_rng(8)
+    for p in (3, 5):
+        for m in (1, 2, 3):
+            size = p**m
+            for coeffs in [(1, 1), (2, 1), (1, -1), (1, -2), (-1, 2, -2), (0, 2)]:
+                idx = [rng.integers(0, size, 50) for _ in coeffs]
+                want = [orc.combine_oracle(p, m, coeffs, [int(i[t]) for i in idx]) for t in range(50)]
+                assert combine(p, m, coeffs, idx).tolist() == want
+    # operands broadcast: got[i, j] combines element j with element i
+    x = np.arange(9)
+    got = combine(3, 2, (1, -1), (x[None, :], x[:, None]))
+    assert got.shape == (9, 9)
+    for i in range(9):
+        for j in range(9):
+            assert got[i, j] == orc.combine_oracle(3, 2, (1, -1), (j, i))
+
+
+def test_line_means_match_oracle():
+    rng = np.random.default_rng(9)
+    for p in (3, 5):
+        for n in (1, 2, 3):
+            size = p**n
+            grid = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            rows = grid.tolist()
+            for c in (1, 2, -1, -2):
+                got = line_means(grid, p, n, c)
+                want = orc.line_means_oracle(rows, p, n, c)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_solve_mod_against_enumeration():

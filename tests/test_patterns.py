@@ -132,6 +132,16 @@ def test_dot_obstruction_exact_values():
         obstruction_example("dot", 3, 2)
 
 
+def test_dot_closed_form_at_odd_and_even_n():
+    # the closed form against brute-force counts at odd and even n ...
+    for n in (3, 4):
+        ex = obstruction_example("dot", 3, n)
+        assert ex.predicted_count == lshape_average(*[ex.set.table] * 4).exact_count
+    # ... and against exact counts recorded at p = 3, n = 6 and p = 5, n = 4
+    assert obstruction_example("dot", 3, 6).predicted_count == 14697369
+    assert obstruction_example("dot", 5, 4).predicted_count == 2148625
+
+
 def test_dot_obstruction_membership():
     ex = obstruction_example("dot", 3, 3)
     vals = ex.set.table.values.real

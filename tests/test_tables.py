@@ -47,6 +47,12 @@ def test_kind_validation():
         FunctionTable(3, 1, [0.0, 1.0, 0.0], "bogus")
     with pytest.raises(ResourceLimitError):
         FunctionTable(3, 30, np.zeros(1), "real")
+    for p in (2, 4, 9):  # the modulus must be an odd prime
+        with pytest.raises(ValueError):
+            FunctionTable(p, 1, np.zeros(p), "real")
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError):
+            FunctionTable(3, 1, [0.0, bad, 1.0], "complex")
 
 
 def test_values_are_frozen():
@@ -106,6 +112,11 @@ def test_indicator_set_counts():
     assert s.density == pytest.approx(4 / 9)
     assert IndicatorSet.full(3, 2).cardinality == 9
     assert IndicatorSet.empty(3, 2).cardinality == 0
+    assert s.mask.tolist() == mask.tolist()
+    assert s.member_indices().tolist() == [0, 2, 3, 7]
+    assert s.contains_index(3) and not s.contains_index(4)
+    with pytest.raises(ValueError):
+        s.mask[1] = True  # membership is read-only
     with pytest.raises(ValueError):
         IndicatorSet.from_table(FunctionTable(3, 2, mask * 0.5, "real"))
 
