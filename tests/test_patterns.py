@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as orc
 from lshape.linforms import corner_point_system, lshape_point_system
@@ -51,6 +53,29 @@ def test_lshape_counts_match_oracle():
         assert res.average == pytest.approx(total / p ** (3 * n))
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (67, 1)])
+def test_counts_of_distinct_sets_match_oracle(p, n):
+    # four different sets, so a wrong slot (the shifted last table above
+    # all) cannot hide; k = n fills one word, p = 67 > 64 leaves one bit
+    # per word, and p >= 11 is the paper's regime
+    sets = [_random_set(p, n, 100 * p + 10 * n + i, density=0.7) for i in range(4)]
+    tabs = [s.table for s in sets]
+    vals = [list(t.values) for t in tabs]
+    ones = [1.0] * p ** (2 * n)
+    masks = np.array([s.mask for s in sets])
+
+    def expected(avg, slots):
+        total = round(avg.real * p ** (3 * n))
+        return total, total - int(masks[slots].all(axis=0).sum())
+
+    res = lshape_average(*tabs)
+    total, nontrivial = expected(orc.lshape_average_oracle(*vals, p, n), [0, 1, 2, 3])
+    assert (res.exact_count, res.nontrivial_count) == (total, nontrivial)
+    res = corner_average(*tabs[:3])
+    total, nontrivial = expected(orc.lshape_average_oracle(vals[0], vals[1], ones, vals[2], p, n), [0, 1, 2])
+    assert (res.exact_count, res.nontrivial_count) == (total, nontrivial)
+
+
 def test_corner_counts_match_oracle():
     for seed in range(3):
         s = _random_set(3, 1, seed + 10)
@@ -59,6 +84,23 @@ def test_corner_counts_match_oracle():
         total, nontrivial = orc.corner_count_oracle(mask, 3, 1)
         assert res.exact_count == total
         assert res.nontrivial_count == nontrivial
+
+
+@st.composite
+def _masks(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    return p, draw(st.lists(st.booleans(), min_size=p * p, max_size=p * p))
+
+
+@settings(deadline=None)
+@given(_masks())
+def test_counts_match_oracle_on_drawn_masks(pm):
+    p, mask = pm
+    t = IndicatorSet.from_mask(p, 2, np.array(mask)).table
+    res = lshape_average(t, t, t, t)
+    assert (res.exact_count, res.nontrivial_count) == orc.lshape_count_oracle(mask, p, 1)
+    res = corner_average(t, t, t)
+    assert (res.exact_count, res.nontrivial_count) == orc.corner_count_oracle(mask, p, 1)
 
 
 def test_pattern_count_accessors():
@@ -133,13 +175,15 @@ def test_dot_obstruction_exact_values():
 
 
 def test_dot_closed_form_at_odd_and_even_n():
-    # the closed form against brute-force counts at odd and even n ...
-    for n in (3, 4):
-        ex = obstruction_example("dot", 3, n)
-        assert ex.predicted_count == lshape_average(*[ex.set.table] * 4).exact_count
-    # ... and against exact counts recorded at p = 3, n = 6 and p = 5, n = 4
-    assert obstruction_example("dot", 3, 6).predicted_count == 14697369
-    assert obstruction_example("dot", 5, 4).predicted_count == 2148625
+    # brute force, the closed form and the recorded count agree at odd and even n
+    for p, n, recorded in [(3, 3, 1215), (3, 4, 24273), (3, 6, 14697369), (5, 4, 2148625)]:
+        ex = obstruction_example("dot", p, n)
+        assert lshape_average(*[ex.set.table] * 4).exact_count == ex.predicted_count == recorded
+
+
+def test_dot_count_at_the_frontier():
+    ex = obstruction_example("dot", 3, 7)
+    assert lshape_average(*[ex.set.table] * 4).exact_count == ex.predicted_count == 390609135
 
 
 def test_dot_obstruction_membership():
