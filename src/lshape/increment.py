@@ -328,7 +328,7 @@ def _coset_balanced_deviation(values: np.ndarray, members: np.ndarray, p: int, d
     """U^2 norm and top character of a set restricted to a coset, balanced."""
     sub = values[members].astype(np.complex128)
     mean = sub.mean()
-    table = FunctionTable(p, dim, sub - mean, kind="complex")
+    table = FunctionTable(p, dim, sub - mean)
     norm = gowers_norm(table, 2).value
     return table, norm
 
@@ -404,10 +404,9 @@ def pseudorandomize_u2(
         # per-label deviations of the three factor sets
         factor_devs: dict[str, dict[int, tuple[float, tuple[int, ...], float]]] = {}
         for name, s in (("y", t.y_set), ("sum", t.sum_set), ("skew", t.skew_set)):
-            vals = s.table.values.real
             found: dict[int, tuple[float, tuple[int, ...], float]] = {}
             for lab_id, members in enumerate(members_by_label):
-                table, norm = _coset_balanced_deviation(vals, members, p, coset_dim)
+                table, norm = _coset_balanced_deviation(s.mask, members, p, coset_dim)
                 if norm >= eps:
                     freq, corr = inverse_u2(table)
                     nu = _pull_back_character(x_basis, np.array(freq.digits, dtype=np.int64), p)
@@ -421,19 +420,18 @@ def pseudorandomize_u2(
         pair_basis[:coset_dim, :n] = x_basis
         pair_basis[coset_dim:, n:] = x_basis
         levels = data["levels"]
-        phi_mask = t.fibers.table.table.values.real
+        phi_grid = t.fibers.table.mask.reshape((size, size), order="F")
+        # level i of the family on the pair grid, shared by every cell
+        level_grids = [phi_grid & ((levels >= 0) & (levels <= i))[:, None] for i in range(d + 1)]
         for cb in range(big):
             for ca in range(big):
                 ys = members_by_label[cb]
                 xs = members_by_label[ca]
                 for i in range(d + 1):
-                    lev_vals = np.where((levels >= 0) & (levels <= i), 1.0, 0.0)
-                    grid_vals = (phi_mask.reshape((size, size), order="F")
-                                 * lev_vals[:, None])
-                    sub = grid_vals[np.ix_(xs, ys)]
+                    sub = level_grids[i][np.ix_(xs, ys)]
                     flat = sub.reshape(-1, order="F").astype(np.complex128)
                     mean = flat.mean()
-                    table = FunctionTable(p, 2 * coset_dim, flat - mean, kind="complex")
+                    table = FunctionTable(p, 2 * coset_dim, flat - mean)
                     norm = gowers_norm(table, 2).value
                     if norm >= eps:
                         freq, corr = inverse_u2(table)
@@ -600,17 +598,16 @@ def _density_inside(s_set: IndicatorSet, t_set: IndicatorSet) -> float:
     return s_set.cardinality / t_set.cardinality
 
 
-def _structured_density(s_vals: np.ndarray, t_new: StructuredProductSet) -> tuple[int, int]:
-    t_vals = t_new.table.table.values.real
-    inter = int(np.rint(np.sum(s_vals * t_vals)))
+def _structured_density(s_mask: np.ndarray, t_new: StructuredProductSet) -> tuple[int, int]:
+    inter = int(np.count_nonzero(s_mask & t_new.table.mask))
     return inter, t_new.table.cardinality
 
 
-def _recount_pairs(s_vals: np.ndarray, t_new: StructuredProductSet) -> int:
+def _recount_pairs(s_mask: np.ndarray, t_new: StructuredProductSet) -> int:
     """Independent recount of |S ∩ T| by walking T's members."""
     total = 0
     for idx in t_new.table.member_indices():
-        if s_vals[int(idx)] == 1.0:
+        if s_mask[int(idx)]:
             total += 1
     return total
 
@@ -650,13 +647,12 @@ def _split_increment(
     or None when that candidate is not viable.  The winner's |S ∩ T| is
     recounted independently before ``report`` is completed with it.
     """
-    s_vals = s_set.table.values.real
     best = None
     for cand_name, mask in _best_row_split(factor.mask, means, threshold):
         t_new = rebuild(IndicatorSet.from_mask(factor.p, factor.m, mask))
         if t_new is None:
             continue
-        inter, mass = _structured_density(s_vals, t_new)
+        inter, mass = _structured_density(s_set.mask, t_new)
         if mass == 0:
             continue
         ratio = inter / mass
@@ -666,7 +662,7 @@ def _split_increment(
         report.update({"gained": False, "reason": "no split beat the current density"})
         return report
     ratio, cand_name, t_new, inter, mass = best
-    recount = _recount_pairs(s_vals, t_new)
+    recount = _recount_pairs(s_set.mask, t_new)
     if recount != inter:
         raise AssertionError("density recount disagrees")
     if abs(inter / mass - ratio) > 1e-12:
@@ -702,7 +698,7 @@ def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: floa
     p, n = t.p, t.n
     size = p**n
     sigma = _density_inside(s_set, t.table)
-    g = (s_set.table.values.real - sigma * t.table.table.values.real).reshape((size, size), order="F")
+    g = (s_set.mask - sigma * t.table.mask).reshape((size, size), order="F")
     alpha = t.fibers.base.density
     beta = t.y_set.density
     gamma = t.sum_set.density
@@ -756,7 +752,7 @@ def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float
     p, n = t.p, t.n
     size = p**n
     sigma = _density_inside(s_set, t.table)
-    g = (s_set.table.values.real - sigma * t.table.table.values.real).reshape((size, size), order="F")
+    g = (s_set.mask - sigma * t.table.mask).reshape((size, size), order="F")
     alpha = t.fibers.base.density
     beta = t.y_set.density
     gamma = t.sum_set.density
@@ -805,7 +801,6 @@ def align_offset_increment(
     """
     p, n, d = mixed.p, mixed.n, mixed.d
     size = p**n
-    s_vals = s_set.table.values.real
     lifted = (
         product_lift(y_set.table, "y")
         .times(product_lift(sum_set.table, "x+y"))
@@ -848,7 +843,7 @@ def align_offset_increment(
             continue
         fam = FiberFamily(p, n, sub_base, u_vec, d, mixed.normals)
         t_u = StructuredProductSet(y_set, sum_set, skew_set, fam)
-        inter, mass = _structured_density(s_vals, t_u)
+        inter, mass = _structured_density(s_set.mask, t_u)
         if mass == 0:
             continue
         ratio = inter / mass
@@ -1095,8 +1090,8 @@ def _renormalize_to_cell(
     ys = y_coset.member_indices()
     basis = np.array([v.digits for v in x_coset.basis()], dtype=np.int64).reshape(new_n, n)
     dt_new = digit_table(p, new_n)
-    x0 = np.array(x_coset.offset_point.digits, dtype=np.int64)
-    y0 = np.array(y_coset.offset_point.digits, dtype=np.int64)
+    x0 = np.array(x_coset.offset_point().digits, dtype=np.int64)
+    y0 = np.array(y_coset.offset_point().digits, dtype=np.int64)
     # audit the parametrization: member ordering must match offset + params @ basis
     rebuilt = np.asarray(index_of(p, (x0[None, :] + dt_new @ basis) % p), dtype=np.int64)
     if not np.array_equal(np.sort(rebuilt), np.sort(np.asarray(xs, dtype=np.int64))):
@@ -1141,16 +1136,9 @@ def _renormalize_to_cell(
     c_new = reindex_set(t.sum_set, sum_points)
     d_new = reindex_set(t.skew_set, skew_points)
 
-    s_vals = s_set.table.values.real
-    mixed_vals = mixed.table.table.values.real
-    new_mask = np.zeros(new_size * new_size, dtype=bool)
-    for js in range(new_size):
-        y = int(ys[js])
-        for jt in range(new_size):
-            x = int(xs[jt])
-            if s_vals[x + size * y] == 1.0 and mixed_vals[jt + new_size * js] == 1.0:
-                new_mask[jt + new_size * js] = True
-    s_new = IndicatorSet.from_mask(p, 2 * new_n, new_mask)
+    s_grid = s_set.mask.reshape((size, size), order="F")[np.ix_(xs, ys)]
+    new_mask = s_grid & mixed.table.mask.reshape((new_size, new_size), order="F")
+    s_new = IndicatorSet.from_mask(p, 2 * new_n, new_mask.reshape(-1, order="F"))
     return s_new, mixed, b_new, c_new, d_new
 
 

@@ -78,14 +78,13 @@ def _root(raw: complex, power: int) -> NormValue:
 
 def delta(f: FunctionTable, h) -> FunctionTable:
     """Delta_h f(x) = f(x) * conj(f(x + h))."""
-    shifted = f.translate(h)
-    kind = "indicator" if f.kind == "indicator" else ("real" if f.kind == "real" else "complex")
-    return FunctionTable(f.p, f.m, f.values * np.conj(shifted.values), kind)
+    return f.times(f.translate(h).conj())
 
 
 def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
     """E_{h_1..h_(s-2)} ||Delta...f||_{U^2}^4 via batched transforms."""
     size = p**m
+    values = values.astype(np.complex128, copy=False)  # float64 sums round differently
     if s == 1:
         mu = np.sum(values) / size
         return float(abs(mu) ** 2)
@@ -105,7 +104,7 @@ def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
         for h in range(size):
             fill(current * cc[add_map(p, m, h)], depth - 1)
 
-    fill(values.astype(np.complex128), s - 2)
+    fill(values, s - 2)
     fourths = u2_fourth_batch(batch, p, m)
     return float(np.sum(fourths) / len(fourths))
 
@@ -120,6 +119,7 @@ def _cube_average(corners, shifts) -> complex:
     s = len(shifts)
     size = corners[0].shape[0]
     cube = list(itertools.product((0, 1), repeat=s))
+    corners = [c.astype(np.complex128, copy=False) for c in corners]
     factors = [np.conj(c) if sum(bits) % 2 else c for bits, c in zip(cube, corners)]
     total = 0.0 + 0.0j
     for maps in itertools.product(*shifts):
@@ -137,7 +137,7 @@ def _cube_average(corners, shifts) -> complex:
 def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:
     """The literal nested sum over all (h_1, ..., h_s) difference tuples."""
     maps = [add_map(p, m, h) for h in range(p**m)]
-    return _cube_average([values.astype(np.complex128)] * 2**s, [maps] * s)
+    return _cube_average([values] * 2**s, [maps] * s)
 
 
 def gowers_norm(
@@ -178,7 +178,9 @@ def _pair_split(g: FunctionTable) -> tuple[int, int, np.ndarray]:
     if g.m % 2 != 0:
         raise ValueError("pair-space norms need a table on Z_p^(2n)")
     n = g.m // 2
-    return g.p, n, g.as_pair_grid()
+    # complex128 for every kind: float64 matmuls and means round differently,
+    # and a bool matmul is a logical one
+    return g.p, n, g.as_pair_grid().astype(np.complex128, copy=False)
 
 
 def box_norm(g: FunctionTable) -> NormValue:

@@ -104,7 +104,7 @@ def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_poi
         k += 1
     low = p**k
     distinct = {id(t): t for t in tables}
-    masks = {key: t.as_pair_grid().real != 0 for key, t in distinct.items()}
+    masks = {key: t.as_pair_grid() for key, t in distinct.items()}
     words = {key: _pack_rows(masks[key], low) for key in {id(t) for t in tables[:-1]}}
     first = [words[id(t)] for t in tables[:-1]]
     last = masks[id(tables[-1])]
@@ -129,7 +129,7 @@ def _count_pattern(tables: list[FunctionTable], use_third_point: bool) -> Patter
 
     Indicator inputs are counted exactly on bit-packed grids (see
     ``_indicator_counts``), which keeps p = 3, n = 7 within seconds;
-    any other input is averaged in complex arithmetic.
+    any other input is averaged in complex arithmetic, real tables too.
     """
     p, n, grids = _common_grids(tables)
     size = p**n
@@ -137,6 +137,7 @@ def _count_pattern(tables: list[FunctionTable], use_third_point: bool) -> Patter
     if all(t.kind == "indicator" for t in tables):
         count, trivial = _indicator_counts(tables, p, n, use_third_point)
         return PatternCount(complex(count / denom), count, count - trivial)
+    grids = [g.astype(np.complex128, copy=False) for g in grids]
     total = 0.0 + 0.0j
     for z in range(size):
         col1 = add_map(p, n, z)
@@ -162,7 +163,7 @@ def corner_average(g0: FunctionTable, g1: FunctionTable, g2: FunctionTable) -> P
 
 def ones_like(s: IndicatorSet | FunctionTable) -> FunctionTable:
     table = s.table if isinstance(s, IndicatorSet) else s
-    return FunctionTable(table.p, table.m, np.ones(table.values.size), "indicator")
+    return FunctionTable(table.p, table.m, np.ones(table.values.size, dtype=bool))
 
 
 def telescope_check(s: IndicatorSet, slack: float = 1e-9) -> dict:
@@ -293,10 +294,7 @@ def count_system(tables, system, n: int, cap: int = 10**8) -> PatternCount:
     tabs = [t.table if isinstance(t, IndicatorSet) else t for t in tables]
     mesh = np.indices((size,) * r).reshape(r, -1)
     all_indicator = all(t.kind == "indicator" for t in tabs)
-    if all_indicator:
-        prod = np.ones(mesh.shape[1], dtype=np.int64)
-    else:
-        prod = np.ones(mesh.shape[1], dtype=np.complex128)
+    prod = np.ones(mesh.shape[1], dtype=np.int64 if all_indicator else np.complex128)
     for form, tab in zip(system.forms, tabs):
         rows = form.rows
         if tab.m != len(rows) * n:
@@ -306,8 +304,7 @@ def count_system(tables, system, n: int, cap: int = 10**8) -> PatternCount:
         for row in rows:
             idx = idx + stride * combine(p, n, row, mesh)
             stride *= size
-        vals = tab.values[idx]
-        prod = prod * (np.rint(vals.real).astype(np.int64) if all_indicator else vals)
+        prod = prod * tab.values[idx]
     denom = size**r
     if all_indicator:
         count = int(prod.sum())

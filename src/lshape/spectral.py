@@ -90,11 +90,11 @@ def dft_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
 
 
 def dft(f: FunctionTable) -> FunctionTable:
-    return FunctionTable(f.p, f.m, dft_values(f.values, f.p, f.m), "complex")
+    return FunctionTable(f.p, f.m, dft_values(f.values, f.p, f.m))
 
 
 def idft(spectrum: FunctionTable) -> FunctionTable:
-    return FunctionTable(spectrum.p, spectrum.m, idft_values(spectrum.values, spectrum.p, spectrum.m), "complex")
+    return FunctionTable(spectrum.p, spectrum.m, idft_values(spectrum.values, spectrum.p, spectrum.m))
 
 
 def dft_reference(f: FunctionTable) -> FunctionTable:
@@ -106,7 +106,7 @@ def dft_reference(f: FunctionTable) -> FunctionTable:
     d = digit_table(f.p, f.m)
     phases = np.exp(-2j * np.pi * ((d @ d.T) % f.p) / f.p)
     out = phases @ f.values / f.size
-    return FunctionTable(f.p, f.m, out, "complex")
+    return FunctionTable(f.p, f.m, out)
 
 
 def u2_fourth(f: FunctionTable) -> float:
@@ -158,8 +158,7 @@ def subspace_average_bound_check(f: FunctionTable, coset: AffineSubspace, slack:
     """
     if coset.is_empty:
         raise ValueError("the empty coset has no average")
-    members = coset.member_indices()
-    avg = abs(complex(np.sum(f.values[members]) / members.size))
+    avg = abs(f.restrict(coset).mean())
     u2 = u2_fourth(f) ** 0.25
     bound = f.p**coset.codimension * u2
     return {

@@ -23,6 +23,7 @@ common offset lives in the increment module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,10 +32,8 @@ from .field import (
     AffineSubspace,
     GroupVector,
     ResourceLimitError,
-    add_map,
     combine,
     digit_table,
-    index_of,
     line_means,
     modular_rref,
     rank_mod,
@@ -209,17 +208,21 @@ class StructuredProductSet:
             .times(fam.table.table)
         )
         self.table = IndicatorSet.from_table(lifted)
-        # independent pointwise audit through plain digit arithmetic
+        # independent pointwise audit through plain digit arithmetic: the
+        # indices of x + y and 2x + y for the whole grid, one digit place
+        # at a time
         size = p**n
-        bm, cm, dm, fm = b.mask, c.mask, d_set.mask, fam.table.mask
-        dt = digit_table(p, n)
-        for x in range(size):
-            sums = np.asarray(index_of(p, (dt[x] + dt) % p), dtype=np.int64)
-            skews = np.asarray(index_of(p, (2 * dt[x] + dt) % p), dtype=np.int64)
-            direct = bm & cm[sums] & dm[skews] & fm[x + size * np.arange(size)]
-            got = self.table.mask[x + size * np.arange(size)]
-            if not np.array_equal(direct, got):
-                raise AssertionError(f"product set disagrees with direct evaluation on row x = {x}")
+        sums = np.zeros((size, size), dtype=np.int64)  # sums[x, y]
+        skews = np.zeros((size, size), dtype=np.int64)
+        for place, col in enumerate(digit_table(p, n).T):
+            sums += (col[:, None] + col[None, :]) % p * p**place
+            skews += (2 * col[:, None] + col[None, :]) % p * p**place
+        phi = fam.table.mask.reshape((size, size), order="F")
+        direct = b.mask[None, :] & c.mask[sums] & d_set.mask[skews] & phi
+        got = self.table.mask.reshape((size, size), order="F")
+        bad = np.flatnonzero(np.any(direct != got, axis=1))
+        if bad.size:
+            raise AssertionError(f"product set disagrees with direct evaluation on row x = {bad[0]}")
 
     @property
     def p(self) -> int:
@@ -254,7 +257,7 @@ def fiber_stats(t: StructuredProductSet, eps_prime: float) -> dict:
     """
     p, n = t.p, t.n
     size = p**n
-    grid = t.table.table.values.real.reshape((size, size), order="F")
+    grid = t.table.mask.reshape((size, size), order="F")
     alpha = t.fibers.base.density
     beta = t.y_set.density
     gamma = t.sum_set.density
@@ -313,7 +316,6 @@ def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubsp
     base_mask = fam.base.mask
     level_masks = [np.zeros(pair_count, dtype=bool) for _ in range(d + 1)]
     phi_in_cell = np.zeros(pair_count, dtype=bool)
-    phi_vals = fam.table.table.values.real
     y_members = y_coset.member_indices()
     for x in range(size):
         if x not in cell_rows or not base_mask[x]:
@@ -349,9 +351,8 @@ def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubsp
     if total != int(phi_in_cell.sum()):
         raise AssertionError("fiber levels double-count")
     # and the cell's Phi matches the global table restricted to the cell
-    for idx in np.flatnonzero(phi_in_cell):
-        if phi_vals[idx] != 1.0:
-            raise AssertionError("level point outside the family table")
+    if not np.all(fam.table.mask[phi_in_cell]):
+        raise AssertionError("level point outside the family table")
     return out
 
 
@@ -395,25 +396,20 @@ def approx_poly_proportion(
     Exact enumeration when p^(n(s+1)) fits the cap, otherwise seeded
     Monte Carlo; the report says which.
     """
-    import itertools as _it
-
     size = p**n
     phi = np.asarray(phi, dtype=np.int64) % p
     base_mask = np.ones(size, dtype=bool) if base is None else base.mask
-    subsets = list(_it.product((0, 1), repeat=s))
+    subsets = list(itertools.product((0, 1), repeat=s))
     exact = size ** (s + 1) <= cap
     admissible = 0
     vanishing = 0
     if exact:
         xs = np.arange(size)
-        for hs in _it.product(range(size), repeat=s):
+        for hs in itertools.product(range(size), repeat=s):
             total_diff = np.zeros((size, n), dtype=np.int64)
             ok = np.ones(size, dtype=bool)
             for bits in subsets:
-                pos = xs
-                for i, bit in enumerate(bits):
-                    if bit:
-                        pos = add_map(p, n, hs[i])[pos]
+                pos = combine(p, n, (1,) + bits, (xs,) + hs)
                 ok &= base_mask[pos]
                 total_diff = total_diff + _difference_sign(s, bits) * phi[pos]
             vanish = np.all(total_diff % p == 0, axis=1)
@@ -423,14 +419,11 @@ def approx_poly_proportion(
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             x = int(rng.integers(size))
-            hs = [int(rng.integers(size)) for _ in range(s)]
+            hs = tuple(int(rng.integers(size)) for _ in range(s))
             total = np.zeros(n, dtype=np.int64)
             ok = True
             for bits in subsets:
-                pos = x
-                for i, bit in enumerate(bits):
-                    if bit:
-                        pos = int(add_map(p, n, hs[i])[pos])
+                pos = int(combine(p, n, (1,) + bits, (x,) + hs))
                 if not base_mask[pos]:
                     ok = False
                     break
@@ -472,9 +465,7 @@ def face_derivative_statistic(
     size = p**n
     phi = np.asarray(phi, dtype=np.int64) % p
     base_mask = np.ones(size, dtype=bool) if base is None else base.mask
-    import itertools as _it
-
-    subsets = list(_it.product((0, 1), repeat=k))
+    subsets = list(itertools.product((0, 1), repeat=k))
     exact = size ** (k + 1) <= cap
     admissible = 0
     vanishing = 0
@@ -483,10 +474,7 @@ def face_derivative_statistic(
         positions = {}
         ok = np.ones(x_arr.shape, dtype=bool)
         for bits in subsets:
-            pos = x_arr
-            for i, bit in enumerate(bits):
-                if bit:
-                    pos = add_map(p, n, hs[i])[pos]
+            pos = combine(p, n, (1,) + bits, (x_arr,) + hs)
             positions[bits] = pos
             ok = ok & base_mask[pos]
         vanish = np.ones(x_arr.shape, dtype=bool)
@@ -503,7 +491,7 @@ def face_derivative_statistic(
 
     if exact:
         xs = np.arange(size)
-        for hs in _it.product(range(size), repeat=k):
+        for hs in itertools.product(range(size), repeat=k):
             ok, vanish = corners_ok_and_vanish(xs, hs)
             admissible += int(ok.sum())
             vanishing += int((ok & vanish).sum())

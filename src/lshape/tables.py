@@ -1,8 +1,9 @@
 """Dense tables for functions Z_p^m -> C, indicator sets, and file I/O.
 
-A FunctionTable stores all p^m values in canonical index order as
-complex doubles.  Indicator sets are the {0,1}-valued special case and
-carry exact integer cardinalities next to their float densities.
+A FunctionTable stores all p^m values in canonical index order, in the
+dtype of its kind: bool for an indicator, float64 for a real function,
+complex128 otherwise.  Indicator sets are the {0,1}-valued special case
+and carry exact integer cardinalities next to their float densities.
 
 Functions on the pair space Z_p^n x Z_p^n use m = 2n with the pair
 (x, y) at index x_index + p^n * y_index; ``as_pair_grid`` exposes the
@@ -12,7 +13,6 @@ same data as an N x N array G[x_index, y_index].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,7 +42,8 @@ __all__ = [
     "load_any",
 ]
 
-KINDS = ("complex", "real", "indicator")
+#: Storage dtype of each kind of table.
+KINDS = {"complex": np.complex128, "real": np.float64, "indicator": np.bool_}
 
 #: Named linear slots of the pair space.  Each sends (x, y) to a point of
 #: Z_p^n; a factor set placed in a slot constrains that combination.
@@ -57,40 +58,43 @@ def unpair_index(pair: int | np.ndarray, n_points: int):
     return pair % n_points, pair // n_points
 
 
-@dataclass
 class FunctionTable:
     """A dense function on Z_p^m in canonical index order.
 
-    ``kind`` is a storage tag: "indicator" promises values in {0, 1},
-    "real" promises zero imaginary part, "complex" promises nothing.
-    Values are immutable after construction; derived tables are new
-    objects.
+    The storage dtype is the kind: bool values make an "indicator"
+    table, float64 a "real" one and complex128 a "complex" one.  Without
+    ``kind`` the values keep their own kind (bool stays bool, complex
+    stays complex, other numbers become float64); an explicit ``kind``
+    checks values from outside against it and casts them.  Values are
+    immutable after construction; derived tables are new objects.
     """
 
-    p: int
-    m: int
-    values: np.ndarray
-    kind: str = "complex"
-
-    def __post_init__(self) -> None:
-        size = check_size(self.p, self.m)
-        check_modulus(self.p)
-        vals = np.asarray(self.values, dtype=np.complex128).reshape(-1)
+    def __init__(self, p: int, m: int, values, kind: str | None = None) -> None:
+        size = check_size(p, m)
+        check_modulus(p)
+        vals = np.asarray(values).reshape(-1)
         if vals.shape[0] != size:
             raise ValueError(f"expected {size} values, got {vals.shape[0]}")
-        if not np.all(np.isfinite(vals)):
+        if vals.dtype != np.bool_ and not np.all(np.isfinite(vals)):
             raise ValueError("table values must be finite")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind in ("real", "indicator") and np.any(vals.imag != 0):
-            raise ValueError(f"kind {self.kind!r} requires real values")
-        if self.kind == "indicator":
-            re = vals.real
-            if not np.all((re == 0) | (re == 1)):
+        if kind is None:
+            kind = "indicator" if vals.dtype == np.bool_ else "complex" if np.iscomplexobj(vals) else "real"
+        elif kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        elif kind != "complex":
+            if np.any(np.imag(vals) != 0):
+                raise ValueError(f"kind {kind!r} requires real values")
+            vals = np.real(vals)
+            if kind == "indicator" and not np.all((vals == 0) | (vals == 1)):
                 raise ValueError("indicator tables must be exactly 0/1 valued")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        self.p = p
+        self.m = m
+        self.values = vals.astype(KINDS[kind])
+        self.values.setflags(write=False)
+
+    @property
+    def kind(self) -> str:
+        return next(k for k, dtype in KINDS.items() if self.values.dtype == dtype)
 
     # -- basic queries -------------------------------------------------
 
@@ -100,8 +104,9 @@ class FunctionTable:
 
     def mean(self) -> complex:
         # np.sum on a fixed-shape 1-d array uses the same pairwise tree
-        # every run, which is the reproducibility contract we need.
-        return complex(np.sum(self.values) / self.size)
+        # every run, which is the reproducibility contract we need; it runs
+        # in complex128 for every kind, as the float64 tree rounds differently.
+        return complex(np.sum(self.values.astype(np.complex128, copy=False)) / self.size)
 
     def max_modulus(self) -> float:
         return float(np.max(np.abs(self.values))) if self.size else 0.0
@@ -110,35 +115,38 @@ class FunctionTable:
         return self.max_modulus() <= 1.0 + tol
 
     # -- pointwise algebra ----------------------------------------------
+    #
+    # Each result takes its kind from numpy's result dtype.
 
-    def _wrap(self, values: np.ndarray, kind: str | None = None) -> "FunctionTable":
-        return FunctionTable(self.p, self.m, values, kind or "complex")
+    def _wrap(self, values: np.ndarray) -> "FunctionTable":
+        return FunctionTable(self.p, self.m, values)
 
     def conj(self) -> "FunctionTable":
-        return self._wrap(np.conj(self.values), self.kind)
+        # np.conj would turn bool into int8; real tables are their own conjugate
+        return self._wrap(np.conj(self.values) if self.kind == "complex" else self.values)
 
     def times(self, other: "FunctionTable") -> "FunctionTable":
         if (other.p, other.m) != (self.p, self.m):
             raise ValueError("pointwise product of tables on different spaces")
-        kind = "indicator" if self.kind == other.kind == "indicator" else None
-        return self._wrap(self.values * other.values, kind)
+        return self._wrap(self.values * other.values)
 
     def plus(self, other: "FunctionTable") -> "FunctionTable":
         if (other.p, other.m) != (self.p, self.m):
             raise ValueError("pointwise sum of tables on different spaces")
-        return self._wrap(self.values + other.values)
+        # bool + bool is a logical or; a weak float operand promotes it to float64
+        dtype = np.result_type(self.values, other.values, 0.0)
+        return self._wrap(np.add(self.values, other.values, dtype=dtype))
 
     def scale(self, c: complex) -> "FunctionTable":
         return self._wrap(self.values * c)
 
     def minus_const(self, c: complex) -> "FunctionTable":
-        kind = "real" if self.kind in ("real", "indicator") and complex(c).imag == 0 else None
-        return self._wrap(self.values - c, kind)
+        return self._wrap(self.values - c)
 
     def translate(self, h: GroupVector | int) -> "FunctionTable":
         """The table of x -> f(x + h)."""
         h_idx = h.index if isinstance(h, GroupVector) else int(h)
-        return self._wrap(self.values[add_map(self.p, self.m, h_idx)], self.kind)
+        return self._wrap(self.values[add_map(self.p, self.m, h_idx)])
 
     def restrict(self, coset: AffineSubspace) -> "FunctionTable":
         """Pull f back through the coset parameterization.
@@ -151,8 +159,7 @@ class FunctionTable:
             raise ValueError("coset lives in the wrong space")
         if coset.is_empty:
             raise ValueError("cannot restrict to the empty coset")
-        members = coset.member_indices()
-        return FunctionTable(self.p, coset.dim, self.values[members], self.kind)
+        return FunctionTable(self.p, coset.dim, self.values[coset.member_indices()])
 
     # -- pair-space views -----------------------------------------------
 
@@ -164,7 +171,7 @@ class FunctionTable:
         return self.values.reshape((n_points, n_points), order="F")
 
     @classmethod
-    def from_pair_grid(cls, p: int, n: int, grid: np.ndarray, kind: str = "complex") -> "FunctionTable":
+    def from_pair_grid(cls, p: int, n: int, grid: np.ndarray, kind: str | None = None) -> "FunctionTable":
         n_points = p**n
         if grid.shape != (n_points, n_points):
             raise ValueError(f"expected a {n_points} x {n_points} grid")
@@ -183,22 +190,21 @@ class IndicatorSet:
     def from_table(cls, table: FunctionTable) -> "IndicatorSet":
         if table.kind != "indicator":
             raise ValueError("need an indicator-kind table")
-        card = int(round(float(np.sum(table.values.real))))
+        card = int(np.count_nonzero(table.values))
         return cls(table, card, card / table.size)
 
     @classmethod
     def from_mask(cls, p: int, m: int, mask: np.ndarray) -> "IndicatorSet":
-        vals = np.where(np.asarray(mask).reshape(-1), 1.0, 0.0)
-        return cls.from_table(FunctionTable(p, m, vals, "indicator"))
+        return cls.from_table(FunctionTable(p, m, np.asarray(mask, dtype=bool)))
 
     @classmethod
     def from_indices(cls, p: int, m: int, indices: Iterable[int]) -> "IndicatorSet":
-        vals = np.zeros(p**m)
+        vals = np.zeros(p**m, dtype=bool)
         idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= p**m):
             raise ValueError("set element index out of range")
-        vals[idx] = 1.0
-        return cls.from_table(FunctionTable(p, m, vals, "indicator"))
+        vals[idx] = True
+        return cls.from_table(FunctionTable(p, m, vals))
 
     @classmethod
     def from_predicate(cls, p: int, m: int, pred: Callable[[np.ndarray], np.ndarray]) -> "IndicatorSet":
@@ -208,11 +214,11 @@ class IndicatorSet:
 
     @classmethod
     def full(cls, p: int, m: int) -> "IndicatorSet":
-        return cls.from_table(FunctionTable(p, m, np.ones(p**m), "indicator"))
+        return cls.from_table(FunctionTable(p, m, np.ones(p**m, dtype=bool)))
 
     @classmethod
     def empty(cls, p: int, m: int) -> "IndicatorSet":
-        return cls.from_table(FunctionTable(p, m, np.zeros(p**m), "indicator"))
+        return cls.from_table(FunctionTable(p, m, np.zeros(p**m, dtype=bool)))
 
     @property
     def p(self) -> int:
@@ -222,12 +228,10 @@ class IndicatorSet:
     def m(self) -> int:
         return self.table.m
 
-    @cached_property
+    @property
     def mask(self) -> np.ndarray:
         """Membership as a read-only bool array in canonical index order."""
-        out = self.table.values.real == 1.0
-        out.setflags(write=False)
-        return out
+        return self.table.values
 
     def member_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
@@ -236,9 +240,7 @@ class IndicatorSet:
         return bool(self.mask[idx])
 
     def complement(self) -> "IndicatorSet":
-        return IndicatorSet.from_table(
-            FunctionTable(self.p, self.m, 1.0 - self.table.values.real, "indicator")
-        )
+        return IndicatorSet.from_table(FunctionTable(self.p, self.m, ~self.mask))
 
     def intersect(self, other: "IndicatorSet") -> "IndicatorSet":
         return IndicatorSet.from_table(self.table.times(other.table))
@@ -270,7 +272,7 @@ def product_lift(a: FunctionTable, slot: str) -> FunctionTable:
     fibers of equal size, so densities are preserved.
     """
     idx = slot_index_array(a.p, a.m, slot)
-    return FunctionTable(a.p, 2 * a.m, a.values[idx], a.kind)
+    return FunctionTable(a.p, 2 * a.m, a.values[idx])
 
 
 # -- file formats -------------------------------------------------------

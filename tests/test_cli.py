@@ -188,9 +188,10 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         ("norm", "--p", "3", "--m", "-1"),
         ("count", "--p", "3", "--n", "15"),
     ]
-    for bad in ("nan", "inf"):
-        table = tmp_path / f"{bad}.table"
-        table.write_text(f"p=3 m=1 kind=real\n0.0 0.0\n{bad} 0.0\n1.0 0.0\n")
+    for name, kind, bad in (("nan", "real", "nan 0.0"), ("inf", "real", "inf 0.0"),
+                            ("imaginary", "real", "1.0 0.5"), ("half", "indicator", "0.5 0.0")):
+        table = tmp_path / f"{name}.table"
+        table.write_text(f"p=3 m=1 kind={kind}\n0.0 0.0\n{bad}\n1.0 0.0\n")
         cases.append(("norm", "--table", str(table)))
     for args in cases:
         proc = run_cli(*args, expect=2)

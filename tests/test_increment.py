@@ -8,6 +8,7 @@ from lshape.field import GroupVector
 from lshape.increment import (
     Cell,
     ProductCosetPartition,
+    _renormalize_to_cell,
     align_offset_increment,
     energy_monotone_check,
     fiber_mean_increment,
@@ -20,7 +21,7 @@ from lshape.increment import (
     search_extremal_L_free,
     skew_line_increment,
 )
-from lshape.structured import FiberFamily, MixedFiberFamily, StructuredProductSet, random_family
+from lshape.structured import FiberFamily, MixedFiberFamily, StructuredProductSet, fiber_levels, random_family
 from lshape.tables import FunctionTable, IndicatorSet, product_lift
 
 
@@ -290,6 +291,38 @@ def test_driver_on_planted_instances():
         assert first["action"] in ("fiber-mean", "skew-line")
         assert first["detail"]["gain"] > 0
         assert res["final_sigma"] == pytest.approx(1.0)
+
+
+def test_renormalized_cell_matches_fiber_levels():
+    # restricted to one cell and one fiber level, S and Phi keep exactly
+    # the points fiber_levels assigns to that level, in new coordinates
+    checked = 0
+    for d, seed in ((0, 1), (1, 2), (2, 3)):
+        s, t = _random_structured(3, 2, d, seed)
+        for cell in ProductCosetPartition(3, 2, ((1, 1),)).cells():
+            levels = fiber_levels(t.fibers, cell.x_coset, cell.y_coset)
+            for level in range(d + 1):
+                out = _renormalize_to_cell(s, t, cell, level)
+                exact = levels[level].exact
+                if out is None:
+                    assert not np.any(s.mask & exact.mask)
+                    continue
+                s_new, mixed = out[:2]
+                assert mixed.table.cardinality == exact.cardinality
+                assert s_new.cardinality == np.count_nonzero(s.mask & exact.mask)
+                checked += 1
+    assert checked >= 6
+
+
+def test_driver_restricts_to_the_selected_cell():
+    # with tau this large neither split fires and no cell triggers, so the
+    # driver renormalizes S to the selected cell and realigns the fibers
+    s, t = _random_structured(3, 2, 0, seed=1)
+    res = increment_driver(s, t, eps=0.1, tau=5.0, require_l_free=False)
+    step = res["trajectory"][0]
+    assert step["action"] == "pseudorandomize"
+    assert step["alignment"]["identity_lhs"] == step["alignment"]["identity_rhs"]
+    assert res["halted_because"] == "no density gain from restriction"
 
 
 def test_driver_empty_candidate_gives_empty_trajectory():

@@ -1,5 +1,7 @@
 """Fiber families, the product obstruction set, and its statistics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,26 @@ def test_product_set_membership():
     assert rep["density"] == pytest.approx(t.table.cardinality / 9)
 
 
+def test_product_set_audit_catches_a_corrupted_lift(monkeypatch):
+    import lshape.structured as structured
+    from lshape.tables import FunctionTable, product_lift
+
+    p, n = 3, 2
+    size = p**n
+
+    def corrupted(a, slot):
+        # drop the pairs (x, y) = (5, 0) and (2, 7) from the lifted y factor
+        vals = product_lift(a, slot).values.copy()
+        if slot == "y":
+            vals[[5, 2 + size * 7]] = False
+        return FunctionTable(p, 2 * n, vals)
+
+    full = IndicatorSet.full(p, n)
+    monkeypatch.setattr(structured, "product_lift", corrupted)
+    with pytest.raises(AssertionError, match=r"on row x = 2$"):
+        StructuredProductSet(full, full, full, FiberFamily.full(full))
+
+
 def test_product_set_rejects_mismatched_factors():
     fam = FiberFamily.full(IndicatorSet.full(3, 1))
     wrong = IndicatorSet.full(3, 2)
@@ -229,6 +251,50 @@ def test_approx_poly_respects_base():
     # only x = h = 0 keeps both cube corners in the base
     assert rep["admissible"] == 1
     assert rep["proportion"] == 1.0
+
+
+def _cube_oracle(phi, base, p, n, x, hs, faces):
+    """(admissible, vanishing) of the difference cube through x with sides
+    hs, walked corner by corner with plain index additions."""
+    corners = {}
+    for bits in itertools.product((0, 1), repeat=len(hs)):
+        pt = x
+        for bit, h in zip(bits, hs):
+            pt = orc.add_indices(pt, h, p, n) if bit else pt
+        corners[bits] = pt
+    if not all(base[pt] for pt in corners.values()):
+        return 0, 0
+    if faces:
+        groups = [[w for w in corners if w[i] == e] for i in range(len(hs)) for e in (0, 1)]
+    else:
+        groups = [list(corners)]
+    vanish = all(
+        all(sum((-1) ** sum(w) * int(phi[corners[w]][j]) for w in group) % p == 0 for j in range(n))
+        for group in groups
+    )
+    return 1, int(vanish)
+
+
+def test_cube_statistics_match_corner_walk():
+    p, n = 3, 2
+    size = p**n
+    rng = np.random.default_rng(21)
+    phi = rng.integers(0, p, size=(size, n))
+    base = _base(p, n, 22, density=0.8)
+    for s, faces, stat in ((1, False, approx_poly_proportion), (0, True, face_derivative_statistic)):
+        sides = 2 * s + 2 if faces else s
+        args = (phi, s, p, n, base) if not faces else (phi, base, s, p, n)
+        exact = stat(*args)
+        want = np.sum([_cube_oracle(phi, base.mask, p, n, t[0], t[1:], faces)
+                       for t in itertools.product(range(size), repeat=sides + 1)], axis=0)
+        assert exact["exact"] and [exact["admissible"], exact["vanishing"]] == want.tolist()
+        # the sampled branch draws x, then the sides, from the seeded generator
+        sampled = stat(*args, cap=1, seed=5, samples=300)
+        draws = np.random.default_rng(5)
+        want = np.sum([_cube_oracle(phi, base.mask, p, n, int(draws.integers(size)),
+                                    [int(draws.integers(size)) for _ in range(sides)], faces)
+                       for _ in range(300)], axis=0)
+        assert not sampled["exact"] and [sampled["admissible"], sampled["vanishing"]] == want.tolist()
 
 
 def test_face_derivative_statistic_constant_vs_linear():

@@ -36,7 +36,19 @@ def test_pair_index_round_trip():
             assert unpair_index(pair, n_points) == (x, y)
 
 
-def test_kind_validation():
+def test_kind_validation(tmp_path):
+    # the storage dtype is the kind, and carries it into a new table
+    for kind, dtype in (("indicator", np.bool_), ("real", np.float64), ("complex", np.complex128)):
+        f = FunctionTable(3, 1, [0.0, 1.0, 1.0], kind)
+        assert f.values.dtype == dtype and f.kind == kind
+        assert FunctionTable(3, 1, f.values).kind == kind
+    assert FunctionTable(3, 1, [0, 1, 2]).kind == "real"
+    # values from a file are checked against its kind= header
+    for kind, bad in (("real", "1.0 0.5"), ("indicator", "0.5 0.0")):
+        path = tmp_path / f"bad_{kind}.table"
+        path.write_text(f"p=3 m=1 kind={kind}\n0.0 0.0\n{bad}\n1.0 0.0\n")
+        with pytest.raises(ValueError):
+            load_table(str(path))
     with pytest.raises(ValueError):
         FunctionTable(3, 1, [0.0, 0.5, 1.0], "indicator")
     with pytest.raises(ValueError):
@@ -90,6 +102,16 @@ def test_pointwise_algebra():
     assert np.array_equal(f.conj().values, np.conj(f.values))
     assert np.array_equal(f.minus_const(2.0).values, f.values - 2.0)
     assert f.minus_const(2.0).kind == "real"
+    assert f.times(g).kind == f.plus(g).kind == "complex"
+    ind = FunctionTable(3, 1, [True, False, True])
+    other = FunctionTable(3, 1, [True, True, False])
+    assert ind.times(other).kind == "indicator"
+    assert ind.times(other).values.tolist() == [True, False, False]
+    assert ind.minus_const(0.5).values.dtype == np.float64
+    assert ind.plus(ind).values.tolist() == [2.0, 0.0, 2.0]  # a sum, not a logical or
+    for t in (ind, f, g):
+        assert t.conj().values.dtype == t.values.dtype
+    assert np.array_equal(ind.conj().values, ind.values)
 
 
 def test_pair_grid_orientation():
@@ -195,3 +217,17 @@ def test_table_file_round_trip(tmp_path):
     assert back.p == 3 and back.m == 2 and back.kind == "complex"
     assert np.abs(back.values - vals).max() < 1e-12
     assert isinstance(load_any(str(path)), FunctionTable)
+    # each kind round-trips bit for bit, in the bytes complex storage wrote
+    cases = [
+        ([True, False, True], "indicator", "1.0 0.0\n0.0 0.0\n1.0 0.0\n"),
+        ([0.5, -0.25, 1 / 3], "real", "0.5 0.0\n-0.25 0.0\n0.3333333333333333 0.0\n"),
+        ([0.5 + 0.25j, complex(0, -1), 1 / 3], "complex", "0.5 0.25\n0.0 -1.0\n0.3333333333333333 0.0\n"),
+    ]
+    for values, kind, body in cases:
+        f = FunctionTable(3, 1, values)
+        path = tmp_path / f"{kind}.table"
+        save_table(str(path), f)
+        assert path.read_text() == f"p=3 m=1 kind={kind}\n" + body
+        back = load_table(str(path))
+        assert back.kind == kind
+        assert back.values.tobytes() == f.values.tobytes()
