@@ -80,7 +80,6 @@ from .linforms import (
 )
 from .structured import (
     FiberFamily,
-    MixedFiberFamily,
     StructuredProductSet,
     approx_poly_proportion,
     base_uniformity_transfer_check,
@@ -163,7 +162,6 @@ __all__ = [
     "verify_certificate",
     "von_neumann_check",
     "FiberFamily",
-    "MixedFiberFamily",
     "StructuredProductSet",
     "approx_poly_proportion",
     "base_uniformity_transfer_check",

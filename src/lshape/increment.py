@@ -48,8 +48,8 @@ from .field import (
 from .norms import gowers_norm
 from .patterns import lshape_average
 from .spectral import inverse_u2
-from .structured import FiberFamily, MixedFiberFamily, StructuredProductSet
-from .tables import FunctionTable, IndicatorSet, product_lift
+from .structured import FiberFamily, StructuredProductSet
+from .tables import FunctionTable, IndicatorSet
 
 __all__ = [
     "Cell",
@@ -333,6 +333,13 @@ def _coset_balanced_deviation(values: np.ndarray, members: np.ndarray, p: int, d
     return table, norm
 
 
+def _check_scales(eps: float, tau: float) -> None:
+    """Every threshold scales with eps and tau, so both must be finite and positive."""
+    for name, value in (("eps", eps), ("tau", tau)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass
 class PseudorandomizeResult:
     report: dict
@@ -370,6 +377,7 @@ def pseudorandomize_u2(
     selected; meeting the margin sigma + tau / 4 is reported, with the
     best ratio returned either way.
     """
+    _check_scales(eps, tau)
     p, n = t.p, t.n
     size = p**n
     sigma = _density_inside(s_set, t.table)
@@ -489,7 +497,8 @@ def pseudorandomize_u2(
 
         refined = partition
         added = 0
-        for nu in chosen_chars:
+        # a repeated character already lies in the span, so try each once
+        for nu in dict.fromkeys(chosen_chars):
             try:
                 refined = refined.refine(nu)
                 added += 1
@@ -731,7 +740,7 @@ def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: floa
     def rebuild(new_set: IndicatorSet) -> StructuredProductSet | None:
         if name == "x-rows":
             try:
-                fam = FiberFamily(p, n, new_set, t.fibers.offset, t.fibers.d, t.fibers.normals)
+                fam = FiberFamily(p, n, new_set, t.fibers.offsets, t.fibers.d, t.fibers.normals)
             except (ValueError, AssertionError):
                 return None
             return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam)
@@ -776,15 +785,8 @@ def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float
     )
 
 
-def align_offset_increment(
-    s_set: IndicatorSet,
-    mixed: MixedFiberFamily,
-    y_set: IndicatorSet,
-    sum_set: IndicatorSet,
-    skew_set: IndicatorSet,
-    tau: float,
-) -> dict:
-    """Recover a common fiber offset from a mixed-offset family.
+def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float) -> dict:
+    """Recover a shared fiber offset for a family with per-point offsets.
 
     Every u in Z_p^n keeps the sub-base A_u of points whose fiber
     passes through u.  Counting each base point once per point of its
@@ -794,35 +796,23 @@ def align_offset_increment(
 
     which is asserted.  Candidates are the offsets whose sub-base holds
     at least tau * alpha * rho / 2 of the space; the one giving the
-    densest S inside the re-built common-offset structured set wins.
+    densest S inside the re-built shared-offset structured set wins.
     Offsets breaking the mass upper bound (4 / tau times alpha * rho)
     are reported, not refused; if no candidate clears the floor the
     best offset overall is used and flagged.
     """
-    p, n, d = mixed.p, mixed.n, mixed.d
+    fam = t.fibers
+    p, n, d = fam.p, fam.n, fam.d
     size = p**n
-    lifted = (
-        product_lift(y_set.table, "y")
-        .times(product_lift(sum_set.table, "x+y"))
-        .times(product_lift(skew_set.table, "2x+y"))
-        .times(mixed.table.table)
-    )
-    sigma = _density_inside(s_set, IndicatorSet.from_table(lifted))
-    alpha = mixed.base.density
-    rho = mixed.rho
+    sigma = _density_inside(s_set, t.table)
+    alpha = fam.base.density
+    rho = fam.rho
 
     counts = np.zeros(size, dtype=np.int64)
-    base_members = [int(x) for x in mixed.base.member_indices()]
-    fiber_members: dict[int, np.ndarray] = {}
-    for x in base_members:
-        rows = [tuple(int(v) for v in r) for r in mixed.normals[x]]
-        rhs = [int(v) for v in (mixed.normals[x] @ mixed.offsets[x]) % p]
-        coset = subspace_from_normals(p, n, rows, rhs)
-        mem = coset.member_indices()
-        fiber_members[x] = mem
-        counts[mem] += 1
+    for x in fam.base.member_indices():
+        counts[fam.fiber_subspace(int(x)).member_indices()] += 1
     lhs_total = int(counts.sum())
-    rhs_total = len(base_members) * p ** (n - d)
+    rhs_total = fam.base.cardinality * p ** (n - d)
     if lhs_total != rhs_total:
         raise AssertionError(f"offset count identity failed: {lhs_total} != {rhs_total}")
 
@@ -837,18 +827,15 @@ def align_offset_increment(
 
     best = None
     for u in candidates:
-        u_vec = GroupVector.from_index(p, n, u)
-        sub_base = mixed.aligned_base_at(u_vec)
-        if sub_base.cardinality == 0:
-            continue
-        fam = FiberFamily(p, n, sub_base, u_vec, d, mixed.normals)
-        t_u = StructuredProductSet(y_set, sum_set, skew_set, fam)
+        # counts[u] = |A_u| > 0, so the aligned base is never empty
+        aligned = fam.with_common_offset(GroupVector.from_index(p, n, u))
+        t_u = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, aligned)
         inter, mass = _structured_density(s_set.mask, t_u)
         if mass == 0:
             continue
         ratio = inter / mass
         if best is None or ratio > best[0]:
-            best = (ratio, u, t_u, fam, inter)
+            best = (ratio, u, t_u, inter)
     if best is None:
         return {
             "gained": False,
@@ -856,7 +843,7 @@ def align_offset_increment(
             "identity_lhs": str(lhs_total),
             "identity_rhs": str(rhs_total),
         }
-    ratio, u, t_u, fam, inter = best
+    ratio, u, t_u, inter = best
     s_new = IndicatorSet.from_table(s_set.table.times(t_u.table.table))
     report = {
         "sigma_mixed": sigma,
@@ -875,7 +862,6 @@ def align_offset_increment(
     }
     report["_new_t"] = t_u
     report["_new_s"] = s_new
-    report["_family"] = fam
     return report
 
 
@@ -1069,15 +1055,16 @@ def _renormalize_to_cell(
     t: StructuredProductSet,
     cell: Cell,
     level: int,
-) -> tuple[IndicatorSet, MixedFiberFamily, IndicatorSet, IndicatorSet, IndicatorSet] | None:
+) -> tuple[IndicatorSet, StructuredProductSet] | None:
     """Restrict (S, T) to cell ∩ level and rewrite in coset coordinates.
 
     The cell is (a + V) x (b + V); points are re-parametrized through a
     basis M of V, so the new ambient dimension is dim V.  On fiber
     level ``level`` the fibers meet the y coset in codimension exactly
     ``level``, so the rewritten family has common codimension ``level``
-    with per-x offsets: a MixedFiberFamily, ready for alignment.
-    Returns None when no base point survives on the cell.
+    with per-point offsets, ready for alignment.  Returns the restricted
+    S and the structured set of the cell, or None when no base point
+    survives on the cell.
     """
     p, n = t.p, t.n
     size = p**n
@@ -1100,46 +1087,41 @@ def _renormalize_to_cell(
     ys = np.asarray(index_of(p, (y0[None, :] + dt_new @ basis) % p), dtype=np.int64)
 
     new_size = p**new_n
-    base_mask_old = t.fibers.base.mask
     fam = t.fibers
-    u_old = fam.offset.as_array()
     keep = np.zeros(new_size, dtype=bool)
     new_normals = np.zeros((new_size, level, new_n), dtype=np.int64)
     new_offsets = np.zeros((new_size, new_n), dtype=np.int64)
     for jt in range(new_size):
         x = int(xs[jt])
-        if not base_mask_old[x]:
+        if not fam.base.mask[x]:
             continue
-        rows = (fam.normals[x] @ basis.T) % p if fam.d else np.zeros((0, new_n), dtype=np.int64)
-        rhs = (fam.normals[x] @ ((u_old - y0) % p)) % p if fam.d else np.zeros(0, dtype=np.int64)
-        sol = solve_mod(rows, rhs, p) if fam.d else np.zeros(new_n, dtype=np.int64)
+        rows = (fam.normals[x] @ basis.T) % p
+        sol = solve_mod(rows, fam.normals[x] @ (fam.offsets[x] - y0), p)
         if sol is None:
             continue  # fiber misses the y coset entirely
-        red, piv = modular_rref(rows, p) if fam.d else (np.zeros((0, new_n), dtype=np.int64), ())
+        red, piv = modular_rref(rows, p)
         if len(piv) != level:
             continue  # wrong level
         keep[jt] = True
-        if level:
-            new_normals[jt] = red[:level]
-        new_offsets[jt] = np.asarray(sol, dtype=np.int64)
+        new_normals[jt] = red
+        new_offsets[jt] = sol
     if not keep.any():
         return None
-    new_base = IndicatorSet.from_mask(p, new_n, keep)
-    mixed = MixedFiberFamily(p, new_n, new_base, new_offsets, level, new_normals)
+    fam_new = FiberFamily(p, new_n, IndicatorSet.from_mask(p, new_n, keep), new_offsets, level, new_normals)
 
     def reindex_set(s: IndicatorSet, points: np.ndarray) -> IndicatorSet:
         return IndicatorSet.from_mask(p, new_n, s.mask[points])
 
-    b_new = reindex_set(t.y_set, ys)
     sum_points = np.asarray(index_of(p, ((x0 + y0)[None, :] + dt_new @ basis) % p), dtype=np.int64)
     skew_points = np.asarray(index_of(p, (((2 * x0 + y0) % p)[None, :] + dt_new @ basis) % p), dtype=np.int64)
-    c_new = reindex_set(t.sum_set, sum_points)
-    d_new = reindex_set(t.skew_set, skew_points)
+    t_cell = StructuredProductSet(
+        reindex_set(t.y_set, ys), reindex_set(t.sum_set, sum_points), reindex_set(t.skew_set, skew_points), fam_new
+    )
 
     s_grid = s_set.mask.reshape((size, size), order="F")[np.ix_(xs, ys)]
-    new_mask = s_grid & mixed.table.mask.reshape((new_size, new_size), order="F")
+    new_mask = s_grid & fam_new.table.mask.reshape((new_size, new_size), order="F")
     s_new = IndicatorSet.from_mask(p, 2 * new_n, new_mask.reshape(-1, order="F"))
-    return s_new, mixed, b_new, c_new, d_new
+    return s_new, t_cell
 
 
 def increment_driver(
@@ -1162,6 +1144,7 @@ def increment_driver(
     change (affine renormalization maps configurations to
     configurations, so this is an audit, not a hope).
     """
+    _check_scales(eps, tau)
     trajectory: list[dict] = []
     current_s, current_t = s_set, t
     halted = ""
@@ -1223,8 +1206,8 @@ def increment_driver(
             trajectory.append(record)
             halted = "selected cell has no surviving base"
             break
-        s_new, mixed, b_new, c_new, d_new = renorm
-        align = align_offset_increment(s_new, mixed, b_new, c_new, d_new, tau)
+        s_cell, t_cell = renorm
+        align = align_offset_increment(s_cell, t_cell, tau)
         record["alignment"] = {k: v for k, v in align.items() if not k.startswith("_")}
         trajectory.append(record)
         if "_new_t" not in align:

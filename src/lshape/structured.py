@@ -1,10 +1,10 @@
 """Structured subsets of the pair space built from affine fibers.
 
 A fiber family places, over every point x of a base set A in Z_p^n, an
-affine fiber u + V_x of common codimension d (u is one shared offset,
-V_x varies with x).  Its indicator on the pair space is
+affine fiber u_x + V_x of common codimension d (V_x varies with x; the
+offset u_x is usually one shared u).  Its indicator on the pair space is
 
-    Phi(x, y) = A(x) * [y in u + V_x]
+    Phi(x, y) = A(x) * [y in u_x + V_x]
 
 and has density exactly alpha * p^(-d) because fibers are cosets.
 
@@ -16,9 +16,9 @@ slots with such a family:
 These are the obstructions that make configuration counting hard: every
 factor is invisible to a single coordinate but correlates the pair.
 
-Mixed-offset families (per-x offsets u_x) appear when a common-offset
-family is restricted to a sub-coset; the alignment step that recovers a
-common offset lives in the increment module.
+Per-point offsets appear when a family with a shared offset is
+restricted to a sub-coset; the alignment step that recovers a shared
+offset lives in the increment module.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .tables import IndicatorSet, product_lift
 
 __all__ = [
     "FiberFamily",
-    "MixedFiberFamily",
     "StructuredProductSet",
     "FiberLevel",
     "fiber_levels",
@@ -59,52 +58,49 @@ __all__ = [
 ]
 
 
-def _fiber_table(
-    p: int, n: int, base: IndicatorSet, d: int, normals: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, IndicatorSet]:
-    """Validate the fibers offsets[x] + V_x over a base set and build
-    their pair-space indicator Phi(x, y) = A(x) [normals[x] . (y - offsets[x]) = 0].
-
-    Returns the normals reduced mod p and Phi.  Every base point must
-    carry d independent normals, and Phi is audited to hold exactly
-    |A| p^(n - d) points.
-    """
-    size = p**n
-    normals = np.asarray(normals, dtype=np.int64) % p
-    if normals.shape != (size, d, n):
-        raise ValueError(f"normals must have shape ({size}, {d}, {n})")
-    if offsets.shape != (size, n):
-        raise ValueError(f"offsets must have shape ({size}, {n})")
-    yd = digit_table(p, n)
-    mask = np.zeros((size, size), dtype=bool)  # mask[x, y]
-    for x in np.flatnonzero(base.mask):
-        if rank_mod(normals[x], p) != d:
-            raise ValueError(f"normals at x = {x} are dependent; codimension would drop below {d}")
-        rel = (yd - offsets[x][None, :]) % p
-        mask[x, :] = np.all((normals[x] @ rel.T) % p == 0, axis=0)
-    table = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))
-    expected = base.cardinality * p ** (n - d)
-    if table.cardinality != expected:
-        raise AssertionError(f"fiber family has {table.cardinality} points, expected {expected}")
-    return normals, table
-
-
 @dataclass
 class FiberFamily:
-    """Per-x affine fibers u + V_x of common codimension d over a base set."""
+    """Affine fibers u_x + V_x of common codimension d over a base set.
+
+    ``offsets`` is either one GroupVector u shared by every fiber or a
+    (p^n, n) array with one offset per point (the shape a family takes
+    when it is restricted to a cell); it is stored as a read-only
+    (p^n, n) array either way.
+    """
 
     p: int
     n: int
     base: IndicatorSet
-    offset: GroupVector
+    offsets: GroupVector | np.ndarray  # stored as (p^n, n) digit rows, meaningful on the base
     d: int
     normals: np.ndarray  # (p^n, d, n); rows are meaningful only on the base
     table: IndicatorSet = dc_field(init=False)
 
     def __post_init__(self) -> None:
-        # a common offset: every row of the offsets repeats u
-        offsets = np.broadcast_to(self.offset.as_array(), (self.p**self.n, self.offset.m))
-        self.normals, self.table = _fiber_table(self.p, self.n, self.base, self.d, self.normals, offsets)
+        p, n, d = self.p, self.n, self.d
+        size = p**n
+        if isinstance(self.offsets, GroupVector):
+            self.offsets = np.broadcast_to(self.offsets.as_array(), (size, self.offsets.m))
+        else:
+            self.offsets = np.asarray(self.offsets, dtype=np.int64) % p
+        self.offsets.flags.writeable = False
+        self.normals = np.asarray(self.normals, dtype=np.int64) % p
+        if self.normals.shape != (size, d, n):
+            raise ValueError(f"normals must have shape ({size}, {d}, {n})")
+        if self.offsets.shape != (size, n):
+            raise ValueError(f"offsets must have shape ({size}, {n})")
+        # Phi(x, y) = A(x) [normals[x] . (y - offsets[x]) = 0]
+        yd = digit_table(p, n)
+        mask = np.zeros((size, size), dtype=bool)  # mask[x, y]
+        for x in np.flatnonzero(self.base.mask):
+            if rank_mod(self.normals[x], p) != d:
+                raise ValueError(f"normals at x = {x} are dependent; codimension would drop below {d}")
+            rel = (yd - self.offsets[x][None, :]) % p
+            mask[x, :] = np.all((self.normals[x] @ rel.T) % p == 0, axis=0)
+        self.table = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))
+        expected = self.base.cardinality * p ** (n - d)
+        if self.table.cardinality != expected:
+            raise AssertionError(f"fiber family has {self.table.cardinality} points, expected {expected}")
 
     @property
     def rho(self) -> float:
@@ -114,13 +110,31 @@ class FiberFamily:
     def density(self) -> float:
         return self.table.density
 
+    @property
+    def offset(self) -> GroupVector:
+        """The offset u shared by every base point's fiber."""
+        rows = np.unique(self.offsets[self.base.mask], axis=0)
+        if len(rows) > 1:
+            raise ValueError("the fibers have per-point offsets, not one shared offset")
+        return GroupVector(self.p, tuple(int(v) for v in (rows[0] if len(rows) else self.offsets[0])))
+
     def fiber_subspace(self, x: int) -> AffineSubspace:
-        """The coset u + V_x as an explicit affine subspace of Z_p^n."""
+        """The coset u_x + V_x as an explicit affine subspace of Z_p^n."""
         if not self.base.contains_index(x):
             raise ValueError(f"x = {x} is not in the base set")
         rows = [tuple(int(v) for v in row) for row in self.normals[x]]
-        offs = [int(v) for v in (self.normals[x] @ self.offset.as_array()) % self.p]
+        offs = [int(v) for v in (self.normals[x] @ self.offsets[x]) % self.p]
         return subspace_from_normals(self.p, self.n, rows, offs)
+
+    def aligned_base_at(self, u: GroupVector) -> IndicatorSet:
+        """The set A_u = {x in A : u lies on x's fiber}."""
+        rel = (u.as_array()[None, :] - self.offsets) % self.p
+        off_fiber = np.any(np.einsum("xdn,xn->xd", self.normals, rel) % self.p, axis=1)
+        return IndicatorSet.from_mask(self.p, self.n, self.base.mask & ~off_fiber)
+
+    def with_common_offset(self, u: GroupVector) -> "FiberFamily":
+        """Reinterpret the fibers through u on the sub-base where u fits."""
+        return FiberFamily(self.p, self.n, self.aligned_base_at(u), u, self.d, self.normals)
 
     @classmethod
     def full(cls, base: IndicatorSet) -> "FiberFamily":
@@ -146,42 +160,6 @@ class FiberFamily:
         if zero_rows.size:
             raise ValueError(f"phi vanishes on base points {zero_rows.tolist()}; fibers there would be full")
         return cls(p, n, base, u, 1, phi[:, None, :])
-
-
-@dataclass
-class MixedFiberFamily:
-    """Fibers u_x + V_x with per-x offsets (the pre-alignment shape)."""
-
-    p: int
-    n: int
-    base: IndicatorSet
-    offsets: np.ndarray  # (p^n, n) digit rows
-    d: int
-    normals: np.ndarray  # (p^n, d, n)
-    table: IndicatorSet = dc_field(init=False)
-
-    def __post_init__(self) -> None:
-        self.offsets = np.asarray(self.offsets, dtype=np.int64) % self.p
-        self.normals, self.table = _fiber_table(self.p, self.n, self.base, self.d, self.normals, self.offsets)
-
-    @property
-    def rho(self) -> float:
-        return self.p ** (-self.d)
-
-    def aligned_base_at(self, u: GroupVector) -> IndicatorSet:
-        """The set A_u = {x in A : u lies on x's fiber}."""
-        ud = u.as_array()
-        keep = []
-        for x in self.base.member_indices():
-            rel = (ud - self.offsets[x]) % self.p
-            if self.d == 0 or not np.any((self.normals[x] @ rel) % self.p):
-                keep.append(int(x))
-        return IndicatorSet.from_indices(self.p, self.n, keep)
-
-    def with_common_offset(self, u: GroupVector, new_base: IndicatorSet | None = None) -> FiberFamily:
-        """Reinterpret the fibers through u on the sub-base where u fits."""
-        base = new_base if new_base is not None else self.aligned_base_at(u)
-        return FiberFamily(self.p, self.n, base, u, self.d, self.normals)
 
 
 @dataclass
@@ -374,6 +352,34 @@ def _difference_sign(s: int, bits: tuple[int, ...]) -> int:
     return -1 if (s - sum(bits)) % 2 else 1
 
 
+def _cube_walk(size: int, k: int, exact: bool, seed: int, samples: int):
+    """The (x, h_1..h_k) tuples a cube statistic visits, x as an array.
+
+    Exact: every h tuple, with x running over all points.  Sampled: x
+    and then the hs drawn from a seeded generator, x a length-1 array.
+    """
+    if exact:
+        xs = np.arange(size)
+        for hs in itertools.product(range(size), repeat=k):
+            yield xs, hs
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = np.array([int(rng.integers(size))])
+            yield x, tuple(int(rng.integers(size)) for _ in range(k))
+
+
+def _cube_report(admissible: int, vanishing: int, exact: bool, seed: int, samples: int) -> dict:
+    return {
+        "proportion": vanishing / admissible if admissible else 0.0,
+        "admissible": admissible,
+        "vanishing": vanishing,
+        "exact": exact,
+        "seed": None if exact else seed,
+        "samples": None if exact else samples,
+    }
+
+
 def approx_poly_proportion(
     phi: np.ndarray,
     s: int,
@@ -403,44 +409,17 @@ def approx_poly_proportion(
     exact = size ** (s + 1) <= cap
     admissible = 0
     vanishing = 0
-    if exact:
-        xs = np.arange(size)
-        for hs in itertools.product(range(size), repeat=s):
-            total_diff = np.zeros((size, n), dtype=np.int64)
-            ok = np.ones(size, dtype=bool)
-            for bits in subsets:
-                pos = combine(p, n, (1,) + bits, (xs,) + hs)
-                ok &= base_mask[pos]
-                total_diff = total_diff + _difference_sign(s, bits) * phi[pos]
-            vanish = np.all(total_diff % p == 0, axis=1)
-            admissible += int(ok.sum())
-            vanishing += int((ok & vanish).sum())
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = int(rng.integers(size))
-            hs = tuple(int(rng.integers(size)) for _ in range(s))
-            total = np.zeros(n, dtype=np.int64)
-            ok = True
-            for bits in subsets:
-                pos = int(combine(p, n, (1,) + bits, (x,) + hs))
-                if not base_mask[pos]:
-                    ok = False
-                    break
-                total = total + _difference_sign(s, bits) * phi[pos]
-            if ok:
-                admissible += 1
-                if not np.any(total % p):
-                    vanishing += 1
-    proportion = vanishing / admissible if admissible else 0.0
-    return {
-        "proportion": proportion,
-        "admissible": admissible,
-        "vanishing": vanishing,
-        "exact": exact,
-        "seed": None if exact else seed,
-        "samples": None if exact else samples,
-    }
+    for xs, hs in _cube_walk(size, s, exact, seed, samples):
+        total_diff = np.zeros(xs.shape + (n,), dtype=np.int64)
+        ok = np.ones(xs.shape, dtype=bool)
+        for bits in subsets:
+            pos = combine(p, n, (1,) + bits, (xs,) + hs)
+            ok &= base_mask[pos]
+            total_diff = total_diff + _difference_sign(s, bits) * phi[pos]
+        vanish = np.all(total_diff % p == 0, axis=-1)
+        admissible += int(ok.sum())
+        vanishing += int((ok & vanish).sum())
+    return _cube_report(admissible, vanishing, exact, seed, samples)
 
 
 def face_derivative_statistic(
@@ -469,51 +448,26 @@ def face_derivative_statistic(
     exact = size ** (k + 1) <= cap
     admissible = 0
     vanishing = 0
-
-    def corners_ok_and_vanish(x_arr: np.ndarray, hs: tuple[int, ...]):
+    for xs, hs in _cube_walk(size, k, exact, seed, samples):
         positions = {}
-        ok = np.ones(x_arr.shape, dtype=bool)
+        ok = np.ones(xs.shape, dtype=bool)
         for bits in subsets:
-            pos = combine(p, n, (1,) + bits, (x_arr,) + hs)
+            pos = combine(p, n, (1,) + bits, (xs,) + hs)
             positions[bits] = pos
             ok = ok & base_mask[pos]
-        vanish = np.ones(x_arr.shape, dtype=bool)
+        vanish = np.ones(xs.shape, dtype=bool)
         for i in range(k):
             for e in (0, 1):
-                acc = np.zeros(x_arr.shape + (n,), dtype=np.int64)
+                acc = np.zeros(xs.shape + (n,), dtype=np.int64)
                 for bits in subsets:
                     if bits[i] != e:
                         continue
                     sign = -1 if sum(bits) % 2 else 1
                     acc = acc + sign * phi[positions[bits]]
                 vanish = vanish & np.all(acc % p == 0, axis=-1)
-        return ok, vanish
-
-    if exact:
-        xs = np.arange(size)
-        for hs in itertools.product(range(size), repeat=k):
-            ok, vanish = corners_ok_and_vanish(xs, hs)
-            admissible += int(ok.sum())
-            vanishing += int((ok & vanish).sum())
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = np.array([int(rng.integers(size))])
-            hs = tuple(int(rng.integers(size)) for _ in range(k))
-            ok, vanish = corners_ok_and_vanish(x, hs)
-            if ok[0]:
-                admissible += 1
-                if vanish[0]:
-                    vanishing += 1
-    proportion = vanishing / admissible if admissible else 0.0
-    return {
-        "proportion": proportion,
-        "admissible": admissible,
-        "vanishing": vanishing,
-        "exact": exact,
-        "seed": None if exact else seed,
-        "samples": None if exact else samples,
-    }
+        admissible += int(ok.sum())
+        vanishing += int((ok & vanish).sum())
+    return _cube_report(admissible, vanishing, exact, seed, samples)
 
 
 def intersection_codim_statistic(fam: FiberFamily, system, shifts, cap: int = 10**7) -> dict:
@@ -537,7 +491,6 @@ def intersection_codim_statistic(fam: FiberFamily, system, shifts, cap: int = 10
     if len(forms) != len(shifts):
         raise ValueError(f"{len(forms)} forms but {len(shifts)} shifts")
     base_mask = fam.base.mask
-    ud = fam.offset.as_array()
     shift_digits = [w.as_array() if isinstance(w, GroupVector) else np.asarray(w, dtype=np.int64) % p for w in shifts]
     mesh = np.indices((size,) * r).reshape(r, -1)
     images = [combine(p, n, row, mesh) for row in forms]
@@ -554,7 +507,7 @@ def intersection_codim_statistic(fam: FiberFamily, system, shifts, cap: int = 10
         for pt, w in zip(pts, shift_digits):
             nx = fam.normals[pt]
             rows.append(nx)
-            rhs.append((nx @ ((ud - w) % p)) % p)
+            rhs.append((nx @ ((fam.offsets[pt] - w) % p)) % p)
         if d == 0:
             codim = 0
         else:
@@ -603,8 +556,9 @@ def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) 
 
 
 def save_fibers(path: str, fam: FiberFamily) -> None:
+    """Write a family with a shared offset; per-point offsets have no file form."""
+    u_str = ",".join(str(v) for v in fam.offset.digits)
     with open(path, "w", encoding="utf-8") as fh:
-        u_str = ",".join(str(v) for v in fam.offset.digits)
         fh.write(f"p={fam.p} n={fam.n} d={fam.d} u={u_str}\n")
         for x in fam.base.member_indices():
             rows = " ; ".join(",".join(str(int(v)) for v in row) for row in fam.normals[x])

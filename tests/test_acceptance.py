@@ -39,7 +39,6 @@ from lshape.patterns import lshape_average, obstruction_example, ones_like, tele
 from lshape.spectral import dft, idft, inverse_u2, parseval_report, subspace_average_bound_check, u2_fourth
 from lshape.structured import (
     FiberFamily,
-    MixedFiberFamily,
     StructuredProductSet,
     base_uniformity_transfer_check,
     random_family,
@@ -318,7 +317,7 @@ def _random_mixed_family(p, n, d, seed):
         while not normals[x].any():
             normals[x] = rng.integers(0, p, size=(d, n))
     offsets = rng.integers(0, p, size=(size, n))
-    return MixedFiberFamily(p, n, base, offsets, d, normals)
+    return FiberFamily(p, n, base, offsets, d, normals)
 
 
 @criterion(10, "constructive increments on planted instances", 60)
@@ -353,7 +352,7 @@ def test_criterion_10_planted_increments():
         rng = np.random.default_rng(98000 + seed)
         s_vals = t_mixed.table.values.real * (rng.random(81) < 0.6)
         s = IndicatorSet.from_mask(3, 4, s_vals == 1.0)
-        rep = align_offset_increment(s, mixed, full, full, full, tau=0.1)
+        rep = align_offset_increment(s, StructuredProductSet(full, full, full, mixed), tau=0.1)
         assert rep["identity_lhs"] == rep["identity_rhs"]
     return "both split moves gain and re-verify; 50 exact alignment identities"
 

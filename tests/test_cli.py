@@ -1,10 +1,13 @@
 """End-to-end runs of the command line interface via subprocess."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from lshape import cli
 
 
 def run_cli(*args, expect=0):
@@ -193,6 +196,9 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         table = tmp_path / f"{name}.table"
         table.write_text(f"p=3 m=1 kind={kind}\n0.0 0.0\n{bad}\n1.0 0.0\n")
         cases.append(("norm", "--table", str(table)))
+    for command in ("pseudorandomize", "increment"):
+        for flag, bad in (("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--tau", "0"), ("--tau", "inf")):
+            cases.append((command, flag, bad))
     for args in cases:
         proc = run_cli(*args, expect=2)
         assert proc.stdout == "", args
@@ -213,3 +219,43 @@ def test_elapsed_goes_to_stderr_not_stdout():
     proc = run_cli("verify", "--suite", "trivial", "--trials", "1")
     assert "elapsed" not in proc.stdout
     assert "elapsed" in proc.stderr
+
+
+# sha256 of each job's canonical report, recorded before the fiber-family
+# fold; a refactor that keeps the reports must keep these
+GOLDEN_REPORTS = {
+    "count --example dot --p 3 --n 3": "911c9dfbe030ccd22220e6b2084ab097617d09ac494f813a81df436fe91c1475",
+    "count --p 3 --n 3 --seed 1": "aea46f6af4d26b1db81cbdebb9610621720c9199c8e559c00f554d66bcfa4c3e",
+    "count --p 3 --n 3 --seed 1 --pattern corner": "b3a18ba2cc72090af4e2d8efc1be9a0de4b2c5c30332a948790b49ec843d230a",
+    "verify --suite all --p 3 --n 2": "ac16beafdac88e3d8b6181757f0bcad8ef33a5b9499296ab9404c31c92e0aab6",
+    "extremal --p 3 --n 1": "a3f85c315ecee065f8a667546a8762de9f847565b4a1c85caa3641fec876b063",
+    "pseudorandomize --p 3 --n 3 --d 1": "d3a68c57b875bfbf057fabccd93ca4e7ece1c9e420fe138d600efa0db1277e47",
+    "pseudorandomize --p 3 --n 2 --d 2 --seed 3": "c9c4a2db732b2da2f70e212df9581ca41ae02fc4f9615a5e9576ee4da87ce069",
+    "increment --planted row-bias --p 3 --n 3": "aabac49a4a1db0c307dadcfe777b26334933fecd1d3817d9b43d5aaf0115b785",
+    "increment --planted line-bias --p 3 --n 3": "7516937b02d426b2fa9e5c466c6dbf68314d14f291049ce882078d8b98dab722",
+    # three runs that reach offset alignment: the first gains and goes on
+    "increment --p 3 --n 3 --d 1 --tau 0.5 --eps 0.3 --seed 0":
+        "a7a413cd6a067ccf8f443265a830a163e462d08a9c4160b35d3d7e804e828af5",
+    "increment --p 3 --n 2 --d 2 --tau 5 --eps 0.1 --seed 7":
+        "80e39a7031d161b37c78706e41760cb6df84c8a62d4f28cfe0c3a842e81b7131",
+    "increment --p 3 --n 2 --d 0 --tau 5 --seed 2": "bdd87a0440c296f0131ab1869c32591b7640ca002a8a01935474c2e152aeebed",
+}
+
+
+def _canonical(obj):
+    """Floats rounded to 10 significant digits, so last-bit noise does not count."""
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    if isinstance(obj, dict):
+        return {k: _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_canonical(v) for v in obj]
+    return obj
+
+
+def test_reports_match_recorded_digests(capsys):
+    for job, digest in GOLDEN_REPORTS.items():
+        assert cli.main(job.split()) == 0, job
+        report = json.loads(capsys.readouterr().out)
+        text = json.dumps(_canonical(report), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, job

@@ -21,7 +21,7 @@ from lshape.increment import (
     search_extremal_L_free,
     skew_line_increment,
 )
-from lshape.structured import FiberFamily, MixedFiberFamily, StructuredProductSet, fiber_levels, random_family
+from lshape.structured import FiberFamily, StructuredProductSet, fiber_levels, random_family
 from lshape.tables import FunctionTable, IndicatorSet, product_lift
 
 
@@ -220,7 +220,7 @@ def _mixed_family(p, n, d, seed):
         while not normals[x].any():
             normals[x] = rng.integers(0, p, size=(d, n))
     offsets = rng.integers(0, p, size=(size, n))
-    return MixedFiberFamily(p, n, base, offsets, d, normals)
+    return FiberFamily(p, n, base, offsets, d, normals)
 
 
 def test_align_offset_identity_and_gain():
@@ -238,7 +238,9 @@ def test_align_offset_identity_and_gain():
         rng = np.random.default_rng(1000 + seed)
         s_vals = t_mixed.table.values.real * (rng.random(p ** (2 * n)) < 0.6)
         s = IndicatorSet.from_mask(p, 2 * n, s_vals == 1.0)
-        rep = align_offset_increment(s, mixed, full, full, full, tau=0.1)
+        t = StructuredProductSet(full, full, full, mixed)
+        assert np.array_equal(t.table.mask, t_mixed.mask)
+        rep = align_offset_increment(s, t, tau=0.1)
         assert rep["identity_lhs"] == rep["identity_rhs"]
         if "new_sigma" in rep:
             # the weighted average of per-offset densities is the mixed
@@ -296,22 +298,33 @@ def test_driver_on_planted_instances():
 def test_renormalized_cell_matches_fiber_levels():
     # restricted to one cell and one fiber level, S and Phi keep exactly
     # the points fiber_levels assigns to that level, in new coordinates
-    checked = 0
-    for d, seed in ((0, 1), (1, 2), (2, 3)):
-        s, t = _random_structured(3, 2, d, seed)
+    cases = [_random_structured(3, 2, d, seed) for d, seed in ((0, 1), (1, 2), (2, 3))]
+    # a renormalized cell again, whose fibers have per-point offsets
+    rng = np.random.default_rng(4)
+    full = IndicatorSet.full(3, 2)
+    for d in (1, 2):
+        shared = random_family(3, 2, d, seed=4 + d, base_density=0.85)
+        fam = FiberFamily(3, 2, shared.base, rng.integers(0, 3, size=(9, 2)), d, shared.normals)
+        t = StructuredProductSet(full, full, full, fam)
+        cases.append((IndicatorSet.from_mask(3, 4, t.table.mask & (rng.random(81) < 0.5)), t))
+    checked = []
+    for s, t in cases:
+        checked.append(0)
         for cell in ProductCosetPartition(3, 2, ((1, 1),)).cells():
             levels = fiber_levels(t.fibers, cell.x_coset, cell.y_coset)
-            for level in range(d + 1):
+            for level in range(t.fibers.d + 1):
                 out = _renormalize_to_cell(s, t, cell, level)
                 exact = levels[level].exact
                 if out is None:
                     assert not np.any(s.mask & exact.mask)
                     continue
-                s_new, mixed = out[:2]
-                assert mixed.table.cardinality == exact.cardinality
+                s_new, t_cell = out
+                assert t_cell.fibers.d == level
+                assert t_cell.fibers.table.cardinality == exact.cardinality
                 assert s_new.cardinality == np.count_nonzero(s.mask & exact.mask)
-                checked += 1
-    assert checked >= 6
+                assert not np.any(s_new.mask & ~t_cell.table.mask)
+                checked[-1] += 1
+    assert sum(checked) >= 6 and all(checked[3:])
 
 
 def test_driver_restricts_to_the_selected_cell():

@@ -10,7 +10,6 @@ from lshape.field import GroupVector, subspace_from_normals
 from lshape.linforms import LinearFormSystem
 from lshape.structured import (
     FiberFamily,
-    MixedFiberFamily,
     StructuredProductSet,
     approx_poly_proportion,
     base_uniformity_transfer_check,
@@ -93,7 +92,7 @@ def test_fiber_subspace_members():
         assert sub.contains(fam.offset)
 
 
-def test_mixed_family_alignment():
+def test_mixed_family_alignment(tmp_path):
     p, n, d = 3, 2, 1
     rng = np.random.default_rng(8)
     base = _base(p, n, 9)
@@ -102,8 +101,14 @@ def test_mixed_family_alignment():
     for x in range(9):
         while not normals[x].any():
             normals[x] = rng.integers(0, p, size=(d, n))
-    mixed = MixedFiberFamily(p, n, base, offsets, d, normals)
+    mixed = FiberFamily(p, n, base, offsets, d, normals)
     assert mixed.table.cardinality == base.cardinality * 3
+    # per-point offsets have no shared offset and no fiber-file form
+    with pytest.raises(ValueError):
+        mixed.offset
+    with pytest.raises(ValueError):
+        save_fibers(str(tmp_path / "mixed.txt"), mixed)
+    assert not (tmp_path / "mixed.txt").exists()
 
     u = GroupVector(p, (0, 1))
     a_u = mixed.aligned_base_at(u)
@@ -122,11 +127,12 @@ def test_alignment_counting_identity():
     mixedes = []
     for seed in (0, 1, 2):
         fam = random_family(3, 2, 1, seed=seed)
-        mixed = MixedFiberFamily(
+        mixed = FiberFamily(
             fam.p, fam.n, fam.base,
             np.repeat(fam.offset.as_array()[None, :], 9, axis=0),
             fam.d, fam.normals,
         )
+        assert mixed.offset == fam.offset
         mixedes.append(mixed)
     for mixed in mixedes:
         total = sum(mixed.aligned_base_at(GroupVector.from_index(3, 2, u)).cardinality
