@@ -217,7 +217,7 @@ def _fiber_level_of_points(fam: FiberFamily, normals: tuple[tuple[int, ...], ...
     out = np.full(size, -1, dtype=np.int64)
     r_rows = np.array(normals, dtype=np.int64).reshape(k, n)
     for x in fam.base.member_indices():
-        out[x] = rank_mod(np.vstack([r_rows, fam.normals[x]]), p) - k if fam.d else 0
+        out[x] = rank_mod(np.vstack([r_rows, fam.normals[x]]), p) - k
     return out
 
 
@@ -868,22 +868,34 @@ def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: fl
 # ---------------------------------------------------------------------------
 # extremal configuration-free sets
 
+_HEURISTIC_POINTS_CAP = 16384
 
-def _l_quads(p: int, n: int) -> list[tuple[int, int, int, int]]:
-    """All configurations ((x,y),(x,y+z),(x,y+2z),(x+z,y)) with z != 0,
-    as 4-tuples of pair indices."""
+
+def _l_quads(p: int, n: int) -> np.ndarray:
+    """All configurations ((x,y),(x,y+z),(x,y+2z),(x+z,y)) with z != 0, as
+    an int32 (Q, 4) array of pair indices, one row per (z, x, y), y fastest."""
     size = p**n
     z = np.arange(1, size)[:, None, None]
-    x = np.arange(size)[None, :, None]
-    y = np.arange(size)[None, None, :]
-    corners = np.broadcast_arrays(
-        x + size * y,
-        x + size * combine(p, n, (1, 1), (y, z)),
-        x + size * combine(p, n, (1, 2), (y, z)),
-        combine(p, n, (1, 1), (x, z)) + size * y,
-    )
-    # one quad per (z, x, y), y fastest
-    return list(zip(*(c.ravel().tolist() for c in corners)))
+    x = np.arange(size, dtype=np.int32)[None, :, None]
+    y = np.arange(size, dtype=np.int32)[None, None, :]
+    quads = np.empty((size - 1, size, size, 4), dtype=np.int32)
+    quads[..., 0] = x + size * y
+    quads[..., 1] = x + size * combine(p, n, (1, 1), (y, z)).astype(np.int32)
+    quads[..., 2] = x + size * combine(p, n, (1, 2), (y, z)).astype(np.int32)
+    quads[..., 3] = combine(p, n, (1, 1), (x, z)).astype(np.int32) + size * y
+    return quads.reshape(-1, 4)
+
+
+def _point_index(quads: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR index from points to configurations: ``ids[ptr[pt]:ptr[pt + 1]]``
+    are the rows of ``quads`` that contain pt, in row order."""
+    flat = quads.ravel()
+    # a key of at most 16 bits sorts by radix
+    ids = np.argsort(flat.astype(np.min_scalar_type(total - 1)), kind="stable")
+    ids //= 4
+    ptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=total), out=ptr[1:])
+    return ptr, ids.astype(np.int32)
 
 
 def _verify_l_free(p: int, n: int, indices) -> bool:
@@ -892,17 +904,64 @@ def _verify_l_free(p: int, n: int, indices) -> bool:
     return res.nontrivial_count == 0
 
 
-def _greedy_l_free(p: int, n: int, order, quads_at) -> set[int]:
-    chosen: set[int] = set()
-    for pt in order:
-        ok = True
-        for quad in quads_at[pt]:
-            if all(q in chosen or q == pt for q in quad):
-                ok = False
-                break
-        if ok:
-            chosen.add(int(pt))
+def _greedy_l_free(
+    quads: np.ndarray, ptr: np.ndarray, ids: np.ndarray, order: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
+    """Take the points of ``order`` in turn, skipping any that would
+    complete a configuration with those already taken; ``start`` (a bool
+    mask) is taken before the walk.  Returns the bool mask of taken points.
+
+    Blocking is incremental: ``filled`` counts the taken points of every
+    configuration, and one that reaches three blocks its untaken point, so
+    a point is taken iff it is neither taken nor blocked.
+    """
+    chosen = np.zeros(len(ptr) - 1, dtype=bool) if start is None else start.copy()
+    filled = chosen[quads].sum(axis=1, dtype=np.int8)
+    blocked = np.zeros_like(chosen)
+    full = quads[filled == 3]
+    blocked[full[~chosen[full]]] = True
+    for pt in order.tolist():
+        if chosen[pt] or blocked[pt]:
+            continue
+        chosen[pt] = True
+        mine = ids[ptr[pt] : ptr[pt + 1]]
+        filled[mine] += 1
+        full = quads[mine[filled[mine] == 3]]
+        blocked[full[~chosen[full]]] = True
     return chosen
+
+
+def _exhaustive_l_free(quads: np.ndarray, total: int) -> int:
+    """Largest configuration-free set as a bitset, by depth-first
+    branch-and-bound over the points in index order, include first.
+
+    When point idx is decided, only points below idx are chosen, so a
+    configuration can be completed by idx only if idx is its largest
+    point; each is tested there, as the mask of its other three points.
+    """
+    masks_at: list[list[int]] = [[] for _ in range(total)]
+    for quad in quads.tolist():
+        top = max(quad)
+        masks_at[top].append(sum(1 << q for q in quad) ^ (1 << top))
+    best, best_size = 0, 0
+
+    def dfs(idx: int, chosen: int, size: int) -> None:
+        nonlocal best, best_size
+        if size + (total - idx) <= best_size:
+            return
+        if idx == total:
+            # the bound above makes this a strict improvement
+            best, best_size = chosen, size
+            return
+        for mask in masks_at[idx]:
+            if chosen & mask == mask:
+                break
+        else:
+            dfs(idx + 1, chosen | 1 << idx, size + 1)
+        dfs(idx + 1, chosen, size)
+
+    dfs(0, 0, 0)
+    return best
 
 
 def search_extremal_L_free(
@@ -915,94 +974,70 @@ def search_extremal_L_free(
     """Largest (or large) subsets of the pair space with no configuration
     (x,y), (x,y+z), (x,y+2z), (x+z,y) for z != 0.
 
-    ``exhaustive`` runs branch-and-bound and is exact; it is capped at
-    pair spaces of at most 25 points.  ``greedy``, ``local`` and
-    ``random`` are seeded heuristics, capped at 10000 points because
-    they enumerate every configuration up front.  Every output is
-    re-verified by counting configurations directly before returning.
+    ``exhaustive`` runs branch-and-bound on bitsets and is exact; it is
+    capped at pair spaces of at most 25 points.  ``greedy``, ``local`` and
+    ``random`` are seeded heuristics, capped at 16384 points (p=11, n=2
+    and p=5, n=3 fit).  They share one greedy walk over an int32 table of
+    the (p^n - 1) p^(2n) configurations and a CSR index from points to
+    configurations, and block a point as soon as three points of one of
+    its configurations are taken, so no configuration is tested point by
+    point.  Every output is re-verified by counting configurations
+    directly before returning.
     """
     size = p**n
     total = size * size
     if method == "exhaustive" and total > 25:
         raise ResourceLimitError(f"exhaustive search capped at 25 points, got {total}")
-    if total > 10000:
-        raise ResourceLimitError(f"search space has {total} points, capped at 10000")
+    if total > _HEURISTIC_POINTS_CAP:
+        raise ResourceLimitError(f"search space has {total} points, capped at {_HEURISTIC_POINTS_CAP}")
+    if method not in ("exhaustive", "greedy", "local", "random"):
+        raise ValueError(f"unknown method {method!r}")
     quads = _l_quads(p, n)
-    quads_at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(total)]
-    for quad in quads:
-        for pt in set(quad):
-            quads_at[pt].append(quad)
 
     if method == "exhaustive":
-        best: set[int] = set()
-        chosen: set[int] = set()
-
-        def dfs(idx: int) -> None:
-            nonlocal best
-            if len(chosen) + (total - idx) <= len(best):
-                return
-            if idx == total:
-                if len(chosen) > len(best):
-                    best = set(chosen)
-                return
-            ok = True
-            for quad in quads_at[idx]:
-                if all(q == idx or q in chosen for q in quad):
-                    ok = False
-                    break
-            if ok:
-                chosen.add(idx)
-                dfs(idx + 1)
-                chosen.remove(idx)
-            dfs(idx + 1)
-
-        dfs(0)
-        result = best
+        best = _exhaustive_l_free(quads, total)
+        result = np.array([best >> i & 1 for i in range(total)], dtype=bool)
         extra = {"optimal": True}
-    elif method == "greedy":
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(total)
-        result = _greedy_l_free(p, n, order, quads_at)
-        extra = {"optimal": False}
-    elif method == "local":
-        rng = np.random.default_rng(seed)
-        result = _greedy_l_free(p, n, rng.permutation(total), quads_at)
-        for _ in range(iterations):
-            trial = set(result)
-            if trial:
-                drop = rng.choice(sorted(trial), size=min(2, len(trial)), replace=False)
-                for pt in drop:
-                    trial.discard(int(pt))
-            # refill greedily in a fresh random order, keeping the survivors
-            for pt in rng.permutation(total):
-                pt = int(pt)
-                if pt in trial:
-                    continue
-                if all(not all(q == pt or q in trial for q in quad) for quad in quads_at[pt]):
-                    trial.add(pt)
-            if len(trial) >= len(result):
-                result = trial
-        extra = {"optimal": False, "iterations": iterations}
-    elif method == "random":
-        rng = np.random.default_rng(seed)
-        result = set()
-        for _ in range(iterations):
-            cand = _greedy_l_free(p, n, rng.permutation(total), quads_at)
-            if len(cand) > len(result):
-                result = cand
-        extra = {"optimal": False, "iterations": iterations}
     else:
-        raise ValueError(f"unknown method {method!r}")
+        ptr, ids = _point_index(quads, total)
+        rng = np.random.default_rng(seed)
 
-    if not _verify_l_free(p, n, result):
+        def greedy(start: np.ndarray | None = None) -> np.ndarray:
+            return _greedy_l_free(quads, ptr, ids, rng.permutation(total), start)
+
+        if method == "greedy":
+            result = greedy()
+            extra = {"optimal": False}
+        elif method == "local":
+            result = greedy()
+            for _ in range(iterations):
+                trial = result.copy()
+                members = np.flatnonzero(trial)
+                if members.size:
+                    trial[rng.choice(members, size=min(2, members.size), replace=False)] = False
+                # refill greedily in a fresh random order, keeping the survivors
+                trial = greedy(start=trial)
+                if np.count_nonzero(trial) >= np.count_nonzero(result):
+                    result = trial
+            extra = {"optimal": False, "iterations": iterations}
+        else:
+            result = np.zeros(total, dtype=bool)
+            for _ in range(iterations):
+                cand = greedy()
+                if np.count_nonzero(cand) > np.count_nonzero(result):
+                    result = cand
+            extra = {"optimal": False, "iterations": iterations}
+
+    indices = np.flatnonzero(result).tolist()
+    if not _verify_l_free(p, n, indices):
         raise AssertionError("search produced a set containing a configuration")
     out = {
         "p": p,
         "n": n,
         "method": method,
-        "cardinality": len(result),
-        "density": len(result) / total,
-        "indices": sorted(int(i) for i in result),
+        "cardinality": len(indices),
+        "density": len(indices) / total,
+        "indices": indices,
         "verified_free": True,
     }
     out.update(extra)

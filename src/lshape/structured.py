@@ -508,17 +508,14 @@ def intersection_codim_statistic(fam: FiberFamily, system, shifts, cap: int = 10
             nx = fam.normals[pt]
             rows.append(nx)
             rhs.append((nx @ ((fam.offsets[pt] - w) % p)) % p)
-        if d == 0:
-            codim = 0
+        mat = np.vstack(rows)
+        vec = np.concatenate(rhs)
+        aug = np.hstack([mat, vec[:, None]])
+        red, piv = modular_rref(aug, p)
+        if n in piv:
+            codim = n  # empty intersection
         else:
-            mat = np.vstack(rows)
-            vec = np.concatenate(rhs)
-            aug = np.hstack([mat, vec[:, None]])
-            red, piv = modular_rref(aug, p)
-            if n in piv:
-                codim = n  # empty intersection
-            else:
-                codim = len(piv)
+            codim = len(piv)
         if codim != len(forms) * d:
             degenerate += 1
     return {

@@ -9,6 +9,7 @@ x + N * y with N = p**n.
 """
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -317,3 +318,36 @@ def extremal_scan_oracle(p, n):
         if nontrivial == 0:
             best = card
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def _configurations_through(p, n):
+    """For every pair index, the configurations (as 4-tuples of pair
+    indices) that pass through it, found by running over every (x, y, z)
+    with z != 0."""
+    size = p**n
+    through = {pt: [] for pt in range(size * size)}
+    for x, y, z in itertools.product(range(size), repeat=3):
+        if z == 0:
+            continue
+        yz = add_indices(y, z, p, n)
+        y2z = add_indices(yz, z, p, n)
+        xz = add_indices(x, z, p, n)
+        quad = (x + size * y, x + size * yz, x + size * y2z, xz + size * y)
+        for pt in quad:
+            through[pt].append(quad)
+    return through
+
+
+def greedy_l_free_oracle(p, n, order, start=()):
+    """Greedy walk: keep the points of ``start``, then take each point of
+    ``order`` in turn unless some configuration through it already has
+    its other three points kept.  Returns the kept set of pair indices."""
+    through = _configurations_through(p, n)
+    kept = set(start)
+    for pt in order:
+        if pt in kept:
+            continue
+        if all(any(q != pt and q not in kept for q in quad) for quad in through[pt]):
+            kept.add(pt)
+    return kept

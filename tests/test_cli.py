@@ -118,6 +118,14 @@ def test_extremal_subcommand():
     assert greedy["result"]["verified_free"] is True
 
 
+def test_extremal_heuristics_reach_p_11(capsys):
+    # 14,641 points, the smallest modulus the paper's theorem covers
+    assert cli.main("extremal --p 11 --n 2 --method greedy --seed 1".split()) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["verified_free"] is True
+    assert res["cardinality"] == len(res["indices"]) == 2961
+
+
 def test_pseudorandomize_subcommand():
     proc = run_cli(
         "pseudorandomize", "--p", "3", "--n", "2", "--d", "1",
@@ -239,6 +247,13 @@ GOLDEN_REPORTS = {
     "increment --p 3 --n 2 --d 2 --tau 5 --eps 0.1 --seed 7":
         "80e39a7031d161b37c78706e41760cb6df84c8a62d4f28cfe0c3a842e81b7131",
     "increment --p 3 --n 2 --d 0 --tau 5 --seed 2": "bdd87a0440c296f0131ab1869c32591b7640ca002a8a01935474c2e152aeebed",
+    # the seeded heuristics and the exhaustive optimum 15 at p=5, n=1
+    "extremal --p 3 --n 2 --method greedy --seed 4": "d16afa788b3b1c010ec7a090193083e1dd31b6651bc426637b46808a1b6288cc",
+    "extremal --p 3 --n 2 --method local --iterations 30 --seed 5":
+        "5746fa25e331ea8894f659e5ddcafb31f4063012f78ff5db8d035e7e7f9be567",
+    "extremal --p 5 --n 1 --method random --iterations 10 --seed 6":
+        "05a7b055b0315fce8fb3810d99593916c41586530a9927cd802a674ba6a41fe1",
+    "extremal --p 5 --n 1": "db859bf5b5c42b4ae466635d08419ec0910ae3c2d4ee7a334f6aead1dc104dae",
 }
 
 

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as orc
 from lshape.field import GroupVector
 from lshape.increment import (
     Cell,
     ProductCosetPartition,
+    _greedy_l_free,
+    _l_quads,
+    _point_index,
     _renormalize_to_cell,
     align_offset_increment,
     energy_monotone_check,
@@ -282,6 +287,35 @@ def test_extremal_resource_caps_fire_before_enumeration():
         search_extremal_L_free(3, 2, "exhaustive")
     with pytest.raises(ResourceLimitError):
         search_extremal_L_free(3, 5, "greedy")
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2)]), st.integers(0, 2**32 - 1), st.data())
+def test_greedy_matches_oracle_and_is_maximal(pn, seed, data):
+    p, n = pn
+    total = p ** (2 * n)
+    rng = np.random.default_rng(seed)
+    # a start set drawn from a configuration-free set, as local search
+    # refills from the survivors of one
+    free = orc.greedy_l_free_oracle(p, n, rng.permutation(total).tolist())
+    start = data.draw(st.sets(st.sampled_from(sorted(free))), label="start")
+    order = rng.permutation(total)
+    start_mask = np.zeros(total, dtype=bool)
+    start_mask[list(start)] = True
+    quads = _l_quads(p, n)
+    got = _greedy_l_free(quads, *_point_index(quads, total), order, start=start_mask)
+    want = orc.greedy_l_free_oracle(p, n, order.tolist(), start)
+    assert set(np.flatnonzero(got).tolist()) == want
+
+    mask = got.tolist()
+    assert orc.lshape_count_oracle(mask, p, n)[1] == 0
+    outside = [pt for pt in range(total) if not mask[pt]]
+    if total > 81:  # the count oracle takes about 0.1 s a call at (5, 2)
+        outside = data.draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2, unique=True))
+    for pt in outside:
+        grown = list(mask)
+        grown[pt] = True
+        assert orc.lshape_count_oracle(grown, p, n)[1] > 0, pt
 
 
 def test_driver_on_planted_instances():
