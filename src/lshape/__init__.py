@@ -18,10 +18,7 @@ of it with deterministic JSON reports.
 from .field import (
     AffineSubspace,
     GroupVector,
-    PrimeField,
     ResourceLimitError,
-    full_space,
-    intersect_subspaces,
     modular_rref,
     solve_mod,
     subspace_from_normals,
@@ -102,7 +99,6 @@ from .increment import (
     planted_row_instance,
     planted_skew_instance,
     pseudorandomize_u2,
-    refine_on_character,
     search_extremal_L_free,
     skew_line_increment,
 )
@@ -112,10 +108,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineSubspace",
     "GroupVector",
-    "PrimeField",
     "ResourceLimitError",
-    "full_space",
-    "intersect_subspaces",
     "modular_rref",
     "solve_mod",
     "subspace_from_normals",
@@ -182,7 +175,6 @@ __all__ = [
     "planted_row_instance",
     "planted_skew_instance",
     "pseudorandomize_u2",
-    "refine_on_character",
     "search_extremal_L_free",
     "skew_line_increment",
     "__version__",

@@ -46,6 +46,8 @@ from .spectral import (
 from .structured import FiberFamily, StructuredProductSet, random_family
 from .tables import FunctionTable, IndicatorSet, load_any
 
+__all__ = ["build_parser", "main"]
+
 
 # ---------------------------------------------------------------------------
 # config plumbing

@@ -17,40 +17,29 @@ MAX_ENUMERATION elements.
 Cosets w + V are stored in parity-check form: a reduced list of normal
 vectors n_j together with target residues c_j, the coset being
 {x : n_j . x = c_j for all j}.  Inconsistent constraint systems produce
-an explicit empty-set value rather than raising, because intersection
-statistics downstream need to count degenerate intersections.
+an explicit empty-set value rather than raising, because
+``subspace_from_normals`` takes whatever constraints its callers stack
+up, contradictory ones included.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-logger = logging.getLogger("lshape")
 
 __all__ = [
     "ResourceLimitError",
     "check_modulus",
     "check_size",
-    "PrimeField",
     "GroupVector",
     "AffineSubspace",
-    "LinearMap",
-    "vec_add",
-    "vec_sub",
-    "vec_neg",
-    "vec_scale",
-    "dot",
     "modular_rref",
     "rank_mod",
     "solve_mod",
     "subspace_from_normals",
-    "full_space",
-    "intersect_subspaces",
     "power_vector",
     "digit_table",
     "digits_of",
@@ -61,9 +50,9 @@ __all__ = [
     "line_means",
 ]
 
-#: Hard cap on dense enumeration sizes (number of group elements).  The
-#: regime of interest is tiny (p <= 7, m <= 8) but the guard catches
-#: accidental huge requests before they allocate.
+#: Hard cap on dense enumeration sizes (number of group elements): the
+#: largest tables allowed are m=15 at p=3 and m=6 at p=11.  The guard
+#: catches accidental huge requests before they allocate.
 MAX_ENUMERATION = 1 << 24
 
 
@@ -101,42 +90,6 @@ def check_size(p: int, m: int) -> int:
     if size > MAX_ENUMERATION:
         raise ResourceLimitError(f"refusing to enumerate {size} elements (cap {MAX_ENUMERATION})")
     return size
-
-
-_small_p_warned: set[int] = set()
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime modulus shared by a whole computation.
-
-    ``strict_mode`` rejects p < 11.  The geometry (halving a step in y,
-    doubling one in x) only needs 2 invertible, so everything here is
-    well defined for any odd prime; small p is what makes exhaustive
-    testing affordable, hence the default is permissive with a one-time
-    warning per modulus.
-    """
-
-    p: int
-    strict_mode: bool = False
-
-    def __post_init__(self) -> None:
-        check_modulus(self.p)
-        if self.p < 11:
-            if self.strict_mode:
-                raise ValueError(f"strict mode requires p >= 11, got p = {self.p}")
-            if self.p not in _small_p_warned:
-                _small_p_warned.add(self.p)
-                logger.warning(
-                    "p = %d is small; results are exact but density thresholds "
-                    "are easiest to interpret for p >= 11",
-                    self.p,
-                )
-
-    @property
-    def inv2(self) -> int:
-        """Multiplicative inverse of 2 mod p (the only inverse cached by name)."""
-        return (self.p + 1) // 2
 
 
 @lru_cache(maxsize=512)
@@ -249,39 +202,6 @@ class GroupVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.digits, dtype=np.int64)
 
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
-
-
-def _check_same_space(a: GroupVector, b: GroupVector) -> None:
-    if a.p != b.p:
-        raise ValueError(f"mixed moduli {a.p} and {b.p}")
-    if a.m != b.m:
-        raise ValueError(f"dimension mismatch: {a.m} vs {b.m}")
-
-
-def vec_add(a: GroupVector, b: GroupVector) -> GroupVector:
-    _check_same_space(a, b)
-    return GroupVector(a.p, tuple((x + y) % a.p for x, y in zip(a.digits, b.digits)))
-
-
-def vec_sub(a: GroupVector, b: GroupVector) -> GroupVector:
-    _check_same_space(a, b)
-    return GroupVector(a.p, tuple((x - y) % a.p for x, y in zip(a.digits, b.digits)))
-
-
-def vec_neg(a: GroupVector) -> GroupVector:
-    return GroupVector(a.p, tuple((-x) % a.p for x in a.digits))
-
-
-def vec_scale(c: int, a: GroupVector) -> GroupVector:
-    return GroupVector(a.p, tuple((c * x) % a.p for x in a.digits))
-
-
-def dot(a: GroupVector, b: GroupVector) -> int:
-    _check_same_space(a, b)
-    return int(sum(x * y for x, y in zip(a.digits, b.digits)) % a.p)
-
 
 def modular_rref(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form mod p.
@@ -347,9 +267,9 @@ class AffineSubspace:
 
     ``normals`` is always a reduced (RREF) independent list, so the
     codimension equals len(normals).  The empty set keeps no constraints
-    and is marked explicitly; by convention it reports the maximal
-    codimension (the ambient dimension), which is what degenerate
-    intersection counts downstream expect.
+    and is marked explicitly, because ``subspace_from_normals`` accepts
+    contradictory constraints from its callers; by convention it reports
+    the maximal codimension (the ambient dimension).
     """
 
     p: int
@@ -446,10 +366,6 @@ class AffineSubspace:
             x[:, piv] = (rhs - corr) % self.p
         return np.asarray(index_of(self.p, x), dtype=np.int64)
 
-    def members(self) -> Iterator[GroupVector]:
-        for i in self.member_indices():
-            yield GroupVector.from_index(self.p, self.ambient_dim, int(i))
-
 
 def subspace_from_normals(
     p: int,
@@ -484,86 +400,3 @@ def subspace_from_normals(
     nrm = tuple(tuple(int(v) for v in row[:-1]) for row in rref)
     off = tuple(int(row[-1]) for row in rref)
     return AffineSubspace(p, ambient_dim, nrm, off)
-
-
-def full_space(p: int, ambient_dim: int) -> AffineSubspace:
-    return AffineSubspace(p, ambient_dim, (), ())
-
-
-def intersect_subspaces(a: AffineSubspace, b: AffineSubspace) -> AffineSubspace:
-    if a.p != b.p or a.ambient_dim != b.ambient_dim:
-        raise ValueError("cannot intersect cosets of different spaces")
-    if a.is_empty or b.is_empty:
-        return AffineSubspace(a.p, a.ambient_dim, (), (), is_empty=True)
-    return subspace_from_normals(
-        a.p,
-        a.ambient_dim,
-        list(a.normals) + list(b.normals),
-        list(a.offsets) + list(b.offsets),
-    )
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """A k x m residue matrix acting on Z_p^m by matrix-vector product."""
-
-    p: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        widths = {len(r) for r in self.matrix}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_array(cls, p: int, arr: np.ndarray | Sequence[Sequence[int]]) -> "LinearMap":
-        a = np.array(arr, dtype=np.int64) % p
-        return cls(p, tuple(tuple(int(v) for v in row) for row in a))
-
-    @classmethod
-    def identity(cls, p: int, m: int) -> "LinearMap":
-        return cls.from_array(p, np.eye(m, dtype=np.int64))
-
-    @property
-    def out_dim(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def in_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64).reshape(self.out_dim, self.in_dim)
-
-    def apply(self, v: GroupVector) -> GroupVector:
-        if v.p != self.p or v.m != self.in_dim:
-            raise ValueError("vector lives in the wrong space")
-        out = (self.as_array() @ v.as_array()) % self.p
-        return GroupVector(self.p, tuple(int(t) for t in out))
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        if other.out_dim != self.in_dim:
-            raise ValueError("composition dimension mismatch")
-        return LinearMap.from_array(self.p, (self.as_array() @ other.as_array()) % self.p)
-
-    def index_map(self) -> np.ndarray:
-        """Output index for every input index (vectorised graph of the map)."""
-        d = digit_table(self.p, self.in_dim)
-        out_digits = (d @ self.as_array().T) % self.p
-        return np.asarray(index_of(self.p, out_digits), dtype=np.int64)
-
-    def is_invertible(self) -> bool:
-        if self.out_dim != self.in_dim:
-            return False
-        return rank_mod(self.as_array(), self.p) == self.in_dim
-
-    def inverse(self) -> "LinearMap":
-        if self.out_dim != self.in_dim:
-            raise ValueError("only square maps can be inverted")
-        m = self.in_dim
-        aug = np.hstack([self.as_array(), np.eye(m, dtype=np.int64)])
-        rref, piv = modular_rref(aug, self.p)
-        if list(piv) != list(range(m)):
-            raise ValueError("map is singular")
-        return LinearMap.from_array(self.p, rref[:, m:])

@@ -54,7 +54,6 @@ from .tables import FunctionTable, IndicatorSet
 __all__ = [
     "Cell",
     "ProductCosetPartition",
-    "refine_on_character",
     "partition_energy",
     "energy_monotone_check",
     "PseudorandomizeResult",
@@ -169,37 +168,6 @@ class ProductCosetPartition:
         ok = bool(np.all(counts == self.p**self.direction_dim))
         return {"cells": (self.p**self.codim) ** 2, "point_cover_ok": ok,
                 "pair_count": size * size}
-
-
-def refine_on_character(cell: Cell, character: tuple[int, ...] | GroupVector) -> list[Cell]:
-    """Split one cell into the p^2 subcells cut out by a new character.
-
-    The character must be independent of the cell's normals (otherwise
-    it is constant on the cell and splits nothing).  Every recipe that
-    refines on a single character produces this same grid: the subcell
-    of a pair is determined by the character's value on x and on y.
-    """
-    p = cell.p
-    new_normals = ProductCosetPartition(p, cell.n, cell.normals).refine(character).normals
-    row = character.digits if isinstance(character, GroupVector) else tuple(int(v) % p for v in character)
-    mat = np.array(new_normals, dtype=np.int64)
-    # enumerate subcells by the character's value on each side; read the
-    # reduced rhs off a concrete point of each subcell
-    out = []
-    xs = cell.x_coset.member_indices()
-    ys = cell.y_coset.member_indices()
-    dt = digit_table(p, cell.n)
-    rvec = np.array(row, dtype=np.int64)
-    xvals = (dt[xs] @ rvec) % p
-    yvals = (dt[ys] @ rvec) % p
-    for va in range(p):
-        for vb in range(p):
-            x_pt = xs[int(np.flatnonzero(xvals == va)[0])]
-            y_pt = ys[int(np.flatnonzero(yvals == vb)[0])]
-            a_rhs = tuple(int(v) for v in (mat @ dt[x_pt]) % p)
-            b_rhs = tuple(int(v) for v in (mat @ dt[y_pt]) % p)
-            out.append(Cell(p, cell.n, new_normals, a_rhs, b_rhs))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "ComplexityCertificate",
     "cs_complexity",
     "verify_certificate",
+    "system_average",
     "von_neumann_check",
     "uniformity_count_check",
     "row_uniformity_proportion",

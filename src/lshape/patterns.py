@@ -30,6 +30,7 @@ __all__ = [
     "PatternCount",
     "lshape_average",
     "corner_average",
+    "ones_like",
     "telescope_check",
     "ObstructionExample",
     "obstruction_example",

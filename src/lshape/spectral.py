@@ -32,6 +32,7 @@ __all__ = [
     "idft",
     "dft_reference",
     "dft_values",
+    "idft_values",
     "dft_batch",
     "u2_fourth",
     "u2_fourth_batch",
@@ -51,15 +52,16 @@ def _butterfly(p: int) -> np.ndarray:
 
 
 def _tensor_passes(values: np.ndarray, p: int, m: int, kernel: np.ndarray) -> np.ndarray:
-    """Apply the p-point kernel along every digit axis of a flat table.
+    """Apply the p-point kernel along every digit axis of a table.
 
-    The flat canonical order is little-endian, so a Fortran-order
-    reshape puts digit i on axis i.
+    Axis 0 of ``values`` is the flat canonical order; any further axes
+    are a batch that rides along.  The order is little-endian, so a
+    Fortran-order reshape puts digit i on axis i.
     """
-    arr = values.reshape((p,) * m, order="F")
+    arr = values.reshape((p,) * m + values.shape[1:], order="F")
     for axis in range(m):
         arr = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
-    return arr.reshape(-1, order="F")
+    return arr.reshape(values.shape, order="F")
 
 
 def dft_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -79,14 +81,7 @@ def idft_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
 def dft_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
     """Forward transform of each row of a (batch, p^m) array."""
     v = np.asarray(values, dtype=np.complex128)
-    if m == 0:
-        return v.copy()
-    batch = v.shape[0]
-    arr = v.T.reshape((p,) * m + (batch,), order="F")
-    kernel = _butterfly(p)
-    for axis in range(m):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
-    return arr.reshape((p**m, batch), order="F").T / p**m
+    return _tensor_passes(v.T, p, m, _butterfly(p)).T / p**m
 
 
 def dft(f: FunctionTable) -> FunctionTable:

@@ -13,7 +13,7 @@ same data as an N x N array G[x_index, y_index].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .field import (
     check_modulus,
     check_size,
     combine,
-    digit_table,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "IndicatorSet",
     "balanced",
     "product_lift",
-    "pair_index",
     "unpair_index",
     "slot_index_array",
     "save_set",
@@ -48,10 +46,6 @@ KINDS = {"complex": np.complex128, "real": np.float64, "indicator": np.bool_}
 #: Named linear slots of the pair space.  Each sends (x, y) to a point of
 #: Z_p^n; a factor set placed in a slot constrains that combination.
 SLOTS = ("y", "x+y", "2x+y", "x")
-
-
-def pair_index(x_idx: int | np.ndarray, y_idx: int | np.ndarray, n_points: int):
-    return x_idx + n_points * y_idx
 
 
 def unpair_index(pair: int | np.ndarray, n_points: int):
@@ -207,12 +201,6 @@ class IndicatorSet:
         return cls.from_table(FunctionTable(p, m, vals))
 
     @classmethod
-    def from_predicate(cls, p: int, m: int, pred: Callable[[np.ndarray], np.ndarray]) -> "IndicatorSet":
-        """Build from a vectorised predicate on digit rows."""
-        mask = pred(digit_table(p, m))
-        return cls.from_mask(p, m, mask)
-
-    @classmethod
     def full(cls, p: int, m: int) -> "IndicatorSet":
         return cls.from_table(FunctionTable(p, m, np.ones(p**m, dtype=bool)))
 
@@ -298,6 +286,8 @@ def _parse_header(line: str, want_kind: bool) -> tuple[int, int, str]:
         m = int(parts["m"])
     except KeyError as exc:
         raise ValueError(f"malformed header {line!r}: missing {exc}") from None
+    check_size(p, m)
+    check_modulus(p)
     kind = parts.get("kind", "indicator")
     if want_kind and "kind" not in parts:
         raise ValueError(f"table header {line!r} lacks kind=")
@@ -348,6 +338,8 @@ def load_table(path: str) -> FunctionTable:
         toks = line.split()
         if len(toks) != 2:
             raise ValueError(f"{path}:{lineno}: expected '<re> <im>'")
+        if row == p**m:
+            raise ValueError(f"{path}:{lineno}: more than {p ** m} values")
         vals[row] = complex(float(toks[0]), float(toks[1]))
         row += 1
     if row != p**m:

@@ -204,6 +204,16 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         table = tmp_path / f"{name}.table"
         table.write_text(f"p=3 m=1 kind={kind}\n0.0 0.0\n{bad}\n1.0 0.0\n")
         cases.append(("norm", "--table", str(table)))
+    # headers are checked before anything is allocated, and a table
+    # holds exactly p^m values
+    for command, flag, name, text in (
+        ("count", "--set", "negative.set", "p=3 m=-1\n0\n"),
+        ("norm", "--table", "negative.table", "p=3 m=-1 kind=real\n0.0 0.0\n"),
+        ("norm", "--table", "extra.table", "p=3 m=1 kind=real\n" + "0.0 0.0\n" * 4),
+        ("count", "--set", "huge.set", "p=3 m=40\n0\n"),
+    ):
+        (tmp_path / name).write_text(text)
+        cases.append((command, flag, str(tmp_path / name)))
     for command in ("pseudorandomize", "increment"):
         for flag, bad in (("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--tau", "0"), ("--tau", "inf")):
             cases.append((command, flag, bad))

@@ -22,7 +22,6 @@ from lshape.increment import (
     planted_row_instance,
     planted_skew_instance,
     pseudorandomize_u2,
-    refine_on_character,
     search_extremal_L_free,
     skew_line_increment,
 )
@@ -72,17 +71,6 @@ def test_partition_refinement_and_labels():
     masks = np.stack([c.pair_member_mask() for c in cells])
     assert masks.sum(axis=0).max() == 1
     assert masks.any(axis=0).all()
-
-
-def test_refine_on_character_partitions_cell():
-    part = ProductCosetPartition(3, 2, ())
-    cell = part.cells()[0]
-    subcells = refine_on_character(cell, (1, 2))
-    assert len(subcells) == 9
-    cover = np.zeros(81, dtype=int)
-    for sc in subcells:
-        cover += sc.pair_member_mask().astype(int)
-    assert (cover == 1).all()
 
 
 def test_partition_energy_range_and_convexity():

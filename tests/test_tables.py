@@ -12,7 +12,6 @@ from lshape.tables import (
     load_any,
     load_set,
     load_table,
-    pair_index,
     product_lift,
     save_set,
     save_table,
@@ -31,9 +30,7 @@ def test_pair_index_round_trip():
     n_points = 9
     for x in range(n_points):
         for y in range(n_points):
-            pair = pair_index(x, y, n_points)
-            assert pair == x + n_points * y
-            assert unpair_index(pair, n_points) == (x, y)
+            assert unpair_index(x + n_points * y, n_points) == (x, y)
 
 
 def test_kind_validation(tmp_path):
@@ -59,7 +56,7 @@ def test_kind_validation(tmp_path):
         FunctionTable(3, 1, [0.0, 1.0, 0.0], "bogus")
     with pytest.raises(ResourceLimitError):
         FunctionTable(3, 30, np.zeros(1), "real")
-    for p in (2, 4, 9):  # the modulus must be an odd prime
+    for p in (1, 2, 4, 6, 9, 15):  # the modulus must be an odd prime
         with pytest.raises(ValueError):
             FunctionTable(p, 1, np.zeros(p), "real")
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
