@@ -86,10 +86,11 @@ def check_size(p: int, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"the number of digits must be nonnegative, got {m}")
-    size = p**m
-    if size > MAX_ENUMERATION:
-        raise ResourceLimitError(f"refusing to enumerate {size} elements (cap {MAX_ENUMERATION})")
-    return size
+    # for |p| >= 2, p^m >= 2^m passes the cap once m reaches the cap's bit
+    # length, so such an m is refused before p^m is formed
+    if (abs(p) >= 2 and m >= MAX_ENUMERATION.bit_length()) or p**m > MAX_ENUMERATION:
+        raise ResourceLimitError(f"refusing to enumerate {p}^{m} elements (cap {MAX_ENUMERATION})")
+    return p**m
 
 
 @lru_cache(maxsize=512)

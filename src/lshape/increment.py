@@ -174,19 +174,21 @@ class ProductCosetPartition:
 # energy
 
 
-def _fiber_level_of_points(fam: FiberFamily, normals: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _fiber_level_of_points(fam: FiberFamily, lab: np.ndarray, k: int) -> np.ndarray:
     """level(x) = rank(normals of V stacked with x's fiber normals) - codim V.
 
-    Defined for base points; off-base entries are set to -1.
+    ``lab`` is the coset label of every point for a direction V of
+    codimension k.  Fiber x meets every coset of V that it touches in a
+    coset of V ∩ V_x, p^(n - k - level) points, so the level is read off
+    row x of Phi at the coset through x's offset, which lies on the
+    fiber.  Off-base entries are set to -1.
     """
     p, n = fam.p, fam.n
     size = p**n
-    k = len(normals)
-    out = np.full(size, -1, dtype=np.int64)
-    r_rows = np.array(normals, dtype=np.int64).reshape(k, n)
-    for x in fam.base.member_indices():
-        out[x] = rank_mod(np.vstack([r_rows, fam.normals[x]]), p) - k
-    return out
+    grid = fam.table.mask.reshape((size, size), order="F")
+    own = lab[index_of(p, fam.offsets)]
+    meet = np.count_nonzero(grid & (lab[None, :] == own[:, None]), axis=1)
+    return np.where(fam.base.mask, n - k - np.searchsorted(p ** np.arange(n + 1), meet), -1)
 
 
 def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet) -> dict:
@@ -205,7 +207,7 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
     dens_c = set_density_by_label(t.sum_set)
     dens_d = set_density_by_label(t.skew_set)
 
-    levels = _fiber_level_of_points(t.fibers, partition.normals)
+    levels = _fiber_level_of_points(t.fibers, lab, k)
     phi_mask = t.fibers.table.mask
     pair_x = np.tile(np.arange(size), size)  # pair index = x + size * y
     pair_y = np.repeat(np.arange(size), size)
@@ -220,9 +222,7 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
     # every cell, indexed like cid
     ca, cb = np.arange(big)[None, :], np.arange(big)[:, None]
     return {
-        "lab": lab,
         "big": big,
-        "coset_size": coset_size,
         "dens_b": dens_b,
         "dens_c": dens_c,
         "dens_d": dens_d,
@@ -233,7 +233,6 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
         "skew_lab": combine(p, k, (2, 1), (ca, cb)).reshape(-1),
         "cid": cid,
         "pair_x": pair_x,
-        "pair_y": pair_y,
     }
 
 
@@ -292,13 +291,15 @@ def _pull_back_character(basis_rows: np.ndarray, xi_digits: np.ndarray, p: int) 
     return tuple(int(v) for v in sol)
 
 
-def _coset_balanced_deviation(values: np.ndarray, members: np.ndarray, p: int, dim: int):
-    """U^2 norm and top character of a set restricted to a coset, balanced."""
-    sub = values[members].astype(np.complex128)
-    mean = sub.mean()
-    table = FunctionTable(p, dim, sub - mean)
-    norm = gowers_norm(table, 2).value
-    return table, norm
+def _top_character(values: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.ndarray, float] | None:
+    """Top character digits and correlation of a flat table balanced to
+    mean zero, or None when its U^2 norm is below eps."""
+    sub = values.astype(np.complex128)
+    table = FunctionTable(p, dim, sub - sub.mean())
+    if gowers_norm(table, 2).value < eps:
+        return None
+    freq, corr = inverse_u2(table)
+    return np.array(freq.digits, dtype=np.int64), corr
 
 
 def _check_scales(eps: float, tau: float) -> None:
@@ -369,52 +370,29 @@ def pseudorandomize_u2(
         coset_dim = partition.direction_dim
 
         # coset bases shared by every cell of the current direction
-        sample = subspace_from_normals(p, n, partition.normals, (0,) * partition.codim)
-        basis_vecs = sample.basis()
+        basis_vecs = subspace_from_normals(p, n, partition.normals, (0,) * partition.codim).basis()
         x_basis = np.array([v.digits for v in basis_vecs], dtype=np.int64).reshape(coset_dim, n)
 
         # members per label, ordered by coset parameters
         members_by_label = [subspace_from_normals(p, n, partition.normals, labels).member_indices()
                             for labels in data["lab_digits"]]
 
-        # per-label deviations of the three factor sets
-        factor_devs: dict[str, dict[int, tuple[float, tuple[int, ...], float]]] = {}
-        for name, s in (("y", t.y_set), ("sum", t.sum_set), ("skew", t.skew_set)):
-            found: dict[int, tuple[float, tuple[int, ...], float]] = {}
+        # per-label deviations of the y, sum and skew factor sets:
+        # {label: (correlation, [character])}
+        factor_devs: list[dict[int, tuple[float, list[tuple[int, ...]]]]] = []
+        for s in (t.y_set, t.sum_set, t.skew_set):
+            found = {}
             for lab_id, members in enumerate(members_by_label):
-                table, norm = _coset_balanced_deviation(s.mask, members, p, coset_dim)
-                if norm >= eps:
-                    freq, corr = inverse_u2(table)
-                    nu = _pull_back_character(x_basis, np.array(freq.digits, dtype=np.int64), p)
-                    if nu is not None:
-                        found[lab_id] = (norm, nu, corr)
-            factor_devs[name] = found
+                hit = _top_character(s.mask[members], p, coset_dim, eps)
+                nu = None if hit is None else _pull_back_character(x_basis, hit[0], p)
+                if nu is not None:
+                    found[lab_id] = (hit[1], [nu])
+            factor_devs.append(found)
 
-        # per-cell fiber level deviations on the product coset
-        phi_devs: dict[tuple[int, int, int], tuple[float, tuple, float]] = {}
-        pair_basis = np.zeros((2 * coset_dim, 2 * n), dtype=np.int64)
-        pair_basis[:coset_dim, :n] = x_basis
-        pair_basis[coset_dim:, n:] = x_basis
-        levels = data["levels"]
-        phi_grid = t.fibers.table.mask.reshape((size, size), order="F")
+        factor_dens = (data["dens_b"], data["dens_c"], data["dens_d"])
         # level i of the family on the pair grid, shared by every cell
-        level_grids = [phi_grid & ((levels >= 0) & (levels <= i))[:, None] for i in range(d + 1)]
-        for cb in range(big):
-            for ca in range(big):
-                ys = members_by_label[cb]
-                xs = members_by_label[ca]
-                for i in range(d + 1):
-                    sub = level_grids[i][np.ix_(xs, ys)]
-                    flat = sub.reshape(-1, order="F").astype(np.complex128)
-                    mean = flat.mean()
-                    table = FunctionTable(p, 2 * coset_dim, flat - mean)
-                    norm = gowers_norm(table, 2).value
-                    if norm >= eps:
-                        freq, corr = inverse_u2(table)
-                        fd = np.array(freq.digits, dtype=np.int64)
-                        nu_x = _pull_back_character(x_basis, fd[:coset_dim], p)
-                        nu_y = _pull_back_character(x_basis, fd[coset_dim:], p)
-                        phi_devs[(ca, cb, i)] = (norm, (nu_x, nu_y), corr)
+        phi_grid = t.fibers.table.mask.reshape((size, size), order="F")
+        level_grids = [phi_grid & ((data["levels"] >= 0) & (data["levels"] <= i))[:, None] for i in range(d + 1)]
 
         # expiry and trigger bookkeeping, cell by cell
         cell_measure = 1.0 / (big * big)
@@ -426,31 +404,19 @@ def pseudorandomize_u2(
         for cb in range(big):
             for ca in range(big):
                 cell_id = ca + big * cb
-                sum_lab = int(data["sum_lab"][cell_id])
-                skew_lab = int(data["skew_lab"][cell_id])
-                beta = data["dens_b"][cb]
-                gamma = data["dens_c"][sum_lab]
-                delta = data["dens_d"][skew_lab]
-                phi_full = data["phi_dens"][d][cell_id]
-                if min(beta, gamma, delta, phi_full) < expiry_floor:
+                labels = (cb, int(data["sum_lab"][cell_id]), int(data["skew_lab"][cell_id]))
+                densities = [dens[lab_id] for dens, lab_id in zip(factor_dens, labels)]
+                if min(*densities, data["phi_dens"][d][cell_id]) < expiry_floor:
                     expired_cells.add(cell_id)
                     continue
-                cell_triggers: list[tuple[float, list[tuple[int, ...]]]] = []
-                if cb in factor_devs["y"]:
-                    norm, nu, corr = factor_devs["y"][cb]
-                    cell_triggers.append((corr, [nu]))
-                if sum_lab in factor_devs["sum"]:
-                    norm, nu, corr = factor_devs["sum"][sum_lab]
-                    cell_triggers.append((corr, [nu]))
-                if skew_lab in factor_devs["skew"]:
-                    norm, nu, corr = factor_devs["skew"][skew_lab]
-                    cell_triggers.append((corr, [nu]))
-                for i in range(d + 1):
-                    key = (ca, cb, i)
-                    if key in phi_devs:
-                        norm, (nu_x, nu_y), corr = phi_devs[key]
-                        chars = [c for c in (nu_x, nu_y) if c is not None]
-                        cell_triggers.append((corr, chars))
+                cell_triggers = [devs[lab_id] for devs, lab_id in zip(factor_devs, labels) if lab_id in devs]
+                # fiber level deviations on the product cell
+                cell = np.ix_(members_by_label[ca], members_by_label[cb])
+                for grid in level_grids:
+                    hit = _top_character(grid[cell].reshape(-1, order="F"), p, 2 * coset_dim, eps)
+                    if hit is not None:
+                        chars = (_pull_back_character(x_basis, half, p) for half in np.split(hit[0], 2))
+                        cell_triggers.append((hit[1], [c for c in chars if c is not None]))
                 if cell_triggers:
                     triggered_cells.add(cell_id)
                     for corr, chars in cell_triggers:
@@ -510,8 +476,7 @@ def pseudorandomize_u2(
     pair_x = data["pair_x"]
     s_mask = s_set.mask
     t_mask = t.table.mask
-    best = None
-    best_meeting = None
+    pick = None
     for i in range(d + 1):
         lev_ok = levels[pair_x] == i
         t_counts = np.bincount(cid[t_mask & lev_ok], minlength=big * big)
@@ -521,12 +486,10 @@ def pseudorandomize_u2(
                 continue
             ratio = s_counts[cell_id] / t_counts[cell_id]
             entry = (ratio, cell_id, i, int(s_counts[cell_id]), int(t_counts[cell_id]))
-            if best is None or ratio > best[0]:
-                best = entry
-            if ratio >= sigma + tau / 4 and (best_meeting is None or ratio > best_meeting[0]):
-                best_meeting = entry
-    met = best_meeting is not None
-    pick = best_meeting if met else best
+            if pick is None or ratio > pick[0]:
+                pick = entry
+    # the first densest entry meets the margin whenever any entry does
+    met = bool(pick is not None and pick[0] >= sigma + tau / 4)
     cell_obj = None
     level_pick = None
     if pick is not None:
@@ -573,11 +536,6 @@ def _density_inside(s_set: IndicatorSet, t_set: IndicatorSet) -> float:
     if t_set.cardinality == 0:
         raise ValueError("empty structured set")
     return s_set.cardinality / t_set.cardinality
-
-
-def _structured_density(s_mask: np.ndarray, t_new: StructuredProductSet) -> tuple[int, int]:
-    inter = int(np.count_nonzero(s_mask & t_new.table.mask))
-    return inter, t_new.table.cardinality
 
 
 def _recount_pairs(s_mask: np.ndarray, t_new: StructuredProductSet) -> int:
@@ -629,7 +587,7 @@ def _split_increment(
         t_new = rebuild(IndicatorSet.from_mask(factor.p, factor.m, mask))
         if t_new is None:
             continue
-        inter, mass = _structured_density(s_set.mask, t_new)
+        inter, mass = int(np.count_nonzero(s_set.mask & t_new.table.mask)), t_new.table.cardinality
         if mass == 0:
             continue
         ratio = inter / mass
@@ -676,21 +634,9 @@ def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: floa
     size = p**n
     sigma = _density_inside(s_set, t.table)
     g = (s_set.mask - sigma * t.table.mask).reshape((size, size), order="F")
-    alpha = t.fibers.base.density
-    beta = t.y_set.density
-    gamma = t.sum_set.density
-    delta = t.skew_set.density
-    rho = t.fibers.rho
-
-    # (name, means, the factor set the pencil splits, product of the other densities)
-    pencils = [
-        ("x-rows", g.mean(axis=1), t.fibers.base, beta * gamma * delta * rho),
-        ("y-columns", g.mean(axis=0), t.y_set, alpha * gamma * delta * rho),
-        ("anti-diagonals", line_means(g, p, n, 1), t.sum_set, alpha * beta * delta * rho),
-    ]
     report: dict = {"sigma": sigma, "tau": tau, "pencils": {}}
     chosen = None
-    for name, means, factor, others in pencils:
+    for name, means, factor, others in t.pencils(g):
         stat = float(np.mean(np.abs(means) ** 2))
         trigger = tau * factor.density * others**2
         report["pencils"][name] = {"stat": stat, "trigger": trigger, "fires": stat >= trigger}
@@ -776,9 +722,7 @@ def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: fl
     alpha = fam.base.density
     rho = fam.rho
 
-    counts = np.zeros(size, dtype=np.int64)
-    for x in fam.base.member_indices():
-        counts[fam.fiber_subspace(int(x)).member_indices()] += 1
+    counts = fam.table.mask.reshape((size, size), order="F").sum(axis=0)  # counts[u] = |A_u|
     lhs_total = int(counts.sum())
     rhs_total = fam.base.cardinality * p ** (n - d)
     if lhs_total != rhs_total:
@@ -798,7 +742,7 @@ def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: fl
         # counts[u] = |A_u| > 0, so the aligned base is never empty
         aligned = fam.with_common_offset(GroupVector.from_index(p, n, u))
         t_u = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, aligned)
-        inter, mass = _structured_density(s_set.mask, t_u)
+        inter, mass = int(np.count_nonzero(s_set.mask & t_u.table.mask)), t_u.table.cardinality
         if mass == 0:
             continue
         ratio = inter / mass
@@ -1075,19 +1019,19 @@ def _renormalize_to_cell(
     if new_n == 0:
         return None
     x_coset = cell.x_coset
-    y_coset = cell.y_coset
-    xs = x_coset.member_indices()
-    ys = y_coset.member_indices()
     basis = np.array([v.digits for v in x_coset.basis()], dtype=np.int64).reshape(new_n, n)
     dt_new = digit_table(p, new_n)
     x0 = np.array(x_coset.offset_point().digits, dtype=np.int64)
-    y0 = np.array(y_coset.offset_point().digits, dtype=np.int64)
-    # audit the parametrization: member ordering must match offset + params @ basis
-    rebuilt = np.asarray(index_of(p, (x0[None, :] + dt_new @ basis) % p), dtype=np.int64)
-    if not np.array_equal(np.sort(rebuilt), np.sort(np.asarray(xs, dtype=np.int64))):
+    y0 = np.array(cell.y_coset.offset_point().digits, dtype=np.int64)
+
+    def coset_points(start: np.ndarray) -> np.ndarray:
+        """Indices of start + V, ordered by the parameters of the basis."""
+        return np.asarray(index_of(p, (start[None, :] + dt_new @ basis) % p), dtype=np.int64)
+
+    xs, ys = coset_points(x0), coset_points(y0)
+    # audit the parametrization: it must reach every member of the x coset
+    if not np.array_equal(np.sort(xs), np.sort(x_coset.member_indices())):
         raise AssertionError("coset parametrization lost members")
-    xs = rebuilt
-    ys = np.asarray(index_of(p, (y0[None, :] + dt_new @ basis) % p), dtype=np.int64)
 
     new_size = p**new_n
     fam = t.fibers
@@ -1115,10 +1059,11 @@ def _renormalize_to_cell(
     def reindex_set(s: IndicatorSet, points: np.ndarray) -> IndicatorSet:
         return IndicatorSet.from_mask(p, new_n, s.mask[points])
 
-    sum_points = np.asarray(index_of(p, ((x0 + y0)[None, :] + dt_new @ basis) % p), dtype=np.int64)
-    skew_points = np.asarray(index_of(p, (((2 * x0 + y0) % p)[None, :] + dt_new @ basis) % p), dtype=np.int64)
     t_cell = StructuredProductSet(
-        reindex_set(t.y_set, ys), reindex_set(t.sum_set, sum_points), reindex_set(t.skew_set, skew_points), fam_new
+        reindex_set(t.y_set, ys),
+        reindex_set(t.sum_set, coset_points(x0 + y0)),
+        reindex_set(t.skew_set, coset_points(2 * x0 + y0)),
+        fam_new,
     )
 
     s_grid = s_set.mask.reshape((size, size), order="F")[np.ix_(xs, ys)]

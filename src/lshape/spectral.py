@@ -11,8 +11,9 @@ with e_p(k) = exp(2 pi i k / p).  The transform factors into m passes
 of the p-point transform, one per digit axis; below p = 17 the naive
 p^2 butterfly beats anything clever, so that is all there is.
 
-TODO: add a Rader pass for p >= 17 if anyone ever runs a modulus that
-large; the cap in field.MAX_ENUMERATION makes it unreachable today.
+TODO: add a Rader pass for p >= 17 if large moduli become common.  They
+run today (``lshape norm --p 17 --m 2``), but field.MAX_ENUMERATION
+keeps their tables to a few digits, where the p^2 butterfly is cheap.
 """
 
 from __future__ import annotations
@@ -115,13 +116,12 @@ def u2_fourth_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
     return np.sum(a2 * a2, axis=1)
 
 
-def inverse_u2(f: FunctionTable, delta: float | None = None) -> tuple[GroupVector, float]:
+def inverse_u2(f: FunctionTable) -> tuple[GroupVector, float]:
     """The largest Fourier coefficient and its location.
 
     For 1-bounded f this certifies corr >= ||f||_{U^2}^2, because
     sum |f_hat|^4 <= max|f_hat|^2 * sum|f_hat|^2 <= max|f_hat|^2.
-    Ties go to the smallest canonical index.  ``delta`` is only used for
-    a courtesy log line; the returned pair is the whole contract.
+    Ties go to the smallest canonical index.
     """
     if not f.is_one_bounded():
         logger.warning(
@@ -132,10 +132,7 @@ def inverse_u2(f: FunctionTable, delta: float | None = None) -> tuple[GroupVecto
     spec = dft_values(f.values, f.p, f.m)
     mags = np.abs(spec)
     best = int(np.argmax(mags))  # argmax takes the first max: smallest index
-    corr = float(mags[best])
-    if delta is not None and corr < delta**2:
-        logger.info("largest coefficient %.6g is below delta^2 = %.6g", corr, delta**2)
-    return GroupVector.from_index(f.p, f.m, best), corr
+    return GroupVector.from_index(f.p, f.m, best), float(mags[best])
 
 
 def parseval_report(f: FunctionTable) -> dict:

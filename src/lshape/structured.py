@@ -32,10 +32,11 @@ from .field import (
     AffineSubspace,
     GroupVector,
     ResourceLimitError,
+    check_modulus,
+    check_size,
     combine,
     digit_table,
     line_means,
-    modular_rref,
     rank_mod,
     subspace_from_normals,
 )
@@ -93,10 +94,12 @@ class FiberFamily:
         yd = digit_table(p, n)
         mask = np.zeros((size, size), dtype=bool)  # mask[x, y]
         for x in np.flatnonzero(self.base.mask):
-            if rank_mod(self.normals[x], p) != d:
-                raise ValueError(f"normals at x = {x} are dependent; codimension would drop below {d}")
             rel = (yd - self.offsets[x][None, :]) % p
             mask[x, :] = np.all((self.normals[x] @ rel.T) % p == 0, axis=0)
+        # a fiber has p^(n - d) points exactly when its d normals are independent
+        dependent = np.flatnonzero(self.base.mask & (mask.sum(axis=1) != p ** (n - d)))
+        if dependent.size:
+            raise ValueError(f"normals at x = {dependent[0]} are dependent; codimension would drop below {d}")
         self.table = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))
         expected = self.base.cardinality * p ** (n - d)
         if self.table.cardinality != expected:
@@ -127,10 +130,9 @@ class FiberFamily:
         return subspace_from_normals(self.p, self.n, rows, offs)
 
     def aligned_base_at(self, u: GroupVector) -> IndicatorSet:
-        """The set A_u = {x in A : u lies on x's fiber}."""
-        rel = (u.as_array()[None, :] - self.offsets) % self.p
-        off_fiber = np.any(np.einsum("xdn,xn->xd", self.normals, rel) % self.p, axis=1)
-        return IndicatorSet.from_mask(self.p, self.n, self.base.mask & ~off_fiber)
+        """The set A_u = {x in A : u lies on x's fiber}: column u of Phi."""
+        size = self.p**self.n
+        return IndicatorSet.from_mask(self.p, self.n, self.table.mask[u.index * size : (u.index + 1) * size])
 
     def with_common_offset(self, u: GroupVector) -> "FiberFamily":
         """Reinterpret the fibers through u on the sub-base where u fits."""
@@ -210,6 +212,19 @@ class StructuredProductSet:
     def n(self) -> int:
         return self.fibers.n
 
+    def pencils(self, grid: np.ndarray) -> list[tuple[str, np.ndarray, IndicatorSet, float]]:
+        """(name, means, factor, product of the other densities) of a pair
+        grid's x-row, y-column and anti-diagonal pencils; the factor is the
+        set the pencil's lines are indexed by."""
+        alpha, beta = self.fibers.base.density, self.y_set.density
+        gamma, delta = self.sum_set.density, self.skew_set.density
+        rho = self.fibers.rho
+        return [
+            ("x-rows", grid.mean(axis=1), self.fibers.base, beta * gamma * delta * rho),
+            ("y-columns", grid.mean(axis=0), self.y_set, alpha * gamma * delta * rho),
+            ("anti-diagonals", line_means(grid, self.p, self.n, 1), self.sum_set, alpha * beta * delta * rho),
+        ]
+
     def density_report(self) -> dict:
         prod = (
             self.fibers.base.density
@@ -236,17 +251,6 @@ def fiber_stats(t: StructuredProductSet, eps_prime: float) -> dict:
     p, n = t.p, t.n
     size = p**n
     grid = t.table.mask.reshape((size, size), order="F")
-    alpha = t.fibers.base.density
-    beta = t.y_set.density
-    gamma = t.sum_set.density
-    delta = t.skew_set.density
-    rho = t.fibers.rho
-
-    rows = grid.mean(axis=1)
-    cols = grid.mean(axis=0)
-    anti = line_means(grid, p, n, 1)
-    skew = line_means(grid, p, n, 2)
-
     def pencil(densities: np.ndarray, target: float) -> dict:
         dev = np.abs(densities - target)
         return {
@@ -256,13 +260,12 @@ def fiber_stats(t: StructuredProductSet, eps_prime: float) -> dict:
             "max_deviation": float(dev.max()),
         }
 
-    return {
-        "eps_prime": eps_prime,
-        "rows": pencil(rows, beta * gamma * delta * rho),
-        "columns": pencil(cols, alpha * gamma * delta * rho),
-        "anti_diagonals": pencil(anti, alpha * beta * delta * rho),
-        "skew_lines": pencil(skew, alpha * beta * gamma * rho),
-    }
+    report = {"eps_prime": eps_prime}
+    for key, (_, means, _, others) in zip(("rows", "columns", "anti_diagonals"), t.pencils(grid)):
+        report[key] = pencil(means, others)
+    skew_target = t.fibers.base.density * t.y_set.density * t.sum_set.density * t.fibers.rho
+    report["skew_lines"] = pencil(line_means(grid, p, n, 2), skew_target)
+    return report
 
 
 @dataclass(frozen=True)
@@ -508,14 +511,7 @@ def intersection_codim_statistic(fam: FiberFamily, system, shifts, cap: int = 10
             nx = fam.normals[pt]
             rows.append(nx)
             rhs.append((nx @ ((fam.offsets[pt] - w) % p)) % p)
-        mat = np.vstack(rows)
-        vec = np.concatenate(rhs)
-        aug = np.hstack([mat, vec[:, None]])
-        red, piv = modular_rref(aug, p)
-        if n in piv:
-            codim = n  # empty intersection
-        else:
-            codim = len(piv)
+        codim = subspace_from_normals(p, n, np.vstack(rows), np.concatenate(rhs)).codimension
         if codim != len(forms) * d:
             degenerate += 1
     return {
@@ -565,8 +561,16 @@ def save_fibers(path: str, fam: FiberFamily) -> None:
 def load_fibers(path: str) -> FiberFamily:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    head = dict(tok.split("=", 1) for tok in lines[0].split())
+    head = dict(tok.split("=", 1) for tok in lines[0].split()) if lines else {}
+    missing = [key for key in ("p", "n", "d", "u") if key not in head]
+    if missing:
+        raise ValueError(f"fiber file header lacks {missing[0]}=")
     p, n, d = int(head["p"]), int(head["n"]), int(head["d"])
+    check_size(p, n)
+    check_size(p, 2 * n)  # the family's table lives on the pair space
+    check_modulus(p)
+    if not 0 <= d <= n:
+        raise ValueError(f"codimension d = {d} outside [0, {n}]")
     u = GroupVector(p, tuple(int(v) for v in head["u"].split(","))) if n else GroupVector(p, ())
     size = p**n
     normals = np.zeros((size, d, n), dtype=np.int64)

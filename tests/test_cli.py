@@ -15,6 +15,7 @@ def run_cli(*args, expect=0):
         [sys.executable, "-m", "lshape.cli", *args],
         capture_output=True,
         text=True,
+        timeout=120,  # a refused request must not stall
     )
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc
@@ -198,6 +199,9 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         ("norm", "--p", "3", "--m", "30"),
         ("norm", "--p", "3", "--m", "-1"),
         ("count", "--p", "3", "--n", "15"),
+        # a huge digit count is refused before p^m is formed
+        ("norm", "--m", "10000"),
+        ("count", "--n", "100000000"),
     ]
     for name, kind, bad in (("nan", "real", "nan 0.0"), ("inf", "real", "inf 0.0"),
                             ("imaginary", "real", "1.0 0.5"), ("half", "indicator", "0.5 0.0")):
@@ -211,6 +215,7 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         ("norm", "--table", "negative.table", "p=3 m=-1 kind=real\n0.0 0.0\n"),
         ("norm", "--table", "extra.table", "p=3 m=1 kind=real\n" + "0.0 0.0\n" * 4),
         ("count", "--set", "huge.set", "p=3 m=40\n0\n"),
+        ("count", "--set", "huger.set", "p=3 m=100000000\n0\n"),
     ):
         (tmp_path / name).write_text(text)
         cases.append((command, flag, str(tmp_path / name)))

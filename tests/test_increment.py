@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
-from lshape.field import GroupVector
+from lshape.field import GroupVector, rank_mod
 from lshape.increment import (
     Cell,
     ProductCosetPartition,
+    _fiber_level_of_points,
     _greedy_l_free,
     _l_quads,
     _point_index,
@@ -71,6 +72,30 @@ def test_partition_refinement_and_labels():
     masks = np.stack([c.pair_member_mask() for c in cells])
     assert masks.sum(axis=0).max() == 1
     assert masks.any(axis=0).all()
+
+
+def test_fiber_levels_match_the_rank_definition():
+    # level(x) = rank(R stacked with x's normals) - codim V on the base, -1
+    # off it; d = 0, k = 0 and k = n are all among the cases
+    rng = np.random.default_rng(11)
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)):
+        for d in range(n + 1):
+            shared = random_family(p, n, d, seed=int(rng.integers(1 << 30)), base_density=0.8)
+            per_point = rng.integers(0, p, size=(p**n, n))
+            for fam in (shared, FiberFamily(p, n, shared.base, per_point, d, shared.normals)):
+                for k in range(n + 1):
+                    part = ProductCosetPartition(p, n, ())
+                    while part.codim < k:
+                        try:
+                            part = part.refine(tuple(int(v) for v in rng.integers(0, p, size=n)))
+                        except ValueError:
+                            continue
+                    rows = np.array(part.normals, dtype=np.int64).reshape(k, n)
+                    want = np.full(p**n, -1)
+                    for x in np.flatnonzero(fam.base.mask):
+                        want[x] = rank_mod(np.vstack([rows, fam.normals[x]]), p) - k
+                    got = _fiber_level_of_points(fam, part.label_index(), k)
+                    assert np.array_equal(got, want), (p, n, d, k)
 
 
 def test_partition_energy_range_and_convexity():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from lshape.field import GroupVector, subspace_from_normals
+from lshape.field import GroupVector, ResourceLimitError, subspace_from_normals
 from lshape.linforms import LinearFormSystem
 from lshape.structured import (
     FiberFamily,
@@ -81,6 +81,24 @@ def test_phi_map_rejects_degenerate_rows():
     assert fam.table.cardinality == 2 * 3
 
 
+def test_dependent_normals_are_refused_at_the_first_base_point():
+    p, n, d = 3, 2, 2
+    normals = np.zeros((9, d, n), dtype=np.int64)
+    normals[:] = [[1, 0], [0, 1]]
+    normals[2] = [[1, 2], [2, 1]]  # second row is twice the first, but x = 2 is off the base
+    normals[4] = [[0, 1], [0, 2]]
+    normals[7] = [[1, 1], [0, 0]]
+    base = IndicatorSet.from_indices(p, n, [0, 1, 4, 7])
+    with pytest.raises(ValueError, match=r"^normals at x = 4 are dependent; codimension would drop below 2$"):
+        FiberFamily(p, n, base, GroupVector.zero(p, n), d, normals)
+    normals[4] = [[2, 0], [1, 1]]
+    with pytest.raises(ValueError, match=r"^normals at x = 7 are dependent"):
+        FiberFamily(p, n, base, GroupVector.zero(p, n), d, normals)
+    normals[7] = [[1, 1], [1, 2]]
+    fam = FiberFamily(p, n, base, GroupVector.zero(p, n), d, normals)
+    assert fam.table.cardinality == base.cardinality
+
+
 def test_fiber_subspace_members():
     fam = random_family(3, 2, 1, seed=5)
     vals = fam.table.table.values.real
@@ -110,11 +128,11 @@ def test_mixed_family_alignment(tmp_path):
         save_fibers(str(tmp_path / "mixed.txt"), mixed)
     assert not (tmp_path / "mixed.txt").exists()
 
+    for u in (GroupVector.from_index(p, n, i) for i in range(9)):
+        expect = {int(x) for x in base.member_indices() if mixed.fiber_subspace(int(x)).contains(u)}
+        assert set(int(i) for i in mixed.aligned_base_at(u).member_indices()) == expect
     u = GroupVector(p, (0, 1))
     a_u = mixed.aligned_base_at(u)
-    vals = mixed.table.table.values.real
-    expect = {x for x in range(9) if vals[x + 9 * u.index] == 1.0}
-    assert set(int(i) for i in a_u.member_indices()) == expect
     if a_u.cardinality:
         aligned = mixed.with_common_offset(u)
         assert aligned.base.cardinality == a_u.cardinality
@@ -337,6 +355,25 @@ def test_random_family_is_deterministic():
     assert np.array_equal(a.table.table.values, b.table.table.values)
     c = random_family(3, 2, 1, seed=8, base_density=0.5)
     assert not np.array_equal(a.table.table.values, c.table.table.values)
+
+
+def test_fiber_file_headers_are_checked_before_allocation(tmp_path):
+    cases = [
+        ("p=3 n=-1 d=0 u=", ValueError, "nonnegative"),
+        ("p=3 d=1 u=0,0", ValueError, "lacks n="),
+        ("p=3 n=2 d=1", ValueError, "lacks u="),
+        ("n=2 d=1 u=0,0", ValueError, "lacks p="),
+        ("p=3 n=30 d=1 u=0", ResourceLimitError, "refusing"),
+        ("p=3 n=8 d=1 u=0", ResourceLimitError, "refusing"),  # 3^8 points, but 3^16 pairs
+        ("p=9 n=1 d=1 u=0", ValueError, "not prime"),
+        ("p=3 n=2 d=3 u=0,0", ValueError, "outside"),
+        ("p=3 n=2 d=-1 u=0,0", ValueError, "outside"),
+    ]
+    for header, error, message in cases:
+        path = tmp_path / "fam.txt"
+        path.write_text(header + "\n0 :\n")
+        with pytest.raises(error, match=message):
+            load_fibers(str(path))
 
 
 def test_fiber_file_round_trip(tmp_path):
