@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -468,7 +469,14 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    _emit(report)
+    try:
+        _emit(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush
+        # at interpreter exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     elapsed = time.perf_counter() - start
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
     return code

@@ -8,9 +8,11 @@ Delta_h f(x) = f(x) conj(f(x + h)), and
 
 The fast evaluation path bottoms out at s = 2 through the Fourier
 identity sum |f_hat|^4; ``definition_only=True`` forces the literal
-nested sum over all difference tuples instead, which is the audit path
-(and the cost reference: p^(m s) tuples against the fast path's
-p^(m(s-2)) batched transforms).
+nested sum over all difference tuples instead, which is the audit path.
+It loops in Python over the p^(m(s-1)) tuples (h_1, ..., h_(s-1)) and
+gathers the last difference and x together as blocks of index arrays,
+so it still touches all p^(m(s+1)) (x, h) points, against the fast
+path's p^(m(s-2)) batched transforms.
 
 Functions of a pair (x, y) in Z_p^n x Z_p^n additionally carry
 direction-constrained norms.  A direction pattern is a residue pair
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ResourceLimitError, add_map, combine, line_means
+from .field import ResourceLimitError, combine, line_means
 from .spectral import dft_batch, u2_fourth_batch
 from .tables import FunctionTable
 
@@ -52,6 +54,9 @@ __all__ = [
 #: Radicands of norm powers are averages of squared magnitudes; anything
 #: below this is a bug, not roundoff.
 RADICAND_FLOOR = -1e-12
+
+#: Default cap on the estimated operation count of a norm evaluation.
+COST_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -91,53 +96,75 @@ def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
     if s == 2:
         a2 = np.abs(dft_batch(values[None, :], p, m)[0]) ** 2
         return float(np.sum(a2 * a2))
-    batch = np.empty((size ** (s - 2), size), dtype=np.complex128)
-    row = 0
-
-    def fill(current: np.ndarray, depth: int) -> None:
-        nonlocal row
-        if depth == 0:
-            batch[row] = current
-            row += 1
-            return
-        cc = np.conj(current)
-        for h in range(size):
-            fill(current * cc[add_map(p, m, h)], depth - 1)
-
-    fill(values, s - 2)
+    x = np.arange(size)
+    shift = combine(p, m, (1, 1), (x[:, None], x[None, :]))  # shift[h, x] = x + h
+    batch = values[None, :]
+    for _ in range(s - 2):
+        # row r * size + h of the next batch is Delta_h of row r
+        moved = np.conj(batch)[:, shift]
+        batch = np.multiply(batch[:, None, :], moved, out=moved).reshape(-1, size)
     fourths = u2_fourth_batch(batch, p, m)
     return float(np.sum(fourths) / len(fourths))
 
 
-def _cube_average(corners, shifts) -> complex:
+#: Entries per index block of the difference-cube kernel, which bounds its
+#: index and product temporaries at a few tens of MB.
+_CUBE_BLOCK = 1 << 20
+
+
+def _cube_average(corners, steps, p: int, m: int) -> complex:
     """E over (h_1, ..., h_s) and x of prod_w C^|w| corners[w](x + w . h).
 
-    ``corners`` holds 2^s flat value arrays, one per w in {0,1}^s taken in
-    itertools.product order, and C is complex conjugation.  ``shifts[i]``
-    lists the index permutations x -> x + h_i, one per value h_i takes.
+    ``corners`` holds 2^s flat value arrays on Z_p^m, one per w in
+    {0,1}^s taken in itertools.product order, and C is complex
+    conjugation.  ``steps[i]`` is the index array of the group elements
+    that h_i runs over.
+
+    Python loops over (h_1, ..., h_(s-1)) only.  The pairs (h_s, x) form
+    one flat range, cut into blocks of at most _CUBE_BLOCK entries whose
+    indices x + h_s come from ``combine``.  The corners with w_s = 0 do
+    not depend on h_s, so their product is formed once per tuple and
+    gathered as one factor.
     """
-    s = len(shifts)
-    size = corners[0].shape[0]
+    s = len(steps)
+    size = p**m
     cube = list(itertools.product((0, 1), repeat=s))
     corners = [c.astype(np.complex128, copy=False) for c in corners]
     factors = [np.conj(c) if sum(bits) % 2 else c for bits, c in zip(cube, corners)]
+    # product order makes w_s the last bit: even positions have w_s = 0,
+    # and positions 2j, 2j + 1 share the j-th w' = (w_1, ..., w_(s-1))
+    low, high = factors[0::2], factors[1::2]
+    outer_bits = np.array(cube[0::2], dtype=np.int64)[:, :-1]
+    outer, last = steps[:-1], steps[-1]
+    x = np.arange(size)
+    pairs = len(last) * size
     total = 0.0 + 0.0j
-    for maps in itertools.product(*shifts):
-        prod = np.ones(size, dtype=np.complex128)
-        for bits, vals in zip(cube, factors):
-            idx = np.arange(size)
-            for i, bit in enumerate(bits):
-                if bit:
-                    idx = maps[i][idx]
-            prod = prod * vals[idx]
-        total += np.sum(prod) / size
-    return complex(total / math.prod(len(maps) for maps in shifts))
+    for start in range(0, pairs, _CUBE_BLOCK):
+        flat = np.arange(start, min(start + _CUBE_BLOCK, pairs))
+        xk = flat % size
+        moved = combine(p, m, (1, 1), (xk, last[flat // size]))
+        for hs in itertools.product(*outer):
+            # offsets[j] is the index of w' . (h_1, ..., h_(s-1)); a 0/1
+            # multiple of an index is the index of that multiple, and at
+            # s = 1 combine returns a scalar zero
+            offsets = np.broadcast_to(
+                combine(p, m, (1,) * (s - 1), [outer_bits[:, i] * h for i, h in enumerate(hs)]),
+                (len(low),),
+            )
+            cols = combine(p, m, (1, 1), (offsets[:, None], x[None, :]))
+            base = low[0][cols[0]]
+            for vals, col in zip(low[1:], cols[1:]):
+                base *= vals[col]
+            prod = base[xk]
+            for vals, col in zip(high, cols):
+                prod *= vals[col][moved]
+            total += prod.sum()
+    return complex(total / (pairs * math.prod(len(h) for h in outer)))
 
 
 def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:
     """The literal nested sum over all (h_1, ..., h_s) difference tuples."""
-    maps = [add_map(p, m, h) for h in range(p**m)]
-    return _cube_average([values] * 2**s, [maps] * s)
+    return _cube_average([values] * 2**s, [np.arange(p**m)] * s, p, m)
 
 
 def gowers_norm(
@@ -145,7 +172,7 @@ def gowers_norm(
     s: int,
     domain=None,
     definition_only: bool = False,
-    cost_cap: int = 10**8,
+    cost_cap: int = COST_CAP,
 ) -> NormValue:
     """||f||_{U^s}, globally or on an affine coset.
 
@@ -183,20 +210,27 @@ def _pair_split(g: FunctionTable) -> tuple[int, int, np.ndarray]:
     return g.p, n, g.as_pair_grid().astype(np.complex128, copy=False)
 
 
+def _box_raw(grid: np.ndarray) -> float:
+    """E over (x, x', y, y') of the alternating rectangle product of a
+    pair grid: the mean of |corr|^2 over the row correlations
+    corr = grid grid^*, summed as one vdot with no |corr| temporary."""
+    corr = grid @ np.conj(grid).T
+    return float(np.vdot(corr, corr).real) / grid.shape[0] ** 4
+
+
 def box_norm(g: FunctionTable) -> NormValue:
     """The rectangle norm: fourth root of E over (x, x', y, y') of the
     alternating product g(x,y) conj g(x,y') conj g(x',y) g(x',y')."""
-    _, _, grid = _pair_split(g)
-    size = grid.shape[0]
-    corr = grid @ np.conj(grid).T / size
-    raw = float(np.mean(np.abs(corr) ** 2))
-    return _root(raw, 4)
+    return _root(_box_raw(_pair_split(g)[2]), 4)
 
 
 def slot_norm(g: FunctionTable, slot: int) -> NormValue:
     """Direction-constrained norms of a pair-space function, slot in {0,1,2}.
 
     slot 0: eighth root of E_{x,h3} ||y -> g(x,y) conj g(x+h3,y)||_{U^2}^4.
+            The rows for -h3 are those for h3, conjugated and permuted,
+            so their fourth powers agree: each pair {h3, -h3} is
+            transformed once and counted twice.
     slot 1: the box norm after the shear (a, b) = (x, x+y); the two
             directions (0,h1), (-h2,h2) become the axis pair (0,h1), (-h2,0).
     slot 2: square root of E_z |E_x g(x, z-2x)|^2, averaging over the
@@ -205,15 +239,17 @@ def slot_norm(g: FunctionTable, slot: int) -> NormValue:
     p, n, grid = _pair_split(g)
     size = p**n
     if slot == 0:
+        x = np.arange(size)
         acc = 0.0
-        for h3 in range(size):
-            rows = grid * np.conj(grid[add_map(p, n, h3), :])
-            acc += float(np.mean(u2_fourth_batch(rows, p, n)))
+        # h3 = 0 and the smaller index of each pair {h3, -h3}
+        for h3 in np.flatnonzero(x <= combine(p, n, (-1,), (x,))):
+            rows = grid * np.conj(grid[combine(p, n, (1, 1), (x, h3)), :])
+            term = float(np.mean(u2_fourth_batch(rows, p, n)))
+            acc += term if h3 == 0 else 2 * term
         return _root(acc / size, 8)
     if slot == 1:
         x = np.arange(size)
-        sheared = grid[x[:, None], combine(p, n, (1, -1), (x[None, :], x[:, None]))]
-        return box_norm(FunctionTable.from_pair_grid(p, n, sheared))
+        return _root(_box_raw(grid[x[:, None], combine(p, n, (1, -1), (x[None, :], x[:, None]))]), 4)
     if slot == 2:
         raw = float(np.mean(np.abs(line_means(grid, p, n, 2)) ** 2))
         return _root(raw, 2)
@@ -236,12 +272,9 @@ def directional_average(g: FunctionTable, directions) -> float:
         raise ValueError("direction patterns must be nonzero")
     size = p**n
     h = np.arange(size)
-    shifts = []
-    for a, b in dirs:
-        # the pair index x + N y is the index of (x, y) in Z_p^(2n)
-        steps = combine(p, n, (a,), (h,)) + size * combine(p, n, (b,), (h,))
-        shifts.append([add_map(p, 2 * n, int(k)) for k in steps])
-    total = _cube_average([g.values] * 2 ** len(dirs), shifts)
+    # the pair index x + N y is the index of (x, y) in Z_p^(2n)
+    steps = [combine(p, n, (a,), (h,)) + size * combine(p, n, (b,), (h,)) for a, b in dirs]
+    total = _cube_average([g.values] * 2 ** len(dirs), steps, p, 2 * n)
     if g.kind in ("real", "indicator") and abs(total.imag) > 1e-9:
         raise ValueError(f"directional average of a real table has imaginary part {total.imag}")
     return float(total.real)
@@ -252,6 +285,8 @@ def gcs_check(family, s: int, slack: float = 1e-9) -> dict:
 
     ``family`` lists 2^s tables indexed by the subsets of {1..s} in
     binary counting order (bit i of the position = coordinate i of w).
+    The product average is the literal sum, refused past COST_CAP by the
+    estimate of ``gowers_norm(definition_only=True)``.
     """
     if len(family) != 2**s:
         raise ValueError(f"need 2^{s} = {2 ** s} tables, got {len(family)}")
@@ -259,13 +294,17 @@ def gcs_check(family, s: int, slack: float = 1e-9) -> dict:
     if any((t.p, t.m) != (p, m) for t in family):
         raise ValueError("family members live on different spaces")
     size = p**m
+    est = size**s
+    if est > COST_CAP:
+        raise ResourceLimitError(
+            f"the U^{s} cube product on {size} points needs ~{est} operations (cap {COST_CAP})"
+        )
     if s >= 4 and m >= 2:
         raise ResourceLimitError("the product average is capped at s <= 3 for m >= 2")
-    maps = [add_map(p, m, h) for h in range(size)]
     # family position w has bit i = coordinate i of the corner
     corners = [family[sum(bit << i for i, bit in enumerate(bits))].values
                for bits in itertools.product((0, 1), repeat=s)]
-    lhs = abs(_cube_average(corners, [maps] * s))
+    lhs = abs(_cube_average(corners, [np.arange(size)] * s, p, m))
     norms = [gowers_norm(t, s).value for t in family]
     rhs = float(np.prod(norms))
     return {"product_average": lhs, "norm_product": rhs, "norms": norms, "holds": lhs <= rhs + slack}

@@ -93,27 +93,37 @@ def inverse_u2_oracle(values, p, m):
 # ---------------------------------------------------------------------------
 # uniformity norms, literal nested sums
 
-def gowers_raw_oracle(values, p, m, s):
-    """E_{x, h_1..h_s} prod over cube vertices, conjugating odd vertices.
+def cube_raw_oracle(corners, p, m, s):
+    """E_{x, h_1..h_s} prod_w C^|w| corners[w](x + w . h).
 
-    Returns the raw 2^s-power average as a complex number.
+    ``corners`` lists 2^s value lists; position w holds the corner whose
+    coordinate i is bit i of w, and C conjugates the corners of odd
+    weight.  Returns the raw average as a complex number.
     """
     size = p**m
     total = 0j
     for x in range(size):
         for hs in itertools.product(range(size), repeat=s):
             prod = 1 + 0j
-            for bits in itertools.product((0, 1), repeat=s):
+            for w, values in enumerate(corners):
                 pt = x
-                for i, bit in enumerate(bits):
-                    if bit:
+                for i in range(s):
+                    if w >> i & 1:
                         pt = add_indices(pt, hs[i], p, m)
-                val = values[pt]
-                if sum(bits) % 2:
+                val = complex(values[pt])
+                if bin(w).count("1") % 2:
                     val = val.conjugate()
                 prod *= val
             total += prod
     return total / size ** (s + 1)
+
+
+def gowers_raw_oracle(values, p, m, s):
+    """E_{x, h_1..h_s} prod over cube vertices, conjugating odd vertices.
+
+    Returns the raw 2^s-power average as a complex number.
+    """
+    return cube_raw_oracle([values] * 2**s, p, m, s)
 
 
 def _pair_at(values, x, y, size):
@@ -134,11 +144,16 @@ def box_raw_oracle(values, p, n):
     return total / size**4
 
 
-def _stack_raw(values, p, n, displacements):
+def stack_raw_oracle(values, p, n, displacements):
     """Average of the alternating product over the cube spanned by the
     given pair-space displacements (a_i, b_i) scaled by h_i."""
     size = p**n
     k = len(displacements)
+    # addition and the scaled steps as lookup tables, so that n = 2 runs
+    # in seconds
+    add = [[add_indices(u, v, p, n) for v in range(size)] for u in range(size)]
+    steps = [[(scale_index(a, h, p, n), scale_index(b, h, p, n)) for h in range(size)]
+             for a, b in displacements]
     total = 0j
     for x, y in itertools.product(range(size), repeat=2):
         for hs in itertools.product(range(size), repeat=k):
@@ -147,10 +162,9 @@ def _stack_raw(values, p, n, displacements):
                 px, py = x, y
                 for i, bit in enumerate(bits):
                     if bit:
-                        a, b = displacements[i]
-                        px = add_indices(px, scale_index(a, hs[i], p, n), p, n)
-                        py = add_indices(py, scale_index(b, hs[i], p, n), p, n)
-                val = _pair_at(values, px, py, size)
+                        dx, dy = steps[i][hs[i]]
+                        px, py = add[px][dx], add[py][dy]
+                val = complex(_pair_at(values, px, py, size))
                 if sum(bits) % 2:
                     val = val.conjugate()
                 prod *= val
@@ -160,12 +174,12 @@ def _stack_raw(values, p, n, displacements):
 
 def slot0_raw_oracle(values, p, n):
     """Eighth power: directions (0, h1), (0, h2), (h3, 0)."""
-    return _stack_raw(values, p, n, ((0, 1), (0, 1), (1, 0)))
+    return stack_raw_oracle(values, p, n, ((0, 1), (0, 1), (1, 0)))
 
 
 def slot1_raw_oracle(values, p, n):
     """Fourth power: directions (0, h1), (-h2, h2)."""
-    return _stack_raw(values, p, n, ((0, 1), (-1, 1)))
+    return stack_raw_oracle(values, p, n, ((0, 1), (-1, 1)))
 
 
 def slot2_raw_oracle(values, p, n):

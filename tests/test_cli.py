@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -202,6 +203,8 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         # a huge digit count is refused before p^m is formed
         ("norm", "--m", "10000"),
         ("count", "--n", "100000000"),
+        # the cube product average is refused by its cost estimate
+        ("verify", "--suite", "norms", "--p", "3", "--n", "9"),
     ]
     for name, kind, bad in (("nan", "real", "nan 0.0"), ("inf", "real", "inf 0.0"),
                             ("imaginary", "real", "1.0 0.5"), ("half", "indicator", "0.5 0.0")):
@@ -236,6 +239,25 @@ def test_exit_code_one_on_failed_assertion():
         expect=1,
     )
     assert proc.returncode == 1
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # a reader that has gone away, like `lshape ... | head -5`, leaves a
+    # pipe whose every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lshape.cli", "norm", "--p", "3", "--m", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_elapsed_goes_to_stderr_not_stdout():

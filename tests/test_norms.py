@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from lshape import norms
 from lshape.field import ResourceLimitError
 from lshape.norms import (
     box_norm,
@@ -103,6 +104,20 @@ def test_slot_norms_match_oracles():
         slot_norm(g, 3)
 
 
+def test_slot0_pairs_match_oracle_at_n2():
+    # n = 2 has four pairs {h3, -h3}; n = 1 has only one
+    rng = np.random.default_rng(12)
+    tables = [
+        FunctionTable(3, 4, rng.standard_normal(81), "real"),
+        _random_table(3, 4, 13),
+        IndicatorSet.from_mask(3, 4, rng.random(81) < 0.5).table,
+    ]
+    for g in tables:
+        want = orc.slot0_raw_oracle(list(g.values), 3, 2)
+        got = slot_norm(g, 0).raw_average
+        assert complex(got) == pytest.approx(complex(want), abs=1e-12), g.kind
+
+
 def test_constant_slot_norms_are_modulus():
     for c in (1.0, -0.5, 0.3 + 0.4j):
         g = FunctionTable(3, 2, np.full(9, c), "complex")
@@ -130,6 +145,24 @@ def test_directional_average_three_directions_is_slot0():
     avg = directional_average(g, [(0, 1), (0, 1), (1, 0)])
     want = orc.slot0_raw_oracle(list(g.values), 3, 1)
     assert avg == pytest.approx(want.real, abs=1e-12)
+
+
+def test_directional_average_two_directions_at_n2():
+    g = _random_table(3, 4, 14)
+    for dirs in ([(1, 1), (2, 1)], [(0, 1), (-1, 1)]):
+        want = orc.stack_raw_oracle(list(g.values), 3, 2, dirs)
+        assert directional_average(g, dirs) == pytest.approx(want.real, abs=1e-12)
+
+
+def test_cube_product_matches_oracle(monkeypatch):
+    for p, m, s in [(3, 1, 2), (3, 2, 2), (5, 1, 2), (3, 1, 3), (3, 2, 3)]:
+        family = [_random_table(p, m, 500 + 10 * s + w) for w in range(2**s)]
+        want = abs(orc.cube_raw_oracle([list(t.values) for t in family], p, m, s))
+        assert gcs_check(family, s)["product_average"] == pytest.approx(want, abs=1e-12)
+        # blocks of 7 (h_s, x) pairs: several per sum, the last one ragged
+        with monkeypatch.context() as mp:
+            mp.setattr(norms, "_CUBE_BLOCK", 7)
+            assert gcs_check(family, s)["product_average"] == pytest.approx(want, abs=1e-12)
 
 
 def test_gcs_inequality_random_families():
