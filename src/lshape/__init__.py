@@ -69,8 +69,6 @@ from .linforms import (
     cs_complexity,
     lshape_point_system,
     lshape_slot_system,
-    row_uniformity_proportion,
-    system_average,
     uniformity_count_check,
     verify_certificate,
     von_neumann_check,
@@ -78,12 +76,8 @@ from .linforms import (
 from .structured import (
     FiberFamily,
     StructuredProductSet,
-    approx_poly_proportion,
     base_uniformity_transfer_check,
-    face_derivative_statistic,
     fiber_levels,
-    fiber_stats,
-    intersection_codim_statistic,
     load_fibers,
     random_family,
     save_fibers,
@@ -149,19 +143,13 @@ __all__ = [
     "cs_complexity",
     "lshape_point_system",
     "lshape_slot_system",
-    "row_uniformity_proportion",
-    "system_average",
     "uniformity_count_check",
     "verify_certificate",
     "von_neumann_check",
     "FiberFamily",
     "StructuredProductSet",
-    "approx_poly_proportion",
     "base_uniformity_transfer_check",
-    "face_derivative_statistic",
     "fiber_levels",
-    "fiber_stats",
-    "intersection_codim_statistic",
     "load_fibers",
     "random_family",
     "save_fibers",

@@ -1082,10 +1082,11 @@ def increment_driver(
 ) -> dict:
     """Iterate density increments on a configuration-free S inside T.
 
-    Each step tries, in order: the fiber-mean split, the skew-line
-    split, and finally pseudorandomization followed by restriction to
-    the selected cell and fiber level, renormalization to the cell's
-    coordinates, and offset alignment.  The trajectory records every
+    S must sit inside a nonempty T; that is checked once, up front, and
+    every move keeps it so.  Each step tries, in order: the fiber-mean
+    split, the skew-line split, and finally pseudorandomization followed
+    by restriction to the selected cell and fiber level, renormalization
+    to the cell's coordinates, and offset alignment.  The trajectory records every
     step; the loop stops when S is empty or fills T, when the ambient
     dimension is exhausted, when no move gains density, or at the step
     cap.  Configuration-freeness is re-checked after every coordinate
@@ -1093,16 +1094,13 @@ def increment_driver(
     configurations, so this is an audit, not a hope).
     """
     _check_scales(eps, tau)
+    _density_inside(s_set, t.table)
     trajectory: list[dict] = []
     current_s, current_t = s_set, t
     halted = ""
     for step in range(max_steps):
-        size = current_t.p**current_t.n
         t_mass = current_t.table.cardinality
         s_mass = current_s.cardinality
-        if t_mass == 0:
-            halted = "structured set emptied"
-            break
         sigma = s_mass / t_mass
         if require_l_free and not _verify_l_free(current_t.p, current_t.n, current_s.member_indices()):
             raise AssertionError("the candidate set acquired a configuration")
@@ -1169,11 +1167,10 @@ def increment_driver(
 
     else:
         halted = "step cap reached"
-    final_mass = current_t.table.cardinality
     return {
         "halted_because": halted,
         "steps": len(trajectory),
         "trajectory": trajectory,
-        "final_sigma": (current_s.cardinality / final_mass) if final_mass else None,
+        "final_sigma": current_s.cardinality / current_t.table.cardinality,
         "final_ambient_dim": current_t.n,
     }

@@ -23,8 +23,7 @@ import numpy as np
 
 from .field import rank_mod
 from .norms import gowers_norm
-from .spectral import u2_fourth_batch
-from .tables import product_lift
+from .patterns import count_system
 
 __all__ = [
     "LinearForm",
@@ -32,10 +31,8 @@ __all__ = [
     "ComplexityCertificate",
     "cs_complexity",
     "verify_certificate",
-    "system_average",
     "von_neumann_check",
     "uniformity_count_check",
-    "row_uniformity_proportion",
     "corner_slot_system",
     "lshape_slot_system",
     "corner_point_system",
@@ -264,13 +261,6 @@ def verify_certificate(system: LinearFormSystem, cert: ComplexityCertificate) ->
     return True
 
 
-def system_average(system: LinearFormSystem, tables, n: int) -> complex:
-    """E over variable tuples of the product of the tables at the forms."""
-    from .patterns import count_system
-
-    return count_system(tables, system, n).average
-
-
 def von_neumann_check(system: LinearFormSystem, tables, s: int, n: int, slack: float = 1e-9) -> dict:
     """|E prod f_j(psi_j)| <= min_j ||f_j||_{U^(s+1)} for 1-bounded f_j,
     provided the system has complexity at most s."""
@@ -280,7 +270,7 @@ def von_neumann_check(system: LinearFormSystem, tables, s: int, n: int, slack: f
     for t in tables:
         if not t.is_one_bounded():
             raise ValueError("product-average bounds need 1-bounded tables")
-    lhs = abs(system_average(system, tables, n))
+    lhs = abs(count_system(tables, system, n).average)
     norms = [gowers_norm(t, s + 1).value for t in tables]
     rhs = min(norms)
     return {
@@ -302,7 +292,7 @@ def uniformity_count_check(system: LinearFormSystem, tables, s: int, n: int, sla
         raise ValueError(f"system complexity {cert.s} exceeds s = {s}")
     means = [complex(t.mean()) for t in tables]
     devs = [gowers_norm(t.minus_const(mu), s + 1).value for t, mu in zip(tables, means)]
-    lhs = abs(system_average(system, tables, n) - np.prod(means))
+    lhs = abs(count_system(tables, system, n).average - np.prod(means))
     rhs = len(tables) * max(devs)
     return {
         "complexity": cert.s,
@@ -311,60 +301,4 @@ def uniformity_count_check(system: LinearFormSystem, tables, s: int, n: int, sla
         "gap": lhs,
         "bound": rhs,
         "holds": lhs <= rhs + slack,
-    }
-
-
-SLOT_COEFF = {"y": 0, "x+y": 1, "2x+y": 2}
-
-
-def row_uniformity_proportion(factors: dict, s: int, eps: float) -> dict:
-    """Rows of a slot-product set that deviate from the product density.
-
-    ``factors`` maps slot names ("y", "x+y", "2x+y") to indicator sets
-    on Z_p^n.  F(x, y) is the product of the factors at their slots;
-    for each x the deviation ||F(x, .) - prod beta_j||_{U^2} is computed
-    exactly, and the returned proportion counts rows with deviation at
-    least eps^(1/8).
-
-    The certified precondition is that the multiset of the slot forms
-    shifted four ways (y, y+h, y+k, y+h+k) in the variables (x, y, h, k)
-    has complexity at most s - 1; the certificate outcome is reported
-    alongside the statistic.
-    """
-    if not factors:
-        raise ValueError("need at least one slot factor")
-    items = sorted(factors.items(), key=lambda kv: SLOT_COEFF[kv[0]])
-    p = items[0][1].p
-    n = items[0][1].m
-    size = p**n
-    lifted = None
-    beta_prod = 1.0
-    for slot, fac in items:
-        if (fac.p, fac.m) != (p, n):
-            raise ValueError("slot factors live on different spaces")
-        lift = product_lift(fac.table, slot)
-        lifted = lift if lifted is None else lifted.times(lift)
-        beta_prod *= fac.density
-    grid = lifted.as_pair_grid()
-    rows = grid - beta_prod
-    fourths = u2_fourth_batch(rows, p, n)
-    deviations = fourths**0.25
-    threshold = eps ** (1.0 / 8.0)
-    proportion = float(np.mean(deviations >= threshold))
-
-    shift_rows = []
-    for slot, _ in items:
-        a = SLOT_COEFF[slot]
-        for he, ke in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            shift_rows.append([a, 1, he, ke])
-    shifted = LinearFormSystem.from_rows(p, shift_rows)
-    cert = cs_complexity(shifted)
-    return {
-        "proportion": proportion,
-        "threshold": threshold,
-        "deviations_max": float(deviations.max()),
-        "product_density": beta_prod,
-        "shifted_complexity": cert.s,
-        "precondition_holds": (not cert.is_infinite) and cert.s <= s - 1,
-        "sqrt_eps": eps**0.5,
     }

@@ -186,7 +186,7 @@ def gowers_norm(
     if domain is not None:
         f = f.restrict(domain)
     size = p_m = f.p**f.m
-    est = size**s if definition_only else size ** max(s - 2, 0) * size
+    est = size ** (s + 1) if definition_only else size ** max(s - 2, 0) * size
     if est > cost_cap:
         raise ResourceLimitError(
             f"U^{s} on {p_m} points needs ~{est} operations (cap {cost_cap})"
@@ -294,7 +294,7 @@ def gcs_check(family, s: int, slack: float = 1e-9) -> dict:
     if any((t.p, t.m) != (p, m) for t in family):
         raise ValueError("family members live on different spaces")
     size = p**m
-    est = size**s
+    est = size ** (s + 1)
     if est > COST_CAP:
         raise ResourceLimitError(
             f"the U^{s} cube product on {size} points needs ~{est} operations (cap {COST_CAP})"

@@ -23,7 +23,6 @@ offset lives in the increment module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,10 +30,8 @@ import numpy as np
 from .field import (
     AffineSubspace,
     GroupVector,
-    ResourceLimitError,
     check_modulus,
     check_size,
-    combine,
     digit_table,
     line_means,
     rank_mod,
@@ -48,11 +45,7 @@ __all__ = [
     "StructuredProductSet",
     "FiberLevel",
     "fiber_levels",
-    "fiber_stats",
     "base_uniformity_transfer_check",
-    "approx_poly_proportion",
-    "face_derivative_statistic",
-    "intersection_codim_statistic",
     "random_family",
     "save_fibers",
     "load_fibers",
@@ -240,34 +233,6 @@ class StructuredProductSet:
         }
 
 
-def fiber_stats(t: StructuredProductSet, eps_prime: float) -> dict:
-    """Empirical fiber densities of T along the four natural pencils.
-
-    Rows fix x, columns fix y, anti-diagonals fix x + y, skew lines fix
-    2x + y.  Each pencil's target is the product of the other factor
-    densities; the report carries the density arrays plus the
-    proportion deviating by more than eps_prime.
-    """
-    p, n = t.p, t.n
-    size = p**n
-    grid = t.table.mask.reshape((size, size), order="F")
-    def pencil(densities: np.ndarray, target: float) -> dict:
-        dev = np.abs(densities - target)
-        return {
-            "densities": densities,
-            "target": target,
-            "deviating_proportion": float(np.mean(dev > eps_prime)),
-            "max_deviation": float(dev.max()),
-        }
-
-    report = {"eps_prime": eps_prime}
-    for key, (_, means, _, others) in zip(("rows", "columns", "anti_diagonals"), t.pencils(grid)):
-        report[key] = pencil(means, others)
-    skew_target = t.fibers.base.density * t.y_set.density * t.sum_set.density * t.fibers.rho
-    report["skew_lines"] = pencil(line_means(grid, p, n, 2), skew_target)
-    return report
-
-
 @dataclass(frozen=True)
 class FiberLevel:
     """Level i of a family inside a product cell.
@@ -349,178 +314,6 @@ def base_uniformity_transfer_check(fam: FiberFamily, s: int, slack: float = 1e-9
     bound = rhs / fam.rho
     return {"base_norm": lhs, "family_norm": rhs, "rho": fam.rho, "bound": bound,
             "holds": lhs <= bound + slack}
-
-
-def _difference_sign(s: int, bits: tuple[int, ...]) -> int:
-    return -1 if (s - sum(bits)) % 2 else 1
-
-
-def _cube_walk(size: int, k: int, exact: bool, seed: int, samples: int):
-    """The (x, h_1..h_k) tuples a cube statistic visits, x as an array.
-
-    Exact: every h tuple, with x running over all points.  Sampled: x
-    and then the hs drawn from a seeded generator, x a length-1 array.
-    """
-    if exact:
-        xs = np.arange(size)
-        for hs in itertools.product(range(size), repeat=k):
-            yield xs, hs
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = np.array([int(rng.integers(size))])
-            yield x, tuple(int(rng.integers(size)) for _ in range(k))
-
-
-def _cube_report(admissible: int, vanishing: int, exact: bool, seed: int, samples: int) -> dict:
-    return {
-        "proportion": vanishing / admissible if admissible else 0.0,
-        "admissible": admissible,
-        "vanishing": vanishing,
-        "exact": exact,
-        "seed": None if exact else seed,
-        "samples": None if exact else samples,
-    }
-
-
-def approx_poly_proportion(
-    phi: np.ndarray,
-    s: int,
-    p: int,
-    n: int,
-    base: IndicatorSet | None = None,
-    cap: int = 10**7,
-    seed: int = 0,
-    samples: int = 20000,
-) -> dict:
-    """Proportion of difference tuples on which the s-fold additive
-    difference of phi vanishes.
-
-    phi maps Z_p^n -> Z_p^n as an (p^n, n) digit array.  A tuple
-    (x, h_1, ..., h_s) is admissible when all 2^s sums x + sum_{i in w} h_i
-    land in the base; among admissible tuples we count those with
-
-        sum_w (-1)^(s - |w|) phi(x + w . h) = 0.
-
-    Exact enumeration when p^(n(s+1)) fits the cap, otherwise seeded
-    Monte Carlo; the report says which.
-    """
-    size = p**n
-    phi = np.asarray(phi, dtype=np.int64) % p
-    base_mask = np.ones(size, dtype=bool) if base is None else base.mask
-    subsets = list(itertools.product((0, 1), repeat=s))
-    exact = size ** (s + 1) <= cap
-    admissible = 0
-    vanishing = 0
-    for xs, hs in _cube_walk(size, s, exact, seed, samples):
-        total_diff = np.zeros(xs.shape + (n,), dtype=np.int64)
-        ok = np.ones(xs.shape, dtype=bool)
-        for bits in subsets:
-            pos = combine(p, n, (1,) + bits, (xs,) + hs)
-            ok &= base_mask[pos]
-            total_diff = total_diff + _difference_sign(s, bits) * phi[pos]
-        vanish = np.all(total_diff % p == 0, axis=-1)
-        admissible += int(ok.sum())
-        vanishing += int((ok & vanish).sum())
-    return _cube_report(admissible, vanishing, exact, seed, samples)
-
-
-def face_derivative_statistic(
-    phi: np.ndarray,
-    base: IndicatorSet | None,
-    s: int,
-    p: int,
-    n: int,
-    cap: int = 10**7,
-    seed: int = 0,
-    samples: int = 20000,
-) -> dict:
-    """Proportion of (2s+2)-dimensional difference boxes inside the base
-    on which every face derivative of phi vanishes.
-
-    The box through x with sides h_1 .. h_(2s+2) has corners
-    x + w . h over w in {0,1}^(2s+2); the derivative on the face
-    {w_i = e} is sum over that face of (-1)^|w| phi(corner).  s = 0 is
-    exact; larger s falls back to seeded sampling above the cap.
-    """
-    k = 2 * s + 2
-    size = p**n
-    phi = np.asarray(phi, dtype=np.int64) % p
-    base_mask = np.ones(size, dtype=bool) if base is None else base.mask
-    subsets = list(itertools.product((0, 1), repeat=k))
-    exact = size ** (k + 1) <= cap
-    admissible = 0
-    vanishing = 0
-    for xs, hs in _cube_walk(size, k, exact, seed, samples):
-        positions = {}
-        ok = np.ones(xs.shape, dtype=bool)
-        for bits in subsets:
-            pos = combine(p, n, (1,) + bits, (xs,) + hs)
-            positions[bits] = pos
-            ok = ok & base_mask[pos]
-        vanish = np.ones(xs.shape, dtype=bool)
-        for i in range(k):
-            for e in (0, 1):
-                acc = np.zeros(xs.shape + (n,), dtype=np.int64)
-                for bits in subsets:
-                    if bits[i] != e:
-                        continue
-                    sign = -1 if sum(bits) % 2 else 1
-                    acc = acc + sign * phi[positions[bits]]
-                vanish = vanish & np.all(acc % p == 0, axis=-1)
-        admissible += int(ok.sum())
-        vanishing += int((ok & vanish).sum())
-    return _cube_report(admissible, vanishing, exact, seed, samples)
-
-
-def intersection_codim_statistic(fam: FiberFamily, system, shifts, cap: int = 10**7) -> dict:
-    """How often stacked fiber constraints degenerate.
-
-    For a scalar system psi_1..psi_k in r variables and shift vectors
-    w_1..w_k, the set {y : all Phi(psi_i(xs), y + w_i) = 1} is cut out by
-    the k*d stacked normal rows; its generic codimension is k*d.  The
-    statistic is the proportion, among variable tuples whose form images
-    all lie in the base, of degenerate intersections (codimension not
-    equal to k*d, with the empty set counting as codimension n).
-    """
-    p, n, d = fam.p, fam.n, fam.d
-    size = p**n
-    r = system.r
-    if r > 3:
-        raise ResourceLimitError("tuple enumeration is capped at r <= 3")
-    if size**r > cap:
-        raise ResourceLimitError(f"tuple space {size ** r} exceeds cap")
-    forms = system.scalar_matrix()
-    if len(forms) != len(shifts):
-        raise ValueError(f"{len(forms)} forms but {len(shifts)} shifts")
-    base_mask = fam.base.mask
-    shift_digits = [w.as_array() if isinstance(w, GroupVector) else np.asarray(w, dtype=np.int64) % p for w in shifts]
-    mesh = np.indices((size,) * r).reshape(r, -1)
-    images = [combine(p, n, row, mesh) for row in forms]
-    admissible = 0
-    degenerate = 0
-    expected = min(len(forms) * d, n)
-    for t in range(mesh.shape[1]):
-        pts = [int(img[t]) for img in images]
-        if not all(base_mask[pt] for pt in pts):
-            continue
-        admissible += 1
-        rows = []
-        rhs = []
-        for pt, w in zip(pts, shift_digits):
-            nx = fam.normals[pt]
-            rows.append(nx)
-            rhs.append((nx @ ((fam.offsets[pt] - w) % p)) % p)
-        codim = subspace_from_normals(p, n, np.vstack(rows), np.concatenate(rhs)).codimension
-        if codim != len(forms) * d:
-            degenerate += 1
-    return {
-        "admissible": admissible,
-        "degenerate": degenerate,
-        "proportion": degenerate / admissible if admissible else 0.0,
-        "generic_codim": len(forms) * d,
-        "note_expected_cap": expected,
-    }
 
 
 def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) -> FiberFamily:

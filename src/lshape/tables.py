@@ -13,6 +13,7 @@ same data as an N x N array G[x_index, y_index].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -230,27 +231,28 @@ class IndicatorSet:
     def complement(self) -> "IndicatorSet":
         return IndicatorSet.from_table(FunctionTable(self.p, self.m, ~self.mask))
 
-    def intersect(self, other: "IndicatorSet") -> "IndicatorSet":
-        return IndicatorSet.from_table(self.table.times(other.table))
-
 
 def balanced(s: IndicatorSet) -> FunctionTable:
     """The mean-zero shift: indicator minus density."""
     return s.table.minus_const(s.density)
 
 
+@lru_cache(maxsize=16)
 def slot_index_array(p: int, n: int, slot: str) -> np.ndarray:
-    """For each pair index of Z_p^n x Z_p^n, the index of the slot value."""
+    """For each pair index of Z_p^n x Z_p^n, the index of the slot value, read-only."""
     if slot not in SLOTS:
         raise ValueError(f"slot must be one of {SLOTS}, got {slot!r}")
     n_points = p**n
     pair = np.arange(n_points * n_points, dtype=np.int64)
     x_idx, y_idx = unpair_index(pair, n_points)
     if slot == "x":
-        return x_idx
-    if slot == "y":
-        return y_idx
-    return combine(p, n, (1 if slot == "x+y" else 2, 1), (x_idx, y_idx))
+        out = x_idx
+    elif slot == "y":
+        out = y_idx
+    else:
+        out = combine(p, n, (1 if slot == "x+y" else 2, 1), (x_idx, y_idx))
+    out.setflags(write=False)
+    return out
 
 
 def product_lift(a: FunctionTable, slot: str) -> FunctionTable:

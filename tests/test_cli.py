@@ -203,8 +203,13 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         # a huge digit count is refused before p^m is formed
         ("norm", "--m", "10000"),
         ("count", "--n", "100000000"),
-        # the cube product average is refused by its cost estimate
+        # the cube product average is refused by its cost estimate, which
+        # counts x as well as the s differences
         ("verify", "--suite", "norms", "--p", "3", "--n", "9"),
+        ("verify", "--suite", "norms", "--p", "3", "--n", "8"),
+        # an empty structured set is refused before any move, by both commands
+        ("pseudorandomize", "--p", "3", "--n", "2", "--d", "2", "--seed", "0"),
+        ("increment", "--p", "3", "--n", "2", "--d", "2", "--seed", "0"),
     ]
     for name, kind, bad in (("nan", "real", "nan 0.0"), ("inf", "real", "inf 0.0"),
                             ("imaginary", "real", "1.0 0.5"), ("half", "indicator", "0.5 0.0")):

@@ -1,8 +1,10 @@
-"""Each module's ``__all__`` matches what it defines."""
+"""Each module's ``__all__`` matches what it defines, and imports nothing it does not use."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import lshape
 
@@ -22,3 +24,18 @@ def test_all_names_resolve_and_list_every_public_definition():
             and obj.__module__ == mod.__name__
         }
         assert defined <= listed, (mod.__name__, sorted(defined - listed))
+
+
+def test_every_module_level_import_is_used():
+    for path in sorted(Path(lshape.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

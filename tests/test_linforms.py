@@ -12,8 +12,6 @@ from lshape.linforms import (
     cs_complexity,
     lshape_point_system,
     lshape_slot_system,
-    row_uniformity_proportion,
-    system_average,
     uniformity_count_check,
     verify_certificate,
     von_neumann_check,
@@ -89,14 +87,14 @@ def test_complexity_needs_scalar_forms():
 
 
 def test_system_average_matches_pattern_counters():
-    from lshape.patterns import corner_average, lshape_average
+    from lshape.patterns import corner_average, count_system, lshape_average
 
     rng = np.random.default_rng(5)
     s = IndicatorSet.from_mask(3, 2, rng.random(9) < 0.5)
-    got = system_average(lshape_point_system(3), [s.table] * 4, 1)
+    got = count_system([s.table] * 4, lshape_point_system(3), 1).average
     want = lshape_average(*[s.table] * 4).average
     assert complex(got) == pytest.approx(complex(want), abs=1e-12)
-    got3 = system_average(corner_point_system(3), [s.table] * 3, 1)
+    got3 = count_system([s.table] * 3, corner_point_system(3), 1).average
     want3 = corner_average(*[s.table] * 3).average
     assert complex(got3) == pytest.approx(complex(want3), abs=1e-12)
 
@@ -133,18 +131,3 @@ def test_uniformity_count_gap_vanishes_for_constants():
     rep = uniformity_count_check(lshape_slot_system(p), tables, 1, 1)
     assert rep["gap"] == pytest.approx(0.0, abs=1e-12)
     assert rep["bound"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_row_uniformity_proportion_shape():
-    rng = np.random.default_rng(23)
-    factors = {
-        "y": IndicatorSet.from_mask(3, 2, rng.random(9) < 0.7),
-        "x+y": IndicatorSet.from_mask(3, 2, rng.random(9) < 0.7),
-        "2x+y": IndicatorSet.from_mask(3, 2, rng.random(9) < 0.7),
-    }
-    rep = row_uniformity_proportion(factors, 2, 0.2)
-    assert 0.0 <= rep["proportion"] <= 1.0
-    assert rep["threshold"] == pytest.approx(0.2 ** (1 / 8))
-    assert rep["precondition_holds"] in (True, False)
-    with pytest.raises(ValueError):
-        row_uniformity_proportion({}, 2, 0.1)

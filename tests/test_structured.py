@@ -1,22 +1,15 @@
-"""Fiber families, the product obstruction set, and its statistics."""
-
-import itertools
+"""Fiber families, the product obstruction set, and fiber levels."""
 
 import numpy as np
 import pytest
 
 import oracles as orc
 from lshape.field import GroupVector, ResourceLimitError, subspace_from_normals
-from lshape.linforms import LinearFormSystem
 from lshape.structured import (
     FiberFamily,
     StructuredProductSet,
-    approx_poly_proportion,
     base_uniformity_transfer_check,
-    face_derivative_statistic,
     fiber_levels,
-    fiber_stats,
-    intersection_codim_statistic,
     load_fibers,
     random_family,
     save_fibers,
@@ -206,26 +199,6 @@ def test_product_set_rejects_mismatched_factors():
         StructuredProductSet(wrong, IndicatorSet.full(3, 1), IndicatorSet.full(3, 1), fam)
 
 
-def test_fiber_stats_full_set_has_no_deviation():
-    full = IndicatorSet.full(3, 2)
-    t = StructuredProductSet(full, full, full, FiberFamily.full(full))
-    rep = fiber_stats(t, 0.05)
-    for pencil in ("rows", "columns", "anti_diagonals", "skew_lines"):
-        assert rep[pencil]["max_deviation"] == pytest.approx(0.0, abs=1e-12)
-        assert rep[pencil]["deviating_proportion"] == 0.0
-
-
-def test_fiber_stats_sees_planted_row_bias():
-    p, n = 3, 2
-    full = IndicatorSet.full(p, n)
-    half = IndicatorSet.from_mask(p, n, np.arange(9) < 6)
-    t = StructuredProductSet(full, full, full, FiberFamily.full(half))
-    rep = fiber_stats(t, 0.05)
-    # the base kills three rows entirely, so row densities split 0 / 1
-    assert rep["rows"]["max_deviation"] > 0.3
-    assert rep["columns"]["max_deviation"] < 0.34  # column target includes alpha
-
-
 def test_fiber_levels_partition():
     p, n = 3, 2
     full = IndicatorSet.full(p, n)
@@ -251,101 +224,6 @@ def test_base_uniformity_transfer():
         fam = random_family(3, 2, 1, seed=seed, base_density=0.6)
         for s in (1, 2):
             assert base_uniformity_transfer_check(fam, s)["holds"]
-
-
-def test_approx_poly_constant_and_linear():
-    p, n = 3, 1
-    const = np.tile(np.array([[2]]), (3, 1))
-    rep = approx_poly_proportion(const, 1, p, n)
-    assert rep["exact"] and rep["proportion"] == 1.0
-
-    mat = np.array([[2]])
-    linear = np.array([(mat @ np.array(orc.digits_le(x, p, n))) % p for x in range(3)])
-    rep1 = approx_poly_proportion(linear, 1, p, n)
-    assert rep1["proportion"] < 1.0  # first differences see the slope
-    rep2 = approx_poly_proportion(linear, 2, p, n)
-    assert rep2["exact"] and rep2["proportion"] == 1.0
-
-
-def test_approx_poly_respects_base():
-    p, n = 3, 1
-    base = IndicatorSet.from_indices(p, n, [0])
-    phi = np.zeros((3, 1), dtype=np.int64)
-    rep = approx_poly_proportion(phi, 1, p, n, base=base)
-    # only x = h = 0 keeps both cube corners in the base
-    assert rep["admissible"] == 1
-    assert rep["proportion"] == 1.0
-
-
-def _cube_oracle(phi, base, p, n, x, hs, faces):
-    """(admissible, vanishing) of the difference cube through x with sides
-    hs, walked corner by corner with plain index additions."""
-    corners = {}
-    for bits in itertools.product((0, 1), repeat=len(hs)):
-        pt = x
-        for bit, h in zip(bits, hs):
-            pt = orc.add_indices(pt, h, p, n) if bit else pt
-        corners[bits] = pt
-    if not all(base[pt] for pt in corners.values()):
-        return 0, 0
-    if faces:
-        groups = [[w for w in corners if w[i] == e] for i in range(len(hs)) for e in (0, 1)]
-    else:
-        groups = [list(corners)]
-    vanish = all(
-        all(sum((-1) ** sum(w) * int(phi[corners[w]][j]) for w in group) % p == 0 for j in range(n))
-        for group in groups
-    )
-    return 1, int(vanish)
-
-
-def test_cube_statistics_match_corner_walk():
-    p, n = 3, 2
-    size = p**n
-    rng = np.random.default_rng(21)
-    phi = rng.integers(0, p, size=(size, n))
-    base = _base(p, n, 22, density=0.8)
-    for s, faces, stat in ((1, False, approx_poly_proportion), (0, True, face_derivative_statistic)):
-        sides = 2 * s + 2 if faces else s
-        args = (phi, s, p, n, base) if not faces else (phi, base, s, p, n)
-        exact = stat(*args)
-        want = np.sum([_cube_oracle(phi, base.mask, p, n, t[0], t[1:], faces)
-                       for t in itertools.product(range(size), repeat=sides + 1)], axis=0)
-        assert exact["exact"] and [exact["admissible"], exact["vanishing"]] == want.tolist()
-        # the sampled branch draws x, then the sides, from the seeded generator
-        sampled = stat(*args, cap=1, seed=5, samples=300)
-        draws = np.random.default_rng(5)
-        want = np.sum([_cube_oracle(phi, base.mask, p, n, int(draws.integers(size)),
-                                    [int(draws.integers(size)) for _ in range(sides)], faces)
-                       for _ in range(300)], axis=0)
-        assert not sampled["exact"] and [sampled["admissible"], sampled["vanishing"]] == want.tolist()
-
-
-def test_face_derivative_statistic_constant_vs_linear():
-    p, n = 3, 1
-    const = np.tile(np.array([[1]]), (3, 1))
-    rep = face_derivative_statistic(const, None, 0, p, n)
-    assert rep["exact"] and rep["proportion"] == 1.0
-    linear = np.array([[(2 * x) % 3] for x in range(3)])
-    rep_lin = face_derivative_statistic(linear, None, 0, p, n)
-    assert rep_lin["proportion"] < 1.0
-
-
-def test_intersection_codim_statistic():
-    p, n = 3, 2
-    full = IndicatorSet.full(p, n)
-    fam0 = FiberFamily.full(full)
-    pair_system = LinearFormSystem.from_rows(p, [[1, 0], [0, 1]])
-    shifts = [GroupVector.zero(p, n)] * 2
-    rep0 = intersection_codim_statistic(fam0, pair_system, shifts)
-    assert rep0["proportion"] == 0.0  # d = 0 never degenerates
-
-    # constant normals: two stacked copies have rank 1, never the generic 2
-    phi = np.tile(np.array([[1, 0]]), (9, 1))
-    fam1 = FiberFamily.from_phi_map(full, phi, GroupVector.zero(p, n))
-    rep1 = intersection_codim_statistic(fam1, pair_system, shifts)
-    assert rep1["generic_codim"] == 2
-    assert rep1["proportion"] == 1.0
 
 
 def test_random_family_is_deterministic():

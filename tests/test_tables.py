@@ -161,6 +161,8 @@ def test_slot_index_arrays():
         for x in range(size):
             for y in range(size):
                 assert int(arr[x + size * y]) == expect(x, y)
+        # cached per (p, n, slot), so no caller may write to it
+        assert slot_index_array(p, n, slot) is arr and not arr.flags.writeable
     with pytest.raises(ValueError):
         slot_index_array(p, n, "3x+y")
 
