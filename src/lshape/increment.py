@@ -38,6 +38,7 @@ from .field import (
     ResourceLimitError,
     combine,
     digit_table,
+    digits_of,
     index_of,
     line_means,
     modular_rref,
@@ -45,11 +46,11 @@ from .field import (
     solve_mod,
     subspace_from_normals,
 )
-from .norms import gowers_norm
+from .norms import RADICAND_FLOOR
 from .patterns import lshape_average
-from .spectral import inverse_u2
+from .spectral import dft_batch, top_index
 from .structured import FiberFamily, StructuredProductSet
-from .tables import FunctionTable, IndicatorSet
+from .tables import IndicatorSet
 
 __all__ = [
     "Cell",
@@ -281,25 +282,86 @@ def energy_monotone_check(
 # pseudorandomization
 
 
-def _pull_back_character(basis_rows: np.ndarray, xi_digits: np.ndarray, p: int) -> tuple[int, ...] | None:
-    """Ambient character nu with basis_rows @ nu = xi (mod p), or None for xi = 0."""
-    if not np.any(xi_digits % p):
-        return None
-    sol = solve_mod(basis_rows % p, xi_digits % p, p)
-    if sol is None:
+#: Complex entries per transform block of the batched U^2 search, which
+#: keeps its spectrum temporaries near a MB; a longer row is one block.
+_U2_BLOCK = 1 << 16
+
+
+def _top_characters(rows: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Top character of each row of a (k, p^dim) stack, balanced to mean zero.
+
+    Returns (index, correlation) per row: the canonical index of the
+    largest Fourier coefficient (ties to the smallest index, as in
+    inverse_u2) and its modulus, with index -1 where the row's U^2 norm
+    is below eps.  Each block of rows is transformed once; the U^2
+    fourth power sum |f_hat|^4 and the top coefficient are both read off
+    that spectrum.  A row with entries in [0, 1] stays 1-bounded when
+    balanced, so its correlation is at least its squared U^2 norm.
+    """
+    k, size = rows.shape
+    index = np.full(k, -1, dtype=np.int64)
+    corr = np.zeros(k)
+    step = max(1, _U2_BLOCK // size)
+    for start in range(0, k, step):
+        block = rows[start : start + step].astype(np.complex128)
+        block -= block.mean(axis=1, keepdims=True)
+        mags = np.abs(dft_batch(block, p, dim))
+        del block  # one row can be the whole pair space
+        best = top_index(mags)
+        corr[start : start + step] = mags[np.arange(len(best)), best]
+        mags *= mags
+        mags *= mags
+        fourth = mags.sum(axis=1)
+        del mags  # freed before the next block's transform
+        if np.any(fourth < RADICAND_FLOOR):
+            raise ValueError(f"U^2 radicand {fourth.min()} is negative beyond tolerance; likely a bug")
+        index[start : start + step] = np.where(np.maximum(fourth, 0.0) ** 0.25 >= eps, best, -1)
+    return index, corr
+
+
+def _pull_back_matrix(basis: np.ndarray, p: int) -> np.ndarray:
+    """The (dim, n) matrix whose row i is solve_mod(basis, e_i).
+
+    The basis rows are independent, so solve_mod's row reduction never
+    pivots on the right-hand side and its solution is linear in it:
+    xi @ matrix (mod p) is exactly solve_mod(basis, xi).
+    """
+    rows = [solve_mod(basis, unit, p) for unit in np.eye(len(basis), dtype=np.int64)]
+    if any(row is None for row in rows):
         raise AssertionError("character pull-back must be solvable for independent basis rows")
-    return tuple(int(v) for v in sol)
+    return np.array(rows, dtype=np.int64)
 
 
-def _top_character(values: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.ndarray, float] | None:
-    """Top character digits and correlation of a flat table balanced to
-    mean zero, or None when its U^2 norm is below eps."""
-    sub = values.astype(np.complex128)
-    table = FunctionTable(p, dim, sub - sub.mean())
-    if gowers_norm(table, 2).value < eps:
-        return None
-    freq, corr = inverse_u2(table)
-    return np.array(freq.digits, dtype=np.int64), corr
+def _pull_back(xi: np.ndarray, pull: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """Ambient characters nu = xi @ pull (mod p) of a (k, dim) stack of coset
+    characters, checked to satisfy basis @ nu = xi (mod p)."""
+    nu = xi @ pull % p
+    if not np.array_equal(nu @ basis.T % p, xi % p):
+        raise AssertionError("a pulled-back character fails basis . nu = xi (mod p)")
+    return nu
+
+
+def _triggered_characters(
+    rows: np.ndarray, p: int, halves: int, eps: float, basis: np.ndarray, pull: np.ndarray
+) -> dict[int, tuple[float, list[tuple[int, ...]]]]:
+    """{row: (correlation, [ambient character])} for the rows of a stack
+    whose U^2 norm reaches eps.
+
+    A row is a table on ``halves`` (1 or 2) copies of the coset direction
+    spanned by ``basis``, as on a coset or on a product cell; each half of
+    the top character is pulled back through ``pull`` on its own, and a
+    zero half gives no character.
+    """
+    dim = len(basis)
+    index, corr = _top_characters(rows, p, halves * dim, eps)
+    hits = np.flatnonzero(index >= 0)
+    xi = digits_of(p, halves * dim, index[hits]).reshape(-1, dim)
+    nu = _pull_back(xi, pull, basis, p).tolist()
+    nonzero = xi.any(axis=1).tolist()
+    return {
+        row: (float(corr[row]), [tuple(nu[h]) for h in range(j * halves, (j + 1) * halves) if nonzero[h]])
+        for j, row in enumerate(hits.tolist())
+    }
 
 
 def _check_scales(eps: float, tau: float) -> None:
@@ -342,6 +404,13 @@ def pseudorandomize_u2(
     densities have fallen below tau * mu(T) / 4 are expired and no
     longer refined on their account.
 
+    Each round searches for characters in two batched U^2 steps: the
+    coset rows of each factor set, one per coset label, are stacked and
+    transformed together, and so are the fiber-level rows of every cell
+    that has not expired (expired cells are never transformed).  The
+    norm and the top character of a row come from one spectrum, and each
+    character is pulled back to Z_p^n through one matrix product mod p.
+
     Afterwards the densest surviving (cell, fiber level) pair for S is
     selected; meeting the margin sigma + tau / 4 is reported, with the
     best ratio returned either way.
@@ -369,62 +438,60 @@ def pseudorandomize_u2(
         big = data["big"]
         coset_dim = partition.direction_dim
 
-        # coset bases shared by every cell of the current direction
-        basis_vecs = subspace_from_normals(p, n, partition.normals, (0,) * partition.codim).basis()
-        x_basis = np.array([v.digits for v in basis_vecs], dtype=np.int64).reshape(coset_dim, n)
+        # members per label, ordered by coset parameters: the normals are
+        # reduced, so label c's coset is V translated by the point whose
+        # pivot coordinates are c and whose free coordinates are 0
+        direction = subspace_from_normals(p, n, partition.normals, (0,) * partition.codim)
+        x_basis = np.array([v.digits for v in direction.basis()], dtype=np.int64).reshape(coset_dim, n)
+        pull = _pull_back_matrix(x_basis, p)
+        label_points = np.zeros((big, n), dtype=np.int64)
+        label_points[:, [row.index(1) for row in partition.normals]] = data["lab_digits"]
+        starts = index_of(p, label_points)
+        members = combine(p, n, (1, 1), (starts[:, None], direction.member_indices()[None, :]))
 
-        # members per label, ordered by coset parameters
-        members_by_label = [subspace_from_normals(p, n, partition.normals, labels).member_indices()
-                            for labels in data["lab_digits"]]
-
-        # per-label deviations of the y, sum and skew factor sets:
-        # {label: (correlation, [character])}
-        factor_devs: list[dict[int, tuple[float, list[tuple[int, ...]]]]] = []
+        # per-label deviations of the y, sum and skew factor sets
+        factor_devs = []
         for s in (t.y_set, t.sum_set, t.skew_set):
-            found = {}
-            for lab_id, members in enumerate(members_by_label):
-                hit = _top_character(s.mask[members], p, coset_dim, eps)
-                nu = None if hit is None else _pull_back_character(x_basis, hit[0], p)
-                if nu is not None:
-                    found[lab_id] = (hit[1], [nu])
-            factor_devs.append(found)
+            devs = _triggered_characters(s.mask[members], p, 1, eps, x_basis, pull)
+            # a top character of 0 pulls back to nothing to refine by
+            factor_devs.append({lab: dev for lab, dev in devs.items() if dev[1]})
 
-        factor_dens = (data["dens_b"], data["dens_c"], data["dens_d"])
-        # level i of the family on the pair grid, shared by every cell
+        # a cell expires when one of its factor densities falls below the floor
+        cell_b = np.repeat(np.arange(big), big)  # cell ca + big * cb lies on y coset cb
+        lowest = np.minimum.reduce([data["dens_b"][cell_b], data["dens_c"][data["sum_lab"]],
+                                    data["dens_d"][data["skew_lab"]], data["phi_dens"][d]])
+        live = np.flatnonzero(lowest >= expiry_floor)
+
+        # fiber level i of every live cell, rows ordered by cell then level;
+        # row entry ix + |V| iy is the pair at coset parameters (ix, iy), so
+        # the x half of a character comes first
         phi_grid = t.fibers.table.mask.reshape((size, size), order="F")
-        level_grids = [phi_grid & ((data["levels"] >= 0) & (data["levels"] <= i))[:, None] for i in range(d + 1)]
+        xs, ys = members[live % big], members[live // big]
+        lev = data["levels"][xs][:, None, None, :]
+        on_level = (lev >= 0) & (lev <= np.arange(d + 1)[None, :, None, None])
+        cell_phi = phi_grid[xs[:, None, :], ys[:, :, None]]
+        level_rows = (cell_phi[:, None] & on_level).reshape(-1, members.shape[1] ** 2)
+        level_devs = _triggered_characters(level_rows, p, 2, eps, x_basis, pull)
 
-        # expiry and trigger bookkeeping, cell by cell
+        # trigger bookkeeping, cell by cell
         cell_measure = 1.0 / (big * big)
-        triggered_cells = set()
-        expired_cells = set()
+        triggered_cells = 0
         certified = 0.0
         chosen_chars: list[tuple[int, ...]] = []
         trigger_count = 0
-        for cb in range(big):
-            for ca in range(big):
-                cell_id = ca + big * cb
-                labels = (cb, int(data["sum_lab"][cell_id]), int(data["skew_lab"][cell_id]))
-                densities = [dens[lab_id] for dens, lab_id in zip(factor_dens, labels)]
-                if min(*densities, data["phi_dens"][d][cell_id]) < expiry_floor:
-                    expired_cells.add(cell_id)
-                    continue
-                cell_triggers = [devs[lab_id] for devs, lab_id in zip(factor_devs, labels) if lab_id in devs]
-                # fiber level deviations on the product cell
-                cell = np.ix_(members_by_label[ca], members_by_label[cb])
-                for grid in level_grids:
-                    hit = _top_character(grid[cell].reshape(-1, order="F"), p, 2 * coset_dim, eps)
-                    if hit is not None:
-                        chars = (_pull_back_character(x_basis, half, p) for half in np.split(hit[0], 2))
-                        cell_triggers.append((hit[1], [c for c in chars if c is not None]))
-                if cell_triggers:
-                    triggered_cells.add(cell_id)
-                    for corr, chars in cell_triggers:
-                        certified += cell_measure * corr * corr / (4 + d)
-                        trigger_count += 1
-                        chosen_chars.extend(chars)
+        for j, cell_id in enumerate(live.tolist()):
+            labels = (cell_id // big, int(data["sum_lab"][cell_id]), int(data["skew_lab"][cell_id]))
+            cell_triggers = [devs[lab] for devs, lab in zip(factor_devs, labels) if lab in devs]
+            rows = range(j * (d + 1), (j + 1) * (d + 1))  # the cell's levels 0..d
+            cell_triggers += [level_devs[row] for row in rows if row in level_devs]
+            if cell_triggers:
+                triggered_cells += 1
+                for corr, chars in cell_triggers:
+                    certified += cell_measure * corr * corr / (4 + d)
+                    trigger_count += 1
+                    chosen_chars.extend(chars)
 
-        nonuniform_mass = len(triggered_cells) * cell_measure
+        nonuniform_mass = triggered_cells * cell_measure
         if nonuniform_mass < tau * mu_t / 2 or not chosen_chars:
             stopped_because = stopped_because or "non-uniform mass below tau * mu(T) / 2"
             break
@@ -457,7 +524,7 @@ def pseudorandomize_u2(
                 "certified_gain": certified,
                 "energy_gain": gain,
                 "nonuniform_mass": nonuniform_mass,
-                "expired_cells": len(expired_cells),
+                "expired_cells": big * big - len(live),
                 "floor_met": bool(certified >= eps**4 / (4 + d) - 1e-9),
             }
         )
@@ -467,27 +534,22 @@ def pseudorandomize_u2(
         if len(rounds) > budget_cap:
             raise AssertionError("round budget exceeded")
 
-    # selection: densest surviving (cell, level) for S
+    # selection: densest surviving (cell, level) for S, the first one in
+    # (level, cell) order on ties
     data = _partition_tables(partition, t)
     big = data["big"]
     lab_digits = data["lab_digits"]
-    cid = data["cid"]
-    levels = data["levels"]
-    pair_x = data["pair_x"]
-    s_mask = s_set.mask
-    t_mask = t.table.mask
+    pair_level = data["levels"][data["pair_x"]]
+    on_level = (pair_level >= 0) & (pair_level <= d)
+    key = pair_level * (big * big) + data["cid"]
+    t_counts = np.bincount(key[t.table.mask & on_level], minlength=(d + 1) * big * big)
+    s_counts = np.bincount(key[s_set.mask & on_level], minlength=(d + 1) * big * big)
+    nonempty = np.flatnonzero(t_counts)
     pick = None
-    for i in range(d + 1):
-        lev_ok = levels[pair_x] == i
-        t_counts = np.bincount(cid[t_mask & lev_ok], minlength=big * big)
-        s_counts = np.bincount(cid[s_mask & lev_ok], minlength=big * big)
-        for cell_id in range(big * big):
-            if t_counts[cell_id] == 0:
-                continue
-            ratio = s_counts[cell_id] / t_counts[cell_id]
-            entry = (ratio, cell_id, i, int(s_counts[cell_id]), int(t_counts[cell_id]))
-            if pick is None or ratio > pick[0]:
-                pick = entry
+    if nonempty.size:
+        best = int(nonempty[np.argmax(s_counts[nonempty] / t_counts[nonempty])])
+        level, cell_id = divmod(best, big * big)
+        pick = (s_counts[best] / t_counts[best], cell_id, level, int(s_counts[best]), int(t_counts[best]))
     # the first densest entry meets the margin whenever any entry does
     met = bool(pick is not None and pick[0] >= sigma + tau / 4)
     cell_obj = None

@@ -37,6 +37,7 @@ __all__ = [
     "dft_batch",
     "u2_fourth",
     "u2_fourth_batch",
+    "top_index",
     "inverse_u2",
     "parseval_report",
     "subspace_average_bound_check",
@@ -116,12 +117,26 @@ def u2_fourth_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
     return np.sum(a2 * a2, axis=1)
 
 
+#: Magnitudes closer than this to the largest one tie with it.  Rounding in
+#: the transform is far smaller, but it depends on the shape of the batch
+#: (through BLAS blocking), and a real table has |f_hat(xi)| = |f_hat(-xi)|,
+#: so without a tolerance rounding would pick between xi and -xi.
+TIE_TOL = 1e-12
+
+
+def top_index(mags: np.ndarray) -> np.ndarray:
+    """Index of the largest entry along the last axis of ``mags``; entries
+    within TIE_TOL of it tie, and ties go to the smallest index."""
+    top = mags.max(axis=-1, keepdims=True)
+    return np.argmax(mags >= top - TIE_TOL, axis=-1)
+
+
 def inverse_u2(f: FunctionTable) -> tuple[GroupVector, float]:
     """The largest Fourier coefficient and its location.
 
     For 1-bounded f this certifies corr >= ||f||_{U^2}^2, because
     sum |f_hat|^4 <= max|f_hat|^2 * sum|f_hat|^2 <= max|f_hat|^2.
-    Ties go to the smallest canonical index.
+    Ties, up to TIE_TOL, go to the smallest canonical index.
     """
     if not f.is_one_bounded():
         logger.warning(
@@ -131,7 +146,7 @@ def inverse_u2(f: FunctionTable) -> tuple[GroupVector, float]:
         )
     spec = dft_values(f.values, f.p, f.m)
     mags = np.abs(spec)
-    best = int(np.argmax(mags))  # argmax takes the first max: smallest index
+    best = int(top_index(mags))
     return GroupVector.from_index(f.p, f.m, best), float(mags[best])
 
 

@@ -24,6 +24,7 @@ offset lives in the increment module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +51,11 @@ __all__ = [
     "save_fibers",
     "load_fibers",
 ]
+
+
+#: Entries of the (points, d, p^n) residue block that FiberFamily forms at
+#: once while building Phi, which keeps the block to a few MB.
+_PHI_BLOCK = 1 << 18
 
 
 @dataclass
@@ -83,12 +89,17 @@ class FiberFamily:
             raise ValueError(f"normals must have shape ({size}, {d}, {n})")
         if self.offsets.shape != (size, n):
             raise ValueError(f"offsets must have shape ({size}, {n})")
-        # Phi(x, y) = A(x) [normals[x] . (y - offsets[x]) = 0]
-        yd = digit_table(p, n)
+        # Phi(x, y) = A(x) [normals[x] . (y - offsets[x]) = 0], for blocks of
+        # base points at once, as normals[x] . y - normals[x] . offsets[x]
+        yd_t = digit_table(p, n).T
         mask = np.zeros((size, size), dtype=bool)  # mask[x, y]
-        for x in np.flatnonzero(self.base.mask):
-            rel = (yd - self.offsets[x][None, :]) % p
-            mask[x, :] = np.all((self.normals[x] @ rel.T) % p == 0, axis=0)
+        base = np.flatnonzero(self.base.mask)
+        step = max(1, _PHI_BLOCK // (max(d, 1) * size))
+        for start in range(0, len(base), step):
+            xs = base[start : start + step]
+            normals = self.normals[xs]
+            shift = np.einsum("xdn,xn->xd", normals, self.offsets[xs])
+            mask[xs] = np.all((normals @ yd_t - shift[:, :, None]) % p == 0, axis=1)
         # a fiber has p^(n - d) points exactly when its d normals are independent
         dependent = np.flatnonzero(self.base.mask & (mask.sum(axis=1) != p ** (n - d)))
         if dependent.size:
@@ -157,9 +168,36 @@ class FiberFamily:
         return cls(p, n, base, u, 1, phi[:, None, :])
 
 
+@lru_cache(maxsize=16)
+def _audit_grids(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of x + y and 2x + y over the whole grid, [x, y], read-only.
+
+    Built by plain digit arithmetic, one digit place at a time, and not by
+    ``combine`` or ``product_lift``, so that the product-set audit stays
+    independent of the code it checks.
+    """
+    size = p**n
+    grids = (np.zeros((size, size), dtype=np.int64), np.zeros((size, size), dtype=np.int64))
+    for place, col in enumerate(digit_table(p, n).T):
+        for grid, coeff in zip(grids, (1, 2)):
+            term = np.add.outer(coeff * col, col)
+            term %= p
+            term *= p**place
+            grid += term
+    for grid in grids:
+        grid.setflags(write=False)
+    return grids
+
+
 @dataclass
 class StructuredProductSet:
-    """T(x,y) = B(y) C(x+y) D(2x+y) Phi(x,y), with its build report."""
+    """T(x,y) = B(y) C(x+y) D(2x+y) Phi(x,y), with its build report.
+
+    Every build is audited point by point against the x + y and 2x + y
+    index grids of the space, which are built once per (p, n) by plain
+    digit arithmetic and cached read-only, so the audit never goes
+    through ``combine`` or ``product_lift``.
+    """
 
     y_set: IndicatorSet
     sum_set: IndicatorSet
@@ -181,15 +219,9 @@ class StructuredProductSet:
             .times(fam.table.table)
         )
         self.table = IndicatorSet.from_table(lifted)
-        # independent pointwise audit through plain digit arithmetic: the
-        # indices of x + y and 2x + y for the whole grid, one digit place
-        # at a time
+        # independent pointwise audit on the x + y and 2x + y grids
         size = p**n
-        sums = np.zeros((size, size), dtype=np.int64)  # sums[x, y]
-        skews = np.zeros((size, size), dtype=np.int64)
-        for place, col in enumerate(digit_table(p, n).T):
-            sums += (col[:, None] + col[None, :]) % p * p**place
-            skews += (2 * col[:, None] + col[None, :]) % p * p**place
+        sums, skews = _audit_grids(p, n)
         phi = fam.table.mask.reshape((size, size), order="F")
         direct = b.mask[None, :] & c.mask[sums] & d_set.mask[skews] & phi
         got = self.table.mask.reshape((size, size), order="F")

@@ -243,14 +243,15 @@ def slot_index_array(p: int, n: int, slot: str) -> np.ndarray:
     if slot not in SLOTS:
         raise ValueError(f"slot must be one of {SLOTS}, got {slot!r}")
     n_points = p**n
-    pair = np.arange(n_points * n_points, dtype=np.int64)
-    x_idx, y_idx = unpair_index(pair, n_points)
+    points = np.arange(n_points, dtype=np.int64)
     if slot == "x":
-        out = x_idx
+        out = np.tile(points, n_points)
     elif slot == "y":
-        out = y_idx
+        out = np.repeat(points, n_points)
     else:
-        out = combine(p, n, (1 if slot == "x+y" else 2, 1), (x_idx, y_idx))
+        # row y, column x holds pair x + n_points * y; combine forms the
+        # digits of x and y once per point, not once per pair
+        out = combine(p, n, (1 if slot == "x+y" else 2, 1), (points[None, :], points[:, None])).reshape(-1)
     out.setflags(write=False)
     return out
 

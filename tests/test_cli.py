@@ -296,6 +296,13 @@ GOLDEN_REPORTS = {
     "extremal --p 5 --n 1 --method random --iterations 10 --seed 6":
         "05a7b055b0315fce8fb3810d99593916c41586530a9927cd802a674ba6a41fe1",
     "extremal --p 5 --n 1": "db859bf5b5c42b4ae466635d08419ec0910ae3c2d4ee7a334f6aead1dc104dae",
+    # recorded before the U^2 search of pseudorandomize_u2 was batched: two
+    # benchmark jobs, and the driver at p = 11
+    "pseudorandomize --p 3 --n 5 --d 1 --seed 1003":
+        "08e5c3d6cbd9ea9a1036802fc5de4db998f136d78a86173540953b1c06988b83",
+    "pseudorandomize --p 5 --n 3 --d 1 --seed 1004":
+        "6b1f75a8bb8d000678d5cf4820d3d7a661af47d5d9d406c8e3f13452ca0b7e23",
+    "increment --p 11 --n 2 --d 1 --seed 1": "742e4601d5aa9dbf53646110cd8dd4568b518b45a9138beaf5916f9cfefea9eb",
 }
 
 

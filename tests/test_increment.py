@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lshape.increment as increment
 import oracles as orc
-from lshape.field import GroupVector, rank_mod
+from lshape.field import GroupVector, digit_table, rank_mod, solve_mod
 from lshape.increment import (
     Cell,
     ProductCosetPartition,
@@ -14,7 +15,10 @@ from lshape.increment import (
     _greedy_l_free,
     _l_quads,
     _point_index,
+    _pull_back,
+    _pull_back_matrix,
     _renormalize_to_cell,
+    _top_characters,
     align_offset_increment,
     energy_monotone_check,
     fiber_mean_increment,
@@ -26,6 +30,8 @@ from lshape.increment import (
     search_extremal_L_free,
     skew_line_increment,
 )
+from lshape.norms import gowers_norm
+from lshape.spectral import inverse_u2
 from lshape.structured import FiberFamily, StructuredProductSet, fiber_levels, random_family
 from lshape.tables import FunctionTable, IndicatorSet, product_lift
 
@@ -178,6 +184,72 @@ def test_pseudorandomize_structured_factor_triggers():
     assert trace[-1] > trace[0]
     first = res.report["rounds"][0]
     assert first["certified_gain"] <= first["energy_gain"] + 1e-9
+
+
+def _one_row_top_character(row, p, dim, eps):
+    """The one-row path: balance, gowers_norm(., 2) against eps, then inverse_u2."""
+    vals = row.astype(np.complex128)
+    table = FunctionTable(p, dim, vals - vals.mean())
+    if gowers_norm(table, 2).value < eps:
+        return None
+    freq, corr = inverse_u2(table)
+    return freq.index, corr
+
+
+def test_batched_top_characters_match_the_one_row_path():
+    rng = np.random.default_rng(41)
+    eps = 0.15
+    for p, dim in ((3, 2), (5, 2), (7, 2), (3, 6), (5, 4), (7, 3)):
+        size = p**dim
+        # 300 rows, or one block and 9 rows: not a multiple of the block
+        k = 300 if dim == 2 else increment._U2_BLOCK // size + 9
+        # rows biased along a random character by a random amount, so that
+        # about half reach eps; 0/1 rows and real rows, whose coefficients
+        # at xi and -xi always tie
+        xi = rng.integers(0, p, size=(k, dim))
+        phase = 2 * np.pi * ((xi @ digit_table(p, dim).T) % p) / p + 2 * np.pi * rng.random((k, 1))
+        prob = 0.5 + rng.uniform(0, 0.45, size=(k, 1)) * np.cos(phase)
+        rows = (rng.random((k, size)) < prob).astype(np.float64)
+        rows[::3] = prob[::3]
+        rows[1] = 1.0  # constant: nothing left after balancing
+        rows[2] = np.cos(2 * np.pi * (np.arange(size) % p) / p)  # ties at indices 1 and p - 1
+        index, corr = _top_characters(rows, p, dim, eps)
+        assert index[1] == -1 and index[2] == 1
+        assert 0 < np.count_nonzero(index >= 0) < k
+        for row, got, got_corr in zip(rows, index, corr):
+            want = _one_row_top_character(row, p, dim, eps)
+            if want is None:
+                assert got == -1
+            else:
+                assert got == want[0]
+                assert got_corr == pytest.approx(want[1], abs=1e-12)
+        # a row just below eps, and just above it
+        row = rows[3:4]
+        u2 = gowers_norm(FunctionTable(p, dim, row[0] - row[0].mean()), 2).value
+        assert _top_characters(row, p, dim, u2 * (1 + 1e-9))[0][0] == -1
+        assert _one_row_top_character(row[0], p, dim, u2 * (1 + 1e-9)) is None
+        top = _one_row_top_character(row[0], p, dim, 0)[0]
+        assert _top_characters(row, p, dim, u2 * (1 - 1e-9))[0][0] == top
+
+
+def test_pull_back_matrix_is_solve_mod():
+    rng = np.random.default_rng(43)
+    for p in (3, 5, 11):
+        for dim in (1, 2, 3):
+            basis = rng.integers(0, p, size=(dim, 3))
+            while rank_mod(basis, p) != dim:
+                basis = rng.integers(0, p, size=(dim, 3))
+            pull = _pull_back_matrix(basis, p)
+            xi = np.array([orc.digits_le(i, p, dim) for i in range(1, p**dim)], dtype=np.int64)
+            nu = _pull_back(xi, pull, basis, p)
+            for row, got in zip(xi, nu):
+                assert np.array_equal(got, solve_mod(basis, row, p))
+            # basis . nu = xi is checked by an explicit raise, which -O keeps;
+            # a zeroed first row pulls xi = e_0 back to 0
+            broken = pull.copy()
+            broken[0] = 0
+            with pytest.raises(AssertionError, match="fails basis"):
+                _pull_back(xi, broken, basis, p)
 
 
 def test_fiber_mean_fires_on_planted_rows():

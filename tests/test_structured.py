@@ -172,6 +172,34 @@ def test_product_set_membership():
     assert rep["density"] == pytest.approx(t.table.cardinality / 9)
 
 
+def test_audit_grids_are_cached_read_only_sums():
+    from lshape.structured import _audit_grids
+
+    p, n = 3, 2
+    size = p**n
+    sums, skews = _audit_grids(p, n)
+    for x in range(size):
+        for y in range(size):
+            assert sums[x, y] == orc.add_indices(x, y, p, n)
+            assert skews[x, y] == orc.add_indices(orc.scale_index(2, x, p, n), y, p, n)
+    # cached per (p, n), so no caller may write to them
+    again = _audit_grids(p, n)
+    assert again[0] is sums and again[1] is skews
+    assert not sums.flags.writeable and not skews.flags.writeable
+
+
+def test_phi_blocks_agree_with_one_block(monkeypatch):
+    import lshape.structured as structured
+
+    for p, n, d in ((3, 2, 1), (3, 3, 2), (5, 2, 1), (3, 2, 0)):
+        whole = random_family(p, n, d, seed=9, base_density=0.6)
+        # one base point per block
+        monkeypatch.setattr(structured, "_PHI_BLOCK", 1)
+        blocked = random_family(p, n, d, seed=9, base_density=0.6)
+        monkeypatch.undo()
+        assert np.array_equal(blocked.table.mask, whole.table.mask)
+
+
 def test_product_set_audit_catches_a_corrupted_lift(monkeypatch):
     import lshape.structured as structured
     from lshape.tables import FunctionTable, product_lift
