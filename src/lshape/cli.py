@@ -137,6 +137,8 @@ def _random_table(p: int, m: int, seed: int) -> FunctionTable:
 
 
 def _random_set(p: int, m: int, seed: int, density: float = 0.5) -> IndicatorSet:
+    if not 0.0 <= density <= 1.0:  # NaN fails this too
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     size = check_size(p, m)
     rng = np.random.default_rng(seed)
     mask = rng.random(size) < density
@@ -250,6 +252,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     known = ("spectral", "control", "patterns", "norms", "trivial", "all")
     if suite not in known:
         raise ValueError(f"unknown suite {suite!r}; pick one of {known}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     checks: list[dict] = []
 
     if suite in ("spectral", "all"):

@@ -298,18 +298,6 @@ class AffineSubspace:
     def _normal_matrix(self) -> np.ndarray:
         return np.array(self.normals, dtype=np.int64).reshape(len(self.normals), self.ambient_dim)
 
-    def contains(self, x: GroupVector | int) -> bool:
-        if self.is_empty:
-            return False
-        if isinstance(x, GroupVector):
-            xd = x.as_array()
-        else:
-            xd = digits_of(self.p, self.ambient_dim, x)
-        if not self.normals:
-            return True
-        lhs = (self._normal_matrix() @ xd) % self.p
-        return bool(np.array_equal(lhs, np.array(self.offsets, dtype=np.int64)))
-
     def _pivots_free(self) -> tuple[list[int], list[int]]:
         piv = []
         mat = self._normal_matrix()

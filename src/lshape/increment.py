@@ -27,7 +27,6 @@ return a denser structured pair or an explicit no-gain report.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ from .field import (
     index_of,
     line_means,
     modular_rref,
-    rank_mod,
     solve_mod,
     subspace_from_normals,
 )
@@ -50,13 +48,12 @@ from .norms import RADICAND_FLOOR
 from .patterns import lshape_average
 from .spectral import dft_batch, top_index
 from .structured import FiberFamily, StructuredProductSet
-from .tables import IndicatorSet
+from .tables import IndicatorSet, slot_index_array
 
 __all__ = [
     "Cell",
     "ProductCosetPartition",
     "partition_energy",
-    "energy_monotone_check",
     "PseudorandomizeResult",
     "pseudorandomize_u2",
     "fiber_mean_increment",
@@ -99,18 +96,6 @@ class Cell:
     def direction_dim(self) -> int:
         return self.n - len(self.normals)
 
-    @property
-    def measure(self) -> float:
-        return float(self.p ** (2 * self.direction_dim)) / float(self.p ** (2 * self.n))
-
-    def pair_member_mask(self) -> np.ndarray:
-        size = self.p**self.n
-        xm = np.zeros(size, dtype=bool)
-        ym = np.zeros(size, dtype=bool)
-        xm[self.x_coset.member_indices()] = True
-        ym[self.y_coset.member_indices()] = True
-        return (xm[:, None] & ym[None, :]).reshape(-1, order="F")
-
 
 @dataclass(frozen=True)
 class ProductCosetPartition:
@@ -145,13 +130,6 @@ class ProductCosetPartition:
         weights = self.p ** np.arange(self.codim, dtype=np.int64)
         return labs @ weights
 
-    def cells(self) -> list[Cell]:
-        out = []
-        for b in itertools.product(range(self.p), repeat=self.codim):
-            for a in itertools.product(range(self.p), repeat=self.codim):
-                out.append(Cell(self.p, self.n, self.normals, a, b))
-        return out
-
     def refine(self, character: tuple[int, ...] | GroupVector) -> "ProductCosetPartition":
         """New partition with direction V intersected with the character's kernel."""
         row = character.digits if isinstance(character, GroupVector) else tuple(int(v) % self.p for v in character)
@@ -160,15 +138,6 @@ class ProductCosetPartition:
         if len(piv) != len(self.normals) + 1:
             raise ValueError("character lies in the span of the existing normals")
         return ProductCosetPartition(self.p, self.n, tuple(tuple(int(v) for v in r) for r in red))
-
-    def cover_check(self) -> dict:
-        """Audit: the cells tile the pair space exactly once."""
-        size = self.p**self.n
-        lab = self.label_index()
-        counts = np.bincount(lab, minlength=self.p**self.codim)
-        ok = bool(np.all(counts == self.p**self.direction_dim))
-        return {"cells": (self.p**self.codim) ** 2, "point_cover_ok": ok,
-                "pair_count": size * size}
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +164,6 @@ def _fiber_level_of_points(fam: FiberFamily, lab: np.ndarray, k: int) -> np.ndar
 def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet) -> dict:
     """Per-cell conditional densities of T's factors, vectorized by label."""
     p, n = t.p, t.n
-    size = p**n
     k = partition.codim
     big = p**k
     lab = partition.label_index()
@@ -210,8 +178,8 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
 
     levels = _fiber_level_of_points(t.fibers, lab, k)
     phi_mask = t.fibers.table.mask
-    pair_x = np.tile(np.arange(size), size)  # pair index = x + size * y
-    pair_y = np.repeat(np.arange(size), size)
+    pair_x = slot_index_array(p, n, "x")  # pair index = x + p^n * y
+    pair_y = slot_index_array(p, n, "y")
     cid = lab[pair_x] + big * lab[pair_y]
     d = t.fibers.d
     phi_dens = np.zeros((d + 1, big * big))
@@ -237,14 +205,17 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
     }
 
 
-def partition_energy(partition: ProductCosetPartition, t: StructuredProductSet) -> dict:
+def partition_energy(
+    partition: ProductCosetPartition, t: StructuredProductSet, tables: dict | None = None
+) -> dict:
     """Mean-square energy of T's factor densities over the partition.
 
     Every cell has equal measure, so the energy is the plain average
     over cells of beta^2 + gamma^2 + delta^2 + sum_i phi_i^2, divided
-    by 4 + d.  The result lies in [0, 1].
+    by 4 + d.  The result lies in [0, 1].  ``tables`` are the
+    partition's ``_partition_tables``, when the caller already holds them.
     """
-    data = _partition_tables(partition, t)
+    data = _partition_tables(partition, t) if tables is None else tables
     big = data["big"]
     d = t.fibers.d
     val = (
@@ -258,24 +229,6 @@ def partition_energy(partition: ProductCosetPartition, t: StructuredProductSet) 
     # summed cell by cell, in order: np.sum would pair terms and round differently
     energy = float(np.cumsum(val)[-1]) / (big * big) / (4 + d)
     return {"energy": energy, "per_cell": per_cell, "cells": big * big, "codim": partition.codim}
-
-
-def energy_monotone_check(
-    coarse: ProductCosetPartition,
-    fine: ProductCosetPartition,
-    t: StructuredProductSet,
-    slack: float = 1e-9,
-) -> dict:
-    """Energy never drops under refinement; also verifies the refinement."""
-    if (coarse.p, coarse.n) != (fine.p, fine.n):
-        raise ValueError("partitions live in different spaces")
-    if coarse.normals:
-        stacked = np.array(list(fine.normals) + list(coarse.normals), dtype=np.int64)
-        if rank_mod(stacked, coarse.p) != len(fine.normals):
-            raise ValueError("fine partition does not refine the coarse one")
-    e0 = partition_energy(coarse, t)["energy"]
-    e1 = partition_energy(fine, t)["energy"]
-    return {"coarse_energy": e0, "fine_energy": e1, "holds": e1 >= e0 - slack}
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +377,12 @@ def pseudorandomize_u2(
     d = t.fibers.d
     budget_cap = (4 + d) / eps**4
 
+    # each partition's tables are built once and serve its energy, its
+    # round of the search and, for the last partition, the selection
     partition = ProductCosetPartition(p, n, ())
+    data = _partition_tables(partition, t)
     rounds: list[dict] = []
-    energy_prev = partition_energy(partition, t)["energy"]
+    energy_prev = partition_energy(partition, t, data)["energy"]
     energy_trace = [energy_prev]
     stopped_because = ""
 
@@ -434,7 +390,6 @@ def pseudorandomize_u2(
         if partition.direction_dim == 0:
             stopped_because = "direction dimension exhausted"
             break
-        data = _partition_tables(partition, t)
         big = data["big"]
         coset_dim = partition.direction_dim
 
@@ -508,7 +463,8 @@ def pseudorandomize_u2(
         if added == 0:
             stopped_because = "no independent character available"
             break
-        energy_now = partition_energy(refined, t)["energy"]
+        refined_data = _partition_tables(refined, t)
+        energy_now = partition_energy(refined, t, refined_data)["energy"]
         gain = energy_now - energy_prev
         if gain < certified - 1e-9:
             raise AssertionError(
@@ -528,7 +484,7 @@ def pseudorandomize_u2(
                 "floor_met": bool(certified >= eps**4 / (4 + d) - 1e-9),
             }
         )
-        partition = refined
+        partition, data = refined, refined_data
         energy_prev = energy_now
         energy_trace.append(energy_now)
         if len(rounds) > budget_cap:
@@ -536,7 +492,6 @@ def pseudorandomize_u2(
 
     # selection: densest surviving (cell, level) for S, the first one in
     # (level, cell) order on ties
-    data = _partition_tables(partition, t)
     big = data["big"]
     lab_digits = data["lab_digits"]
     pair_level = data["levels"][data["pair_x"]]
@@ -966,6 +921,10 @@ def search_extremal_L_free(
         raise ResourceLimitError(f"search space has {total} points, capped at {_HEURISTIC_POINTS_CAP}")
     if method not in ("exhaustive", "greedy", "local", "random"):
         raise ValueError(f"unknown method {method!r}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
+    if method == "random" and iterations == 0:
+        raise ValueError("the random method needs at least one iteration")
     quads = _l_quads(p, n)
 
     if method == "exhaustive":
@@ -1156,6 +1115,8 @@ def increment_driver(
     configurations, so this is an audit, not a hope).
     """
     _check_scales(eps, tau)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     _density_inside(s_set, t.table)
     trajectory: list[dict] = []
     current_s, current_t = s_set, t

@@ -30,14 +30,8 @@ __all__ = [
     "LinearFormSystem",
     "ComplexityCertificate",
     "cs_complexity",
-    "verify_certificate",
     "von_neumann_check",
-    "uniformity_count_check",
-    "corner_slot_system",
     "lshape_slot_system",
-    "corner_point_system",
-    "lshape_point_system",
-    "ap_system",
 ]
 
 MAX_FORMS = 12
@@ -86,48 +80,9 @@ class LinearFormSystem:
         return np.array([f.rows[0] for f in self.forms], dtype=np.int64) % self.p
 
 
-def corner_slot_system(p: int) -> LinearFormSystem:
-    """The three scalar slots y, x+y, x of the corner, in variables (x, y)."""
-    return LinearFormSystem.from_rows(p, [[0, 1], [1, 1], [1, 0]])
-
-
 def lshape_slot_system(p: int) -> LinearFormSystem:
     """The scalar slots y, x+y, 2x+y of the four-point configuration."""
     return LinearFormSystem.from_rows(p, [[0, 1], [1, 1], [2, 1]])
-
-
-def corner_point_system(p: int) -> LinearFormSystem:
-    """The corner's three points as stacked pair-space forms of (x, y, z)."""
-    mk = lambda rows: LinearForm(tuple(tuple(c % p for c in r) for r in rows))
-    return LinearFormSystem(
-        p,
-        3,
-        (
-            mk([[1, 0, 0], [0, 1, 0]]),
-            mk([[1, 0, 0], [0, 1, 1]]),
-            mk([[1, 0, 1], [0, 1, 0]]),
-        ),
-    )
-
-
-def lshape_point_system(p: int) -> LinearFormSystem:
-    """The four configuration points as stacked pair-space forms of (x, y, z)."""
-    mk = lambda rows: LinearForm(tuple(tuple(c % p for c in r) for r in rows))
-    return LinearFormSystem(
-        p,
-        3,
-        (
-            mk([[1, 0, 0], [0, 1, 0]]),
-            mk([[1, 0, 0], [0, 1, 1]]),
-            mk([[1, 0, 0], [0, 1, 2]]),
-            mk([[1, 0, 1], [0, 1, 0]]),
-        ),
-    )
-
-
-def ap_system(p: int, k: int) -> LinearFormSystem:
-    """x, x+y, ..., x+(k-1)y in variables (x, y)."""
-    return LinearFormSystem.from_rows(p, [[1, j] for j in range(k)])
 
 
 @dataclass(frozen=True)
@@ -241,26 +196,6 @@ def cs_complexity(system: LinearFormSystem) -> ComplexityCertificate:
     return ComplexityCertificate(max(worst - 1, 0), tuple(partitions))
 
 
-def verify_certificate(system: LinearFormSystem, cert: ComplexityCertificate) -> bool:
-    """Independent rank re-check of a finite certificate."""
-    if cert.is_infinite:
-        if cert.parallel_pair is None:
-            return False
-        i, j = cert.parallel_pair
-        return _span_contains(system.scalar_matrix()[[i]], system.scalar_matrix()[j], system.p)
-    vectors = system.scalar_matrix()
-    for j, classes in enumerate(cert.partitions):
-        if len(classes) > cert.s + 1:
-            return False
-        covered = sorted(i for cls in classes for i in cls)
-        if covered != [i for i in range(len(system.forms)) if i != j]:
-            return False
-        for cls in classes:
-            if _span_contains(vectors[list(cls)], vectors[j], system.p):
-                return False
-    return True
-
-
 def von_neumann_check(system: LinearFormSystem, tables, s: int, n: int, slack: float = 1e-9) -> dict:
     """|E prod f_j(psi_j)| <= min_j ||f_j||_{U^(s+1)} for 1-bounded f_j,
     provided the system has complexity at most s."""
@@ -277,28 +212,6 @@ def von_neumann_check(system: LinearFormSystem, tables, s: int, n: int, slack: f
         "complexity": cert.s,
         "product_average": lhs,
         "norms": norms,
-        "bound": rhs,
-        "holds": lhs <= rhs + slack,
-    }
-
-
-def uniformity_count_check(system: LinearFormSystem, tables, s: int, n: int, slack: float = 1e-9) -> dict:
-    """|E prod f_j(psi_j) - prod alpha_j| <= d * max_j ||f_j - alpha_j||_{U^(s+1)}.
-
-    The deviations are computed here, not taken on trust.
-    """
-    cert = cs_complexity(system)
-    if cert.is_infinite or cert.s > s:
-        raise ValueError(f"system complexity {cert.s} exceeds s = {s}")
-    means = [complex(t.mean()) for t in tables]
-    devs = [gowers_norm(t.minus_const(mu), s + 1).value for t, mu in zip(tables, means)]
-    lhs = abs(count_system(tables, system, n).average - np.prod(means))
-    rhs = len(tables) * max(devs)
-    return {
-        "complexity": cert.s,
-        "means": means,
-        "deviations": devs,
-        "gap": lhs,
         "bound": rhs,
         "holds": lhs <= rhs + slack,
     }

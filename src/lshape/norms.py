@@ -1,4 +1,4 @@
-"""Uniformity norms: U^s, the box norm, slot norms, directional averages.
+"""Uniformity norms: U^s, the box norm and the slot norms.
 
 The multiplicative difference of f in direction h is
 Delta_h f(x) = f(x) conj(f(x + h)), and
@@ -43,11 +43,9 @@ from .tables import FunctionTable
 
 __all__ = [
     "NormValue",
-    "delta",
     "gowers_norm",
     "box_norm",
     "slot_norm",
-    "directional_average",
     "gcs_check",
 ]
 
@@ -79,11 +77,6 @@ def _root(raw: complex, power: int) -> NormValue:
     if abs(im) > 1e-9 * max(1.0, abs(re)):
         raise ValueError(f"norm radicand has non-real part {im}; likely a bug")
     return NormValue(max(re, 0.0) ** (1.0 / power), power, complex(raw))
-
-
-def delta(f: FunctionTable, h) -> FunctionTable:
-    """Delta_h f(x) = f(x) * conj(f(x + h))."""
-    return f.times(f.translate(h).conj())
 
 
 def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
@@ -254,30 +247,6 @@ def slot_norm(g: FunctionTable, slot: int) -> NormValue:
         raw = float(np.mean(np.abs(line_means(grid, p, n, 2)) ** 2))
         return _root(raw, 2)
     raise ValueError(f"slot must be 0, 1 or 2, got {slot}")
-
-
-def directional_average(g: FunctionTable, directions) -> float:
-    """E over (x, y) and one parameter per direction of the stacked
-    differences Delta_{(a1 h1, b1 h1)} ... Delta_{(ak hk, bk hk)} g.
-
-    ``directions`` is a list of residue pairs (a, b), at most three of
-    them.  For real g the average is real; the imaginary part is checked
-    against 1e-9 either way.
-    """
-    p, n, _ = _pair_split(g)
-    dirs = [(int(a) % p, int(b) % p) for a, b in directions]
-    if not dirs or len(dirs) > 3:
-        raise ResourceLimitError("directional averages support 1 to 3 directions")
-    if any(a == 0 and b == 0 for a, b in dirs):
-        raise ValueError("direction patterns must be nonzero")
-    size = p**n
-    h = np.arange(size)
-    # the pair index x + N y is the index of (x, y) in Z_p^(2n)
-    steps = [combine(p, n, (a,), (h,)) + size * combine(p, n, (b,), (h,)) for a, b in dirs]
-    total = _cube_average([g.values] * 2 ** len(dirs), steps, p, 2 * n)
-    if g.kind in ("real", "indicator") and abs(total.imag) > 1e-9:
-        raise ValueError(f"directional average of a real table has imaginary part {total.imag}")
-    return float(total.real)
 
 
 def gcs_check(family, s: int, slack: float = 1e-9) -> dict:

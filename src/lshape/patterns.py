@@ -53,10 +53,6 @@ class PatternCount:
     nontrivial_count: int | None = None
 
     @property
-    def abs_average(self) -> float:
-        return abs(self.average)
-
-    @property
     def real_average(self) -> float:
         if abs(self.average.imag) > 1e-9:
             raise ValueError(f"average has imaginary part {self.average.imag}")

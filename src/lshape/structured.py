@@ -28,28 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import (
-    AffineSubspace,
-    GroupVector,
-    check_modulus,
-    check_size,
-    digit_table,
-    line_means,
-    rank_mod,
-    subspace_from_normals,
-)
-from .norms import gowers_norm
+from .field import GroupVector, digit_table, line_means, rank_mod
 from .tables import IndicatorSet, product_lift
 
 __all__ = [
     "FiberFamily",
     "StructuredProductSet",
-    "FiberLevel",
-    "fiber_levels",
-    "base_uniformity_transfer_check",
     "random_family",
-    "save_fibers",
-    "load_fibers",
 ]
 
 
@@ -113,26 +98,6 @@ class FiberFamily:
     def rho(self) -> float:
         return self.p ** (-self.d)
 
-    @property
-    def density(self) -> float:
-        return self.table.density
-
-    @property
-    def offset(self) -> GroupVector:
-        """The offset u shared by every base point's fiber."""
-        rows = np.unique(self.offsets[self.base.mask], axis=0)
-        if len(rows) > 1:
-            raise ValueError("the fibers have per-point offsets, not one shared offset")
-        return GroupVector(self.p, tuple(int(v) for v in (rows[0] if len(rows) else self.offsets[0])))
-
-    def fiber_subspace(self, x: int) -> AffineSubspace:
-        """The coset u_x + V_x as an explicit affine subspace of Z_p^n."""
-        if not self.base.contains_index(x):
-            raise ValueError(f"x = {x} is not in the base set")
-        rows = [tuple(int(v) for v in row) for row in self.normals[x]]
-        offs = [int(v) for v in (self.normals[x] @ self.offsets[x]) % self.p]
-        return subspace_from_normals(self.p, self.n, rows, offs)
-
     def aligned_base_at(self, u: GroupVector) -> IndicatorSet:
         """The set A_u = {x in A : u lies on x's fiber}: column u of Phi."""
         size = self.p**self.n
@@ -148,24 +113,6 @@ class FiberFamily:
         size = base.p**base.m
         return cls(base.p, base.m, base, GroupVector.zero(base.p, base.m), 0,
                    np.zeros((size, 0, base.m), dtype=np.int64))
-
-    @classmethod
-    def from_phi_map(cls, base: IndicatorSet, phi: np.ndarray, u: GroupVector) -> "FiberFamily":
-        """d = 1 fibers {y : phi(x) . (y - u) = 0}.
-
-        phi(x) = 0 is rejected for x in the base: it would give a full
-        fiber and break the common-codimension invariant.  Mixed
-        codimensions are expressed with explicit normals plus levels.
-        """
-        p, n = base.p, base.m
-        size = p**n
-        phi = np.asarray(phi, dtype=np.int64) % p
-        if phi.shape != (size, n):
-            raise ValueError(f"phi must have shape ({size}, {n})")
-        zero_rows = np.flatnonzero(base.mask & np.all(phi == 0, axis=1))
-        if zero_rows.size:
-            raise ValueError(f"phi vanishes on base points {zero_rows.tolist()}; fibers there would be full")
-        return cls(p, n, base, u, 1, phi[:, None, :])
 
 
 @lru_cache(maxsize=16)
@@ -250,107 +197,13 @@ class StructuredProductSet:
             ("anti-diagonals", line_means(grid, self.p, self.n, 1), self.sum_set, alpha * beta * delta * rho),
         ]
 
-    def density_report(self) -> dict:
-        prod = (
-            self.fibers.base.density
-            * self.y_set.density
-            * self.sum_set.density
-            * self.skew_set.density
-            * self.fibers.rho
-        )
-        return {
-            "density": self.table.density,
-            "product_density": prod,
-            "gap": self.table.density - prod,
-        }
-
-
-@dataclass(frozen=True)
-class FiberLevel:
-    """Level i of a family inside a product cell.
-
-    ``cumulative`` collects the pairs whose fiber fills at least p^(-i)
-    of the cell's second factor; ``exact`` is the i-th difference set.
-    """
-
-    i: int
-    cumulative: IndicatorSet
-    exact: IndicatorSet
-
-
-def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubspace) -> list[FiberLevel]:
-    """Split Phi inside the cell (x_coset) x (y_coset) by fiber density.
-
-    For x in the base and on x_coset, the fiber meets y_coset in a coset
-    of V_x intersected with the cell direction V, of relative density
-    p^(-l) with l between 0 and d; level i keeps the pairs with l <= i.
-    The levels are nested and their differences partition Phi in the
-    cell, which is asserted before returning.
-    """
-    p, n, d = fam.p, fam.n, fam.d
-    size = p**n
-    pair_count = size * size
-    cell_rows = set(int(i) for i in x_coset.member_indices())
-    base_mask = fam.base.mask
-    level_masks = [np.zeros(pair_count, dtype=bool) for _ in range(d + 1)]
-    phi_in_cell = np.zeros(pair_count, dtype=bool)
-    y_members = y_coset.member_indices()
-    for x in range(size):
-        if x not in cell_rows or not base_mask[x]:
-            continue
-        fiber = fam.fiber_subspace(x)
-        meet = [int(y) for y in y_members if fiber.contains(int(y))]
-        if not meet:
-            continue
-        # |fiber ∩ y_coset| = p^(dim V - l); recover l from the count
-        count = len(meet)
-        level = y_coset.dim - int(round(np.log(count) / np.log(p)))
-        if not 0 <= level <= d:
-            raise AssertionError(f"fiber level {level} outside [0, {d}] at x = {x}")
-        for y in meet:
-            idx = x + size * y
-            phi_in_cell[idx] = True
-            level_masks[level][idx] = True
-    out = []
-    cum = np.zeros(pair_count, dtype=bool)
-    for i in range(d + 1):
-        cum = cum | level_masks[i]
-        out.append(
-            FiberLevel(
-                i,
-                IndicatorSet.from_mask(p, 2 * n, cum.copy()),
-                IndicatorSet.from_mask(p, 2 * n, level_masks[i]),
-            )
-        )
-    # partition audit: levels are disjoint by construction; cover Phi ∩ cell
-    if not np.array_equal(cum, phi_in_cell):
-        raise AssertionError("fiber levels do not cover the family inside the cell")
-    total = sum(lv.exact.cardinality for lv in out)
-    if total != int(phi_in_cell.sum()):
-        raise AssertionError("fiber levels double-count")
-    # and the cell's Phi matches the global table restricted to the cell
-    if not np.all(fam.table.mask[phi_in_cell]):
-        raise AssertionError("level point outside the family table")
-    return out
-
-
-def base_uniformity_transfer_check(fam: FiberFamily, s: int, slack: float = 1e-9) -> dict:
-    """||A - alpha||_{U^s(Z_p^n)} <= rho^(-1) ||Phi - alpha rho||_{U^s(Z_p^2n)} + slack.
-
-    Uniformity of the family forces uniformity of its base, because the
-    y-marginal of Phi - alpha*rho is exactly rho * (A - alpha).
-    """
-    alpha = fam.base.density
-    lhs = gowers_norm(fam.base.table.minus_const(alpha), s).value
-    rhs = gowers_norm(fam.table.table.minus_const(alpha * fam.rho), s).value
-    bound = rhs / fam.rho
-    return {"base_norm": lhs, "family_norm": rhs, "rho": fam.rho, "bound": bound,
-            "holds": lhs <= bound + slack}
-
 
 def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) -> FiberFamily:
     """A seeded random family: base by coin flips, independent random
     normals per base point, random common offset."""
+    # the normals are redrawn until they have rank d, which needs d <= n
+    if not 0 <= d <= n:
+        raise ValueError(f"codimension d = {d} outside [0, {n}]")
     rng = np.random.default_rng(seed)
     size = p**n
     if base_density >= 1.0:
@@ -370,45 +223,4 @@ def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) 
                 normals[x] = cand
                 break
     u = GroupVector(p, tuple(int(v) for v in rng.integers(0, p, size=n)))
-    return FiberFamily(p, n, base, u, d, normals)
-
-
-def save_fibers(path: str, fam: FiberFamily) -> None:
-    """Write a family with a shared offset; per-point offsets have no file form."""
-    u_str = ",".join(str(v) for v in fam.offset.digits)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"p={fam.p} n={fam.n} d={fam.d} u={u_str}\n")
-        for x in fam.base.member_indices():
-            rows = " ; ".join(",".join(str(int(v)) for v in row) for row in fam.normals[x])
-            fh.write(f"{int(x)} : {rows}\n" if fam.d else f"{int(x)} :\n")
-
-
-def load_fibers(path: str) -> FiberFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    head = dict(tok.split("=", 1) for tok in lines[0].split()) if lines else {}
-    missing = [key for key in ("p", "n", "d", "u") if key not in head]
-    if missing:
-        raise ValueError(f"fiber file header lacks {missing[0]}=")
-    p, n, d = int(head["p"]), int(head["n"]), int(head["d"])
-    check_size(p, n)
-    check_size(p, 2 * n)  # the family's table lives on the pair space
-    check_modulus(p)
-    if not 0 <= d <= n:
-        raise ValueError(f"codimension d = {d} outside [0, {n}]")
-    u = GroupVector(p, tuple(int(v) for v in head["u"].split(","))) if n else GroupVector(p, ())
-    size = p**n
-    normals = np.zeros((size, d, n), dtype=np.int64)
-    members = []
-    for ln in lines[1:]:
-        left, _, right = ln.partition(":")
-        x = int(left.strip())
-        members.append(x)
-        if d:
-            rows = [seg.strip() for seg in right.split(";")]
-            if len(rows) != d:
-                raise ValueError(f"expected {d} normals at x = {x}")
-            for i, seg in enumerate(rows):
-                normals[x, i] = [int(tok) for tok in seg.split(",")]
-    base = IndicatorSet.from_indices(p, n, members)
     return FiberFamily(p, n, base, u, d, normals)

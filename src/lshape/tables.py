@@ -25,6 +25,7 @@ from .field import (
     check_modulus,
     check_size,
     combine,
+    index_of,
 )
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "IndicatorSet",
     "balanced",
     "product_lift",
-    "unpair_index",
     "slot_index_array",
     "save_set",
     "load_set",
@@ -47,10 +47,6 @@ KINDS = {"complex": np.complex128, "real": np.float64, "indicator": np.bool_}
 #: Named linear slots of the pair space.  Each sends (x, y) to a point of
 #: Z_p^n; a factor set placed in a slot constrains that combination.
 SLOTS = ("y", "x+y", "2x+y", "x")
-
-
-def unpair_index(pair: int | np.ndarray, n_points: int):
-    return pair % n_points, pair // n_points
 
 
 class FunctionTable:
@@ -125,16 +121,6 @@ class FunctionTable:
             raise ValueError("pointwise product of tables on different spaces")
         return self._wrap(self.values * other.values)
 
-    def plus(self, other: "FunctionTable") -> "FunctionTable":
-        if (other.p, other.m) != (self.p, self.m):
-            raise ValueError("pointwise sum of tables on different spaces")
-        # bool + bool is a logical or; a weak float operand promotes it to float64
-        dtype = np.result_type(self.values, other.values, 0.0)
-        return self._wrap(np.add(self.values, other.values, dtype=dtype))
-
-    def scale(self, c: complex) -> "FunctionTable":
-        return self._wrap(self.values * c)
-
     def minus_const(self, c: complex) -> "FunctionTable":
         return self._wrap(self.values - c)
 
@@ -164,13 +150,6 @@ class FunctionTable:
             raise ValueError("pair grid needs an even number of coordinates")
         n_points = self.p ** (self.m // 2)
         return self.values.reshape((n_points, n_points), order="F")
-
-    @classmethod
-    def from_pair_grid(cls, p: int, n: int, grid: np.ndarray, kind: str | None = None) -> "FunctionTable":
-        n_points = p**n
-        if grid.shape != (n_points, n_points):
-            raise ValueError(f"expected a {n_points} x {n_points} grid")
-        return cls(p, 2 * n, np.asarray(grid).reshape(-1, order="F"), kind)
 
 
 @dataclass
@@ -227,9 +206,6 @@ class IndicatorSet:
 
     def contains_index(self, idx: int) -> bool:
         return bool(self.mask[idx])
-
-    def complement(self) -> "IndicatorSet":
-        return IndicatorSet.from_table(FunctionTable(self.p, self.m, ~self.mask))
 
 
 def balanced(s: IndicatorSet) -> FunctionTable:
@@ -309,10 +285,11 @@ def load_set(path: str) -> IndicatorSet:
         if not line or line.startswith("#"):
             continue
         if "," in line:
-            digits = [int(tok) for tok in line.split(",")]
+            # reduced here, so that no digit overflows index_of's int64
+            digits = [int(tok) % p for tok in line.split(",")]
             if len(digits) != m:
                 raise ValueError(f"{path}:{lineno}: expected {m} digits")
-            idx = int(sum(d % p * p**i for i, d in enumerate(digits)))
+            idx = index_of(p, digits)
         else:
             idx = int(line)
         indices.append(idx)

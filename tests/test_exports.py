@@ -1,4 +1,5 @@
-"""Each module's ``__all__`` matches what it defines, and imports nothing it does not use."""
+"""Each module's ``__all__`` matches what it defines and lists only what the package uses,
+and each module imports nothing it does not use."""
 
 import ast
 import importlib
@@ -39,3 +40,51 @@ def test_every_module_level_import_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+#: Public names that nothing in the package calls, by module: the writers
+#: of the set and table formats that the command line reads, and the
+#: command line's entry points.
+UNCALLED_BUT_PUBLIC = {"tables": {"save_set", "save_table"}, "cli": {"main", "build_parser"}}
+
+
+def _loads_outside_own_definition(tree: ast.AST, name: str) -> bool:
+    """Whether ``tree`` reads ``name`` anywhere but inside its own def or class."""
+    stack = [tree]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and child.name == name:
+                continue
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                return True
+            stack.append(child)
+    return False
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    # a name counts as used when its own module reads it outside its
+    # definition, or another module imports it from there (imports that
+    # go unread are refused by the test above); __init__.py re-exports
+    # and is not a user
+    src = Path(lshape.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    imported = {
+        (node.module or "__init__", alias.name)
+        for stem, tree in trees.items()
+        if stem != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unused = []
+    for mod in MODULES:
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            home = obj.__module__ if callable(obj) else mod.__name__
+            stem = home.removeprefix("lshape").lstrip(".") or "__init__"
+            if name in UNCALLED_BUT_PUBLIC.get(stem, ()):
+                continue
+            if (stem, name) in imported or (stem != "__init__" and _loads_outside_own_definition(trees[stem], name)):
+                continue
+            unused.append(f"{stem}.{name}")
+    assert not unused, sorted(set(unused))

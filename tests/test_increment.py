@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import lshape.increment as increment
 import oracles as orc
+import references as ref
 from lshape.field import GroupVector, digit_table, rank_mod, solve_mod
 from lshape.increment import (
     Cell,
@@ -20,7 +21,6 @@ from lshape.increment import (
     _renormalize_to_cell,
     _top_characters,
     align_offset_increment,
-    energy_monotone_check,
     fiber_mean_increment,
     increment_driver,
     partition_energy,
@@ -32,7 +32,7 @@ from lshape.increment import (
 )
 from lshape.norms import gowers_norm
 from lshape.spectral import inverse_u2
-from lshape.structured import FiberFamily, StructuredProductSet, fiber_levels, random_family
+from lshape.structured import FiberFamily, StructuredProductSet, random_family
 from lshape.tables import FunctionTable, IndicatorSet, product_lift
 
 
@@ -54,18 +54,18 @@ def _random_structured(p, n, d, seed, base_density=0.85, factor_density=0.8):
 def test_trivial_partition_covers():
     part = ProductCosetPartition(3, 2, ())
     assert part.codim == 0
-    assert part.cover_check()["point_cover_ok"]
-    assert len(part.cells()) == 1
-    cell = part.cells()[0]
-    assert cell.measure == 1.0
-    assert cell.pair_member_mask().all()
+    assert ref.cover_check(part)["point_cover_ok"]
+    assert len(ref.cells(part)) == 1
+    cell = ref.cells(part)[0]
+    assert ref.cell_measure(cell) == 1.0
+    assert ref.pair_member_mask(cell).all()
 
 
 def test_partition_refinement_and_labels():
     part = ProductCosetPartition(3, 2, ())
     fine = part.refine((1, 0))
     assert fine.codim == 1
-    assert fine.cover_check()["point_cover_ok"]
+    assert ref.cover_check(fine)["point_cover_ok"]
     labels = fine.label_index()
     for x in range(9):
         assert labels[x] == orc.digits_le(x, 3, 2)[0]
@@ -74,8 +74,8 @@ def test_partition_refinement_and_labels():
         fine.refine((2, 0))
     finer = fine.refine((0, 1))
     assert finer.direction_dim == 0
-    cells = fine.cells()
-    masks = np.stack([c.pair_member_mask() for c in cells])
+    cells = ref.cells(fine)
+    masks = np.stack([ref.pair_member_mask(c) for c in cells])
     assert masks.sum(axis=0).max() == 1
     assert masks.any(axis=0).all()
 
@@ -113,10 +113,10 @@ def test_partition_energy_range_and_convexity():
     assert 0.0 <= e0["energy"] <= 1.0
     assert 0.0 <= e1["energy"] <= 1.0
     assert e1["energy"] >= e0["energy"] - 1e-12
-    rep = energy_monotone_check(coarse, fine, t)
+    rep = ref.energy_monotone_check(coarse, fine, t)
     assert rep["holds"]
     with pytest.raises(ValueError):
-        energy_monotone_check(fine, coarse, t)
+        ref.energy_monotone_check(fine, coarse, t)
 
 
 def test_energy_monotone_random_chains():
@@ -154,6 +154,30 @@ def test_pseudorandomize_terminates_and_gains():
             assert rec["certified_gain"] <= rec["energy_gain"] + 1e-9
         assert res.cell is None or isinstance(res.cell, Cell)
         assert res.met_threshold == rep["selected"]["met_threshold"]
+
+
+def test_pseudorandomize_builds_each_partition_tables_once(monkeypatch):
+    # the tables of a partition serve its energy, its round and the final
+    # selection, so each partition of the run is tabulated exactly once
+    built = []
+    real = increment._partition_tables
+
+    def counted(partition, t):
+        built.append(partition.normals)
+        return real(partition, t)
+
+    monkeypatch.setattr(increment, "_partition_tables", counted)
+    for p, n, d, seed in ((3, 4, 1, 1), (3, 4, 2, 5), (3, 3, 0, 2)):
+        s, t = _random_structured(p, n, d, seed)
+        built.clear()
+        res = pseudorandomize_u2(s, t, 0.1, 0.1)
+        seen = list(built)
+        assert res.report["round_count"] >= 1
+        assert len(seen) == len(set(seen)) == res.report["round_count"] + 1
+        assert seen[-1] == res.partition.normals
+        # and the energies it reports are those of freshly built tables
+        trace = [partition_energy(ProductCosetPartition(p, n, normals), t)["energy"] for normals in seen]
+        assert trace == res.report["energy_trace"]
 
 
 def test_pseudorandomize_flat_instance_reports_no_rounds():
@@ -429,8 +453,8 @@ def test_renormalized_cell_matches_fiber_levels():
     checked = []
     for s, t in cases:
         checked.append(0)
-        for cell in ProductCosetPartition(3, 2, ((1, 1),)).cells():
-            levels = fiber_levels(t.fibers, cell.x_coset, cell.y_coset)
+        for cell in ref.cells(ProductCosetPartition(3, 2, ((1, 1),))):
+            levels = ref.fiber_levels(t.fibers, cell.x_coset, cell.y_coset)
             for level in range(t.fibers.d + 1):
                 out = _renormalize_to_cell(s, t, cell, level)
                 exact = levels[level].exact
