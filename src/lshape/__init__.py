@@ -14,6 +14,12 @@ sets (``structured``) and the partition energy / density increment
 machinery (``increment``).  ``lshape`` on the command line fronts all
 of it with deterministic JSON reports.
 
+Two representations run through every module.  A set is a
+``FunctionTable`` of kind "indicator" (bool values), which carries its
+exact cardinality and its density.  A group element is its digit array
+or its canonical index; ``field.digits_of`` and ``field.index_of``
+convert between them.
+
 Every public name is reached from the command line or from another
 module of the package; the set and table writers are kept as the
 counterparts of the readers the command line uses.  Slow literal
@@ -24,7 +30,6 @@ auxiliary linear-form systems) live in ``tests/references.py``.
 
 from .field import (
     AffineSubspace,
-    GroupVector,
     ResourceLimitError,
     modular_rref,
     solve_mod,
@@ -32,7 +37,6 @@ from .field import (
 )
 from .tables import (
     FunctionTable,
-    IndicatorSet,
     load_any,
     load_set,
     load_table,
@@ -95,13 +99,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSubspace",
-    "GroupVector",
     "ResourceLimitError",
     "modular_rref",
     "solve_mod",
     "subspace_from_normals",
     "FunctionTable",
-    "IndicatorSet",
     "load_any",
     "load_set",
     "load_table",

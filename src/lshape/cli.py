@@ -45,7 +45,7 @@ from .spectral import (
     u2_fourth,
 )
 from .structured import FiberFamily, StructuredProductSet, random_family
-from .tables import FunctionTable, IndicatorSet, load_any
+from .tables import FunctionTable, load_any
 
 __all__ = ["build_parser", "main"]
 
@@ -136,15 +136,20 @@ def _random_table(p: int, m: int, seed: int) -> FunctionTable:
     return FunctionTable(p, m, vals, kind="complex")
 
 
-def _random_set(p: int, m: int, seed: int, density: float = 0.5) -> IndicatorSet:
+def _random_set(p: int, m: int, seed: int, density: float = 0.5) -> FunctionTable:
     if not 0.0 <= density <= 1.0:  # NaN fails this too
         raise ValueError(f"density must lie in [0, 1], got {density}")
     size = check_size(p, m)
     rng = np.random.default_rng(seed)
-    mask = rng.random(size) < density
-    if not mask.any():
-        mask[int(rng.integers(size))] = True
-    return IndicatorSet.from_mask(p, m, mask)
+    return FunctionTable(p, m, rng.random(size) < density)
+
+
+def _load_set(path: str) -> FunctionTable:
+    """A set or table file whose table is an indicator."""
+    table = load_any(path)
+    if table.kind != "indicator":
+        raise ValueError("need an indicator-kind table")
+    return table
 
 
 def _random_structured(p: int, n: int, d: int, seed: int):
@@ -158,8 +163,7 @@ def _random_structured(p: int, n: int, d: int, seed: int):
     keep = members[rng.random(len(members)) < 0.5]
     if len(keep) == 0 and len(members):
         keep = members[:1]
-    s = IndicatorSet.from_indices(p, 2 * n, [int(i) for i in keep])
-    return s, t
+    return FunctionTable.from_indices(p, 2 * n, keep), t
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +175,7 @@ def _cmd_norm(args: argparse.Namespace) -> tuple[dict, int]:
                 "definition_only": False, "table": ""}
     settings = _effective_settings(args, defaults)
     if settings["table"]:
-        obj = load_any(settings["table"])
-        table = obj.table if isinstance(obj, IndicatorSet) else obj
+        table = load_any(settings["table"])
     else:
         table = _random_table(settings["p"], settings["m"], settings["seed"])
     kind = settings["kind"]
@@ -198,8 +201,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
     settings = _effective_settings(args, defaults)
     extras: dict = {}
     if settings["set"]:
-        obj = load_any(settings["set"])
-        ind = obj if isinstance(obj, IndicatorSet) else IndicatorSet.from_table(obj)
+        ind = _load_set(settings["set"])
         if ind.m % 2:
             raise ValueError("counting needs a set on a pair space (even number of digits)")
         p, n = ind.p, ind.m // 2
@@ -217,11 +219,10 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         p, n = settings["p"], settings["n"]
         ind = _random_set(p, 2 * n, settings["seed"], settings["density"])
-    f = ind.table
     if settings["pattern"] == "lshape":
-        res = lshape_average(f, f, f, f)
+        res = lshape_average(ind, ind, ind, ind)
     elif settings["pattern"] == "corner":
-        res = corner_average(f, f, f)
+        res = corner_average(ind, ind, ind)
     else:
         raise ValueError(f"unknown pattern {settings['pattern']!r}")
     result = {
@@ -270,7 +271,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             freq, corr = inverse_u2(f)
             _check(checks, "inverse-u2-correlation",
                    corr + 1e-12 >= gowers_norm(f, 2).value ** 2,
-                   trial=i, frequency=list(freq.digits))
+                   trial=i, frequency=freq.tolist())
         coset = subspace_from_normals(p, n, ((1,) + (0,) * (n - 1),), (0,))
         f = _random_table(p, n, seed + 71)
         rep = subspace_average_bound_check(f, coset)
@@ -294,7 +295,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         ex = obstruction_example("dot", 3, 3, seed)
         _check(checks, "dot-obstruction-density",
                ex.set.cardinality == 261 and ex.set.density == 261 / 729)
-        res = lshape_average(ex.set.table, ex.set.table, ex.set.table, ex.set.table)
+        res = lshape_average(ex.set, ex.set, ex.set, ex.set)
         _check(checks, "dot-obstruction-count",
                res.exact_count == ex.predicted_count,
                count=str(res.exact_count))
@@ -319,9 +320,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
                abs(slot_norm(const, 0).value - abs(-0.4 + 0.3j)) <= 1e-12)
         ind = _random_set(p, n, seed + 61, 0.5)
         _check(checks, "indicator-first-norm",
-               abs(gowers_norm(ind.table, 1).value - ind.density) <= 1e-12)
-        empty = IndicatorSet.empty(p, 2 * n)
-        res = lshape_average(empty.table, empty.table, empty.table, empty.table)
+               abs(gowers_norm(ind, 1).value - ind.density) <= 1e-12)
+        empty = FunctionTable(p, 2 * n, np.zeros(p ** (2 * n), dtype=bool))
+        res = lshape_average(empty, empty, empty, empty)
         _check(checks, "empty-set-count",
                res.exact_count == 0 and res.nontrivial_count == 0)
 
@@ -360,12 +361,11 @@ def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
     settings = _effective_settings(args, defaults)
     p, n = settings["p"], settings["n"]
     if settings["set"]:
-        obj = load_any(settings["set"])
-        s = obj if isinstance(obj, IndicatorSet) else IndicatorSet.from_table(obj)
+        s = _load_set(settings["set"])
         if s.m % 2:
             raise ValueError("the candidate set must live on a pair space")
         p, n = s.p, s.m // 2
-        full = IndicatorSet.full(p, n)
+        full = FunctionTable(p, n, np.ones(p**n, dtype=bool))
         t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     elif settings["planted"] == "row-bias":
         s, t = planted_row_instance(p, n)

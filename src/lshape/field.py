@@ -6,12 +6,13 @@ elements by one fixed encoding: the element with digit vector
 (little-endian base p).  Index <-> digit conversion is a bijection below
 p**m and all vectorised kernels rely on that single convention.
 
-Apart from its independent audits, the rest of the package combines
-elements through three helpers here: ``combine`` gives the index of a
-linear combination of elements, ``line_means`` averages a pair-space
-grid along the lines y = w - c x, and ``rank_mod`` is the rank of a
-residue matrix.  ``check_modulus`` and ``check_size`` hold the input
-rules shared by every table: p an odd prime, and at most
+A group element is either its digit vector, an int64 array of length
+m, or its canonical index; ``digits_of`` and ``index_of`` convert
+between the two.  Apart from its independent audits, the rest of the
+package combines elements through two helpers here: ``combine`` gives
+the index of a linear combination of elements, and ``rank_mod`` is the
+rank of a residue matrix.  ``check_modulus`` and ``check_size`` hold
+the input rules shared by every table: p an odd prime, and at most
 MAX_ENUMERATION elements.
 
 Cosets w + V are stored in parity-check form: a reduced list of normal
@@ -34,7 +35,6 @@ __all__ = [
     "ResourceLimitError",
     "check_modulus",
     "check_size",
-    "GroupVector",
     "AffineSubspace",
     "modular_rref",
     "rank_mod",
@@ -47,7 +47,6 @@ __all__ = [
     "add_map",
     "scale_map",
     "combine",
-    "line_means",
 ]
 
 #: Hard cap on dense enumeration sizes (number of group elements): the
@@ -158,52 +157,6 @@ def combine(p: int, m: int, coeffs: Sequence[int], indices: Sequence[np.ndarray 
     return out
 
 
-def line_means(grid: np.ndarray, p: int, n: int, c: int) -> np.ndarray:
-    """m[w] = E_x grid[x, w - c x]: the means of an N x N pair grid along
-    the lines y = w - c x, one per w in Z_p^n."""
-    x = np.arange(p**n)
-    cols = combine(p, n, (1, -c), (x[:, None], x[None, :]))
-    return grid[x[None, :], cols].mean(axis=1)
-
-
-@dataclass(frozen=True)
-class GroupVector:
-    """An element of Z_p^m as a digit tuple; doubles as a character label."""
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(not (0 <= d < self.p) for d in self.digits):
-            raise ValueError(f"digits {self.digits} out of range for p = {self.p}")
-
-    @classmethod
-    def from_index(cls, p: int, m: int, index: int) -> "GroupVector":
-        if not (0 <= index < p**m):
-            raise ValueError(f"index {index} out of range for p^m = {p**m}")
-        digits = []
-        q = index
-        for _ in range(m):
-            q, r = divmod(q, p)
-            digits.append(r)
-        return cls(p, tuple(digits))
-
-    @classmethod
-    def zero(cls, p: int, m: int) -> "GroupVector":
-        return cls(p, (0,) * m)
-
-    @property
-    def m(self) -> int:
-        return len(self.digits)
-
-    @property
-    def index(self) -> int:
-        return int(sum(d * self.p**i for i, d in enumerate(self.digits)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.digits, dtype=np.int64)
-
-
 def modular_rref(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form mod p.
 
@@ -307,30 +260,24 @@ class AffineSubspace:
         free = [c for c in range(self.ambient_dim) if c not in piv]
         return piv, free
 
-    def offset_point(self) -> GroupVector:
-        """The canonical member: all free coordinates zero."""
+    def offset_point(self) -> np.ndarray:
+        """The digits of the canonical member: all free coordinates zero."""
         if self.is_empty:
             raise ValueError("the empty set has no members")
         x = np.zeros(self.ambient_dim, dtype=np.int64)
-        piv, _ = self._pivots_free()
-        for i, c in enumerate(piv):
-            x[c] = self.offsets[i]
-        return GroupVector(self.p, tuple(int(v) for v in x))
+        x[self._pivots_free()[0]] = self.offsets
+        return x
 
-    def basis(self) -> tuple[GroupVector, ...]:
-        """Directions spanning V, one per free coordinate, in column order."""
+    def basis(self) -> np.ndarray:
+        """Directions spanning V as the rows of a (dim, ambient_dim) digit
+        array, one per free coordinate, in column order."""
+        out = np.zeros((self.dim, self.ambient_dim), dtype=np.int64)
         if self.is_empty:
-            return ()
-        mat = self._normal_matrix()
+            return out
         piv, free = self._pivots_free()
-        out = []
-        for f in free:
-            v = np.zeros(self.ambient_dim, dtype=np.int64)
-            v[f] = 1
-            for i, c in enumerate(piv):
-                v[c] = (-mat[i, f]) % self.p
-            out.append(GroupVector(self.p, tuple(int(t) for t in v)))
-        return tuple(out)
+        out[np.arange(len(free)), free] = 1
+        out[:, piv] = -self._normal_matrix()[:, free].T % self.p
+        return out
 
     def member_indices(self) -> np.ndarray:
         """Canonical indices of all members, ordered by parameter index.
@@ -342,24 +289,14 @@ class AffineSubspace:
         """
         if self.is_empty:
             return np.zeros(0, dtype=np.int64)
-        k = self.dim
-        params = digit_table(self.p, k)
-        mat = self._normal_matrix()
-        piv, free = self._pivots_free()
-        x = np.zeros((self.p**k, self.ambient_dim), dtype=np.int64)
-        if free:
-            x[:, free] = params
-        if piv:
-            rhs = np.array(self.offsets, dtype=np.int64)[None, :]
-            corr = params @ mat[:, free].T if free else 0
-            x[:, piv] = (rhs - corr) % self.p
-        return np.asarray(index_of(self.p, x), dtype=np.int64)
+        points = self.offset_point() + digit_table(self.p, self.dim) @ self.basis()
+        return np.asarray(index_of(self.p, points), dtype=np.int64)
 
 
 def subspace_from_normals(
     p: int,
     ambient_dim: int,
-    normals: Iterable[GroupVector | Sequence[int]] = (),
+    normals: Iterable[Sequence[int]] = (),
     offsets: Iterable[int] = (),
 ) -> AffineSubspace:
     """Reduce an arbitrary constraint list to a canonical AffineSubspace.
@@ -367,16 +304,9 @@ def subspace_from_normals(
     Dependent constraints are merged; contradictory ones yield the
     explicit empty-set value.
     """
-    rows = []
-    for nrm in normals:
-        if isinstance(nrm, GroupVector):
-            if nrm.p != p or nrm.m != ambient_dim:
-                raise ValueError("normal vector lives in the wrong space")
-            rows.append(list(nrm.digits))
-        else:
-            if len(nrm) != ambient_dim:
-                raise ValueError("normal vector lives in the wrong space")
-            rows.append([int(v) % p for v in nrm])
+    rows = [[int(v) % p for v in nrm] for nrm in normals]
+    if any(len(row) != ambient_dim for row in rows):
+        raise ValueError("normal vector lives in the wrong space")
     offs = [int(c) % p for c in offsets]
     if len(offs) != len(rows):
         raise ValueError(f"{len(rows)} normals but {len(offs)} offsets")

@@ -28,18 +28,17 @@ return a denser structured pair or an explicit no-gain report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .field import (
     AffineSubspace,
-    GroupVector,
     ResourceLimitError,
     combine,
     digit_table,
     digits_of,
     index_of,
-    line_means,
     modular_rref,
     solve_mod,
     subspace_from_normals,
@@ -48,7 +47,7 @@ from .norms import RADICAND_FLOOR
 from .patterns import lshape_average
 from .spectral import dft_batch, top_index
 from .structured import FiberFamily, StructuredProductSet
-from .tables import IndicatorSet, slot_index_array
+from .tables import FunctionTable, line_means, slot_index_array
 
 __all__ = [
     "Cell",
@@ -130,10 +129,10 @@ class ProductCosetPartition:
         weights = self.p ** np.arange(self.codim, dtype=np.int64)
         return labs @ weights
 
-    def refine(self, character: tuple[int, ...] | GroupVector) -> "ProductCosetPartition":
-        """New partition with direction V intersected with the character's kernel."""
-        row = character.digits if isinstance(character, GroupVector) else tuple(int(v) % self.p for v in character)
-        stacked = list(self.normals) + [row]
+    def refine(self, character: Sequence[int]) -> "ProductCosetPartition":
+        """New partition with direction V intersected with the kernel of the
+        character with these digits."""
+        stacked = list(self.normals) + [tuple(int(v) % self.p for v in character)]
         red, piv = modular_rref(np.array(stacked, dtype=np.int64), self.p)
         if len(piv) != len(self.normals) + 1:
             raise ValueError("character lies in the span of the existing normals")
@@ -155,10 +154,10 @@ def _fiber_level_of_points(fam: FiberFamily, lab: np.ndarray, k: int) -> np.ndar
     """
     p, n = fam.p, fam.n
     size = p**n
-    grid = fam.table.mask.reshape((size, size), order="F")
+    grid = fam.table.values.reshape((size, size), order="F")
     own = lab[index_of(p, fam.offsets)]
     meet = np.count_nonzero(grid & (lab[None, :] == own[:, None]), axis=1)
-    return np.where(fam.base.mask, n - k - np.searchsorted(p ** np.arange(n + 1), meet), -1)
+    return np.where(fam.base.values, n - k - np.searchsorted(p ** np.arange(n + 1), meet), -1)
 
 
 def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet) -> dict:
@@ -169,15 +168,15 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
     lab = partition.label_index()
     coset_size = p ** (n - k)
 
-    def set_density_by_label(s: IndicatorSet) -> np.ndarray:
-        return np.bincount(lab[s.mask], minlength=big) / coset_size
+    def set_density_by_label(s: FunctionTable) -> np.ndarray:
+        return np.bincount(lab[s.values], minlength=big) / coset_size
 
     dens_b = set_density_by_label(t.y_set)
     dens_c = set_density_by_label(t.sum_set)
     dens_d = set_density_by_label(t.skew_set)
 
     levels = _fiber_level_of_points(t.fibers, lab, k)
-    phi_mask = t.fibers.table.mask
+    phi_mask = t.fibers.table.values
     pair_x = slot_index_array(p, n, "x")  # pair index = x + p^n * y
     pair_y = slot_index_array(p, n, "y")
     cid = lab[pair_x] + big * lab[pair_y]
@@ -334,7 +333,7 @@ class PseudorandomizeResult:
 
 
 def pseudorandomize_u2(
-    s_set: IndicatorSet,
+    s_set: FunctionTable,
     t: StructuredProductSet,
     eps: float,
     tau: float,
@@ -391,13 +390,12 @@ def pseudorandomize_u2(
             stopped_because = "direction dimension exhausted"
             break
         big = data["big"]
-        coset_dim = partition.direction_dim
 
         # members per label, ordered by coset parameters: the normals are
         # reduced, so label c's coset is V translated by the point whose
         # pivot coordinates are c and whose free coordinates are 0
         direction = subspace_from_normals(p, n, partition.normals, (0,) * partition.codim)
-        x_basis = np.array([v.digits for v in direction.basis()], dtype=np.int64).reshape(coset_dim, n)
+        x_basis = direction.basis()
         pull = _pull_back_matrix(x_basis, p)
         label_points = np.zeros((big, n), dtype=np.int64)
         label_points[:, [row.index(1) for row in partition.normals]] = data["lab_digits"]
@@ -407,7 +405,7 @@ def pseudorandomize_u2(
         # per-label deviations of the y, sum and skew factor sets
         factor_devs = []
         for s in (t.y_set, t.sum_set, t.skew_set):
-            devs = _triggered_characters(s.mask[members], p, 1, eps, x_basis, pull)
+            devs = _triggered_characters(s.values[members], p, 1, eps, x_basis, pull)
             # a top character of 0 pulls back to nothing to refine by
             factor_devs.append({lab: dev for lab, dev in devs.items() if dev[1]})
 
@@ -420,7 +418,7 @@ def pseudorandomize_u2(
         # fiber level i of every live cell, rows ordered by cell then level;
         # row entry ix + |V| iy is the pair at coset parameters (ix, iy), so
         # the x half of a character comes first
-        phi_grid = t.fibers.table.mask.reshape((size, size), order="F")
+        phi_grid = t.fibers.table.values.reshape((size, size), order="F")
         xs, ys = members[live % big], members[live // big]
         lev = data["levels"][xs][:, None, None, :]
         on_level = (lev >= 0) & (lev <= np.arange(d + 1)[None, :, None, None])
@@ -497,8 +495,8 @@ def pseudorandomize_u2(
     pair_level = data["levels"][data["pair_x"]]
     on_level = (pair_level >= 0) & (pair_level <= d)
     key = pair_level * (big * big) + data["cid"]
-    t_counts = np.bincount(key[t.table.mask & on_level], minlength=(d + 1) * big * big)
-    s_counts = np.bincount(key[s_set.mask & on_level], minlength=(d + 1) * big * big)
+    t_counts = np.bincount(key[t.table.values & on_level], minlength=(d + 1) * big * big)
+    s_counts = np.bincount(key[s_set.values & on_level], minlength=(d + 1) * big * big)
     nonempty = np.flatnonzero(t_counts)
     pick = None
     if nonempty.size:
@@ -546,9 +544,9 @@ def pseudorandomize_u2(
 # increment moves
 
 
-def _density_inside(s_set: IndicatorSet, t_set: IndicatorSet) -> float:
+def _density_inside(s_set: FunctionTable, t_set: FunctionTable) -> float:
     """sigma = |S| / |T|, after checking that S sits inside a nonempty T."""
-    if np.any(s_set.mask & ~t_set.mask):
+    if np.any(s_set.values & ~t_set.values):
         raise ValueError("the candidate set must sit inside the structured set")
     if t_set.cardinality == 0:
         raise ValueError("empty structured set")
@@ -586,9 +584,9 @@ def _best_row_split(
 
 def _split_increment(
     report: dict,
-    s_set: IndicatorSet,
+    s_set: FunctionTable,
     sigma: float,
-    factor: IndicatorSet,
+    factor: FunctionTable,
     means: np.ndarray,
     threshold: float,
     rebuild,
@@ -600,11 +598,11 @@ def _split_increment(
     recounted independently before ``report`` is completed with it.
     """
     best = None
-    for cand_name, mask in _best_row_split(factor.mask, means, threshold):
-        t_new = rebuild(IndicatorSet.from_mask(factor.p, factor.m, mask))
+    for cand_name, mask in _best_row_split(factor.values, means, threshold):
+        t_new = rebuild(FunctionTable(factor.p, factor.m, mask))
         if t_new is None:
             continue
-        inter, mass = int(np.count_nonzero(s_set.mask & t_new.table.mask)), t_new.table.cardinality
+        inter, mass = int(np.count_nonzero(s_set.values & t_new.table.values)), t_new.table.cardinality
         if mass == 0:
             continue
         ratio = inter / mass
@@ -614,12 +612,12 @@ def _split_increment(
         report.update({"gained": False, "reason": "no split beat the current density"})
         return report
     ratio, cand_name, t_new, inter, mass = best
-    recount = _recount_pairs(s_set.mask, t_new)
+    recount = _recount_pairs(s_set.values, t_new)
     if recount != inter:
         raise AssertionError("density recount disagrees")
     if abs(inter / mass - ratio) > 1e-12:
         raise AssertionError("density bookkeeping drifted")
-    s_new = IndicatorSet.from_table(s_set.table.times(t_new.table.table))
+    s_new = s_set.times(t_new.table)
     report.update(
         {
             "gained": True,
@@ -635,7 +633,7 @@ def _split_increment(
     return report
 
 
-def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float) -> dict:
+def fiber_mean_increment(s_set: FunctionTable, t: StructuredProductSet, tau: float) -> dict:
     """Degree-one density increment from a biased pencil of fiber means.
 
     Scans the x-row, y-column and anti-diagonal pencils of
@@ -650,7 +648,7 @@ def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: floa
     p, n = t.p, t.n
     size = p**n
     sigma = _density_inside(s_set, t.table)
-    g = (s_set.mask - sigma * t.table.mask).reshape((size, size), order="F")
+    g = (s_set.values - sigma * t.table.values).reshape((size, size), order="F")
     report: dict = {"sigma": sigma, "tau": tau, "pencils": {}}
     chosen = None
     for name, means, factor, others in t.pencils(g):
@@ -668,7 +666,7 @@ def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: floa
     report["chosen_pencil"] = name
     report["fiber_threshold"] = threshold
 
-    def rebuild(new_set: IndicatorSet) -> StructuredProductSet | None:
+    def rebuild(new_set: FunctionTable) -> StructuredProductSet | None:
         if name == "x-rows":
             try:
                 fam = FiberFamily(p, n, new_set, t.fibers.offsets, t.fibers.d, t.fibers.normals)
@@ -682,7 +680,7 @@ def fiber_mean_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: floa
     return _split_increment(report, s_set, sigma, factor, means, threshold, rebuild)
 
 
-def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float) -> dict:
+def skew_line_increment(s_set: FunctionTable, t: StructuredProductSet, tau: float) -> dict:
     """Density increment from biased skew lines 2x + y = w.
 
     The line means m(w) = E_x g(x, w - 2x) are thresholded at
@@ -692,12 +690,12 @@ def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float
     p, n = t.p, t.n
     size = p**n
     sigma = _density_inside(s_set, t.table)
-    g = (s_set.mask - sigma * t.table.mask).reshape((size, size), order="F")
+    g = (s_set.values - sigma * t.table.values).reshape((size, size), order="F")
     alpha = t.fibers.base.density
     beta = t.y_set.density
     gamma = t.sum_set.density
     rho = t.fibers.rho
-    means = line_means(g, p, n, 2)
+    means = line_means(g, p, n, "2x+y")
     threshold = tau * alpha * beta * gamma * rho / 4
     fired = bool(np.any(np.abs(means) >= threshold))
     report = {
@@ -716,7 +714,7 @@ def skew_line_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float
     )
 
 
-def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: float) -> dict:
+def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: float) -> dict:
     """Recover a shared fiber offset for a family with per-point offsets.
 
     Every u in Z_p^n keeps the sub-base A_u of points whose fiber
@@ -739,7 +737,7 @@ def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: fl
     alpha = fam.base.density
     rho = fam.rho
 
-    counts = fam.table.mask.reshape((size, size), order="F").sum(axis=0)  # counts[u] = |A_u|
+    counts = fam.table.values.reshape((size, size), order="F").sum(axis=0)  # counts[u] = |A_u|
     lhs_total = int(counts.sum())
     rhs_total = fam.base.cardinality * p ** (n - d)
     if lhs_total != rhs_total:
@@ -757,9 +755,9 @@ def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: fl
     best = None
     for u in candidates:
         # counts[u] = |A_u| > 0, so the aligned base is never empty
-        aligned = fam.with_common_offset(GroupVector.from_index(p, n, u))
+        aligned = fam.with_common_offset(u)
         t_u = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, aligned)
-        inter, mass = int(np.count_nonzero(s_set.mask & t_u.table.mask)), t_u.table.cardinality
+        inter, mass = int(np.count_nonzero(s_set.values & t_u.table.values)), t_u.table.cardinality
         if mass == 0:
             continue
         ratio = inter / mass
@@ -773,16 +771,16 @@ def align_offset_increment(s_set: IndicatorSet, t: StructuredProductSet, tau: fl
             "identity_rhs": str(rhs_total),
         }
     ratio, u, t_u, inter = best
-    s_new = IndicatorSet.from_table(s_set.table.times(t_u.table.table))
+    s_new = s_set.times(t_u.table)
     report = {
         "sigma_mixed": sigma,
         "new_sigma": ratio,
         "gain": ratio - sigma,
         "gained": ratio >= sigma,
-        "chosen_offset": list(GroupVector.from_index(p, n, u).digits),
+        "chosen_offset": digits_of(p, n, u).tolist(),
         "candidates": len(candidates),
         "mass_floor": floor / size,
-        "mass_ceiling_violations": [list(GroupVector.from_index(p, n, v).digits) for v in violations],
+        "mass_ceiling_violations": digits_of(p, n, violations).tolist(),
         "used_fallback": used_fallback,
         "identity_lhs": str(lhs_total),
         "identity_rhs": str(rhs_total),
@@ -827,10 +825,8 @@ def _point_index(quads: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]
     return ptr, ids.astype(np.int32)
 
 
-def _verify_l_free(p: int, n: int, indices) -> bool:
-    ind = IndicatorSet.from_indices(p, 2 * n, [int(i) for i in indices])
-    res = lshape_average(ind.table, ind.table, ind.table, ind.table)
-    return res.nontrivial_count == 0
+def _verify_l_free(s: FunctionTable) -> bool:
+    return lshape_average(s, s, s, s).nontrivial_count == 0
 
 
 def _greedy_l_free(
@@ -962,7 +958,7 @@ def search_extremal_L_free(
             extra = {"optimal": False, "iterations": iterations}
 
     indices = np.flatnonzero(result).tolist()
-    if not _verify_l_free(p, n, indices):
+    if not _verify_l_free(FunctionTable(p, 2 * n, result)):
         raise AssertionError("search produced a set containing a configuration")
     out = {
         "p": p,
@@ -983,35 +979,35 @@ def search_extremal_L_free(
 # planted instances with a known one-step gain
 
 
-def planted_row_instance(p: int, n: int) -> tuple[IndicatorSet, StructuredProductSet]:
+def planted_row_instance(p: int, n: int) -> tuple[FunctionTable, StructuredProductSet]:
     """S fills half the x rows of a full structured set.
 
     The row-pencil bias of S - sigma * T is sigma * (1 - sigma) on every
     row, so the fiber-mean move must fire and reach density one.
     """
-    full = IndicatorSet.full(p, n)
+    full = FunctionTable(p, n, np.ones(p**n, dtype=bool))
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     size = p**n
     half = size // 2
     mask = np.zeros(size * size, dtype=bool)
     for y in range(size):
         mask[size * y : size * y + half] = True
-    return IndicatorSet.from_mask(p, 2 * n, mask), t
+    return FunctionTable(p, 2 * n, mask), t
 
 
-def planted_skew_instance(p: int, n: int) -> tuple[IndicatorSet, StructuredProductSet]:
+def planted_skew_instance(p: int, n: int) -> tuple[FunctionTable, StructuredProductSet]:
     """S fills the skew lines 2x + y = w for half the w values.
 
     Row, column and anti-diagonal means of S - sigma * T all vanish, so
     only the skew-line move can fire; it must reach density one.
     """
-    full = IndicatorSet.full(p, n)
+    full = FunctionTable(p, n, np.ones(p**n, dtype=bool))
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     size = p**n
     half = size // 2
     points = np.arange(size)
     w = combine(p, n, (2, 1), (points[None, :], points[:, None]))  # w[y, x] = 2x + y
-    return IndicatorSet.from_mask(p, 2 * n, (w < half).reshape(-1)), t
+    return FunctionTable(p, 2 * n, (w < half).reshape(-1)), t
 
 
 # ---------------------------------------------------------------------------
@@ -1019,11 +1015,11 @@ def planted_skew_instance(p: int, n: int) -> tuple[IndicatorSet, StructuredProdu
 
 
 def _renormalize_to_cell(
-    s_set: IndicatorSet,
+    s_set: FunctionTable,
     t: StructuredProductSet,
     cell: Cell,
     level: int,
-) -> tuple[IndicatorSet, StructuredProductSet] | None:
+) -> tuple[FunctionTable, StructuredProductSet] | None:
     """Restrict (S, T) to cell ∩ level and rewrite in coset coordinates.
 
     The cell is (a + V) x (b + V); points are re-parametrized through a
@@ -1040,18 +1036,21 @@ def _renormalize_to_cell(
     if new_n == 0:
         return None
     x_coset = cell.x_coset
-    basis = np.array([v.digits for v in x_coset.basis()], dtype=np.int64).reshape(new_n, n)
+    basis = x_coset.basis()
     dt_new = digit_table(p, new_n)
-    x0 = np.array(x_coset.offset_point().digits, dtype=np.int64)
-    y0 = np.array(cell.y_coset.offset_point().digits, dtype=np.int64)
+    x0 = x_coset.offset_point()
+    y0 = cell.y_coset.offset_point()
 
     def coset_points(start: np.ndarray) -> np.ndarray:
         """Indices of start + V, ordered by the parameters of the basis."""
         return np.asarray(index_of(p, (start[None, :] + dt_new @ basis) % p), dtype=np.int64)
 
     xs, ys = coset_points(x0), coset_points(y0)
-    # audit the parametrization: it must reach every member of the x coset
-    if not np.array_equal(np.sort(xs), np.sort(x_coset.member_indices())):
+    # audit the parametrization against the parity checks of the x coset,
+    # not against member_indices, which runs through the same basis
+    checks = np.array(cell.normals, dtype=np.int64).reshape(-1, n)
+    on_coset = np.all(digit_table(p, n) @ checks.T % p == np.array(cell.a_rhs, dtype=np.int64), axis=1)
+    if not np.array_equal(np.sort(xs), np.flatnonzero(on_coset)):
         raise AssertionError("coset parametrization lost members")
 
     new_size = p**new_n
@@ -1061,7 +1060,7 @@ def _renormalize_to_cell(
     new_offsets = np.zeros((new_size, new_n), dtype=np.int64)
     for jt in range(new_size):
         x = int(xs[jt])
-        if not fam.base.mask[x]:
+        if not fam.base.values[x]:
             continue
         rows = (fam.normals[x] @ basis.T) % p
         sol = solve_mod(rows, fam.normals[x] @ (fam.offsets[x] - y0), p)
@@ -1075,10 +1074,10 @@ def _renormalize_to_cell(
         new_offsets[jt] = sol
     if not keep.any():
         return None
-    fam_new = FiberFamily(p, new_n, IndicatorSet.from_mask(p, new_n, keep), new_offsets, level, new_normals)
+    fam_new = FiberFamily(p, new_n, FunctionTable(p, new_n, keep), new_offsets, level, new_normals)
 
-    def reindex_set(s: IndicatorSet, points: np.ndarray) -> IndicatorSet:
-        return IndicatorSet.from_mask(p, new_n, s.mask[points])
+    def reindex_set(s: FunctionTable, points: np.ndarray) -> FunctionTable:
+        return FunctionTable(p, new_n, s.values[points])
 
     t_cell = StructuredProductSet(
         reindex_set(t.y_set, ys),
@@ -1087,14 +1086,14 @@ def _renormalize_to_cell(
         fam_new,
     )
 
-    s_grid = s_set.mask.reshape((size, size), order="F")[np.ix_(xs, ys)]
-    new_mask = s_grid & fam_new.table.mask.reshape((new_size, new_size), order="F")
-    s_new = IndicatorSet.from_mask(p, 2 * new_n, new_mask.reshape(-1, order="F"))
+    s_grid = s_set.values.reshape((size, size), order="F")[np.ix_(xs, ys)]
+    new_mask = s_grid & fam_new.table.values.reshape((new_size, new_size), order="F")
+    s_new = FunctionTable(p, 2 * new_n, new_mask.reshape(-1, order="F"))
     return s_new, t_cell
 
 
 def increment_driver(
-    s_set: IndicatorSet,
+    s_set: FunctionTable,
     t: StructuredProductSet,
     eps: float,
     tau: float,
@@ -1125,7 +1124,7 @@ def increment_driver(
         t_mass = current_t.table.cardinality
         s_mass = current_s.cardinality
         sigma = s_mass / t_mass
-        if require_l_free and not _verify_l_free(current_t.p, current_t.n, current_s.member_indices()):
+        if require_l_free and not _verify_l_free(current_s):
             raise AssertionError("the candidate set acquired a configuration")
         if s_mass == 0:
             halted = "candidate set is empty"

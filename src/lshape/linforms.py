@@ -196,7 +196,7 @@ def cs_complexity(system: LinearFormSystem) -> ComplexityCertificate:
     return ComplexityCertificate(max(worst - 1, 0), tuple(partitions))
 
 
-def von_neumann_check(system: LinearFormSystem, tables, s: int, n: int, slack: float = 1e-9) -> dict:
+def von_neumann_check(system: LinearFormSystem, tables, s: int, n: int) -> dict:
     """|E prod f_j(psi_j)| <= min_j ||f_j||_{U^(s+1)} for 1-bounded f_j,
     provided the system has complexity at most s."""
     cert = cs_complexity(system)
@@ -213,5 +213,5 @@ def von_neumann_check(system: LinearFormSystem, tables, s: int, n: int, slack: f
         "product_average": lhs,
         "norms": norms,
         "bound": rhs,
-        "holds": lhs <= rhs + slack,
+        "holds": lhs <= rhs + 1e-9,
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import ResourceLimitError, add_map, check_size, combine, digit_table, scale_map
-from .tables import FunctionTable, IndicatorSet, balanced
+from .tables import FunctionTable, balanced
 
 __all__ = [
     "PatternCount",
@@ -158,12 +158,11 @@ def corner_average(g0: FunctionTable, g1: FunctionTable, g2: FunctionTable) -> P
     return _count_pattern([g0, g1, g2], use_third_point=False)
 
 
-def ones_like(s: IndicatorSet | FunctionTable) -> FunctionTable:
-    table = s.table if isinstance(s, IndicatorSet) else s
-    return FunctionTable(table.p, table.m, np.ones(table.values.size, dtype=bool))
+def ones_like(f: FunctionTable) -> FunctionTable:
+    return FunctionTable(f.p, f.m, np.ones(f.size, dtype=bool))
 
 
-def telescope_check(s: IndicatorSet, slack: float = 1e-9) -> dict:
+def telescope_check(s: FunctionTable) -> dict:
     """Multilinearity bound for the four-point average of a set.
 
     Writing the indicator as (balanced part) + density in one slot at a
@@ -176,13 +175,12 @@ def telescope_check(s: IndicatorSet, slack: float = 1e-9) -> dict:
     bound over the first three terms.
     """
     sigma = s.density
-    st = s.table
     one = ones_like(s)
     g = balanced(s)
-    lam_all = lshape_average(st, st, st, st)
-    t0 = abs(lshape_average(g, st, st, st).average)
-    t1 = abs(lshape_average(one, g, st, st).average)
-    t2 = abs(lshape_average(one, one, g, st).average)
+    lam_all = lshape_average(s, s, s, s)
+    t0 = abs(lshape_average(g, s, s, s).average)
+    t1 = abs(lshape_average(one, g, s, s).average)
+    t2 = abs(lshape_average(one, one, g, s).average)
     lhs = abs(lam_all.average - sigma**4)
     rhs = t0 + sigma * t1 + sigma**2 * t2
     return {
@@ -191,7 +189,7 @@ def telescope_check(s: IndicatorSet, slack: float = 1e-9) -> dict:
         "lhs": lhs,
         "rhs": rhs,
         "terms": [t0, t1, t2],
-        "holds": lhs <= rhs + slack,
+        "holds": lhs <= rhs + 1e-9,
     }
 
 
@@ -203,7 +201,7 @@ class ObstructionExample:
     p: int
     n: int
     seed: int | None
-    set: IndicatorSet
+    set: FunctionTable
     predicted_density: float
     predicted_count: int
     extras: dict = dc_field(default_factory=dict)
@@ -238,7 +236,7 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
         if n < 3:
             raise ValueError("the dot-set construction needs n >= 3")
         mask = (d @ d.T) % p == 0  # mask[x, y]
-        s = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))  # pair index = x + N y
+        s = FunctionTable(p, 2 * n, mask.T.reshape(-1))  # pair index = x + N y
         npow = size // p
         predicted_density = ((size - 1) * npow + size) / size**2
         isotropic = npow - 1
@@ -262,37 +260,37 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
                 resampled += 1
         u = rng.integers(0, p, size=n)
         mask = (phi @ ((d - u) % p).T) % p == 0  # mask[x, y]
-        s = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))
+        s = FunctionTable(p, 2 * n, mask.T.reshape(-1))
         return ObstructionExample("random_phi", p, n, seed, s, 1.0 / p, size**3 // p**3,
                                   {"resampled_rows": resampled})
     if kind == "coordinate":
         rng = np.random.default_rng(seed)
         u_vals = rng.integers(0, p, size=size)
         mask = d[:, 0][None, :] == u_vals[:, None]  # mask[x, y] on y digit 0
-        s = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))
+        s = FunctionTable(p, 2 * n, mask.T.reshape(-1))
         return ObstructionExample("coordinate", p, n, seed, s, 1.0 / p, size**3 // p**3, {})
     raise ValueError(f"unknown obstruction kind {kind!r}")
 
 
-def count_system(tables, system, n: int, cap: int = 10**8) -> PatternCount:
+def count_system(tables, system, n: int) -> PatternCount:
     """Count tuples of (Z_p^n)^r whose form images all land in the sets.
 
     ``system`` is a LinearFormSystem; form i may stack k rows, mapping
     the variable tuple to Z_p^(k n), and tables[i] must live there.
-    Indicator inputs give exact integer counts.
+    Indicator inputs give exact integer counts.  Tuple spaces above 10^8
+    are refused.
     """
     p = system.p
     size = p**n
     r = system.r
-    if size**r > cap:
+    if size**r > 10**8:
         raise ResourceLimitError(f"tuple space of size {size ** r} exceeds cap")
     if len(tables) != len(system.forms):
         raise ValueError(f"{len(system.forms)} forms but {len(tables)} tables")
-    tabs = [t.table if isinstance(t, IndicatorSet) else t for t in tables]
     mesh = np.indices((size,) * r).reshape(r, -1)
-    all_indicator = all(t.kind == "indicator" for t in tabs)
+    all_indicator = all(t.kind == "indicator" for t in tables)
     prod = np.ones(mesh.shape[1], dtype=np.int64 if all_indicator else np.complex128)
-    for form, tab in zip(system.forms, tabs):
+    for form, tab in zip(system.forms, tables):
         rows = form.rows
         if tab.m != len(rows) * n:
             raise ValueError(f"table on {tab.m} coordinates does not match a {len(rows)}-row form")

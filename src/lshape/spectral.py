@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import AffineSubspace, GroupVector, digit_table
+from .field import AffineSubspace, digit_table, digits_of
 from .tables import FunctionTable
 
 logger = logging.getLogger("lshape")
@@ -131,8 +131,9 @@ def top_index(mags: np.ndarray) -> np.ndarray:
     return np.argmax(mags >= top - TIE_TOL, axis=-1)
 
 
-def inverse_u2(f: FunctionTable) -> tuple[GroupVector, float]:
-    """The largest Fourier coefficient and its location.
+def inverse_u2(f: FunctionTable) -> tuple[np.ndarray, float]:
+    """The digits of the frequency of the largest Fourier coefficient, and
+    the coefficient's modulus.
 
     For 1-bounded f this certifies corr >= ||f||_{U^2}^2, because
     sum |f_hat|^4 <= max|f_hat|^2 * sum|f_hat|^2 <= max|f_hat|^2.
@@ -147,7 +148,7 @@ def inverse_u2(f: FunctionTable) -> tuple[GroupVector, float]:
     spec = dft_values(f.values, f.p, f.m)
     mags = np.abs(spec)
     best = int(top_index(mags))
-    return GroupVector.from_index(f.p, f.m, best), float(mags[best])
+    return digits_of(f.p, f.m, best), float(mags[best])
 
 
 def parseval_report(f: FunctionTable) -> dict:
@@ -157,8 +158,8 @@ def parseval_report(f: FunctionTable) -> dict:
     return {"time_side": lhs, "frequency_side": rhs, "relative_gap": abs(lhs - rhs) / scale}
 
 
-def subspace_average_bound_check(f: FunctionTable, coset: AffineSubspace, slack: float = 1e-9) -> dict:
-    """Check |E_{x in w+V} f| <= p^codim * ||f||_{U^2} + slack.
+def subspace_average_bound_check(f: FunctionTable, coset: AffineSubspace) -> dict:
+    """Check |E_{x in w+V} f| <= p^codim * ||f||_{U^2} + 1e-9.
 
     The bound holds because the coset average is a sum of at most
     p^codim Fourier coefficients, each of modulus at most the U^2 norm.
@@ -173,5 +174,5 @@ def subspace_average_bound_check(f: FunctionTable, coset: AffineSubspace, slack:
         "u2_norm": u2,
         "codimension": coset.codimension,
         "bound": bound,
-        "holds": avg <= bound + slack,
+        "holds": avg <= bound + 1e-9,
     }

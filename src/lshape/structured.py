@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import GroupVector, digit_table, line_means, rank_mod
-from .tables import IndicatorSet, product_lift
+from .field import digit_table, digits_of, rank_mod
+from .tables import FunctionTable, line_means, product_lift
 
 __all__ = [
     "FiberFamily",
@@ -47,7 +47,7 @@ _PHI_BLOCK = 1 << 18
 class FiberFamily:
     """Affine fibers u_x + V_x of common codimension d over a base set.
 
-    ``offsets`` is either one GroupVector u shared by every fiber or a
+    ``offsets`` is either the digits of one u shared by every fiber or a
     (p^n, n) array with one offset per point (the shape a family takes
     when it is restricted to a cell); it is stored as a read-only
     (p^n, n) array either way.
@@ -55,19 +55,17 @@ class FiberFamily:
 
     p: int
     n: int
-    base: IndicatorSet
-    offsets: GroupVector | np.ndarray  # stored as (p^n, n) digit rows, meaningful on the base
+    base: FunctionTable  # an indicator table on Z_p^n
+    offsets: np.ndarray  # stored as (p^n, n) digit rows, meaningful on the base
     d: int
     normals: np.ndarray  # (p^n, d, n); rows are meaningful only on the base
-    table: IndicatorSet = dc_field(init=False)
+    table: FunctionTable = dc_field(init=False)
 
     def __post_init__(self) -> None:
         p, n, d = self.p, self.n, self.d
         size = p**n
-        if isinstance(self.offsets, GroupVector):
-            self.offsets = np.broadcast_to(self.offsets.as_array(), (size, self.offsets.m))
-        else:
-            self.offsets = np.asarray(self.offsets, dtype=np.int64) % p
+        offsets = np.asarray(self.offsets, dtype=np.int64) % p
+        self.offsets = np.broadcast_to(offsets, (size, offsets.shape[-1])) if offsets.ndim == 1 else offsets
         self.offsets.flags.writeable = False
         self.normals = np.asarray(self.normals, dtype=np.int64) % p
         if self.normals.shape != (size, d, n):
@@ -78,7 +76,7 @@ class FiberFamily:
         # base points at once, as normals[x] . y - normals[x] . offsets[x]
         yd_t = digit_table(p, n).T
         mask = np.zeros((size, size), dtype=bool)  # mask[x, y]
-        base = np.flatnonzero(self.base.mask)
+        base = self.base.member_indices()
         step = max(1, _PHI_BLOCK // (max(d, 1) * size))
         for start in range(0, len(base), step):
             xs = base[start : start + step]
@@ -86,10 +84,10 @@ class FiberFamily:
             shift = np.einsum("xdn,xn->xd", normals, self.offsets[xs])
             mask[xs] = np.all((normals @ yd_t - shift[:, :, None]) % p == 0, axis=1)
         # a fiber has p^(n - d) points exactly when its d normals are independent
-        dependent = np.flatnonzero(self.base.mask & (mask.sum(axis=1) != p ** (n - d)))
+        dependent = np.flatnonzero(self.base.values & (mask.sum(axis=1) != p ** (n - d)))
         if dependent.size:
             raise ValueError(f"normals at x = {dependent[0]} are dependent; codimension would drop below {d}")
-        self.table = IndicatorSet.from_mask(p, 2 * n, mask.T.reshape(-1))
+        self.table = FunctionTable(p, 2 * n, mask.T.reshape(-1))
         expected = self.base.cardinality * p ** (n - d)
         if self.table.cardinality != expected:
             raise AssertionError(f"fiber family has {self.table.cardinality} points, expected {expected}")
@@ -98,21 +96,22 @@ class FiberFamily:
     def rho(self) -> float:
         return self.p ** (-self.d)
 
-    def aligned_base_at(self, u: GroupVector) -> IndicatorSet:
-        """The set A_u = {x in A : u lies on x's fiber}: column u of Phi."""
+    def aligned_base_at(self, u: int) -> FunctionTable:
+        """The set A_u = {x in A : u lies on x's fiber}, for the point of
+        index u: column u of Phi."""
         size = self.p**self.n
-        return IndicatorSet.from_mask(self.p, self.n, self.table.mask[u.index * size : (u.index + 1) * size])
+        return FunctionTable(self.p, self.n, self.table.values[u * size : (u + 1) * size])
 
-    def with_common_offset(self, u: GroupVector) -> "FiberFamily":
-        """Reinterpret the fibers through u on the sub-base where u fits."""
-        return FiberFamily(self.p, self.n, self.aligned_base_at(u), u, self.d, self.normals)
+    def with_common_offset(self, u: int) -> "FiberFamily":
+        """Reinterpret the fibers through the point of index u on the
+        sub-base where it fits."""
+        return FiberFamily(self.p, self.n, self.aligned_base_at(u), digits_of(self.p, self.n, u), self.d, self.normals)
 
     @classmethod
-    def full(cls, base: IndicatorSet) -> "FiberFamily":
+    def full(cls, base: FunctionTable) -> "FiberFamily":
         """d = 0: the fiber over every base point is all of Z_p^n."""
-        size = base.p**base.m
-        return cls(base.p, base.m, base, GroupVector.zero(base.p, base.m), 0,
-                   np.zeros((size, 0, base.m), dtype=np.int64))
+        return cls(base.p, base.m, base, np.zeros(base.m, dtype=np.int64), 0,
+                   np.zeros((base.size, 0, base.m), dtype=np.int64))
 
 
 @lru_cache(maxsize=16)
@@ -146,11 +145,11 @@ class StructuredProductSet:
     through ``combine`` or ``product_lift``.
     """
 
-    y_set: IndicatorSet
-    sum_set: IndicatorSet
-    skew_set: IndicatorSet
+    y_set: FunctionTable
+    sum_set: FunctionTable
+    skew_set: FunctionTable
     fibers: FiberFamily
-    table: IndicatorSet = dc_field(init=False)
+    table: FunctionTable = dc_field(init=False)
 
     def __post_init__(self) -> None:
         b, c, d_set = self.y_set, self.sum_set, self.skew_set
@@ -159,19 +158,18 @@ class StructuredProductSet:
         for s in (b, c, d_set):
             if (s.p, s.m) != (p, n):
                 raise ValueError("factor sets live in the wrong space")
-        lifted = (
-            product_lift(b.table, "y")
-            .times(product_lift(c.table, "x+y"))
-            .times(product_lift(d_set.table, "2x+y"))
-            .times(fam.table.table)
+        self.table = (
+            product_lift(b, "y")
+            .times(product_lift(c, "x+y"))
+            .times(product_lift(d_set, "2x+y"))
+            .times(fam.table)
         )
-        self.table = IndicatorSet.from_table(lifted)
         # independent pointwise audit on the x + y and 2x + y grids
         size = p**n
         sums, skews = _audit_grids(p, n)
-        phi = fam.table.mask.reshape((size, size), order="F")
-        direct = b.mask[None, :] & c.mask[sums] & d_set.mask[skews] & phi
-        got = self.table.mask.reshape((size, size), order="F")
+        phi = fam.table.values.reshape((size, size), order="F")
+        direct = b.values[None, :] & c.values[sums] & d_set.values[skews] & phi
+        got = self.table.values.reshape((size, size), order="F")
         bad = np.flatnonzero(np.any(direct != got, axis=1))
         if bad.size:
             raise AssertionError(f"product set disagrees with direct evaluation on row x = {bad[0]}")
@@ -184,7 +182,7 @@ class StructuredProductSet:
     def n(self) -> int:
         return self.fibers.n
 
-    def pencils(self, grid: np.ndarray) -> list[tuple[str, np.ndarray, IndicatorSet, float]]:
+    def pencils(self, grid: np.ndarray) -> list[tuple[str, np.ndarray, FunctionTable, float]]:
         """(name, means, factor, product of the other densities) of a pair
         grid's x-row, y-column and anti-diagonal pencils; the factor is the
         set the pencil's lines are indexed by."""
@@ -194,7 +192,7 @@ class StructuredProductSet:
         return [
             ("x-rows", grid.mean(axis=1), self.fibers.base, beta * gamma * delta * rho),
             ("y-columns", grid.mean(axis=0), self.y_set, alpha * gamma * delta * rho),
-            ("anti-diagonals", line_means(grid, self.p, self.n, 1), self.sum_set, alpha * beta * delta * rho),
+            ("anti-diagonals", line_means(grid, self.p, self.n, "x+y"), self.sum_set, alpha * beta * delta * rho),
         ]
 
 
@@ -207,20 +205,17 @@ def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) 
     rng = np.random.default_rng(seed)
     size = p**n
     if base_density >= 1.0:
-        base = IndicatorSet.full(p, n)
+        mask = np.ones(size, dtype=bool)
     else:
         mask = rng.random(size) < base_density
         if not mask.any():
             mask[int(rng.integers(size))] = True
-        base = IndicatorSet.from_mask(p, n, mask)
+    base = FunctionTable(p, n, mask)
     normals = np.zeros((size, d, n), dtype=np.int64)
-    for x in range(size):
-        if not base.contains_index(x):
-            continue
+    for x in base.member_indices().tolist():
         while True:
             cand = rng.integers(0, p, size=(d, n))
             if rank_mod(cand, p) == d:
                 normals[x] = cand
                 break
-    u = GroupVector(p, tuple(int(v) for v in rng.integers(0, p, size=n)))
-    return FiberFamily(p, n, base, u, d, normals)
+    return FiberFamily(p, n, base, rng.integers(0, p, size=n), d, normals)

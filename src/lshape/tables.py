@@ -1,9 +1,9 @@
-"""Dense tables for functions Z_p^m -> C, indicator sets, and file I/O.
+"""Dense tables for functions Z_p^m -> C, sets, and file I/O.
 
 A FunctionTable stores all p^m values in canonical index order, in the
 dtype of its kind: bool for an indicator, float64 for a real function,
-complex128 otherwise.  Indicator sets are the {0,1}-valued special case
-and carry exact integer cardinalities next to their float densities.
+complex128 otherwise.  A set is an indicator table; its exact integer
+cardinality and float density are read off the table.
 
 Functions on the pair space Z_p^n x Z_p^n use m = 2n with the pair
 (x, y) at index x_index + p^n * y_index; ``as_pair_grid`` exposes the
@@ -12,28 +12,19 @@ same data as an N x N array G[x_index, y_index].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .field import (
-    AffineSubspace,
-    GroupVector,
-    add_map,
-    check_modulus,
-    check_size,
-    combine,
-    index_of,
-)
+from .field import AffineSubspace, check_modulus, check_size, combine, index_of
 
 __all__ = [
     "FunctionTable",
-    "IndicatorSet",
     "balanced",
     "product_lift",
     "slot_index_array",
+    "line_means",
     "save_set",
     "load_set",
     "save_table",
@@ -57,7 +48,8 @@ class FunctionTable:
     ``kind`` the values keep their own kind (bool stays bool, complex
     stays complex, other numbers become float64); an explicit ``kind``
     checks values from outside against it and casts them.  Values are
-    immutable after construction; derived tables are new objects.
+    immutable after construction, so the cardinality and density are
+    computed once; derived tables are new objects.
     """
 
     def __init__(self, p: int, m: int, values, kind: str | None = None) -> None:
@@ -83,6 +75,20 @@ class FunctionTable:
         self.values = vals.astype(KINDS[kind])
         self.values.setflags(write=False)
 
+    @classmethod
+    def from_indices(cls, p: int, m: int, indices: Iterable[int]) -> "FunctionTable":
+        """The indicator of the set with the given member indices.
+
+        Repeated indices are allowed; one outside [0, p^m) is refused.
+        """
+        size = check_size(p, m)
+        idx = [int(i) for i in indices]
+        if any(not 0 <= i < size for i in idx):
+            raise ValueError("set element index out of range")
+        vals = np.zeros(size, dtype=bool)
+        vals[idx] = True
+        return cls(p, m, vals)
+
     @property
     def kind(self) -> str:
         return next(k for k, dtype in KINDS.items() if self.values.dtype == dtype)
@@ -99,11 +105,24 @@ class FunctionTable:
         # in complex128 for every kind, as the float64 tree rounds differently.
         return complex(np.sum(self.values.astype(np.complex128, copy=False)) / self.size)
 
+    @cached_property
+    def cardinality(self) -> int:
+        """The exact number of nonzero values: |S| for a set S."""
+        return int(np.count_nonzero(self.values))
+
+    @cached_property
+    def density(self) -> float:
+        return self.cardinality / self.size
+
+    def member_indices(self) -> np.ndarray:
+        """Canonical indices of the nonzero values, ascending."""
+        return np.flatnonzero(self.values)
+
     def max_modulus(self) -> float:
         return float(np.max(np.abs(self.values))) if self.size else 0.0
 
-    def is_one_bounded(self, tol: float = 1e-12) -> bool:
-        return self.max_modulus() <= 1.0 + tol
+    def is_one_bounded(self) -> bool:
+        return self.max_modulus() <= 1.0 + 1e-12
 
     # -- pointwise algebra ----------------------------------------------
     #
@@ -123,11 +142,6 @@ class FunctionTable:
 
     def minus_const(self, c: complex) -> "FunctionTable":
         return self._wrap(self.values - c)
-
-    def translate(self, h: GroupVector | int) -> "FunctionTable":
-        """The table of x -> f(x + h)."""
-        h_idx = h.index if isinstance(h, GroupVector) else int(h)
-        return self._wrap(self.values[add_map(self.p, self.m, h_idx)])
 
     def restrict(self, coset: AffineSubspace) -> "FunctionTable":
         """Pull f back through the coset parameterization.
@@ -152,65 +166,9 @@ class FunctionTable:
         return self.values.reshape((n_points, n_points), order="F")
 
 
-@dataclass
-class IndicatorSet:
-    """An indicator table plus its exact cardinality and density."""
-
-    table: FunctionTable
-    cardinality: int
-    density: float
-
-    @classmethod
-    def from_table(cls, table: FunctionTable) -> "IndicatorSet":
-        if table.kind != "indicator":
-            raise ValueError("need an indicator-kind table")
-        card = int(np.count_nonzero(table.values))
-        return cls(table, card, card / table.size)
-
-    @classmethod
-    def from_mask(cls, p: int, m: int, mask: np.ndarray) -> "IndicatorSet":
-        return cls.from_table(FunctionTable(p, m, np.asarray(mask, dtype=bool)))
-
-    @classmethod
-    def from_indices(cls, p: int, m: int, indices: Iterable[int]) -> "IndicatorSet":
-        vals = np.zeros(p**m, dtype=bool)
-        idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= p**m):
-            raise ValueError("set element index out of range")
-        vals[idx] = True
-        return cls.from_table(FunctionTable(p, m, vals))
-
-    @classmethod
-    def full(cls, p: int, m: int) -> "IndicatorSet":
-        return cls.from_table(FunctionTable(p, m, np.ones(p**m, dtype=bool)))
-
-    @classmethod
-    def empty(cls, p: int, m: int) -> "IndicatorSet":
-        return cls.from_table(FunctionTable(p, m, np.zeros(p**m, dtype=bool)))
-
-    @property
-    def p(self) -> int:
-        return self.table.p
-
-    @property
-    def m(self) -> int:
-        return self.table.m
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Membership as a read-only bool array in canonical index order."""
-        return self.table.values
-
-    def member_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    def contains_index(self, idx: int) -> bool:
-        return bool(self.mask[idx])
-
-
-def balanced(s: IndicatorSet) -> FunctionTable:
+def balanced(s: FunctionTable) -> FunctionTable:
     """The mean-zero shift: indicator minus density."""
-    return s.table.minus_const(s.density)
+    return s.minus_const(s.density)
 
 
 @lru_cache(maxsize=16)
@@ -242,6 +200,20 @@ def product_lift(a: FunctionTable, slot: str) -> FunctionTable:
     return FunctionTable(a.p, 2 * a.m, a.values[idx])
 
 
+def line_means(grid: np.ndarray, p: int, n: int, slot: str) -> np.ndarray:
+    """m[w] = E_x grid[x, y] over the (x, y) with slot(x, y) = w: the means
+    of an N x N pair grid along the lines on which the slot "y", "x+y" or
+    "2x+y" is constant, one per w in Z_p^n."""
+    size = p**n
+    # lines[w, x] = grid[x, y] for the y with slot(x, y) = w.  The buffer is
+    # C-ordered whatever the grid's layout: mean() sums along the memory
+    # order, so an F-ordered one (np.empty_like of a pair-grid view) rounds
+    # differently
+    lines = np.empty(grid.shape, grid.dtype)
+    lines[slot_index_array(p, n, slot).reshape(size, size, order="F"), np.arange(size)[:, None]] = grid
+    return lines.mean(axis=1)
+
+
 # -- file formats -------------------------------------------------------
 #
 # Set file: header "p=<p> m=<m>", then one member per line, either a
@@ -251,7 +223,7 @@ def product_lift(a: FunctionTable, slot: str) -> FunctionTable:
 # repr so the round trip is bit exact.
 
 
-def save_set(path: str, s: IndicatorSet) -> None:
+def save_set(path: str, s: FunctionTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"p={s.p} m={s.m}\n")
         for idx in s.member_indices():
@@ -273,7 +245,7 @@ def _parse_header(line: str, want_kind: bool) -> tuple[int, int, str]:
     return p, m, kind
 
 
-def load_set(path: str) -> IndicatorSet:
+def load_set(path: str) -> FunctionTable:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -293,7 +265,7 @@ def load_set(path: str) -> IndicatorSet:
         else:
             idx = int(line)
         indices.append(idx)
-    return IndicatorSet.from_indices(p, m, indices)
+    return FunctionTable.from_indices(p, m, indices)
 
 
 def save_table(path: str, f: FunctionTable) -> None:
@@ -327,7 +299,7 @@ def load_table(path: str) -> FunctionTable:
     return FunctionTable(p, m, vals, kind)
 
 
-def load_any(path: str):
+def load_any(path: str) -> FunctionTable:
     """Load a set or a table file, keyed on the header's kind= marker."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()

@@ -20,8 +20,8 @@ import numpy as np
 
 from lshape.field import (
     AffineSubspace,
-    GroupVector,
     ResourceLimitError,
+    add_map,
     combine,
     digits_of,
     rank_mod,
@@ -32,16 +32,16 @@ from lshape.linforms import ComplexityCertificate, LinearForm, LinearFormSystem,
 from lshape.norms import _cube_average, _pair_split, gowers_norm
 from lshape.patterns import count_system
 from lshape.structured import FiberFamily, StructuredProductSet
-from lshape.tables import FunctionTable, IndicatorSet
+from lshape.tables import FunctionTable
 
 
 # ---------------------------------------------------------------------------
 # norms
 
 
-def delta(f: FunctionTable, h) -> FunctionTable:
-    """Delta_h f(x) = f(x) * conj(f(x + h))."""
-    return f.times(f.translate(h).conj())
+def delta(f: FunctionTable, h: int) -> FunctionTable:
+    """Delta_h f(x) = f(x) * conj(f(x + h)), for the element h of that index."""
+    return f.times(FunctionTable(f.p, f.m, f.values[add_map(f.p, f.m, h)]).conj())
 
 
 def directional_average(g: FunctionTable, directions) -> float:
@@ -72,39 +72,42 @@ def directional_average(g: FunctionTable, directions) -> float:
 # cosets and fiber families
 
 
-def contains(sub: AffineSubspace, x: GroupVector | int) -> bool:
-    """Membership of one point in a coset, by its normal equations."""
+def full_set(p: int, m: int) -> FunctionTable:
+    """The indicator of all of Z_p^m."""
+    return FunctionTable(p, m, np.ones(p**m, dtype=bool))
+
+
+def contains(sub: AffineSubspace, x) -> bool:
+    """Membership of one point, an index or a digit vector, in a coset, by
+    its normal equations."""
     if sub.is_empty:
         return False
-    if isinstance(x, GroupVector):
-        xd = x.as_array()
-    else:
-        xd = digits_of(sub.p, sub.ambient_dim, x)
+    xd = digits_of(sub.p, sub.ambient_dim, x) if np.ndim(x) == 0 else np.asarray(x)
     if not sub.normals:
         return True
     lhs = (sub._normal_matrix() @ xd) % sub.p
     return bool(np.array_equal(lhs, np.array(sub.offsets, dtype=np.int64)))
 
 
-def offset(fam: FiberFamily) -> GroupVector:
-    """The offset u shared by every base point's fiber."""
-    rows = np.unique(fam.offsets[fam.base.mask], axis=0)
+def offset(fam: FiberFamily) -> np.ndarray:
+    """The digits of the offset u shared by every base point's fiber."""
+    rows = np.unique(fam.offsets[fam.base.values], axis=0)
     if len(rows) > 1:
         raise ValueError("the fibers have per-point offsets, not one shared offset")
-    return GroupVector(fam.p, tuple(int(v) for v in (rows[0] if len(rows) else fam.offsets[0])))
+    return rows[0] if len(rows) else fam.offsets[0]
 
 
 def fiber_subspace(fam: FiberFamily, x: int) -> AffineSubspace:
     """The coset u_x + V_x as an explicit affine subspace of Z_p^n."""
-    if not fam.base.contains_index(x):
+    if not fam.base.values[x]:
         raise ValueError(f"x = {x} is not in the base set")
     rows = [tuple(int(v) for v in row) for row in fam.normals[x]]
     offs = [int(v) for v in (fam.normals[x] @ fam.offsets[x]) % fam.p]
     return subspace_from_normals(fam.p, fam.n, rows, offs)
 
 
-def from_phi_map(base: IndicatorSet, phi: np.ndarray, u: GroupVector) -> FiberFamily:
-    """d = 1 fibers {y : phi(x) . (y - u) = 0}.
+def from_phi_map(base: FunctionTable, phi: np.ndarray, u) -> FiberFamily:
+    """d = 1 fibers {y : phi(x) . (y - u) = 0}, for u given by its digits.
 
     phi(x) = 0 is rejected for x in the base: it would give a full
     fiber and break the common-codimension invariant.  Mixed
@@ -115,7 +118,7 @@ def from_phi_map(base: IndicatorSet, phi: np.ndarray, u: GroupVector) -> FiberFa
     phi = np.asarray(phi, dtype=np.int64) % p
     if phi.shape != (size, n):
         raise ValueError(f"phi must have shape ({size}, {n})")
-    zero_rows = np.flatnonzero(base.mask & np.all(phi == 0, axis=1))
+    zero_rows = np.flatnonzero(base.values & np.all(phi == 0, axis=1))
     if zero_rows.size:
         raise ValueError(f"phi vanishes on base points {zero_rows.tolist()}; fibers there would be full")
     return FiberFamily(p, n, base, u, 1, phi[:, None, :])
@@ -130,8 +133,8 @@ class FiberLevel:
     """
 
     i: int
-    cumulative: IndicatorSet
-    exact: IndicatorSet
+    cumulative: FunctionTable
+    exact: FunctionTable
 
 
 def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubspace) -> list[FiberLevel]:
@@ -147,7 +150,7 @@ def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubsp
     size = p**n
     pair_count = size * size
     cell_rows = set(int(i) for i in x_coset.member_indices())
-    base_mask = fam.base.mask
+    base_mask = fam.base.values
     level_masks = [np.zeros(pair_count, dtype=bool) for _ in range(d + 1)]
     phi_in_cell = np.zeros(pair_count, dtype=bool)
     y_members = y_coset.member_indices()
@@ -174,8 +177,8 @@ def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubsp
         out.append(
             FiberLevel(
                 i,
-                IndicatorSet.from_mask(p, 2 * n, cum.copy()),
-                IndicatorSet.from_mask(p, 2 * n, level_masks[i]),
+                FunctionTable(p, 2 * n, cum.copy()),
+                FunctionTable(p, 2 * n, level_masks[i]),
             )
         )
     # partition audit: levels are disjoint by construction; cover Phi ∩ cell
@@ -185,7 +188,7 @@ def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubsp
     if total != int(phi_in_cell.sum()):
         raise AssertionError("fiber levels double-count")
     # and the cell's Phi matches the global table restricted to the cell
-    if not np.all(fam.table.mask[phi_in_cell]):
+    if not np.all(fam.table.values[phi_in_cell]):
         raise AssertionError("level point outside the family table")
     return out
 
@@ -197,8 +200,8 @@ def base_uniformity_transfer_check(fam: FiberFamily, s: int, slack: float = 1e-9
     y-marginal of Phi - alpha*rho is exactly rho * (A - alpha).
     """
     alpha = fam.base.density
-    lhs = gowers_norm(fam.base.table.minus_const(alpha), s).value
-    rhs = gowers_norm(fam.table.table.minus_const(alpha * fam.rho), s).value
+    lhs = gowers_norm(fam.base.minus_const(alpha), s).value
+    rhs = gowers_norm(fam.table.minus_const(alpha * fam.rho), s).value
     bound = rhs / fam.rho
     return {"base_norm": lhs, "family_norm": rhs, "rho": fam.rho, "bound": bound,
             "holds": lhs <= bound + slack}

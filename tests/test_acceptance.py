@@ -31,7 +31,7 @@ from lshape.norms import gcs_check, gowers_norm, slot_norm
 from lshape.patterns import lshape_average, obstruction_example, ones_like, telescope_check
 from lshape.spectral import dft, idft, inverse_u2, parseval_report, subspace_average_bound_check, u2_fourth
 from lshape.structured import FiberFamily, StructuredProductSet, random_family
-from lshape.tables import FunctionTable, IndicatorSet, product_lift
+from lshape.tables import FunctionTable, product_lift
 
 
 def criterion(num, name, cap_seconds=None):
@@ -71,7 +71,7 @@ def random_set(p, m, seed, density=0.5):
     mask = rng.random(p**m) < density
     if not mask.any():
         mask[0] = True
-    return IndicatorSet.from_mask(p, m, mask)
+    return FunctionTable(p, m, mask)
 
 
 def random_structured(p, n, d, seed, factor_density=0.8):
@@ -83,10 +83,10 @@ def random_structured(p, n, d, seed, factor_density=0.8):
         mask = rng.random(size) < factor_density
         if not mask.any():
             mask[0] = True
-        parts.append(IndicatorSet.from_mask(p, n, mask))
+        parts.append(FunctionTable(p, n, mask))
     t = StructuredProductSet(parts[0], parts[1], parts[2], fam)
-    s_mask = (t.table.table.values.real == 1.0) & (rng.random(size * size) < 0.5)
-    return IndicatorSet.from_mask(p, 2 * n, s_mask), t
+    s_mask = (t.table.values.real == 1.0) & (rng.random(size * size) < 0.5)
+    return FunctionTable(p, 2 * n, s_mask), t
 
 
 @criterion(1, "spectral identities", 10)
@@ -116,7 +116,7 @@ def test_criterion_2_dot_obstruction():
     ex = obstruction_example("dot", 3, 3)
     assert ex.set.cardinality == 261
     assert ex.set.density == 261 / 729
-    brute = lshape_average(ex.set.table, ex.set.table, ex.set.table, ex.set.table)
+    brute = lshape_average(ex.set, ex.set, ex.set, ex.set)
     assert brute.exact_count is not None
     closed_form = 1215
     discrepancy = brute.exact_count - closed_form
@@ -132,7 +132,7 @@ def test_criterion_3_random_obstructions():
     good = 0
     for seed in range(20):
         ex = obstruction_example("random_phi", 3, 3, seed)
-        res = lshape_average(ex.set.table, ex.set.table, ex.set.table, ex.set.table)
+        res = lshape_average(ex.set, ex.set, ex.set, ex.set)
         density_ok = 0.8 / 3 <= ex.set.density <= 1.2 / 3
         count_ok = target / 2 <= res.nontrivial_count <= target * 2
         good += density_ok and count_ok
@@ -299,7 +299,7 @@ def test_criterion_9_extremal_exactness():
 def _random_mixed_family(p, n, d, seed):
     rng = np.random.default_rng(seed)
     size = p**n
-    base = IndicatorSet.full(p, n)
+    base = ref.full_set(p, n)
     normals = np.zeros((size, d, n), dtype=np.int64)
     for x in range(size):
         while not normals[x].any():
@@ -315,7 +315,7 @@ def test_criterion_10_planted_increments():
         rep = fiber_mean_increment(s, t, tau=0.1)
         assert rep["gained"] and rep["gain"] > 0
         new_s, new_t = rep["_new_s"], rep["_new_t"]
-        recount = sum(1 for v in new_s.table.values.real if v == 1.0)
+        recount = sum(1 for v in new_s.values.real if v == 1.0)
         assert recount == new_s.cardinality
         assert rep["new_sigma"] == recount / new_t.table.cardinality
 
@@ -323,23 +323,22 @@ def test_criterion_10_planted_increments():
         rep = skew_line_increment(s, t, tau=0.1)
         assert rep["gained"] and rep["gain"] > 0
         new_s, new_t = rep["_new_s"], rep["_new_t"]
-        recount = sum(1 for v in new_s.table.values.real if v == 1.0)
+        recount = sum(1 for v in new_s.values.real if v == 1.0)
         assert recount == new_s.cardinality
         assert rep["new_sigma"] == recount / new_t.table.cardinality
 
-    full = IndicatorSet.full(3, 2)
+    full = ref.full_set(3, 2)
     for seed in range(50):
         mixed = _random_mixed_family(3, 2, 1, 97000 + seed)
-        lifted = (
-            product_lift(full.table, "y")
-            .times(product_lift(full.table, "x+y"))
-            .times(product_lift(full.table, "2x+y"))
-            .times(mixed.table.table)
+        t_mixed = (
+            product_lift(full, "y")
+            .times(product_lift(full, "x+y"))
+            .times(product_lift(full, "2x+y"))
+            .times(mixed.table)
         )
-        t_mixed = IndicatorSet.from_table(lifted)
         rng = np.random.default_rng(98000 + seed)
-        s_vals = t_mixed.table.values.real * (rng.random(81) < 0.6)
-        s = IndicatorSet.from_mask(3, 4, s_vals == 1.0)
+        s_vals = t_mixed.values.real * (rng.random(81) < 0.6)
+        s = FunctionTable(3, 4, s_vals == 1.0)
         rep = align_offset_increment(s, StructuredProductSet(full, full, full, mixed), tau=0.1)
         assert rep["identity_lhs"] == rep["identity_rhs"]
     return "both split moves gain and re-verify; 50 exact alignment identities"

@@ -71,9 +71,9 @@ def test_count_example_dot_frozen_values():
 
 
 def test_count_set_file_and_corner(tmp_path):
-    from lshape.tables import IndicatorSet, save_set
+    from lshape.tables import FunctionTable, save_set
 
-    s = IndicatorSet.from_indices(3, 2, [0, 4, 7])
+    s = FunctionTable.from_indices(3, 2, [0, 4, 7])
     path = tmp_path / "s.set"
     save_set(str(path), s)
     lshape = json.loads(run_cli("count", "--set", str(path)).stdout)
@@ -82,6 +82,12 @@ def test_count_set_file_and_corner(tmp_path):
     )
     assert lshape["result"]["exact_count"] is not None
     assert corner["config"]["pattern"] == "corner"
+
+
+def test_count_density_zero_is_the_empty_set():
+    res = json.loads(run_cli("count", "--p", "3", "--n", "1", "--density", "0").stdout)["result"]
+    assert res["density"] == 0.0
+    assert res["cardinality"] == res["exact_count"] == res["nontrivial_count"] == "0"
 
 
 def test_verify_all_suites_green():
@@ -156,9 +162,11 @@ def test_increment_driver_and_trajectory_file(tmp_path):
 
 
 def test_increment_candidate_set_file(tmp_path):
-    from lshape.tables import IndicatorSet, save_set
+    import numpy as np
 
-    s = IndicatorSet.empty(3, 2)
+    from lshape.tables import FunctionTable, save_set
+
+    s = FunctionTable(3, 2, np.zeros(9, dtype=bool))
     path = tmp_path / "empty.set"
     save_set(str(path), s)
     traj = tmp_path / "t.jsonl"
@@ -228,6 +236,10 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         table = tmp_path / f"{name}.table"
         table.write_text(f"p=3 m=1 kind={kind}\n0.0 0.0\n{bad}\n1.0 0.0\n")
         cases.append(("norm", "--table", str(table)))
+    # a valid table that is not an indicator is not a set
+    real = tmp_path / "real.table"
+    real.write_text("p=3 m=2 kind=real\n" + "1.0 0.0\n" * 9)
+    cases += [("count", "--set", str(real)), ("increment", "--set", str(real))]
     # headers are checked before anything is allocated, and a table
     # holds exactly p^m values
     for command, flag, name, text in (
@@ -236,6 +248,10 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         ("norm", "--table", "extra.table", "p=3 m=1 kind=real\n" + "0.0 0.0\n" * 4),
         ("count", "--set", "huge.set", "p=3 m=40\n0\n"),
         ("count", "--set", "huger.set", "p=3 m=100000000\n0\n"),
+        # member indices outside [0, p^m), past int64 too
+        ("count", "--set", "outside.set", "p=3 m=2\n9\n"),
+        ("increment", "--set", "below.set", "p=3 m=2\n-1\n"),
+        ("count", "--set", "overflow.set", "p=3 m=2\n100000000000000000000000\n"),
     ):
         (tmp_path / name).write_text(text)
         cases.append((command, flag, str(tmp_path / name)))

@@ -7,14 +7,12 @@ import oracles as orc
 import references as ref
 from lshape.field import (
     AffineSubspace,
-    GroupVector,
     ResourceLimitError,
     add_map,
     combine,
     digit_table,
     digits_of,
     index_of,
-    line_means,
     modular_rref,
     rank_mod,
     scale_map,
@@ -49,17 +47,6 @@ def test_add_and_scale_maps():
         sm = scale_map(p, m, c)
         for x in range(p**m):
             assert int(sm[x]) == orc.scale_index(c, x, p, m)
-
-
-def test_group_vector_algebra():
-    a = GroupVector(5, (1, 4, 2))
-    assert a.index == 1 + 4 * 5 + 2 * 25
-    assert GroupVector.from_index(5, 3, a.index) == a
-    assert GroupVector.zero(5, 3).index == 0
-    with pytest.raises(ValueError):
-        GroupVector(3, (0, 3))
-    with pytest.raises(ValueError):
-        GroupVector.from_index(3, 2, 9)
 
 
 def test_modular_rref_properties():
@@ -106,19 +93,6 @@ def test_combine_matches_oracle():
     for i in range(9):
         for j in range(9):
             assert got[i, j] == orc.combine_oracle(3, 2, (1, -1), (j, i))
-
-
-def test_line_means_match_oracle():
-    rng = np.random.default_rng(9)
-    for p in (3, 5):
-        for n in (1, 2, 3):
-            size = p**n
-            grid = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            rows = grid.tolist()
-            for c in (1, 2, -1, -2):
-                got = line_means(grid, p, n, c)
-                want = orc.line_means_oracle(rows, p, n, c)
-                assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_solve_mod_against_enumeration():
@@ -178,13 +152,19 @@ def test_inconsistent_rows_give_empty_set():
 def test_subspace_basis_spans_members():
     sub = subspace_from_normals(3, 3, [(1, 0, 2)], [2])
     base = sub.offset_point()
-    span = set()
     bs = sub.basis()
-    assert len(bs) == sub.dim
+    assert bs.shape == (sub.dim, 3) and bs.dtype == np.int64
+    assert base.shape == (3,) and ref.contains(sub, base)
+    span = set()
     for t0 in range(3):
         for t1 in range(3):
-            span.add(int(combine(3, 3, (1, t0, t1), (base.index, bs[0].index, bs[1].index))))
+            span.add(int(combine(3, 3, (1, t0, t1), (index_of(3, base), index_of(3, bs[0]), index_of(3, bs[1])))))
     assert span == set(int(i) for i in sub.member_indices())
+    # the empty coset has no basis and no offset point
+    empty = subspace_from_normals(3, 2, [(1, 2), (2, 1)], [1, 0])
+    assert empty.basis().shape == (0, 2)
+    with pytest.raises(ValueError):
+        empty.offset_point()
 
 
 def test_enumeration_cap_raises():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lshape.increment as increment
 import oracles as orc
 import references as ref
-from lshape.field import GroupVector, digit_table, rank_mod, solve_mod
+from lshape.field import digit_table, index_of, rank_mod, solve_mod
 from lshape.increment import (
     Cell,
     ProductCosetPartition,
@@ -33,7 +33,7 @@ from lshape.increment import (
 from lshape.norms import gowers_norm
 from lshape.spectral import inverse_u2
 from lshape.structured import FiberFamily, StructuredProductSet, random_family
-from lshape.tables import FunctionTable, IndicatorSet, product_lift
+from lshape.tables import FunctionTable, product_lift
 
 
 def _random_structured(p, n, d, seed, base_density=0.85, factor_density=0.8):
@@ -45,10 +45,10 @@ def _random_structured(p, n, d, seed, base_density=0.85, factor_density=0.8):
         mask = rng.random(size) < factor_density
         if not mask.any():
             mask[0] = True
-        sets.append(IndicatorSet.from_mask(p, n, mask))
+        sets.append(FunctionTable(p, n, mask))
     t = StructuredProductSet(sets[0], sets[1], sets[2], fam)
-    s_mask = (t.table.table.values.real == 1.0) & (rng.random(size * size) < 0.5)
-    return IndicatorSet.from_mask(p, 2 * n, s_mask), t
+    s_mask = (t.table.values.real == 1.0) & (rng.random(size * size) < 0.5)
+    return FunctionTable(p, 2 * n, s_mask), t
 
 
 def test_trivial_partition_covers():
@@ -98,7 +98,7 @@ def test_fiber_levels_match_the_rank_definition():
                             continue
                     rows = np.array(part.normals, dtype=np.int64).reshape(k, n)
                     want = np.full(p**n, -1)
-                    for x in np.flatnonzero(fam.base.mask):
+                    for x in np.flatnonzero(fam.base.values):
                         want[x] = rank_mod(np.vstack([rows, fam.normals[x]]), p) - k
                     got = _fiber_level_of_points(fam, part.label_index(), k)
                     assert np.array_equal(got, want), (p, n, d, k)
@@ -182,10 +182,10 @@ def test_pseudorandomize_builds_each_partition_tables_once(monkeypatch):
 
 def test_pseudorandomize_flat_instance_reports_no_rounds():
     # T is everything, so no factor can ever trigger a refinement
-    full = IndicatorSet.full(3, 2)
+    full = ref.full_set(3, 2)
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     rng = np.random.default_rng(5)
-    s = IndicatorSet.from_mask(3, 4, rng.random(81) < 0.4)
+    s = FunctionTable(3, 4, rng.random(81) < 0.4)
     res = pseudorandomize_u2(s, t, eps=0.1, tau=0.1)
     assert res.report["round_count"] == 0
     assert res.report["energy_trace"] == [pytest.approx(1.0)]  # all factor densities are 1
@@ -196,12 +196,12 @@ def test_pseudorandomize_flat_instance_reports_no_rounds():
 def test_pseudorandomize_structured_factor_triggers():
     # B concentrated on a coset forces at least one refinement round
     p, n = 3, 2
-    b = IndicatorSet.from_mask(p, n, np.array([orc.digits_le(y, p, n)[0] != 2 for y in range(9)]))
-    full = IndicatorSet.full(p, n)
+    b = FunctionTable(p, n, np.array([orc.digits_le(y, p, n)[0] != 2 for y in range(9)]))
+    full = ref.full_set(p, n)
     t = StructuredProductSet(b, full, full, FiberFamily.full(full))
     rng = np.random.default_rng(7)
-    s_mask = (t.table.table.values.real == 1.0) & (rng.random(81) < 0.5)
-    s = IndicatorSet.from_mask(p, 2 * n, s_mask)
+    s_mask = (t.table.values.real == 1.0) & (rng.random(81) < 0.5)
+    s = FunctionTable(p, 2 * n, s_mask)
     res = pseudorandomize_u2(s, t, eps=0.1, tau=0.1)
     assert res.report["round_count"] >= 1
     trace = res.report["energy_trace"]
@@ -217,7 +217,7 @@ def _one_row_top_character(row, p, dim, eps):
     if gowers_norm(table, 2).value < eps:
         return None
     freq, corr = inverse_u2(table)
-    return freq.index, corr
+    return index_of(p, freq), corr
 
 
 def test_batched_top_characters_match_the_one_row_path():
@@ -285,7 +285,7 @@ def test_fiber_mean_fires_on_planted_rows():
         assert rep["gain"] > 0
         new_s, new_t = rep["_new_s"], rep["_new_t"]
         # the claimed density must re-verify by exact counting
-        inter = int(np.rint(np.sum(new_s.table.values.real)))
+        inter = int(np.rint(np.sum(new_s.values.real)))
         assert inter == new_s.cardinality
         assert rep["new_sigma"] == pytest.approx(new_s.cardinality / new_t.table.cardinality)
 
@@ -310,12 +310,12 @@ def test_skew_line_fires_on_planted_lines():
 
 
 def test_split_moves_reject_outside_candidates():
-    big = IndicatorSet.from_mask(3, 2, np.ones(9, dtype=bool))
+    big = FunctionTable(3, 2, np.ones(9, dtype=bool))
     small_t = StructuredProductSet(
-        IndicatorSet.from_mask(3, 1, np.array([1, 1, 0], dtype=bool)),
-        IndicatorSet.full(3, 1),
-        IndicatorSet.full(3, 1),
-        FiberFamily.full(IndicatorSet.full(3, 1)),
+        FunctionTable(3, 1, np.array([1, 1, 0], dtype=bool)),
+        ref.full_set(3, 1),
+        ref.full_set(3, 1),
+        FiberFamily.full(ref.full_set(3, 1)),
     )
     with pytest.raises(ValueError):
         fiber_mean_increment(big, small_t, tau=0.1)
@@ -326,7 +326,7 @@ def test_split_moves_reject_outside_candidates():
 def _mixed_family(p, n, d, seed):
     rng = np.random.default_rng(seed)
     size = p**n
-    base = IndicatorSet.full(p, n)
+    base = ref.full_set(p, n)
     normals = np.zeros((size, d, n), dtype=np.int64)
     for x in range(size):
         while orc._span_contains((0,) * n, [tuple(r) for r in normals[x]], p) and not normals[x].any():
@@ -339,21 +339,20 @@ def _mixed_family(p, n, d, seed):
 
 def test_align_offset_identity_and_gain():
     p, n, d = 3, 2, 1
-    full = IndicatorSet.full(p, n)
+    full = ref.full_set(p, n)
     for seed in range(10):
         mixed = _mixed_family(p, n, d, seed)
-        lifted = (
-            product_lift(full.table, "y")
-            .times(product_lift(full.table, "x+y"))
-            .times(product_lift(full.table, "2x+y"))
-            .times(mixed.table.table)
+        t_mixed = (
+            product_lift(full, "y")
+            .times(product_lift(full, "x+y"))
+            .times(product_lift(full, "2x+y"))
+            .times(mixed.table)
         )
-        t_mixed = IndicatorSet.from_table(lifted)
         rng = np.random.default_rng(1000 + seed)
-        s_vals = t_mixed.table.values.real * (rng.random(p ** (2 * n)) < 0.6)
-        s = IndicatorSet.from_mask(p, 2 * n, s_vals == 1.0)
+        s_vals = t_mixed.values.real * (rng.random(p ** (2 * n)) < 0.6)
+        s = FunctionTable(p, 2 * n, s_vals == 1.0)
         t = StructuredProductSet(full, full, full, mixed)
-        assert np.array_equal(t.table.mask, t_mixed.mask)
+        assert np.array_equal(t.table.values, t_mixed.values)
         rep = align_offset_increment(s, t, tau=0.1)
         assert rep["identity_lhs"] == rep["identity_rhs"]
         if "new_sigma" in rep:
@@ -444,12 +443,12 @@ def test_renormalized_cell_matches_fiber_levels():
     cases = [_random_structured(3, 2, d, seed) for d, seed in ((0, 1), (1, 2), (2, 3))]
     # a renormalized cell again, whose fibers have per-point offsets
     rng = np.random.default_rng(4)
-    full = IndicatorSet.full(3, 2)
+    full = ref.full_set(3, 2)
     for d in (1, 2):
         shared = random_family(3, 2, d, seed=4 + d, base_density=0.85)
         fam = FiberFamily(3, 2, shared.base, rng.integers(0, 3, size=(9, 2)), d, shared.normals)
         t = StructuredProductSet(full, full, full, fam)
-        cases.append((IndicatorSet.from_mask(3, 4, t.table.mask & (rng.random(81) < 0.5)), t))
+        cases.append((FunctionTable(3, 4, t.table.values & (rng.random(81) < 0.5)), t))
     checked = []
     for s, t in cases:
         checked.append(0)
@@ -459,13 +458,13 @@ def test_renormalized_cell_matches_fiber_levels():
                 out = _renormalize_to_cell(s, t, cell, level)
                 exact = levels[level].exact
                 if out is None:
-                    assert not np.any(s.mask & exact.mask)
+                    assert not np.any(s.values & exact.values)
                     continue
                 s_new, t_cell = out
                 assert t_cell.fibers.d == level
                 assert t_cell.fibers.table.cardinality == exact.cardinality
-                assert s_new.cardinality == np.count_nonzero(s.mask & exact.mask)
-                assert not np.any(s_new.mask & ~t_cell.table.mask)
+                assert s_new.cardinality == np.count_nonzero(s.values & exact.values)
+                assert not np.any(s_new.values & ~t_cell.table.values)
                 checked[-1] += 1
     assert sum(checked) >= 6 and all(checked[3:])
 
@@ -482,35 +481,35 @@ def test_driver_restricts_to_the_selected_cell():
 
 
 def test_driver_empty_candidate_gives_empty_trajectory():
-    full = IndicatorSet.full(3, 2)
+    full = ref.full_set(3, 2)
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
-    s = IndicatorSet.empty(3, 4)
+    s = FunctionTable(3, 4, np.zeros(81, dtype=bool))
     res = increment_driver(s, t, eps=0.1, tau=0.1, require_l_free=False)
     assert res["trajectory"] == []
     assert res["halted_because"] == "candidate set is empty"
 
 
 def test_driver_full_candidate_halts_immediately():
-    full = IndicatorSet.full(3, 2)
+    full = ref.full_set(3, 2)
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
-    s = IndicatorSet.from_table(t.table.table)
+    s = t.table
     res = increment_driver(s, t, eps=0.1, tau=0.1, require_l_free=False)
     assert res["halted_because"] == "candidate set fills the structured set"
     assert res["trajectory"][0]["action"] == "halt"
 
 
 def test_driver_flags_configured_candidates():
-    full = IndicatorSet.full(3, 1)
+    full = ref.full_set(3, 1)
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
-    s = IndicatorSet.from_table(t.table.table)  # everything: full of configurations
+    s = t.table  # everything: full of configurations
     with pytest.raises(AssertionError):
         increment_driver(s, t, eps=0.1, tau=0.1, require_l_free=True)
 
 
 def test_driver_accepts_l_free_candidate():
     res6 = search_extremal_L_free(3, 1, "exhaustive")
-    s = IndicatorSet.from_indices(3, 2, res6["indices"])
-    full = IndicatorSet.full(3, 1)
+    s = FunctionTable.from_indices(3, 2, res6["indices"])
+    full = ref.full_set(3, 1)
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     res = increment_driver(s, t, eps=0.1, tau=0.1, require_l_free=True)
     assert res["halted_because"] != ""

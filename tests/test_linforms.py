@@ -6,7 +6,7 @@ import pytest
 import oracles as orc
 import references as ref
 from lshape.linforms import LinearFormSystem, cs_complexity, lshape_slot_system, von_neumann_check
-from lshape.tables import FunctionTable, IndicatorSet
+from lshape.tables import FunctionTable
 
 
 def _one_bounded(p, m, seed):
@@ -80,12 +80,12 @@ def test_system_average_matches_pattern_counters():
     from lshape.patterns import corner_average, count_system, lshape_average
 
     rng = np.random.default_rng(5)
-    s = IndicatorSet.from_mask(3, 2, rng.random(9) < 0.5)
-    got = count_system([s.table] * 4, ref.lshape_point_system(3), 1).average
-    want = lshape_average(*[s.table] * 4).average
+    s = FunctionTable(3, 2, rng.random(9) < 0.5)
+    got = count_system([s] * 4, ref.lshape_point_system(3), 1).average
+    want = lshape_average(*[s] * 4).average
     assert complex(got) == pytest.approx(complex(want), abs=1e-12)
-    got3 = count_system([s.table] * 3, ref.corner_point_system(3), 1).average
-    want3 = corner_average(*[s.table] * 3).average
+    got3 = count_system([s] * 3, ref.corner_point_system(3), 1).average
+    want3 = corner_average(*[s] * 3).average
     assert complex(got3) == pytest.approx(complex(want3), abs=1e-12)
 
 

@@ -8,7 +8,7 @@ import references as ref
 from lshape import norms
 from lshape.field import ResourceLimitError
 from lshape.norms import box_norm, gcs_check, gowers_norm, slot_norm
-from lshape.tables import FunctionTable, IndicatorSet
+from lshape.tables import FunctionTable
 
 
 def _random_table(p, m, seed, scale=0.6):
@@ -104,7 +104,7 @@ def test_slot0_pairs_match_oracle_at_n2():
     tables = [
         FunctionTable(3, 4, rng.standard_normal(81), "real"),
         _random_table(3, 4, 13),
-        IndicatorSet.from_mask(3, 4, rng.random(81) < 0.5).table,
+        FunctionTable(3, 4, rng.random(81) < 0.5),
     ]
     for g in tables:
         want = orc.slot0_raw_oracle(list(g.values), 3, 2)
@@ -180,5 +180,5 @@ def test_gcs_equality_for_matching_characters():
 
 
 def test_indicator_first_norm_is_density():
-    s = IndicatorSet.from_mask(3, 2, np.array([1, 0, 1, 0, 0, 1, 0, 0, 0], dtype=bool))
-    assert gowers_norm(s.table, 1).value == pytest.approx(s.density, abs=1e-12)
+    s = FunctionTable(3, 2, np.array([1, 0, 1, 0, 0, 1, 0, 0, 0], dtype=bool))
+    assert gowers_norm(s, 1).value == pytest.approx(s.density, abs=1e-12)

@@ -16,7 +16,7 @@ from lshape.patterns import (
     ones_like,
     telescope_check,
 )
-from lshape.tables import FunctionTable, IndicatorSet
+from lshape.tables import FunctionTable
 
 
 def _random_complex_tables(p, n, seed, count):
@@ -31,7 +31,7 @@ def _random_complex_tables(p, n, seed, count):
 
 def _random_set(p, n, seed, density=0.4):
     rng = np.random.default_rng(seed)
-    return IndicatorSet.from_mask(p, 2 * n, rng.random(p ** (2 * n)) < density)
+    return FunctionTable(p, 2 * n, rng.random(p ** (2 * n)) < density)
 
 
 def test_lshape_average_matches_oracle():
@@ -45,8 +45,8 @@ def test_lshape_average_matches_oracle():
 def test_lshape_counts_match_oracle():
     for p, n, seed in [(3, 1, 0), (3, 1, 1), (3, 2, 2)]:
         s = _random_set(p, n, seed)
-        res = lshape_average(s.table, s.table, s.table, s.table)
-        mask = [bool(b) for b in (s.table.values.real == 1.0)]
+        res = lshape_average(s, s, s, s)
+        mask = [bool(b) for b in (s.values.real == 1.0)]
         total, nontrivial = orc.lshape_count_oracle(mask, p, n)
         assert res.exact_count == total
         assert res.nontrivial_count == nontrivial
@@ -59,10 +59,10 @@ def test_counts_of_distinct_sets_match_oracle(p, n):
     # all) cannot hide; k = n fills one word, p = 67 > 64 leaves one bit
     # per word, and p >= 11 is the paper's regime
     sets = [_random_set(p, n, 100 * p + 10 * n + i, density=0.7) for i in range(4)]
-    tabs = [s.table for s in sets]
+    tabs = sets
     vals = [list(t.values) for t in tabs]
     ones = [1.0] * p ** (2 * n)
-    masks = np.array([s.mask for s in sets])
+    masks = np.array([s.values for s in sets])
 
     def expected(avg, slots):
         total = round(avg.real * p ** (3 * n))
@@ -79,8 +79,8 @@ def test_counts_of_distinct_sets_match_oracle(p, n):
 def test_corner_counts_match_oracle():
     for seed in range(3):
         s = _random_set(3, 1, seed + 10)
-        res = corner_average(s.table, s.table, s.table)
-        mask = [bool(b) for b in (s.table.values.real == 1.0)]
+        res = corner_average(s, s, s)
+        mask = [bool(b) for b in (s.values.real == 1.0)]
         total, nontrivial = orc.corner_count_oracle(mask, 3, 1)
         assert res.exact_count == total
         assert res.nontrivial_count == nontrivial
@@ -96,7 +96,7 @@ def _masks(draw):
 @given(_masks())
 def test_counts_match_oracle_on_drawn_masks(pm):
     p, mask = pm
-    t = IndicatorSet.from_mask(p, 2, np.array(mask)).table
+    t = FunctionTable(p, 2, np.array(mask, dtype=bool))
     res = lshape_average(t, t, t, t)
     assert (res.exact_count, res.nontrivial_count) == orc.lshape_count_oracle(mask, p, 1)
     res = corner_average(t, t, t)
@@ -105,15 +105,15 @@ def test_counts_match_oracle_on_drawn_masks(pm):
 
 def test_pattern_count_accessors():
     s = _random_set(3, 1, 3)
-    res = lshape_average(s.table, s.table, s.table, s.table)
+    res = lshape_average(s, s, s, s)
     assert res.real_average == res.average.real
     mixed = lshape_average(*_random_complex_tables(3, 1, 4, 4))
     assert mixed.exact_count is None
 
 
 def test_empty_set_counts_zero():
-    e = IndicatorSet.empty(3, 2)
-    res = lshape_average(e.table, e.table, e.table, e.table)
+    e = FunctionTable(3, 2, np.zeros(9, dtype=bool))
+    res = lshape_average(e, e, e, e)
     assert res.exact_count == 0
     assert res.nontrivial_count == 0
     assert res.average == 0
@@ -121,7 +121,7 @@ def test_empty_set_counts_zero():
 
 def test_full_set_counts_everything():
     # pair space with N = 3: every (x, y, z) triple hits, z = 0 gives N^2 of them
-    f = IndicatorSet.full(3, 2).table
+    f = ref.full_set(3, 2)
     res = lshape_average(f, f, f, f)
     assert res.exact_count == 3**3
     assert res.nontrivial_count == 3**3 - 3**2
@@ -130,7 +130,8 @@ def test_full_set_counts_everything():
 
 def test_ones_like_accepts_both():
     s = _random_set(3, 1, 7)
-    for arg in (s, s.table):
+    # a set, or any other table on the same space
+    for arg in (s, s.minus_const(0.5)):
         one = ones_like(arg)
         assert one.kind == "indicator"
         assert float(one.values.real.min()) == 1.0
@@ -147,7 +148,7 @@ def test_telescope_inequality():
 def test_balanced_decomposition_is_exact():
     # lam(S..S) - sigma^4 must equal the three-term telescoping sum exactly
     s = _random_set(3, 1, 99, density=0.6)
-    st, sigma = s.table, s.density
+    st, sigma = s, s.density
     one = ones_like(s)
     g = balanced(s)
     lhs = lshape_average(st, st, st, st).average - sigma**4
@@ -166,7 +167,7 @@ def test_dot_obstruction_exact_values():
     assert ex.predicted_density == pytest.approx(261 / 729)
     assert ex.set.density == pytest.approx(261 / 729)
     assert ex.predicted_count == 1215
-    res = lshape_average(*[ex.set.table] * 4)
+    res = lshape_average(*[ex.set] * 4)
     assert res.exact_count == 1215
     assert res.nontrivial_count == 954
     with pytest.raises(ValueError):
@@ -177,17 +178,17 @@ def test_dot_closed_form_at_odd_and_even_n():
     # brute force, the closed form and the recorded count agree at odd and even n
     for p, n, recorded in [(3, 3, 1215), (3, 4, 24273), (3, 6, 14697369), (5, 4, 2148625)]:
         ex = obstruction_example("dot", p, n)
-        assert lshape_average(*[ex.set.table] * 4).exact_count == ex.predicted_count == recorded
+        assert lshape_average(*[ex.set] * 4).exact_count == ex.predicted_count == recorded
 
 
 def test_dot_count_at_the_frontier():
     ex = obstruction_example("dot", 3, 7)
-    assert lshape_average(*[ex.set.table] * 4).exact_count == ex.predicted_count == 390609135
+    assert lshape_average(*[ex.set] * 4).exact_count == ex.predicted_count == 390609135
 
 
 def test_dot_obstruction_membership():
     ex = obstruction_example("dot", 3, 3)
-    vals = ex.set.table.values.real
+    vals = ex.set.values.real
     for x in range(27):
         for y in range(27):
             dot = sum(
@@ -205,7 +206,7 @@ def test_random_phi_density_is_exact():
 
 def test_coordinate_obstruction_membership():
     ex = obstruction_example("coordinate", 3, 2, 4)
-    vals = ex.set.table.values.real
+    vals = ex.set.values.real
     assert ex.set.density == pytest.approx(1 / 3)
     for x in range(9):
         row = [y for y in range(9) if vals[x + 9 * y] == 1.0]
@@ -221,10 +222,10 @@ def test_unknown_kind_rejected():
 
 def test_count_system_agrees_with_direct_counters():
     s = _random_set(3, 1, 21)
-    pair_tables = [s.table] * 4
+    pair_tables = [s] * 4
     res = count_system(pair_tables, ref.lshape_point_system(3), 1)
     direct = lshape_average(*pair_tables)
     assert res.exact_count == direct.exact_count
-    res3 = count_system([s.table] * 3, ref.corner_point_system(3), 1)
-    direct3 = corner_average(*[s.table] * 3)
+    res3 = count_system([s] * 3, ref.corner_point_system(3), 1)
+    direct3 = corner_average(*[s] * 3)
     assert res3.exact_count == direct3.exact_count

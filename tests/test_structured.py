@@ -5,16 +5,16 @@ import pytest
 
 import oracles as orc
 import references as ref
-from lshape.field import GroupVector, subspace_from_normals
+from lshape.field import digits_of, subspace_from_normals
 from lshape.structured import FiberFamily, StructuredProductSet, random_family
-from lshape.tables import IndicatorSet
+from lshape.tables import FunctionTable
 
 
 def _base(p, n, seed, density=0.7):
     rng = np.random.default_rng(seed)
     mask = rng.random(p**n) < density
     mask[0] = True
-    return IndicatorSet.from_mask(p, n, mask)
+    return FunctionTable(p, n, mask)
 
 
 def test_full_family_is_base_times_everything():
@@ -22,8 +22,8 @@ def test_full_family_is_base_times_everything():
     fam = FiberFamily.full(base)
     assert fam.d == 0 and fam.rho == 1.0
     assert fam.table.cardinality == base.cardinality * 9
-    vals = fam.table.table.values.real
-    bvals = base.table.values.real
+    vals = fam.table.values.real
+    bvals = base.values.real
     for x in range(9):
         for y in range(9):
             assert vals[x + 9 * y] == bvals[x]
@@ -37,16 +37,16 @@ def test_phi_map_membership_and_cardinality():
     for x in range(p**n):
         while not phi[x].any():
             phi[x] = rng.integers(0, p, size=n)
-    u = GroupVector(p, (1, 2))
+    u = (1, 2)
     fam = ref.from_phi_map(base, phi, u)
     assert fam.table.cardinality == base.cardinality * p ** (n - 1)
-    vals = fam.table.table.values.real
-    bvals = base.table.values.real
+    vals = fam.table.values.real
+    bvals = base.values.real
     for x in range(p**n):
         for y in range(p**n):
             rel = [
                 (a - b) % p
-                for a, b in zip(orc.digits_le(y, p, n), u.digits)
+                for a, b in zip(orc.digits_le(y, p, n), u)
             ]
             member = bvals[x] == 1.0 and sum(c * r for c, r in zip(phi[x], rel)) % p == 0
             assert (vals[x + p**n * y] == 1.0) == member
@@ -54,16 +54,16 @@ def test_phi_map_membership_and_cardinality():
 
 def test_phi_map_rejects_degenerate_rows():
     p, n = 3, 2
-    base = IndicatorSet.from_indices(p, n, [0, 4])
+    base = FunctionTable.from_indices(p, n, [0, 4])
     phi = np.zeros((9, 2), dtype=np.int64)
     phi[0] = (1, 0)  # x = 4 left at zero, and 4 is in the base
     with pytest.raises(ValueError):
-        ref.from_phi_map(base, phi, GroupVector.zero(p, n))
+        ref.from_phi_map(base, phi, (0, 0))
     # a zero row off the base is harmless
     phi2 = np.zeros((9, 2), dtype=np.int64)
     phi2[0] = (1, 0)
     phi2[4] = (0, 1)
-    fam = ref.from_phi_map(base, phi2, GroupVector.zero(p, n))
+    fam = ref.from_phi_map(base, phi2, (0, 0))
     assert fam.table.cardinality == 2 * 3
 
 
@@ -74,20 +74,20 @@ def test_dependent_normals_are_refused_at_the_first_base_point():
     normals[2] = [[1, 2], [2, 1]]  # second row is twice the first, but x = 2 is off the base
     normals[4] = [[0, 1], [0, 2]]
     normals[7] = [[1, 1], [0, 0]]
-    base = IndicatorSet.from_indices(p, n, [0, 1, 4, 7])
+    base = FunctionTable.from_indices(p, n, [0, 1, 4, 7])
     with pytest.raises(ValueError, match=r"^normals at x = 4 are dependent; codimension would drop below 2$"):
-        FiberFamily(p, n, base, GroupVector.zero(p, n), d, normals)
+        FiberFamily(p, n, base, (0, 0), d, normals)
     normals[4] = [[2, 0], [1, 1]]
     with pytest.raises(ValueError, match=r"^normals at x = 7 are dependent"):
-        FiberFamily(p, n, base, GroupVector.zero(p, n), d, normals)
+        FiberFamily(p, n, base, (0, 0), d, normals)
     normals[7] = [[1, 1], [1, 2]]
-    fam = FiberFamily(p, n, base, GroupVector.zero(p, n), d, normals)
+    fam = FiberFamily(p, n, base, (0, 0), d, normals)
     assert fam.table.cardinality == base.cardinality
 
 
 def test_fiber_subspace_members():
     fam = random_family(3, 2, 1, seed=5)
-    vals = fam.table.table.values.real
+    vals = fam.table.values.real
     for x in range(9):
         sub = ref.fiber_subspace(fam, x)
         members = set(int(i) for i in sub.member_indices())
@@ -111,15 +111,15 @@ def test_mixed_family_alignment():
     with pytest.raises(ValueError):
         ref.offset(mixed)
 
-    for u in (GroupVector.from_index(p, n, i) for i in range(9)):
+    for u in range(9):
         expect = {int(x) for x in base.member_indices() if ref.contains(ref.fiber_subspace(mixed, int(x)), u)}
         assert set(int(i) for i in mixed.aligned_base_at(u).member_indices()) == expect
-    u = GroupVector(p, (0, 1))
+    u = 3
     a_u = mixed.aligned_base_at(u)
     if a_u.cardinality:
         aligned = mixed.with_common_offset(u)
         assert aligned.base.cardinality == a_u.cardinality
-        assert ref.offset(aligned) == u
+        assert np.array_equal(ref.offset(aligned), digits_of(p, n, u))
 
 
 def test_alignment_counting_identity():
@@ -130,32 +130,31 @@ def test_alignment_counting_identity():
         fam = random_family(3, 2, 1, seed=seed)
         mixed = FiberFamily(
             fam.p, fam.n, fam.base,
-            np.repeat(ref.offset(fam).as_array()[None, :], 9, axis=0),
+            np.repeat(ref.offset(fam)[None, :], 9, axis=0),
             fam.d, fam.normals,
         )
-        assert ref.offset(mixed) == ref.offset(fam)
+        assert np.array_equal(ref.offset(mixed), ref.offset(fam))
         mixedes.append(mixed)
     for mixed in mixedes:
-        total = sum(mixed.aligned_base_at(GroupVector.from_index(3, 2, u)).cardinality
-                    for u in range(9))
+        total = sum(mixed.aligned_base_at(u).cardinality for u in range(9))
         assert total == mixed.table.cardinality
 
 
 def test_product_set_membership():
     p, n = 3, 1
     rng = np.random.default_rng(12)
-    b = IndicatorSet.from_mask(p, n, np.array([1, 1, 0], dtype=bool))
-    c = IndicatorSet.from_mask(p, n, np.array([1, 0, 1], dtype=bool))
-    d_set = IndicatorSet.from_mask(p, n, np.array([0, 1, 1], dtype=bool))
-    fam = FiberFamily.full(IndicatorSet.full(p, n))
+    b = FunctionTable(p, n, np.array([1, 1, 0], dtype=bool))
+    c = FunctionTable(p, n, np.array([1, 0, 1], dtype=bool))
+    d_set = FunctionTable(p, n, np.array([0, 1, 1], dtype=bool))
+    fam = FiberFamily.full(ref.full_set(p, n))
     t = StructuredProductSet(b, c, d_set, fam)
-    vals = t.table.table.values.real
+    vals = t.table.values.real
     for x in range(3):
         for y in range(3):
             want = (
-                b.table.values.real[y] == 1.0
-                and c.table.values.real[(x + y) % 3] == 1.0
-                and d_set.table.values.real[(2 * x + y) % 3] == 1.0
+                b.values.real[y] == 1.0
+                and c.values.real[(x + y) % 3] == 1.0
+                and d_set.values.real[(2 * x + y) % 3] == 1.0
             )
             assert (vals[x + 3 * y] == 1.0) == want
     assert t.table.density == pytest.approx(t.table.cardinality / 9)
@@ -186,12 +185,12 @@ def test_phi_blocks_agree_with_one_block(monkeypatch):
         monkeypatch.setattr(structured, "_PHI_BLOCK", 1)
         blocked = random_family(p, n, d, seed=9, base_density=0.6)
         monkeypatch.undo()
-        assert np.array_equal(blocked.table.mask, whole.table.mask)
+        assert np.array_equal(blocked.table.values, whole.table.values)
 
 
 def test_product_set_audit_catches_a_corrupted_lift(monkeypatch):
     import lshape.structured as structured
-    from lshape.tables import FunctionTable, product_lift
+    from lshape.tables import product_lift
 
     p, n = 3, 2
     size = p**n
@@ -203,24 +202,24 @@ def test_product_set_audit_catches_a_corrupted_lift(monkeypatch):
             vals[[5, 2 + size * 7]] = False
         return FunctionTable(p, 2 * n, vals)
 
-    full = IndicatorSet.full(p, n)
+    full = ref.full_set(p, n)
     monkeypatch.setattr(structured, "product_lift", corrupted)
     with pytest.raises(AssertionError, match=r"on row x = 2$"):
         StructuredProductSet(full, full, full, FiberFamily.full(full))
 
 
 def test_product_set_rejects_mismatched_factors():
-    fam = FiberFamily.full(IndicatorSet.full(3, 1))
-    wrong = IndicatorSet.full(3, 2)
+    fam = FiberFamily.full(ref.full_set(3, 1))
+    wrong = ref.full_set(3, 2)
     with pytest.raises(ValueError):
-        StructuredProductSet(wrong, IndicatorSet.full(3, 1), IndicatorSet.full(3, 1), fam)
+        StructuredProductSet(wrong, ref.full_set(3, 1), ref.full_set(3, 1), fam)
 
 
 def test_fiber_levels_partition():
     p, n = 3, 2
-    full = IndicatorSet.full(p, n)
+    full = ref.full_set(p, n)
     phi = np.tile(np.array([[1, 0]]), (9, 1))
-    fam = ref.from_phi_map(full, phi, GroupVector.zero(p, n))
+    fam = ref.from_phi_map(full, phi, (0, 0))
     whole = subspace_from_normals(p, n, [], [])
     levels = ref.fiber_levels(fam, whole, whole)
     assert [lv.i for lv in levels] == [0, 1]
@@ -247,9 +246,9 @@ def test_random_family_is_deterministic():
     a = random_family(3, 2, 1, seed=7, base_density=0.5)
     b = random_family(3, 2, 1, seed=7, base_density=0.5)
     assert np.array_equal(a.normals, b.normals)
-    assert np.array_equal(a.table.table.values, b.table.table.values)
+    assert np.array_equal(a.table.values, b.table.values)
     c = random_family(3, 2, 1, seed=8, base_density=0.5)
-    assert not np.array_equal(a.table.table.values, c.table.table.values)
+    assert not np.array_equal(a.table.values, c.table.values)
 
 
 def test_random_family_refuses_a_codimension_outside_zero_to_n():

@@ -1,17 +1,17 @@
-"""Dense tables, indicator sets, pair-space views and file round trips."""
+"""Dense tables, sets as indicator tables, pair-space views and file round trips."""
 
 import numpy as np
 import pytest
 
 import oracles as orc
-from lshape.field import GroupVector, ResourceLimitError, subspace_from_normals
+from lshape.field import ResourceLimitError, subspace_from_normals
 from lshape.tables import (
     FunctionTable,
-    IndicatorSet,
     balanced,
     load_any,
     load_set,
     load_table,
+    line_means,
     product_lift,
     save_set,
     save_table,
@@ -71,18 +71,6 @@ def test_mean_and_bounds():
     assert g.max_modulus() == pytest.approx(1.5)
 
 
-def test_translate_matches_oracle():
-    p, m = 3, 2
-    vals = _random_complex(p, m, 0)
-    f = FunctionTable(p, m, vals, "complex")
-    for h in range(p**m):
-        shifted = f.translate(h)
-        for x in range(p**m):
-            assert shifted.values[x] == vals[orc.add_indices(x, h, p, m)]
-    g = f.translate(GroupVector.from_index(p, m, 4))
-    assert np.array_equal(g.values, f.translate(4).values)
-
-
 def test_pointwise_algebra():
     f = FunctionTable(3, 1, [1.0, 2.0, 3.0], "real")
     g = FunctionTable(3, 1, [1j, 0.0, 1.0], "complex")
@@ -114,22 +102,27 @@ def test_pair_grid_orientation():
 
 def test_indicator_set_counts():
     mask = np.array([1, 0, 1, 1, 0, 0, 0, 1, 0], dtype=bool)
-    s = IndicatorSet.from_mask(3, 2, mask)
-    assert s.cardinality == 4
-    assert s.density == pytest.approx(4 / 9)
-    assert IndicatorSet.full(3, 2).cardinality == 9
-    assert IndicatorSet.empty(3, 2).cardinality == 0
-    assert s.mask.tolist() == mask.tolist()
+    s = FunctionTable(3, 2, mask)
+    assert s.kind == "indicator"
+    assert s.cardinality == 4 and type(s.cardinality) is int
+    assert s.density == 4 / 9
+    assert FunctionTable(3, 2, np.ones(9, dtype=bool)).cardinality == 9
+    assert FunctionTable(3, 2, np.zeros(9, dtype=bool)).cardinality == 0
     assert s.member_indices().tolist() == [0, 2, 3, 7]
-    assert s.contains_index(3) and not s.contains_index(4)
     with pytest.raises(ValueError):
-        s.mask[1] = True  # membership is read-only
-    with pytest.raises(ValueError):
-        IndicatorSet.from_table(FunctionTable(3, 2, mask * 0.5, "real"))
+        s.values[1] = True  # membership is read-only
+    # a 0/1 int array makes a real table, not a set
+    assert FunctionTable(3, 2, mask.astype(int)).kind == "real"
+    # indices are deduplicated and range-checked, even past int64
+    assert np.array_equal(FunctionTable.from_indices(3, 2, [7, 0, 3, 2, 3]).values, mask)
+    assert FunctionTable.from_indices(3, 2, []).cardinality == 0
+    for bad in ([9], [-1], [10**30]):
+        with pytest.raises(ValueError, match="out of range"):
+            FunctionTable.from_indices(3, 2, bad)
 
 
 def test_balanced_function():
-    s = IndicatorSet.from_mask(3, 1, np.array([1, 1, 0], dtype=bool))
+    s = FunctionTable(3, 1, np.array([1, 1, 0], dtype=bool))
     g = balanced(s)
     assert abs(g.mean()) < 1e-15
     assert g.values[0] == pytest.approx(1 - 2 / 3)
@@ -153,6 +146,20 @@ def test_slot_index_arrays():
         assert slot_index_array(p, n, slot) is arr and not arr.flags.writeable
     with pytest.raises(ValueError):
         slot_index_array(p, n, "3x+y")
+
+
+def test_line_means_match_oracle():
+    rng = np.random.default_rng(9)
+    for p in (3, 5):
+        for n in (1, 2, 3):
+            size = p**n
+            grid = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            for slot, c in (("y", 0), ("x+y", 1), ("2x+y", 2)):
+                got = line_means(grid, p, n, slot)
+                want = orc.line_means_oracle(grid.tolist(), p, n, c)
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+                # pair-grid views are F-ordered; the layout must not change a bit
+                assert np.array_equal(line_means(np.asfortranarray(grid), p, n, slot), got)
 
 
 def test_product_lift_pointwise():
@@ -186,13 +193,13 @@ def test_restrict_parameterizes_coset():
 def test_set_file_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     mask = rng.random(27) < 0.4
-    s = IndicatorSet.from_mask(3, 3, mask)
+    s = FunctionTable(3, 3, mask)
     path = tmp_path / "s.txt"
     save_set(str(path), s)
     back = load_set(str(path))
-    assert back.p == 3 and back.m == 3
-    assert np.array_equal(back.table.values, s.table.values)
-    assert isinstance(load_any(str(path)), IndicatorSet)
+    assert back.p == 3 and back.m == 3 and back.kind == "indicator"
+    assert np.array_equal(back.values, s.values)
+    assert np.array_equal(load_any(str(path)).values, s.values)
 
 
 def test_set_file_digit_lines(tmp_path):
