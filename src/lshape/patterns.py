@@ -20,11 +20,12 @@ The normalization is the full triple average over (x, y, z) in
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import numpy as np
 
 from .field import ResourceLimitError, add_map, check_size, combine, digit_table, scale_map
-from .tables import FunctionTable, balanced
+from .tables import FunctionTable
 
 __all__ = [
     "PatternCount",
@@ -69,20 +70,70 @@ def _common_grids(tables: list[FunctionTable]) -> tuple[int, int, list[np.ndarra
     return p, m // 2, [t.as_pair_grid() for t in tables]
 
 
-#: Bits in one packed word of an indicator pair grid.
+#: Most bits one packed word of an indicator pair grid can hold.
 WORD_BITS = 64
 
 
-def _pack_rows(mask: np.ndarray, low: int) -> np.ndarray:
-    """Pack a bool pair grid mask[x, y] into uint64 words w[y, x_hi].
+def _word_layout(p: int, n: int) -> tuple[int, int, np.dtype]:
+    """(k, p^k, word dtype) of the packed layout on Z_p^n x Z_p^n.
+
+    k is the largest k <= n with p^k <= 64, so the p^k points of one
+    coset of the high digits fit in one word, and the word is the
+    smallest unsigned little-endian integer with at least p^k bits:
+    uint32 at p = 3 and 5, uint64 at p = 7, uint16 at p = 11 and 13, and
+    uint8 once p > 64 leaves k = 0.
+    """
+    k = 0
+    while k < n and p ** (k + 1) <= WORD_BITS:
+        k += 1
+    low = p**k
+    nbytes = next(b for b in (1, 2, 4, 8) if 8 * b >= low)
+    return k, low, np.dtype(f"<u{nbytes}")
+
+
+def _pack_bits(bits: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Pack the last axis of a bool array into one word each, bit j from bits[..., j]."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + (dtype.itemsize,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view(dtype)[..., 0]
+
+
+def _pack_rows(mask: np.ndarray, low: int, dtype: np.dtype) -> np.ndarray:
+    """Pack a bool pair grid mask[x, y] into words w[y, x_hi] of ``dtype``.
 
     Bit x_lo of w[y, x_hi] is mask[x_lo + low * x_hi, y]: the low digits
     of x pick the bit and the high digits pick the word.
     """
     size = mask.shape[0]
-    bits = np.zeros((size, size // low, WORD_BITS), dtype=bool)
-    bits[:, :, :low] = mask.T.reshape(size, size // low, low)
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")[..., 0]
+    return _pack_bits(mask.T.reshape(size, size // low, low), dtype)
+
+
+def _shifted_copies(words: np.ndarray, p: int, k: int) -> list[np.ndarray]:
+    """Copy z_lo of packed words, for every z_lo < p^k, made by bit shifts.
+
+    Bit j of copy z_lo is bit j + z_lo of ``words``, digits added without
+    carry over the k low digits.  Copy z_lo steps copy z_lo - p^i once
+    along digit i, its lowest nonzero digit: a bit whose digit i is not
+    p - 1 comes from p^i places up, and a bit whose digit i is p - 1
+    wraps round from the bit with digit i equal to 0.
+    """
+    d = digit_table(p, k)
+    keep = _pack_bits(d.T != p - 1, words.dtype)
+    wrap = _pack_bits(d.T == 0, words.dtype)
+    edge = np.empty_like(words)
+    copies = [words]
+    for z_lo in range(1, p**k):
+        i = int(np.flatnonzero(d[z_lo])[0])
+        step = p**i
+        src = copies[z_lo - step]
+        out = src >> step
+        out &= keep[i]
+        np.bitwise_and(src, wrap[i], out=edge)
+        edge <<= (p - 1) * step
+        out |= edge
+        copies.append(out)
+    return copies
 
 
 def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_point: bool) -> tuple[int, int]:
@@ -92,33 +143,38 @@ def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_poi
     so each is a row gather y -> y + c z of one packed table.  The last
     point (x + z, y) moves x: digits add without carry, so the low digits
     of z shift bits inside a word and the high digits permute words.
-    The last table is therefore packed once per low shift, and each z
-    takes one word gather of the copy for its low digits.
+    Each distinct table is packed once, the last one's copies for every
+    low shift are made from it by bit shifts, and each z takes one word
+    gather of the copy for its low digits.
     """
     size = p**n
-    k = 0
-    while k < n and p ** (k + 1) <= WORD_BITS:
-        k += 1
-    low = p**k
+    k, low, dtype = _word_layout(p, n)
     distinct = {id(t): t for t in tables}
-    masks = {key: t.as_pair_grid() for key, t in distinct.items()}
-    words = {key: _pack_rows(masks[key], low) for key in {id(t) for t in tables[:-1]}}
+    words = {key: _pack_rows(t.as_pair_grid(), low, dtype) for key, t in distinct.items()}
     first = [words[id(t)] for t in tables[:-1]]
-    last = masks[id(tables[-1])]
-    shifted = [_pack_rows(last[add_map(p, n, z_lo)], low) for z_lo in range(low)]
+    shifted = _shifted_copies(words[id(tables[-1])], p, k)
     steps = (1, 2) if use_third_point else (1,)
     scales = [scale_map(p, n, c) for c in steps]
-    total = trivial = 0
+    acc = np.empty_like(first[0])
+    gathered = np.empty_like(acc)
+    counts = np.empty(acc.shape, dtype=np.uint8)
+    # a word gains at most low set bits per z, so its total is at most
+    # low * p^n <= 64 * 2^12 under the enumeration cap: uint32 is ample
+    totals = np.zeros(acc.shape, dtype=np.uint32)
+    trivial = 0
     for z in range(size):
-        acc = shifted[z % low][:, add_map(p, n - k, z // low)]
+        # the maps are permutations, so mode="clip" changes no index; it
+        # only spares np.take the buffered copy that mode="raise" makes
+        np.take(shifted[z % low], add_map(p, n - k, z // low), axis=1, out=acc, mode="clip")
         acc &= first[0]
         for w, scale in zip(first[1:], scales):
-            acc &= w[add_map(p, n, int(scale[z]))]
-        term = int(np.bitwise_count(acc).sum())
-        total += term
+            np.take(w, add_map(p, n, int(scale[z])), axis=0, out=gathered, mode="clip")
+            acc &= gathered
+        np.bitwise_count(acc, out=counts)
+        totals += counts
         if z == 0:
-            trivial = term
-    return total, trivial
+            trivial = int(counts.sum())
+    return int(totals.sum(dtype=np.int64)), trivial
 
 
 def _count_pattern(tables: list[FunctionTable], use_third_point: bool) -> PatternCount:
@@ -166,30 +222,33 @@ def telescope_check(s: FunctionTable) -> dict:
     """Multilinearity bound for the four-point average of a set.
 
     Writing the indicator as (balanced part) + density in one slot at a
-    time gives
+    time gives, with g = S - sigma,
 
         lam(S,S,S,S) - sigma^4 = lam(g,S,S,S) + sigma lam(1,g,S,S)
                                  + sigma^2 lam(1,1,g,S) + sigma^3 E g
 
     and E g = 0, so |lam(S,S,S,S) - sigma^4| is at most the triangle
-    bound over the first three terms.
+    bound over the first three terms.  Each term is linear in g, so
+    lam(1^j, g, S^(3-j)) = lam(1^j, S^(4-j)) - sigma lam(1^(j+1), S^(3-j)):
+    four exact indicator counts give every term as a fraction, and the
+    floats reported are those fractions rounded once.
     """
-    sigma = s.density
+    if s.kind != "indicator":
+        raise ValueError(f"telescope_check needs an indicator table, got kind {s.kind!r}")
+    sigma = Fraction(s.cardinality, s.size)
+    cube = s.p ** (3 * (s.m // 2))
     one = ones_like(s)
-    g = balanced(s)
-    lam_all = lshape_average(s, s, s, s)
-    t0 = abs(lshape_average(g, s, s, s).average)
-    t1 = abs(lshape_average(one, g, s, s).average)
-    t2 = abs(lshape_average(one, one, g, s).average)
-    lhs = abs(lam_all.average - sigma**4)
-    rhs = t0 + sigma * t1 + sigma**2 * t2
+    lam = [Fraction(lshape_average(*[one] * j, *[s] * (4 - j)).exact_count, cube) for j in range(4)]
+    terms = [abs(lam[j] - sigma * lam[j + 1]) for j in range(3)]
+    lhs = abs(lam[0] - sigma**4)
+    rhs = terms[0] + sigma * terms[1] + sigma**2 * terms[2]
     return {
-        "density": sigma,
-        "configuration_average": lam_all.average.real,
-        "lhs": lhs,
-        "rhs": rhs,
-        "terms": [t0, t1, t2],
-        "holds": lhs <= rhs + 1e-9,
+        "density": float(sigma),
+        "configuration_average": float(lam[0]),
+        "lhs": float(lhs),
+        "rhs": float(rhs),
+        "terms": [float(t) for t in terms],
+        "holds": lhs <= rhs,
     }
 
 
@@ -235,7 +294,16 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
     if kind == "dot":
         if n < 3:
             raise ValueError("the dot-set construction needs n >= 3")
-        mask = (d @ d.T) % p == 0  # mask[x, y]
+        # x . y mod p one digit at a time: the running residue stays below
+        # p and each product at most (p-1)^2, so every sum fits in p(p-1)
+        small = np.min_scalar_type(p * (p - 1))
+        dot = np.zeros((size, size), dtype=small)
+        term = np.empty_like(dot)
+        for col in d.T.astype(small):
+            np.multiply.outer(col, col, out=term)
+            dot += term
+            dot %= p
+        mask = dot == 0  # mask[x, y]
         s = FunctionTable(p, 2 * n, mask.T.reshape(-1))  # pair index = x + N y
         npow = size // p
         predicted_density = ((size - 1) * npow + size) / size**2

