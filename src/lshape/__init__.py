@@ -32,7 +32,6 @@ from .field import (
     AffineSubspace,
     ResourceLimitError,
     modular_rref,
-    solve_mod,
     subspace_from_normals,
 )
 from .tables import (
@@ -101,7 +100,6 @@ __all__ = [
     "AffineSubspace",
     "ResourceLimitError",
     "modular_rref",
-    "solve_mod",
     "subspace_from_normals",
     "FunctionTable",
     "load_any",

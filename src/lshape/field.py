@@ -38,7 +38,6 @@ __all__ = [
     "AffineSubspace",
     "modular_rref",
     "rank_mod",
-    "solve_mod",
     "subspace_from_normals",
     "power_vector",
     "digit_table",
@@ -196,23 +195,6 @@ def rank_mod(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
     if a.size == 0:
         return 0
     return len(modular_rref(a, p)[1])
-
-
-def solve_mod(a: np.ndarray | Sequence[Sequence[int]], b: np.ndarray | Sequence[int], p: int) -> np.ndarray | None:
-    """One solution x of A x = b mod p (free variables set to 0), or None."""
-    a = np.array(a, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    if a.size == 0:
-        return np.zeros(a.shape[1] if a.ndim == 2 else 0, dtype=np.int64)
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    rref, pivots = modular_rref(aug, p)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None  # a row reduced to 0 = nonzero
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = rref[i, -1]
-    return x
 
 
 @dataclass(frozen=True)

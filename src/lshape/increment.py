@@ -40,7 +40,6 @@ from .field import (
     digits_of,
     index_of,
     modular_rref,
-    solve_mod,
     subspace_from_normals,
 )
 from .norms import RADICAND_FLOOR
@@ -149,13 +148,12 @@ def _fiber_level_of_points(fam: FiberFamily, lab: np.ndarray, k: int) -> np.ndar
     ``lab`` is the coset label of every point for a direction V of
     codimension k.  Fiber x meets every coset of V that it touches in a
     coset of V ∩ V_x, p^(n - k - level) points, so the level is read off
-    row x of Phi at the coset through x's offset, which lies on the
-    fiber.  Off-base entries are set to -1.
+    row x of Phi at the coset through the fiber's first point.  Off-base
+    entries are set to -1.
     """
     p, n = fam.p, fam.n
-    size = p**n
-    grid = fam.table.values.reshape((size, size), order="F")
-    own = lab[index_of(p, fam.offsets)]
+    grid = fam.table.as_pair_grid()
+    own = lab[grid.argmax(axis=1)]
     meet = np.count_nonzero(grid & (lab[None, :] == own[:, None]), axis=1)
     return np.where(fam.base.values, n - k - np.searchsorted(p ** np.arange(n + 1), meet), -1)
 
@@ -271,44 +269,37 @@ def _top_characters(rows: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.
     return index, corr
 
 
-def _pull_back_matrix(basis: np.ndarray, p: int) -> np.ndarray:
-    """The (dim, n) matrix whose row i is solve_mod(basis, e_i).
+def _pull_back(xi: np.ndarray, free: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """Ambient characters of a (k, dim) stack of coset characters, checked
+    to satisfy basis @ nu = xi (mod p).
 
-    The basis rows are independent, so solve_mod's row reduction never
-    pivots on the right-hand side and its solution is linear in it:
-    xi @ matrix (mod p) is exactly solve_mod(basis, xi).
+    The basis has the identity on the ``free`` columns, so nu = xi on them
+    and 0 elsewhere pulls xi back; any two pull-backs differ by an element
+    of the kernel of the basis, the span of the partition's normals.
     """
-    rows = [solve_mod(basis, unit, p) for unit in np.eye(len(basis), dtype=np.int64)]
-    if any(row is None for row in rows):
-        raise AssertionError("character pull-back must be solvable for independent basis rows")
-    return np.array(rows, dtype=np.int64)
-
-
-def _pull_back(xi: np.ndarray, pull: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
-    """Ambient characters nu = xi @ pull (mod p) of a (k, dim) stack of coset
-    characters, checked to satisfy basis @ nu = xi (mod p)."""
-    nu = xi @ pull % p
+    nu = np.zeros((len(xi), basis.shape[1]), dtype=np.int64)
+    nu[:, free] = xi
     if not np.array_equal(nu @ basis.T % p, xi % p):
         raise AssertionError("a pulled-back character fails basis . nu = xi (mod p)")
     return nu
 
 
 def _triggered_characters(
-    rows: np.ndarray, p: int, halves: int, eps: float, basis: np.ndarray, pull: np.ndarray
+    rows: np.ndarray, p: int, halves: int, eps: float, basis: np.ndarray, free: np.ndarray
 ) -> dict[int, tuple[float, list[tuple[int, ...]]]]:
     """{row: (correlation, [ambient character])} for the rows of a stack
     whose U^2 norm reaches eps.
 
     A row is a table on ``halves`` (1 or 2) copies of the coset direction
     spanned by ``basis``, as on a coset or on a product cell; each half of
-    the top character is pulled back through ``pull`` on its own, and a
-    zero half gives no character.
+    the top character is pulled back through the basis's ``free`` columns
+    on its own, and a zero half gives no character.
     """
     dim = len(basis)
     index, corr = _top_characters(rows, p, halves * dim, eps)
     hits = np.flatnonzero(index >= 0)
     xi = digits_of(p, halves * dim, index[hits]).reshape(-1, dim)
-    nu = _pull_back(xi, pull, basis, p).tolist()
+    nu = _pull_back(xi, free, basis, p).tolist()
     nonzero = xi.any(axis=1).tolist()
     return {
         row: (float(corr[row]), [tuple(nu[h]) for h in range(j * halves, (j + 1) * halves) if nonzero[h]])
@@ -361,7 +352,8 @@ def pseudorandomize_u2(
     transformed together, and so are the fiber-level rows of every cell
     that has not expired (expired cells are never transformed).  The
     norm and the top character of a row come from one spectrum, and each
-    character is pulled back to Z_p^n through one matrix product mod p.
+    character is pulled back to Z_p^n by placing it on the free
+    coordinates of the direction.
 
     Afterwards the densest surviving (cell, fiber level) pair for S is
     selected; meeting the margin sigma + tau / 4 is reported, with the
@@ -369,7 +361,6 @@ def pseudorandomize_u2(
     """
     _check_scales(eps, tau)
     p, n = t.p, t.n
-    size = p**n
     sigma = _density_inside(s_set, t.table)
     mu_t = t.table.density
     expiry_floor = tau * mu_t / 4
@@ -396,16 +387,17 @@ def pseudorandomize_u2(
         # pivot coordinates are c and whose free coordinates are 0
         direction = subspace_from_normals(p, n, partition.normals, (0,) * partition.codim)
         x_basis = direction.basis()
-        pull = _pull_back_matrix(x_basis, p)
+        pivots = [row.index(1) for row in partition.normals]
+        free = np.delete(np.arange(n), pivots)
         label_points = np.zeros((big, n), dtype=np.int64)
-        label_points[:, [row.index(1) for row in partition.normals]] = data["lab_digits"]
+        label_points[:, pivots] = data["lab_digits"]
         starts = index_of(p, label_points)
         members = combine(p, n, (1, 1), (starts[:, None], direction.member_indices()[None, :]))
 
         # per-label deviations of the y, sum and skew factor sets
         factor_devs = []
         for s in (t.y_set, t.sum_set, t.skew_set):
-            devs = _triggered_characters(s.values[members], p, 1, eps, x_basis, pull)
+            devs = _triggered_characters(s.values[members], p, 1, eps, x_basis, free)
             # a top character of 0 pulls back to nothing to refine by
             factor_devs.append({lab: dev for lab, dev in devs.items() if dev[1]})
 
@@ -418,13 +410,13 @@ def pseudorandomize_u2(
         # fiber level i of every live cell, rows ordered by cell then level;
         # row entry ix + |V| iy is the pair at coset parameters (ix, iy), so
         # the x half of a character comes first
-        phi_grid = t.fibers.table.values.reshape((size, size), order="F")
+        phi_grid = t.fibers.table.as_pair_grid()
         xs, ys = members[live % big], members[live // big]
         lev = data["levels"][xs][:, None, None, :]
         on_level = (lev >= 0) & (lev <= np.arange(d + 1)[None, :, None, None])
         cell_phi = phi_grid[xs[:, None, :], ys[:, :, None]]
         level_rows = (cell_phi[:, None] & on_level).reshape(-1, members.shape[1] ** 2)
-        level_devs = _triggered_characters(level_rows, p, 2, eps, x_basis, pull)
+        level_devs = _triggered_characters(level_rows, p, 2, eps, x_basis, free)
 
         # trigger bookkeeping, cell by cell
         cell_measure = 1.0 / (big * big)
@@ -553,6 +545,23 @@ def _density_inside(s_set: FunctionTable, t_set: FunctionTable) -> float:
     return s_set.cardinality / t_set.cardinality
 
 
+def _densest(s_set: FunctionTable, candidates) -> tuple | None:
+    """(ratio, key, T, |S ∩ T|) for the first of the (key, T) candidates on
+    which S is densest, skipping an empty T; None when every T is empty.
+
+    The candidates are built one at a time, as the loop reaches them.
+    """
+    best = None
+    for key, t_new in candidates:
+        inter, mass = int(np.count_nonzero(s_set.values & t_new.table.values)), t_new.table.cardinality
+        if mass == 0:
+            continue
+        ratio = inter / mass
+        if best is None or ratio > best[0]:
+            best = (ratio, key, t_new, inter)
+    return best
+
+
 def _recount_pairs(s_mask: np.ndarray, t_new: StructuredProductSet) -> int:
     """Independent recount of |S ∩ T| by walking T's members."""
     total = 0
@@ -593,25 +602,19 @@ def _split_increment(
 ) -> dict:
     """Split a factor set of T by signed means and keep the denser side.
 
-    ``rebuild`` turns a candidate sub-factor into the new structured set,
-    or None when that candidate is not viable.  The winner's |S ∩ T| is
-    recounted independently before ``report`` is completed with it.
+    ``rebuild`` turns a candidate sub-factor into the new structured set.
+    The winner's |S ∩ T| is recounted independently before ``report`` is
+    completed with it.
     """
-    best = None
-    for cand_name, mask in _best_row_split(factor.values, means, threshold):
-        t_new = rebuild(FunctionTable(factor.p, factor.m, mask))
-        if t_new is None:
-            continue
-        inter, mass = int(np.count_nonzero(s_set.values & t_new.table.values)), t_new.table.cardinality
-        if mass == 0:
-            continue
-        ratio = inter / mass
-        if best is None or ratio > best[0]:
-            best = (ratio, cand_name, t_new, inter, mass)
+    best = _densest(s_set, (
+        (cand_name, rebuild(FunctionTable(factor.p, factor.m, mask)))
+        for cand_name, mask in _best_row_split(factor.values, means, threshold)
+    ))
     if best is None or best[0] <= sigma:
         report.update({"gained": False, "reason": "no split beat the current density"})
         return report
-    ratio, cand_name, t_new, inter, mass = best
+    ratio, cand_name, t_new, inter = best
+    mass = t_new.table.cardinality
     recount = _recount_pairs(s_set.values, t_new)
     if recount != inter:
         raise AssertionError("density recount disagrees")
@@ -645,10 +648,8 @@ def fiber_mean_increment(s_set: FunctionTable, t: StructuredProductSet, tau: flo
     pencil triggers, or the split cannot beat sigma, the report says so
     and nothing is replaced.
     """
-    p, n = t.p, t.n
-    size = p**n
     sigma = _density_inside(s_set, t.table)
-    g = (s_set.values - sigma * t.table.values).reshape((size, size), order="F")
+    g = s_set.as_pair_grid() - sigma * t.table.as_pair_grid()
     report: dict = {"sigma": sigma, "tau": tau, "pencils": {}}
     chosen = None
     for name, means, factor, others in t.pencils(g):
@@ -666,13 +667,9 @@ def fiber_mean_increment(s_set: FunctionTable, t: StructuredProductSet, tau: flo
     report["chosen_pencil"] = name
     report["fiber_threshold"] = threshold
 
-    def rebuild(new_set: FunctionTable) -> StructuredProductSet | None:
+    def rebuild(new_set: FunctionTable) -> StructuredProductSet:
         if name == "x-rows":
-            try:
-                fam = FiberFamily(p, n, new_set, t.fibers.offsets, t.fibers.d, t.fibers.normals)
-            except (ValueError, AssertionError):
-                return None
-            return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam)
+            return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.restrict(new_set))
         if name == "y-columns":
             return StructuredProductSet(new_set, t.sum_set, t.skew_set, t.fibers)
         return StructuredProductSet(t.y_set, new_set, t.skew_set, t.fibers)
@@ -688,9 +685,8 @@ def skew_line_increment(s_set: FunctionTable, t: StructuredProductSet, tau: floa
     factor D is split by the signed means and the denser side kept.
     """
     p, n = t.p, t.n
-    size = p**n
     sigma = _density_inside(s_set, t.table)
-    g = (s_set.values - sigma * t.table.values).reshape((size, size), order="F")
+    g = s_set.as_pair_grid() - sigma * t.table.as_pair_grid()
     alpha = t.fibers.base.density
     beta = t.y_set.density
     gamma = t.sum_set.density
@@ -715,17 +711,19 @@ def skew_line_increment(s_set: FunctionTable, t: StructuredProductSet, tau: floa
 
 
 def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: float) -> dict:
-    """Recover a shared fiber offset for a family with per-point offsets.
+    """Recover a shared fiber offset for a family whose fibers need not
+    share one, as after renormalization to a cell.
 
     Every u in Z_p^n keeps the sub-base A_u of points whose fiber
-    passes through u.  Counting each base point once per point of its
-    fiber gives the exact integer identity
+    passes through u, and u is an offset of every fiber over A_u.
+    Counting each base point once per point of its fiber gives the
+    exact integer identity
 
         sum_u |A_u| = |A| * p^(n - d),
 
     which is asserted.  Candidates are the offsets whose sub-base holds
     at least tau * alpha * rho / 2 of the space; the one giving the
-    densest S inside the re-built shared-offset structured set wins.
+    densest S inside the structured set over A_u wins.
     Offsets breaking the mass upper bound (4 / tau times alpha * rho)
     are reported, not refused; if no candidate clears the floor the
     best offset overall is used and flagged.
@@ -737,7 +735,7 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
     alpha = fam.base.density
     rho = fam.rho
 
-    counts = fam.table.values.reshape((size, size), order="F").sum(axis=0)  # counts[u] = |A_u|
+    counts = fam.table.as_pair_grid().sum(axis=0)  # counts[u] = |A_u|
     lhs_total = int(counts.sum())
     rhs_total = fam.base.cardinality * p ** (n - d)
     if lhs_total != rhs_total:
@@ -752,17 +750,11 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
         candidates = [u for u in range(size) if counts[u] > 0]
         used_fallback = True
 
-    best = None
-    for u in candidates:
-        # counts[u] = |A_u| > 0, so the aligned base is never empty
-        aligned = fam.with_common_offset(u)
-        t_u = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, aligned)
-        inter, mass = int(np.count_nonzero(s_set.values & t_u.table.values)), t_u.table.cardinality
-        if mass == 0:
-            continue
-        ratio = inter / mass
-        if best is None or ratio > best[0]:
-            best = (ratio, u, t_u, inter)
+    # counts[u] = |A_u| > 0, so no aligned base is empty
+    best = _densest(s_set, (
+        (u, StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam.with_common_offset(u)))
+        for u in candidates
+    ))
     if best is None:
         return {
             "gained": False,
@@ -1023,15 +1015,16 @@ def _renormalize_to_cell(
     """Restrict (S, T) to cell ∩ level and rewrite in coset coordinates.
 
     The cell is (a + V) x (b + V); points are re-parametrized through a
-    basis M of V, so the new ambient dimension is dim V.  On fiber
-    level ``level`` the fibers meet the y coset in codimension exactly
-    ``level``, so the rewritten family has common codimension ``level``
-    with per-point offsets, ready for alignment.  Returns the restricted
-    S and the structured set of the cell, or None when no base point
-    survives on the cell.
+    basis M of V, so the new ambient dimension is dim V and the new Phi
+    is the old one on the cell's grid of points.  A fiber meets the y
+    coset in 0 or p^(dim V - l) points, where l is its codimension inside
+    the coset, so the fibers of level ``level`` are the cell rows with
+    p^(dim V - level) points; the rewritten family keeps those rows.  Its
+    fibers need not share an offset, which alignment recovers.  Returns
+    the restricted S and the structured set of the cell, or None when no
+    base point survives on the cell.
     """
     p, n = t.p, t.n
-    size = p**n
     new_n = cell.direction_dim
     if new_n == 0:
         return None
@@ -1053,28 +1046,11 @@ def _renormalize_to_cell(
     if not np.array_equal(np.sort(xs), np.flatnonzero(on_coset)):
         raise AssertionError("coset parametrization lost members")
 
-    new_size = p**new_n
-    fam = t.fibers
-    keep = np.zeros(new_size, dtype=bool)
-    new_normals = np.zeros((new_size, level, new_n), dtype=np.int64)
-    new_offsets = np.zeros((new_size, new_n), dtype=np.int64)
-    for jt in range(new_size):
-        x = int(xs[jt])
-        if not fam.base.values[x]:
-            continue
-        rows = (fam.normals[x] @ basis.T) % p
-        sol = solve_mod(rows, fam.normals[x] @ (fam.offsets[x] - y0), p)
-        if sol is None:
-            continue  # fiber misses the y coset entirely
-        red, piv = modular_rref(rows, p)
-        if len(piv) != level:
-            continue  # wrong level
-        keep[jt] = True
-        new_normals[jt] = red
-        new_offsets[jt] = sol
+    cell_phi = t.fibers.table.as_pair_grid()[np.ix_(xs, ys)]
+    keep = np.count_nonzero(cell_phi, axis=1) == p ** (new_n - level)
     if not keep.any():
         return None
-    fam_new = FiberFamily(p, new_n, FunctionTable(p, new_n, keep), new_offsets, level, new_normals)
+    fam_new = FiberFamily(p, new_n, level, FunctionTable.from_pair_grid(p, new_n, cell_phi & keep[:, None]))
 
     def reindex_set(s: FunctionTable, points: np.ndarray) -> FunctionTable:
         return FunctionTable(p, new_n, s.values[points])
@@ -1085,11 +1061,8 @@ def _renormalize_to_cell(
         reindex_set(t.skew_set, coset_points(2 * x0 + y0)),
         fam_new,
     )
-
-    s_grid = s_set.values.reshape((size, size), order="F")[np.ix_(xs, ys)]
-    new_mask = s_grid & fam_new.table.values.reshape((new_size, new_size), order="F")
-    s_new = FunctionTable(p, 2 * new_n, new_mask.reshape(-1, order="F"))
-    return s_new, t_cell
+    s_cell = s_set.as_pair_grid()[np.ix_(xs, ys)] & fam_new.table.as_pair_grid()
+    return FunctionTable.from_pair_grid(p, new_n, s_cell), t_cell
 
 
 def increment_driver(

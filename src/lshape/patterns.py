@@ -304,7 +304,7 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
             dot += term
             dot %= p
         mask = dot == 0  # mask[x, y]
-        s = FunctionTable(p, 2 * n, mask.T.reshape(-1))  # pair index = x + N y
+        s = FunctionTable.from_pair_grid(p, n, mask)
         npow = size // p
         predicted_density = ((size - 1) * npow + size) / size**2
         isotropic = npow - 1
@@ -328,14 +328,14 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
                 resampled += 1
         u = rng.integers(0, p, size=n)
         mask = (phi @ ((d - u) % p).T) % p == 0  # mask[x, y]
-        s = FunctionTable(p, 2 * n, mask.T.reshape(-1))
+        s = FunctionTable.from_pair_grid(p, n, mask)
         return ObstructionExample("random_phi", p, n, seed, s, 1.0 / p, size**3 // p**3,
                                   {"resampled_rows": resampled})
     if kind == "coordinate":
         rng = np.random.default_rng(seed)
         u_vals = rng.integers(0, p, size=size)
         mask = d[:, 0][None, :] == u_vals[:, None]  # mask[x, y] on y digit 0
-        s = FunctionTable(p, 2 * n, mask.T.reshape(-1))
+        s = FunctionTable.from_pair_grid(p, n, mask)
         return ObstructionExample("coordinate", p, n, seed, s, 1.0 / p, size**3 // p**3, {})
     raise ValueError(f"unknown obstruction kind {kind!r}")
 

@@ -6,7 +6,11 @@ offset u_x is usually one shared u).  Its indicator on the pair space is
 
     Phi(x, y) = A(x) * [y in u_x + V_x]
 
-and has density exactly alpha * p^(-d) because fibers are cosets.
+and has density exactly alpha * p^(-d) because fibers are cosets.  The
+table Phi is the family: the base is the set of its nonempty rows, and
+restricting the family to a sub-base, to the fibers through one point or
+to a product cell is a restriction of Phi.  Normals and offsets enter
+only through ``FiberFamily.from_normals``.
 
 A structured product set combines three factor sets placed in linear
 slots with such a family:
@@ -15,10 +19,6 @@ slots with such a family:
 
 These are the obstructions that make configuration counting hard: every
 factor is invisible to a single coordinate but correlates the pair.
-
-Per-point offsets appear when a family with a shared offset is
-restricted to a sub-coset; the alignment step that recovers a shared
-offset lives in the increment module.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import digit_table, digits_of, rank_mod
+from .field import digit_table, rank_mod
 from .tables import FunctionTable, line_means, product_lift
 
 __all__ = [
@@ -38,61 +38,80 @@ __all__ = [
 ]
 
 
-#: Entries of the (points, d, p^n) residue block that FiberFamily forms at
-#: once while building Phi, which keeps the block to a few MB.
+#: Entries of the (points, d, p^n) residue block that from_normals forms
+#: at once while building Phi, which keeps the block to a few MB.
 _PHI_BLOCK = 1 << 18
 
 
 @dataclass
 class FiberFamily:
-    """Affine fibers u_x + V_x of common codimension d over a base set.
+    """Affine fibers of common codimension d over a base set, stored as
+    their incidence table Phi on the pair space.
 
-    ``offsets`` is either the digits of one u shared by every fiber or a
-    (p^n, n) array with one offset per point (the shape a family takes
-    when it is restricted to a cell); it is stored as a read-only
-    (p^n, n) array either way.
+    Row x of Phi's pair grid is x's fiber; every nonempty row must hold
+    p^(n - d) points, and the base is the set of nonempty rows.
     """
 
     p: int
     n: int
-    base: FunctionTable  # an indicator table on Z_p^n
-    offsets: np.ndarray  # stored as (p^n, n) digit rows, meaningful on the base
     d: int
-    normals: np.ndarray  # (p^n, d, n); rows are meaningful only on the base
-    table: FunctionTable = dc_field(init=False)
+    table: FunctionTable  # Phi, an indicator table on Z_p^(2n)
+    base: FunctionTable = dc_field(init=False)  # the nonempty rows of Phi
 
     def __post_init__(self) -> None:
         p, n, d = self.p, self.n, self.d
-        if self.base.kind != "indicator":
-            raise ValueError(f"base must be an indicator table, got kind {self.base.kind!r}")
+        if self.table.kind != "indicator":
+            raise ValueError(f"Phi must be an indicator table, got kind {self.table.kind!r}")
+        if (self.table.p, self.table.m) != (p, 2 * n):
+            raise ValueError("Phi lives in the wrong space")
+        if not 0 <= d <= n:
+            raise ValueError(f"codimension d = {d} outside [0, {n}]")
+        sizes = np.count_nonzero(self.table.as_pair_grid(), axis=1)
+        bad = np.flatnonzero((sizes != 0) & (sizes != p ** (n - d)))
+        if bad.size:
+            raise ValueError(f"the fiber at x = {bad[0]} has {sizes[bad[0]]} points, not p^(n - d) = {p ** (n - d)}")
+        self.base = FunctionTable(p, n, sizes != 0)
+
+    @classmethod
+    def from_normals(cls, base: FunctionTable, offsets, d: int, normals) -> "FiberFamily":
+        """The fibers {y : normals[x] . (y - u_x) = 0} over the base.
+
+        ``offsets`` is either the digits of one u shared by every fiber or
+        a (p^n, n) array with one offset u_x per point; ``normals`` is a
+        (p^n, d, n) array.  Rows off the base are ignored.
+        """
+        if base.kind != "indicator":
+            raise ValueError(f"base must be an indicator table, got kind {base.kind!r}")
+        p, n = base.p, base.m
         size = p**n
-        offsets = np.asarray(self.offsets, dtype=np.int64) % p
-        self.offsets = np.broadcast_to(offsets, (size, offsets.shape[-1])) if offsets.ndim == 1 else offsets
-        self.offsets.flags.writeable = False
-        self.normals = np.asarray(self.normals, dtype=np.int64) % p
-        if self.normals.shape != (size, d, n):
+        offsets = np.asarray(offsets, dtype=np.int64) % p
+        offsets = np.broadcast_to(offsets, (size, offsets.shape[-1])) if offsets.ndim == 1 else offsets
+        normals = np.asarray(normals, dtype=np.int64) % p
+        if normals.shape != (size, d, n):
             raise ValueError(f"normals must have shape ({size}, {d}, {n})")
-        if self.offsets.shape != (size, n):
+        if offsets.shape != (size, n):
             raise ValueError(f"offsets must have shape ({size}, {n})")
         # Phi(x, y) = A(x) [normals[x] . (y - offsets[x]) = 0], for blocks of
         # base points at once, as normals[x] . y - normals[x] . offsets[x]
         yd_t = digit_table(p, n).T
         mask = np.zeros((size, size), dtype=bool)  # mask[x, y]
-        base = self.base.member_indices()
+        members = base.member_indices()
         step = max(1, _PHI_BLOCK // (max(d, 1) * size))
-        for start in range(0, len(base), step):
-            xs = base[start : start + step]
-            normals = self.normals[xs]
-            shift = np.einsum("xdn,xn->xd", normals, self.offsets[xs])
-            mask[xs] = np.all((normals @ yd_t - shift[:, :, None]) % p == 0, axis=1)
+        for start in range(0, len(members), step):
+            xs = members[start : start + step]
+            shift = np.einsum("xdn,xn->xd", normals[xs], offsets[xs])
+            mask[xs] = np.all((normals[xs] @ yd_t - shift[:, :, None]) % p == 0, axis=1)
         # a fiber has p^(n - d) points exactly when its d normals are independent
-        dependent = np.flatnonzero(self.base.values & (mask.sum(axis=1) != p ** (n - d)))
+        dependent = np.flatnonzero(base.values & (mask.sum(axis=1) != p ** (n - d)))
         if dependent.size:
             raise ValueError(f"normals at x = {dependent[0]} are dependent; codimension would drop below {d}")
-        self.table = FunctionTable(p, 2 * n, mask.T.reshape(-1))
-        expected = self.base.cardinality * p ** (n - d)
-        if self.table.cardinality != expected:
-            raise AssertionError(f"fiber family has {self.table.cardinality} points, expected {expected}")
+        return cls(p, n, d, FunctionTable.from_pair_grid(p, n, mask))
+
+    @classmethod
+    def full(cls, base: FunctionTable) -> "FiberFamily":
+        """d = 0: the fiber over every base point is all of Z_p^n."""
+        return cls.from_normals(base, np.zeros(base.m, dtype=np.int64), 0,
+                                np.zeros((base.size, 0, base.m), dtype=np.int64))
 
     @property
     def rho(self) -> float:
@@ -101,19 +120,21 @@ class FiberFamily:
     def aligned_base_at(self, u: int) -> FunctionTable:
         """The set A_u = {x in A : u lies on x's fiber}, for the point of
         index u: column u of Phi."""
-        size = self.p**self.n
-        return FunctionTable(self.p, self.n, self.table.values[u * size : (u + 1) * size])
+        return FunctionTable(self.p, self.n, self.table.as_pair_grid()[:, u])
+
+    def restrict(self, sub_base: FunctionTable) -> "FiberFamily":
+        """The same fibers over the base points in ``sub_base``: Phi with
+        every other row cleared."""
+        grid = self.table.as_pair_grid() & sub_base.values[:, None]
+        return FiberFamily(self.p, self.n, self.d, FunctionTable.from_pair_grid(self.p, self.n, grid))
 
     def with_common_offset(self, u: int) -> "FiberFamily":
-        """Reinterpret the fibers through the point of index u on the
-        sub-base where it fits."""
-        return FiberFamily(self.p, self.n, self.aligned_base_at(u), digits_of(self.p, self.n, u), self.d, self.normals)
+        """The fibers through the point of index u, over the sub-base A_u.
 
-    @classmethod
-    def full(cls, base: FunctionTable) -> "FiberFamily":
-        """d = 0: the fiber over every base point is all of Z_p^n."""
-        return cls(base.p, base.m, base, np.zeros(base.m, dtype=np.int64), 0,
-                   np.zeros((base.size, 0, base.m), dtype=np.int64))
+        For x in A_u, u + V_x is x's fiber itself, so u is an offset
+        shared by every fiber that is kept.
+        """
+        return self.restrict(self.aligned_base_at(u))
 
 
 @lru_cache(maxsize=16)
@@ -169,11 +190,9 @@ class StructuredProductSet:
             .times(fam.table)
         )
         # independent pointwise audit on the x + y and 2x + y grids
-        size = p**n
         sums, skews = _audit_grids(p, n)
-        phi = fam.table.values.reshape((size, size), order="F")
-        direct = b.values[None, :] & c.values[sums] & d_set.values[skews] & phi
-        got = self.table.values.reshape((size, size), order="F")
+        direct = b.values[None, :] & c.values[sums] & d_set.values[skews] & fam.table.as_pair_grid()
+        got = self.table.as_pair_grid()
         bad = np.flatnonzero(np.any(direct != got, axis=1))
         if bad.size:
             raise AssertionError(f"product set disagrees with direct evaluation on row x = {bad[0]}")
@@ -222,4 +241,4 @@ def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) 
             if rank_mod(cand, p) == d:
                 normals[x] = cand
                 break
-    return FiberFamily(p, n, base, rng.integers(0, p, size=n), d, normals)
+    return FiberFamily.from_normals(base, rng.integers(0, p, size=n), d, normals)

@@ -7,7 +7,8 @@ cardinality and float density are read off the table.
 
 Functions on the pair space Z_p^n x Z_p^n use m = 2n with the pair
 (x, y) at index x_index + p^n * y_index; ``as_pair_grid`` exposes the
-same data as an N x N array G[x_index, y_index].
+same data as an N x N array G[x_index, y_index], and
+``FunctionTable.from_pair_grid`` turns such an array back into a table.
 """
 
 from __future__ import annotations
@@ -163,6 +164,12 @@ class FunctionTable:
             raise ValueError("pair grid needs an even number of coordinates")
         n_points = self.p ** (self.m // 2)
         return self.values.reshape((n_points, n_points), order="F")
+
+    @classmethod
+    def from_pair_grid(cls, p: int, n: int, grid: np.ndarray) -> "FunctionTable":
+        """The table on Z_p^(2n) whose pair grid is G[x_index, y_index]: the
+        inverse of ``as_pair_grid``."""
+        return cls(p, 2 * n, np.asarray(grid).reshape(-1, order="F"))
 
 
 @lru_cache(maxsize=16)

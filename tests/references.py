@@ -98,21 +98,32 @@ def contains(sub: AffineSubspace, x) -> bool:
     return bool(np.array_equal(lhs, np.array(sub.offsets, dtype=np.int64)))
 
 
-def offset(fam: FiberFamily) -> np.ndarray:
-    """The digits of the offset u shared by every base point's fiber."""
-    rows = np.unique(fam.offsets[fam.base.values], axis=0)
+def random_normals(p: int, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """(p^n, d, n) fiber normals, redrawn at each point until they have rank d."""
+    normals = np.zeros((p**n, d, n), dtype=np.int64)
+    for x in range(p**n):
+        while rank_mod(normals[x], p) != d:
+            normals[x] = rng.integers(0, p, size=(d, n))
+    return normals
+
+
+def offset(base: FunctionTable, offsets) -> np.ndarray:
+    """The digits of the offset u shared by every base point's fiber, read
+    off the offsets a family was built from: one u, or one u_x per point."""
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64) % base.p, (base.size, base.m))
+    rows = np.unique(offsets[base.values], axis=0)
     if len(rows) > 1:
         raise ValueError("the fibers have per-point offsets, not one shared offset")
-    return rows[0] if len(rows) else fam.offsets[0]
+    return rows[0] if len(rows) else offsets[0]
 
 
-def fiber_subspace(fam: FiberFamily, x: int) -> AffineSubspace:
-    """The coset u_x + V_x as an explicit affine subspace of Z_p^n."""
-    if not fam.base.values[x]:
-        raise ValueError(f"x = {x} is not in the base set")
-    rows = [tuple(int(v) for v in row) for row in fam.normals[x]]
-    offs = [int(v) for v in (fam.normals[x] @ fam.offsets[x]) % fam.p]
-    return subspace_from_normals(fam.p, fam.n, rows, offs)
+def fiber_subspace(p: int, normals: np.ndarray, offsets, x: int) -> AffineSubspace:
+    """The coset {y : normals[x] . (y - u_x) = 0} as an explicit affine
+    subspace of Z_p^n, from the arrays a family was built from."""
+    rows = np.asarray(normals, dtype=np.int64)[x] % p
+    n = rows.shape[1]
+    u = np.broadcast_to(np.asarray(offsets, dtype=np.int64), (len(normals), n))[x]
+    return subspace_from_normals(p, n, rows.tolist(), (rows @ u % p).tolist())
 
 
 def from_phi_map(base: FunctionTable, phi: np.ndarray, u) -> FiberFamily:
@@ -130,7 +141,7 @@ def from_phi_map(base: FunctionTable, phi: np.ndarray, u) -> FiberFamily:
     zero_rows = np.flatnonzero(base.values & np.all(phi == 0, axis=1))
     if zero_rows.size:
         raise ValueError(f"phi vanishes on base points {zero_rows.tolist()}; fibers there would be full")
-    return FiberFamily(p, n, base, u, 1, phi[:, None, :])
+    return FiberFamily.from_normals(base, u, 1, phi[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -146,9 +157,13 @@ class FiberLevel:
     exact: FunctionTable
 
 
-def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubspace) -> list[FiberLevel]:
+def fiber_levels(
+    fam: FiberFamily, normals: np.ndarray, offsets, x_coset: AffineSubspace, y_coset: AffineSubspace
+) -> list[FiberLevel]:
     """Split Phi inside the cell (x_coset) x (y_coset) by fiber density.
 
+    ``normals`` and ``offsets`` are the arrays the family was built from;
+    each fiber is taken from them as an explicit coset, not from Phi.
     For x in the base and on x_coset, the fiber meets y_coset in a coset
     of V_x intersected with the cell direction V, of relative density
     p^(-l) with l between 0 and d; level i keeps the pairs with l <= i.
@@ -166,7 +181,7 @@ def fiber_levels(fam: FiberFamily, x_coset: AffineSubspace, y_coset: AffineSubsp
     for x in range(size):
         if x not in cell_rows or not base_mask[x]:
             continue
-        fiber = fiber_subspace(fam, x)
+        fiber = fiber_subspace(p, normals, offsets, x)
         meet = [int(y) for y in y_members if contains(fiber, int(y))]
         if not meet:
             continue

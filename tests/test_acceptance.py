@@ -305,7 +305,7 @@ def _random_mixed_family(p, n, d, seed):
         while not normals[x].any():
             normals[x] = rng.integers(0, p, size=(d, n))
     offsets = rng.integers(0, p, size=(size, n))
-    return FiberFamily(p, n, base, offsets, d, normals)
+    return FiberFamily.from_normals(base, offsets, d, normals)
 
 
 @criterion(10, "constructive increments on planted instances", 60)

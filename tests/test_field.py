@@ -16,7 +16,6 @@ from lshape.field import (
     modular_rref,
     rank_mod,
     scale_map,
-    solve_mod,
     subspace_from_normals,
 )
 
@@ -93,28 +92,6 @@ def test_combine_matches_oracle():
     for i in range(9):
         for j in range(9):
             assert got[i, j] == orc.combine_oracle(3, 2, (1, -1), (j, i))
-
-
-def test_solve_mod_against_enumeration():
-    rng = np.random.default_rng(9)
-    p = 3
-    for _ in range(60):
-        a = rng.integers(0, p, size=(2, 3))
-        b = rng.integers(0, p, size=2)
-        sol = solve_mod(a, b, p)
-        brute = [
-            x
-            for x in range(p**3)
-            if all(
-                sum(int(a[r, i]) * d for i, d in enumerate(orc.digits_le(x, p, 3))) % p
-                == int(b[r]) % p
-                for r in range(2)
-            )
-        ]
-        if sol is None:
-            assert brute == []
-        else:
-            assert int(index_of(p, np.asarray(sol) % p)) in brute
 
 
 def test_subspace_members_match_scan():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lshape.increment as increment
 import oracles as orc
 import references as ref
-from lshape.field import digit_table, index_of, rank_mod, solve_mod
+from lshape.field import digit_table, index_of, rank_mod, subspace_from_normals
 from lshape.increment import (
     Cell,
     ProductCosetPartition,
@@ -17,7 +17,6 @@ from lshape.increment import (
     _l_quads,
     _point_index,
     _pull_back,
-    _pull_back_matrix,
     _renormalize_to_cell,
     _top_characters,
     align_offset_increment,
@@ -86,9 +85,10 @@ def test_fiber_levels_match_the_rank_definition():
     rng = np.random.default_rng(11)
     for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)):
         for d in range(n + 1):
-            shared = random_family(p, n, d, seed=int(rng.integers(1 << 30)), base_density=0.8)
-            per_point = rng.integers(0, p, size=(p**n, n))
-            for fam in (shared, FiberFamily(p, n, shared.base, per_point, d, shared.normals)):
+            base = FunctionTable(p, n, rng.random(p**n) < 0.8)
+            normals = ref.random_normals(p, n, d, rng)
+            for offsets in (rng.integers(0, p, size=n), rng.integers(0, p, size=(p**n, n))):
+                fam = FiberFamily.from_normals(base, offsets, d, normals)
                 for k in range(n + 1):
                     part = ProductCosetPartition(p, n, ())
                     while part.codim < k:
@@ -99,7 +99,7 @@ def test_fiber_levels_match_the_rank_definition():
                     rows = np.array(part.normals, dtype=np.int64).reshape(k, n)
                     want = np.full(p**n, -1)
                     for x in np.flatnonzero(fam.base.values):
-                        want[x] = rank_mod(np.vstack([rows, fam.normals[x]]), p) - k
+                        want[x] = rank_mod(np.vstack([rows, normals[x]]), p) - k
                     got = _fiber_level_of_points(fam, part.label_index(), k)
                     assert np.array_equal(got, want), (p, n, d, k)
 
@@ -256,24 +256,30 @@ def test_batched_top_characters_match_the_one_row_path():
         assert _top_characters(row, p, dim, u2 * (1 - 1e-9))[0][0] == top
 
 
-def test_pull_back_matrix_is_solve_mod():
+def test_pull_back_solves_basis_nu_equals_xi():
     rng = np.random.default_rng(43)
+    n = 3
     for p in (3, 5, 11):
         for dim in (1, 2, 3):
-            basis = rng.integers(0, p, size=(dim, 3))
-            while rank_mod(basis, p) != dim:
-                basis = rng.integers(0, p, size=(dim, 3))
-            pull = _pull_back_matrix(basis, p)
+            normals = rng.integers(0, p, size=(n - dim, n))
+            while rank_mod(normals, p) != n - dim:
+                normals = rng.integers(0, p, size=(n - dim, n))
+            direction = subspace_from_normals(p, n, normals, (0,) * (n - dim))
+            basis = direction.basis()
+            pivots = [row.index(1) for row in direction.normals]
+            free = np.delete(np.arange(n), pivots)
             xi = np.array([orc.digits_le(i, p, dim) for i in range(1, p**dim)], dtype=np.int64)
-            nu = _pull_back(xi, pull, basis, p)
-            for row, got in zip(xi, nu):
-                assert np.array_equal(got, solve_mod(basis, row, p))
+            nu = _pull_back(xi, free, basis, p)
+            # xi on the free coordinates, 0 on the pivots, and a solution
+            assert np.array_equal(nu[:, free], xi) and not nu[:, pivots].any()
+            assert np.array_equal(nu @ basis.T % p, xi)
             # basis . nu = xi is checked by an explicit raise, which -O keeps;
-            # a zeroed first row pulls xi = e_0 back to 0
-            broken = pull.copy()
-            broken[0] = 0
+            # a basis without the identity on its free columns pulls
+            # xi = e_0 back wrongly
+            broken = basis.copy()
+            broken[0, free[0]] = 0
             with pytest.raises(AssertionError, match="fails basis"):
-                _pull_back(xi, broken, basis, p)
+                _pull_back(xi, free, broken, p)
 
 
 def test_fiber_mean_fires_on_planted_rows():
@@ -334,7 +340,7 @@ def _mixed_family(p, n, d, seed):
         while not normals[x].any():
             normals[x] = rng.integers(0, p, size=(d, n))
     offsets = rng.integers(0, p, size=(size, n))
-    return FiberFamily(p, n, base, offsets, d, normals)
+    return FiberFamily.from_normals(base, offsets, d, normals)
 
 
 def test_align_offset_identity_and_gain():
@@ -439,34 +445,46 @@ def test_driver_on_planted_instances():
 
 def test_renormalized_cell_matches_fiber_levels():
     # restricted to one cell and one fiber level, S and Phi keep exactly
-    # the points fiber_levels assigns to that level, in new coordinates
-    cases = [_random_structured(3, 2, d, seed) for d, seed in ((0, 1), (1, 2), (2, 3))]
-    # a renormalized cell again, whose fibers have per-point offsets
+    # the points fiber_levels assigns to that level, in the coordinates of
+    # the cell's coset parameters; fibers with one shared offset and with
+    # per-point offsets (a renormalized cell again), partitions of
+    # codimension 1 and 2
     rng = np.random.default_rng(4)
-    full = ref.full_set(3, 2)
-    for d in (1, 2):
-        shared = random_family(3, 2, d, seed=4 + d, base_density=0.85)
-        fam = FiberFamily(3, 2, shared.base, rng.integers(0, 3, size=(9, 2)), d, shared.normals)
-        t = StructuredProductSet(full, full, full, fam)
-        cases.append((FunctionTable(3, 4, t.table.values & (rng.random(81) < 0.5)), t))
     checked = []
-    for s, t in cases:
-        checked.append(0)
-        for cell in ref.cells(ProductCosetPartition(3, 2, ((1, 1),))):
-            levels = ref.fiber_levels(t.fibers, cell.x_coset, cell.y_coset)
-            for level in range(t.fibers.d + 1):
-                out = _renormalize_to_cell(s, t, cell, level)
-                exact = levels[level].exact
-                if out is None:
-                    assert not np.any(s.values & exact.values)
-                    continue
-                s_new, t_cell = out
-                assert t_cell.fibers.d == level
-                assert t_cell.fibers.table.cardinality == exact.cardinality
-                assert s_new.cardinality == np.count_nonzero(s.values & exact.values)
-                assert not np.any(s_new.values & ~t_cell.table.values)
-                checked[-1] += 1
-    assert sum(checked) >= 6 and all(checked[3:])
+    for p, n, d in ((3, 2, 0), (3, 2, 1), (3, 2, 2), (5, 3, 1), (5, 3, 2)):
+        base = FunctionTable(p, n, rng.random(p**n) < 0.85)
+        normals = ref.random_normals(p, n, d, rng)
+        for offsets in (rng.integers(0, p, size=n), rng.integers(0, p, size=(p**n, n))):
+            fam = FiberFamily.from_normals(base, offsets, d, normals)
+            factors = [FunctionTable(p, n, rng.random(p**n) < 0.8) for _ in range(3)]
+            t = StructuredProductSet(*factors, fam)
+            s = FunctionTable(p, 2 * n, t.table.values & (rng.random(p ** (2 * n)) < 0.5))
+            checked.append(0)
+            for codim in range(1, n):
+                part = ProductCosetPartition(p, n, ())
+                while part.codim < codim:
+                    try:
+                        part = part.refine(tuple(int(v) for v in rng.integers(0, p, size=n)))
+                    except ValueError:
+                        continue
+                cells = ref.cells(part)
+                for j in rng.choice(len(cells), size=min(len(cells), 12), replace=False):
+                    cell = cells[j]
+                    xs, ys = cell.x_coset.member_indices(), cell.y_coset.member_indices()
+                    levels = ref.fiber_levels(fam, normals, offsets, cell.x_coset, cell.y_coset)
+                    for level in range(d + 1):
+                        out = _renormalize_to_cell(s, t, cell, level)
+                        exact = levels[level].exact.as_pair_grid()[np.ix_(xs, ys)]
+                        if out is None:
+                            assert not exact.any()
+                            continue
+                        s_new, t_cell = out
+                        assert t_cell.fibers.d == level
+                        assert np.array_equal(t_cell.fibers.table.as_pair_grid(), exact)
+                        assert np.array_equal(s_new.as_pair_grid(), s.as_pair_grid()[np.ix_(xs, ys)] & exact)
+                        assert not np.any(s_new.values & ~t_cell.table.values)
+                        checked[-1] += 1
+    assert all(checked), checked
 
 
 def test_driver_restricts_to_the_selected_cell():

@@ -76,24 +76,44 @@ def test_dependent_normals_are_refused_at_the_first_base_point():
     normals[7] = [[1, 1], [0, 0]]
     base = FunctionTable.from_indices(p, n, [0, 1, 4, 7])
     with pytest.raises(ValueError, match=r"^normals at x = 4 are dependent; codimension would drop below 2$"):
-        FiberFamily(p, n, base, (0, 0), d, normals)
+        FiberFamily.from_normals(base, (0, 0), d, normals)
     normals[4] = [[2, 0], [1, 1]]
     with pytest.raises(ValueError, match=r"^normals at x = 7 are dependent"):
-        FiberFamily(p, n, base, (0, 0), d, normals)
+        FiberFamily.from_normals(base, (0, 0), d, normals)
     normals[7] = [[1, 1], [1, 2]]
-    fam = FiberFamily(p, n, base, (0, 0), d, normals)
+    fam = FiberFamily.from_normals(base, (0, 0), d, normals)
     assert fam.table.cardinality == base.cardinality
+    assert np.array_equal(fam.base.values, base.values)
+
+
+def test_table_built_family_refuses_a_row_of_the_wrong_size():
+    p, n, d = 3, 2, 1
+    grid = random_family(p, n, d, seed=3).table.as_pair_grid().copy()
+    grid[5] = False
+    grid[5, [1, 7]] = True
+    with pytest.raises(ValueError, match=r"^the fiber at x = 5 has 2 points, not p\^\(n - d\) = 3$"):
+        FiberFamily(p, n, d, FunctionTable.from_pair_grid(p, n, grid))
+    grid[5] = True
+    with pytest.raises(ValueError, match=r"^the fiber at x = 5 has 9 points"):
+        FiberFamily(p, n, d, FunctionTable.from_pair_grid(p, n, grid))
+    # an empty row is a point off the base
+    grid[5] = False
+    fam = FiberFamily(p, n, d, FunctionTable.from_pair_grid(p, n, grid))
+    assert np.array_equal(fam.base.values, np.arange(9) != 5)
 
 
 def test_fiber_subspace_members():
-    fam = random_family(3, 2, 1, seed=5)
+    p, n, d = 3, 2, 1
+    rng = np.random.default_rng(5)
+    normals, u = ref.random_normals(p, n, d, rng), rng.integers(0, p, size=n)
+    fam = FiberFamily.from_normals(ref.full_set(p, n), u, d, normals)
     vals = fam.table.values.real
     for x in range(9):
-        sub = ref.fiber_subspace(fam, x)
+        sub = ref.fiber_subspace(p, normals, u, x)
         members = set(int(i) for i in sub.member_indices())
         for y in range(9):
             assert (vals[x + 9 * y] == 1.0) == (y in members)
-        assert ref.contains(sub, ref.offset(fam))
+        assert ref.contains(sub, ref.offset(fam.base, u))
 
 
 def test_mixed_family_alignment():
@@ -105,35 +125,53 @@ def test_mixed_family_alignment():
     for x in range(9):
         while not normals[x].any():
             normals[x] = rng.integers(0, p, size=(d, n))
-    mixed = FiberFamily(p, n, base, offsets, d, normals)
+    mixed = FiberFamily.from_normals(base, offsets, d, normals)
     assert mixed.table.cardinality == base.cardinality * 3
     # per-point offsets have no shared offset
     with pytest.raises(ValueError):
-        ref.offset(mixed)
+        ref.offset(base, offsets)
 
     for u in range(9):
-        expect = {int(x) for x in base.member_indices() if ref.contains(ref.fiber_subspace(mixed, int(x)), u)}
+        expect = {int(x) for x in base.member_indices() if ref.contains(ref.fiber_subspace(p, normals, offsets, x), u)}
         assert set(int(i) for i in mixed.aligned_base_at(u).member_indices()) == expect
     u = 3
     a_u = mixed.aligned_base_at(u)
     if a_u.cardinality:
         aligned = mixed.with_common_offset(u)
         assert aligned.base.cardinality == a_u.cardinality
-        assert np.array_equal(ref.offset(aligned), digits_of(p, n, u))
+        # the same fibers rebuilt with u as their shared offset
+        rebuilt = FiberFamily.from_normals(a_u, digits_of(p, n, u), d, normals)
+        assert np.array_equal(aligned.table.values, rebuilt.table.values)
+
+
+def test_common_offset_lies_on_every_kept_fiber():
+    p, n, d = 5, 2, 1
+    rng = np.random.default_rng(21)
+    mixed = FiberFamily.from_normals(
+        _base(p, n, 22), rng.integers(0, p, size=(p**n, n)), d, ref.random_normals(p, n, d, rng)
+    )
+    phi = mixed.table.as_pair_grid()
+    for u in range(p**n):
+        aligned = mixed.with_common_offset(u)
+        grid = aligned.table.as_pair_grid()
+        # column u of the new Phi is the new base, which is A_u
+        assert np.array_equal(grid[:, u], aligned.base.values)
+        assert np.array_equal(aligned.base.values, mixed.aligned_base_at(u).values)
+        # and the kept fibers are the old ones
+        assert np.array_equal(grid, phi & aligned.base.values[:, None])
 
 
 def test_alignment_counting_identity():
     # every family point (x, y) is counted at u = y exactly once, so the
     # aligned base sizes sum to the family cardinality
     mixedes = []
-    for seed in (0, 1, 2):
-        fam = random_family(3, 2, 1, seed=seed)
-        mixed = FiberFamily(
-            fam.p, fam.n, fam.base,
-            np.repeat(ref.offset(fam)[None, :], 9, axis=0),
-            fam.d, fam.normals,
-        )
-        assert np.array_equal(ref.offset(mixed), ref.offset(fam))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        normals, u = ref.random_normals(3, 2, 1, rng), rng.integers(0, 3, size=2)
+        per_point = np.repeat(u[None, :], 9, axis=0)
+        mixed = FiberFamily.from_normals(ref.full_set(3, 2), per_point, 1, normals)
+        assert np.array_equal(ref.offset(mixed.base, per_point), u)
+        assert np.array_equal(mixed.table.values, FiberFamily.from_normals(mixed.base, u, 1, normals).table.values)
         mixedes.append(mixed)
     for mixed in mixedes:
         total = sum(mixed.aligned_base_at(u).cardinality for u in range(9))
@@ -234,8 +272,9 @@ def test_fiber_levels_partition():
     full = ref.full_set(p, n)
     phi = np.tile(np.array([[1, 0]]), (9, 1))
     fam = ref.from_phi_map(full, phi, (0, 0))
+    normals = phi[:, None, :]
     whole = subspace_from_normals(p, n, [], [])
-    levels = ref.fiber_levels(fam, whole, whole)
+    levels = ref.fiber_levels(fam, normals, (0, 0), whole, whole)
     assert [lv.i for lv in levels] == [0, 1]
     # a codimension-1 fiber fills a p-th of the full cell: everything at level 1
     assert levels[0].exact.cardinality == 0
@@ -243,7 +282,7 @@ def test_fiber_levels_partition():
     assert levels[1].cumulative.cardinality == fam.table.cardinality
 
     inside = subspace_from_normals(p, n, [(1, 0)], [0])
-    levels2 = ref.fiber_levels(fam, whole, inside)
+    levels2 = ref.fiber_levels(fam, normals, (0, 0), whole, inside)
     # the y-coset equals every fiber, so each fiber fills its cell: level 0
     assert levels2[0].exact.cardinality == fam.table.cardinality
     assert levels2[1].exact.cardinality == 0
@@ -259,7 +298,7 @@ def test_base_uniformity_transfer():
 def test_random_family_is_deterministic():
     a = random_family(3, 2, 1, seed=7, base_density=0.5)
     b = random_family(3, 2, 1, seed=7, base_density=0.5)
-    assert np.array_equal(a.normals, b.normals)
+    assert np.array_equal(a.base.values, b.base.values)
     assert np.array_equal(a.table.values, b.table.values)
     c = random_family(3, 2, 1, seed=8, base_density=0.5)
     assert not np.array_equal(a.table.values, c.table.values)
