@@ -46,7 +46,7 @@ from .norms import RADICAND_FLOOR
 from .patterns import lshape_average
 from .spectral import dft_batch, top_index
 from .structured import FiberFamily, StructuredProductSet
-from .tables import FunctionTable, line_means, slot_index_array
+from .tables import FunctionTable, line_counts, line_means, slot_index_array
 
 __all__ = [
     "Cell",
@@ -545,30 +545,54 @@ def _density_inside(s_set: FunctionTable, t_set: FunctionTable) -> float:
     return s_set.cardinality / t_set.cardinality
 
 
-def _densest(s_set: FunctionTable, candidates) -> tuple | None:
-    """(ratio, key, T, |S ∩ T|) for the first of the (key, T) candidates on
-    which S is densest, skipping an empty T; None when every T is empty.
+def _densest(keys, inter: np.ndarray, mass: np.ndarray) -> tuple | None:
+    """(ratio, key, |S ∩ T'|, |T'|) for the first candidate T' on which S
+    is densest, skipping an empty T'; None when every T' is empty.
 
-    The candidates are built one at a time, as the loop reaches them.
+    The candidates come as scores, not as sets: ``inter[i]`` = |S ∩ T'|
+    and ``mass[i]`` = |T'| of the candidate ``keys[i]``.  Nothing is built
+    here; the caller builds the winner alone and checks it with
+    ``_check_winner``.
     """
     best = None
-    for key, t_new in candidates:
-        inter, mass = int(np.count_nonzero(s_set.values & t_new.table.values)), t_new.table.cardinality
-        if mass == 0:
+    for key, s_count, t_count in zip(keys, inter.tolist(), mass.tolist()):
+        if t_count == 0:
             continue
-        ratio = inter / mass
+        ratio = s_count / t_count
         if best is None or ratio > best[0]:
-            best = (ratio, key, t_new, inter)
+            best = (ratio, key, s_count, t_count)
     return best
 
 
+def _line_scores(
+    s_set: FunctionTable, t: StructuredProductSet, slot: str, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(|S ∩ T'|, |T'|) as int64 arrays, one entry per row of the 0/1
+    matrix ``masks``, for T' = T ∩ {slot(x, y) in mask}.
+
+    Both are the mask's sums of per-line counts along the slot: of T, and
+    of S, which must sit inside T, so that its counts are those of S ∩ T.
+    """
+    counts = np.stack([line_counts(g.as_pair_grid(), t.p, t.n, slot) for g in (s_set, t.table)], axis=1)
+    inter, mass = (masks.astype(np.int64) @ counts).T
+    return inter, mass
+
+
 def _recount_pairs(s_mask: np.ndarray, t_new: StructuredProductSet) -> int:
-    """Independent recount of |S ∩ T| by walking T's members."""
-    total = 0
-    for idx in t_new.table.member_indices():
-        if s_mask[int(idx)]:
-            total += 1
-    return total
+    """Independent recount of |S ∩ T| by a gather at T's members."""
+    return int(np.count_nonzero(s_mask[t_new.table.member_indices()]))
+
+
+def _check_winner(s_set: FunctionTable, t_new: StructuredProductSet, inter: int, mass: int) -> None:
+    """Check the built (and so pointwise audited) winner T' against the
+    scores it won with: its cardinality, and |S ∩ T'| counted twice, by
+    an AND over the pair space and by a gather at T's members."""
+    if t_new.table.cardinality != mass:
+        raise AssertionError(f"scored |T'| = {mass}, built {t_new.table.cardinality}")
+    if int(np.count_nonzero(s_set.values & t_new.table.values)) != inter:
+        raise AssertionError("scored |S ∩ T'| disagrees with the built set")
+    if _recount_pairs(s_set.values, t_new) != inter:
+        raise AssertionError("density recount disagrees")
 
 
 def _best_row_split(
@@ -594,45 +618,50 @@ def _best_row_split(
 def _split_increment(
     report: dict,
     s_set: FunctionTable,
+    t: StructuredProductSet,
     sigma: float,
-    factor: FunctionTable,
+    slot: str,
     means: np.ndarray,
     threshold: float,
-    rebuild,
 ) -> dict:
-    """Split a factor set of T by signed means and keep the denser side.
+    """Split the factor of T that lives in ``slot`` by signed means and
+    keep the denser side; slot "x" splits the base of the fibers.
 
-    ``rebuild`` turns a candidate sub-factor into the new structured set.
-    The winner's |S ∩ T| is recounted independently before ``report`` is
-    completed with it.
+    Every candidate sub-factor lies inside the factor, so the candidate
+    is T' = T ∩ {slot(x, y) in mask}: |S ∩ T'| and |T'| are the mask's
+    sums of the line counts of S (which sits inside T) and of T.  The
+    candidates are scored from those counts, and only the winner is
+    built as a structured set.
     """
-    best = _densest(s_set, (
-        (cand_name, rebuild(FunctionTable(factor.p, factor.m, mask)))
-        for cand_name, mask in _best_row_split(factor.values, means, threshold)
-    ))
+    factors = {"y": t.y_set, "x+y": t.sum_set, "2x+y": t.skew_set}
+    factor = t.fibers.base if slot == "x" else factors[slot]
+    cands = _best_row_split(factor.values, means, threshold)
+    masks = np.array([mask for _, mask in cands]).reshape(len(cands), factor.size)
+    best = _densest(range(len(cands)), *_line_scores(s_set, t, slot, masks))
     if best is None or best[0] <= sigma:
         report.update({"gained": False, "reason": "no split beat the current density"})
         return report
-    ratio, cand_name, t_new, inter = best
-    mass = t_new.table.cardinality
-    recount = _recount_pairs(s_set.values, t_new)
-    if recount != inter:
-        raise AssertionError("density recount disagrees")
-    if abs(inter / mass - ratio) > 1e-12:
-        raise AssertionError("density bookkeeping drifted")
-    s_new = s_set.times(t_new.table)
+    ratio, i, inter, mass = best
+    cand_name, mask = cands[i]
+    sub = FunctionTable(factor.p, factor.m, mask)
+    if slot == "x":
+        t_new = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.restrict(sub))
+    else:
+        factors[slot] = sub
+        t_new = StructuredProductSet(factors["y"], factors["x+y"], factors["2x+y"], t.fibers)
+    _check_winner(s_set, t_new, inter, mass)
     report.update(
         {
             "gained": True,
             "split": cand_name,
             "new_sigma": ratio,
             "gain": ratio - sigma,
-            "s_count": str(recount),
+            "s_count": str(inter),
             "t_count": str(mass),
         }
     )
     report["_new_t"] = t_new
-    report["_new_s"] = s_new
+    report["_new_s"] = s_set.times(t_new.table)
     return report
 
 
@@ -657,24 +686,17 @@ def fiber_mean_increment(s_set: FunctionTable, t: StructuredProductSet, tau: flo
         trigger = tau * factor.density * others**2
         report["pencils"][name] = {"stat": stat, "trigger": trigger, "fires": stat >= trigger}
         if chosen is None and stat >= trigger:
-            chosen = (name, means, factor, others)
+            chosen = (name, means, others)
     if chosen is None:
         report.update({"gained": False, "reason": "no pencil fired"})
         return report
 
-    name, means, factor, others = chosen
+    name, means, others = chosen
     threshold = (tau**0.5 / 4) * others
     report["chosen_pencil"] = name
     report["fiber_threshold"] = threshold
-
-    def rebuild(new_set: FunctionTable) -> StructuredProductSet:
-        if name == "x-rows":
-            return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.restrict(new_set))
-        if name == "y-columns":
-            return StructuredProductSet(new_set, t.sum_set, t.skew_set, t.fibers)
-        return StructuredProductSet(t.y_set, new_set, t.skew_set, t.fibers)
-
-    return _split_increment(report, s_set, sigma, factor, means, threshold, rebuild)
+    slot = {"x-rows": "x", "y-columns": "y", "anti-diagonals": "x+y"}[name]
+    return _split_increment(report, s_set, t, sigma, slot, means, threshold)
 
 
 def skew_line_increment(s_set: FunctionTable, t: StructuredProductSet, tau: float) -> dict:
@@ -704,10 +726,7 @@ def skew_line_increment(s_set: FunctionTable, t: StructuredProductSet, tau: floa
     if not fired:
         report.update({"gained": False, "reason": "no line is biased"})
         return report
-    return _split_increment(
-        report, s_set, sigma, t.skew_set, means, threshold,
-        lambda new_d: StructuredProductSet(t.y_set, t.sum_set, new_d, t.fibers),
-    )
+    return _split_increment(report, s_set, t, sigma, "2x+y", means, threshold)
 
 
 def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: float) -> dict:
@@ -723,7 +742,10 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
 
     which is asserted.  Candidates are the offsets whose sub-base holds
     at least tau * alpha * rho / 2 of the space; the one giving the
-    densest S inside the structured set over A_u wins.
+    densest S inside the structured set T_u over A_u wins.  T_u is T
+    with the rows off A_u cleared, so |S ∩ T_u| and |T_u| for every u at
+    once are the row counts of S and of T times Phi; only the winner is
+    built.
     Offsets breaking the mass upper bound (4 / tau times alpha * rho)
     are reported, not refused; if no candidate clears the floor the
     best offset overall is used and flagged.
@@ -743,18 +765,15 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
 
     floor = tau * alpha * rho / 2 * size  # cardinality scale
     ceiling = (4 / tau) * alpha * rho * size
-    candidates = [u for u in range(size) if counts[u] >= floor and counts[u] > 0]
-    violations = [u for u in range(size) if counts[u] > ceiling]
+    candidates = np.flatnonzero((counts >= floor) & (counts > 0))
+    violations = np.flatnonzero(counts > ceiling)
     used_fallback = False
-    if not candidates:
-        candidates = [u for u in range(size) if counts[u] > 0]
+    if not candidates.size:
+        candidates = np.flatnonzero(counts > 0)
         used_fallback = True
 
-    # counts[u] = |A_u| > 0, so no aligned base is empty
-    best = _densest(s_set, (
-        (u, StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam.with_common_offset(u)))
-        for u in candidates
-    ))
+    # T_u keeps the rows of T over A_u, column u of Phi
+    best = _densest(candidates.tolist(), *_line_scores(s_set, t, "x", fam.table.as_pair_grid().T[candidates]))
     if best is None:
         return {
             "gained": False,
@@ -762,7 +781,9 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
             "identity_lhs": str(lhs_total),
             "identity_rhs": str(rhs_total),
         }
-    ratio, u, t_u, inter = best
+    ratio, u, inter, mass = best
+    t_u = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam.with_common_offset(u))
+    _check_winner(s_set, t_u, inter, mass)
     s_new = s_set.times(t_u.table)
     report = {
         "sigma_mixed": sigma,
@@ -777,7 +798,7 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
         "identity_lhs": str(lhs_total),
         "identity_rhs": str(rhs_total),
         "s_count": str(inter),
-        "t_count": str(t_u.table.cardinality),
+        "t_count": str(mass),
     }
     report["_new_t"] = t_u
     report["_new_s"] = s_new

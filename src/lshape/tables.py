@@ -25,6 +25,7 @@ __all__ = [
     "product_lift",
     "slot_index_array",
     "line_means",
+    "line_counts",
     "save_set",
     "load_set",
     "save_table",
@@ -201,18 +202,32 @@ def product_lift(a: FunctionTable, slot: str) -> FunctionTable:
     return FunctionTable(a.p, 2 * a.m, a.values[idx])
 
 
+def _lines(grid: np.ndarray, p: int, n: int, slot: str) -> np.ndarray:
+    """lines[w, x] = grid[x, y] for the y with slot(x, y) = w, for the slot
+    "y", "x+y" or "2x+y"."""
+    size = p**n
+    # the buffer is C-ordered whatever the grid's layout: mean() sums along
+    # the memory order, so an F-ordered one (np.empty_like of a pair-grid
+    # view) rounds differently
+    lines = np.empty(grid.shape, grid.dtype)
+    lines[slot_index_array(p, n, slot).reshape(size, size, order="F"), np.arange(size)[:, None]] = grid
+    return lines
+
+
 def line_means(grid: np.ndarray, p: int, n: int, slot: str) -> np.ndarray:
     """m[w] = E_x grid[x, y] over the (x, y) with slot(x, y) = w: the means
     of an N x N pair grid along the lines on which the slot "y", "x+y" or
     "2x+y" is constant, one per w in Z_p^n."""
-    size = p**n
-    # lines[w, x] = grid[x, y] for the y with slot(x, y) = w.  The buffer is
-    # C-ordered whatever the grid's layout: mean() sums along the memory
-    # order, so an F-ordered one (np.empty_like of a pair-grid view) rounds
-    # differently
-    lines = np.empty(grid.shape, grid.dtype)
-    lines[slot_index_array(p, n, slot).reshape(size, size, order="F"), np.arange(size)[:, None]] = grid
-    return lines.mean(axis=1)
+    return _lines(grid, p, n, slot).mean(axis=1)
+
+
+def line_counts(grid: np.ndarray, p: int, n: int, slot: str) -> np.ndarray:
+    """c[w] = #{(x, y) : grid[x, y], slot(x, y) = w}, as int64: the member
+    counts of a bool N x N pair grid along the lines on which the slot
+    "x", "y", "x+y" or "2x+y" is constant, one per w in Z_p^n."""
+    if slot == "x":
+        return np.count_nonzero(grid, axis=1)
+    return np.count_nonzero(_lines(grid, p, n, slot), axis=1)
 
 
 # -- file formats -------------------------------------------------------

@@ -285,6 +285,36 @@ def energy_monotone_check(
 
 
 # ---------------------------------------------------------------------------
+# increment candidates
+
+
+def split_candidate(t: StructuredProductSet, slot: str, sub_factor: FunctionTable) -> StructuredProductSet:
+    """T with the factor that lives in ``slot`` cut down to ``sub_factor``,
+    built in full; slot "x" cuts the base of the fibers."""
+    if slot == "x":
+        return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.restrict(sub_factor))
+    factors = {"y": t.y_set, "x+y": t.sum_set, "2x+y": t.skew_set}
+    factors[slot] = sub_factor
+    return StructuredProductSet(factors["y"], factors["x+y"], factors["2x+y"], t.fibers)
+
+
+def aligned_candidate(t: StructuredProductSet, u: int) -> StructuredProductSet:
+    """T over the fibers through the point of index u, built in full."""
+    return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.with_common_offset(u))
+
+
+def built_scores(s: FunctionTable, candidates) -> tuple[list[int], list[int]]:
+    """(|S ∩ T'|, |T'|) of every built candidate T', counted on the sets
+    themselves: the scoring of the increment moves before they scored
+    their candidates from line counts."""
+    inter, mass = [], []
+    for t_new in candidates:
+        inter.append(int(np.count_nonzero(s.values & t_new.table.values)))
+        mass.append(t_new.table.cardinality)
+    return inter, mass
+
+
+# ---------------------------------------------------------------------------
 # linear form systems
 
 

@@ -331,6 +331,9 @@ GOLDEN_REPORTS = {
     "pseudorandomize --p 5 --n 3 --d 1 --seed 1004":
         "6b1f75a8bb8d000678d5cf4820d3d7a661af47d5d9d406c8e3f13452ca0b7e23",
     "increment --p 11 --n 2 --d 1 --seed 1": "742e4601d5aa9dbf53646110cd8dd4568b518b45a9138beaf5916f9cfefea9eb",
+    # recorded before the moves scored their candidates from line counts:
+    # 15 skew-line candidates, the most of any job here
+    "increment --p 11 --n 3 --d 1 --seed 1": "fafe855828fe6e75fd0629da1ffb4c56dc9b7d1ab600771beaf3d1175de5b5e6",
 }
 
 

@@ -367,6 +367,64 @@ def test_align_offset_identity_and_gain():
             assert rep["new_sigma"] >= rep["sigma_mixed"] - 1e-12
 
 
+def test_line_scores_match_built_candidates():
+    # the scores of every candidate, the losers' too, are the counts on
+    # the structured set the candidate builds to
+    for p, n in ((3, 3), (5, 2), (7, 2), (11, 2)):
+        for d in (0, 1, 2):
+            s, t = _random_structured(p, n, d, seed=10 * p + d)
+            rng = np.random.default_rng(10 * p + d)
+            for slot, factor in (("x", t.fibers.base), ("y", t.y_set), ("x+y", t.sum_set), ("2x+y", t.skew_set)):
+                cands = increment._best_row_split(factor.values, rng.standard_normal(factor.size), 0.5)
+                assert cands, (p, n, d, slot)
+                masks = np.array([mask for _, mask in cands])
+                inter, mass = increment._line_scores(s, t, slot, masks)
+                built = (ref.split_candidate(t, slot, FunctionTable(p, n, mask)) for mask in masks)
+                assert (inter.tolist(), mass.tolist()) == ref.built_scores(s, built), (p, n, d, slot)
+            # alignment: the fibers through u, for every u some fiber passes
+            columns = t.fibers.table.as_pair_grid().T
+            offsets = np.flatnonzero(columns.any(axis=1))
+            inter, mass = increment._line_scores(s, t, "x", columns[offsets])
+            built = (ref.aligned_candidate(t, int(u)) for u in offsets)
+            assert (inter.tolist(), mass.tolist()) == ref.built_scores(s, built), (p, n, d)
+
+
+def _planted_lines(p, n, slot, seed):
+    """S = the points of the whole space on a random half of the lines
+    along ``slot``, inside the whole space as T."""
+    full = ref.full_set(p, n)
+    lines = FunctionTable(p, n, np.random.default_rng(seed).random(p**n) < 0.5)
+    return product_lift(lines, slot), StructuredProductSet(full, full, full, FiberFamily.full(full))
+
+
+def test_each_move_builds_only_its_winner(monkeypatch):
+    cases = [(fiber_mean_increment, *planted_row_instance(3, 2)), (skew_line_increment, *planted_skew_instance(3, 2))]
+    # the y-column and anti-diagonal pencils fire on S biased along their lines
+    cases += [(fiber_mean_increment, *_planted_lines(5, 2, slot, 4)) for slot in ("y", "x+y")]
+    for p, n, d, seed in ((3, 3, 1, 0), (5, 2, 1, 1), (11, 2, 2, 1)):
+        s, t = _random_structured(p, n, d, seed)
+        cases += [(move, s, t) for move in (fiber_mean_increment, skew_line_increment, align_offset_increment)]
+    cases.append((align_offset_increment, *_random_structured(3, 2, 1, 3)))
+    builds = []
+    real = StructuredProductSet.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        real(self)
+
+    monkeypatch.setattr(StructuredProductSet, "__post_init__", counted)
+    built_by = set()
+    for move, s, t in cases:
+        builds.clear()
+        rep = move(s, t, tau=0.1)
+        # one build at most, and it is the structured set the move returns
+        assert len(builds) == ("_new_t" in rep)
+        assert all(b is rep["_new_t"] for b in builds)
+        if builds:
+            built_by.add(rep.get("chosen_pencil", move.__name__))
+    assert built_by == {"x-rows", "y-columns", "anti-diagonals", "skew_line_increment", "align_offset_increment"}
+
+
 def test_extremal_exhaustive_matches_subset_scan():
     res = search_extremal_L_free(3, 1, "exhaustive")
     assert res["cardinality"] == 6

@@ -11,6 +11,7 @@ from lshape.tables import (
     load_any,
     load_set,
     load_table,
+    line_counts,
     line_means,
     product_lift,
     save_set,
@@ -160,6 +161,21 @@ def test_line_means_match_oracle():
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
                 # pair-grid views are F-ordered; the layout must not change a bit
                 assert np.array_equal(line_means(np.asfortranarray(grid), p, n, slot), got)
+
+
+def test_line_counts_match_oracle():
+    rng = np.random.default_rng(10)
+    for p in (3, 5):
+        for n in (1, 2, 3):
+            size = p**n
+            grid = rng.random((size, size)) < 0.4
+            # the rows x = w are the y-columns of the transposed grid
+            for slot, c, oracle_grid in (("x", 0, grid.T), ("y", 0, grid), ("x+y", 1, grid), ("2x+y", 2, grid)):
+                got = line_counts(grid, p, n, slot)
+                assert got.dtype == np.int64
+                want = np.rint(np.array(orc.line_means_oracle(oracle_grid.astype(int).tolist(), p, n, c)) * size)
+                assert np.array_equal(got, want), (p, n, slot)
+                assert np.array_equal(line_counts(np.asfortranarray(grid), p, n, slot), got)
 
 
 def test_product_lift_pointwise():
