@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -461,9 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use: parsing leaves it
+    unchanged, and building it costs more than many commands."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         report, code = args.func(args)

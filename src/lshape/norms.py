@@ -7,12 +7,13 @@ Delta_h f(x) = f(x) conj(f(x + h)), and
     ||f||_{U^1}^2     = |E f|^2.
 
 The fast evaluation path bottoms out at s = 2 through the Fourier
-identity sum |f_hat|^4; ``definition_only=True`` forces the literal
-nested sum over all difference tuples instead, which is the audit path.
-It loops in Python over the p^(m(s-1)) tuples (h_1, ..., h_(s-1)) and
-gathers the last difference and x together as blocks of index arrays,
-so it still touches all p^(m(s+1)) (x, h) points, against the fast
-path's p^(m(s-2)) batched transforms.
+identity sum |f_hat|^4, transforming the p^(m(s-2)) rows
+Delta_{h_1} ... Delta_{h_(s-2)} f a block at a time.
+``definition_only=True`` evaluates the nested sum over difference tuples
+instead, which is the audit path and uses no transform: it bottoms out
+at s = 1, where the average over (x, h_s) of a product of corners at x
+and at x + h_s is a product of two means.  It gathers p^(ms) points per
+corner, against the p^(m(s+1)) (x, h) points of the sum as written.
 
 Functions of a pair (x, y) in Z_p^n x Z_p^n additionally carry
 direction-constrained norms.  A direction pattern is a residue pair
@@ -32,13 +33,13 @@ patterns.lshape_average.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .field import ResourceLimitError, combine
-from .spectral import dft_batch, u2_fourth_batch
+from .spectral import u2_fourth_batch
 from .tables import FunctionTable, line_means
 
 __all__ = [
@@ -79,85 +80,127 @@ def _root(raw: complex, power: int) -> NormValue:
     return NormValue(max(re, 0.0) ** (1.0 / power), power, complex(raw))
 
 
-def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
-    """E_{h_1..h_(s-2)} ||Delta...f||_{U^2}^4 via batched transforms."""
+#: Gathered entries per block of difference-cube rows, which keeps their
+#: index and product temporaries near a MB; larger blocks ran slower.
+_CUBE_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _cube_index(p: int, m: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the r-dimensional difference cube on Z_p^m.
+
+    Corner j over x and the t-th r-tuple h (itertools.product order) is
+    x + a_tj, where a_tj = w_j . h and w_j is the j-th element of {0,1}^r.
+    All the a_tj come from one combine call, since a 0/1 multiple of an
+    index is the index of that multiple.
+
+    A whole row x -> x + a is read from the addition tables of two digit
+    halves: with L = p^(m // 2), index(x + a) = low[a % L, x % L] +
+    high[a // L, x // L].  ``high`` is stacked once per corner, corner j's
+    copy shifted by j p^m, its place in a stack of the corners' values.
+    Returns ``low``, the stacked ``high``, and for every (t, j) the row of
+    each to read: a_tj % L, and a_tj // L in corner j's copy.
+    """
     size = p**m
+    bits = np.array(list(itertools.product((0, 1), repeat=r)), dtype=np.int64).reshape(2**r, r)
+    hs = np.indices((size,) * r).reshape(r, size**r)
+    # at r = 0 combine returns a scalar zero
+    offsets = np.broadcast_to(
+        combine(p, m, (1,) * r, [h[:, None] * bits[:, i] for i, h in enumerate(hs)]),
+        (size**r, 2**r),
+    )
+    lo, hi = p ** (m // 2), p ** (m - m // 2)
+    low = combine(p, m // 2, (1, 1), (np.arange(lo)[:, None], np.arange(lo)))
+    high = combine(p, m - m // 2, (1, 1), (np.arange(hi)[:, None], np.arange(hi))) * lo
+    corner = np.arange(2**r)
+    high = (high + size * corner[:, None, None]).reshape(-1, hi)
+    tables = (low, high, offsets % lo, offsets // lo + hi * corner)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _cube_rows(families, p: int, m: int, r: int):
+    """Rows of cube products, a block of difference tuples at a time.
+
+    Each family lists 2^r flat value arrays on Z_p^m, one per w in
+    {0,1}^r taken in itertools.product order.  For every block of
+    r-tuples h = (h_1, ..., h_r), in itertools.product order, yields one
+    (len(block), p^m) array per family whose row for h holds
+    x -> prod_w family[w](x + w . h).  A block gathers at most
+    _CUBE_BLOCK entries per family, or one row's corners if they are more.
+    """
+    low, high, low_at, high_at = _cube_index(p, m, r)
+    size, corners = p**m, 2**r
+    stacks = [np.concatenate(fam) for fam in families]
+    step = max(1, _CUBE_BLOCK // (corners * size))
+    for start in range(0, len(low_at), step):
+        at = slice(start, start + step)
+        # cols[t, j, x_hi, x_lo] is the stack index of corner j at x + w_j . h_t
+        cols = high.take(high_at[at], axis=0)[..., None] + low.take(low_at[at], axis=0)[:, :, None, :]
+        rows = []
+        for st in stacks:
+            vals = st.take(cols).reshape(len(cols), corners, size)
+            row = vals[:, 0].copy()
+            for j in range(1, corners):
+                row *= vals[:, j]
+            rows.append(row)
+        yield rows
+
+
+def _signed(values, s: int) -> list[np.ndarray]:
+    """The 2^s corner factors C^|w| values[w] of a difference cube, w in
+    itertools.product order, C complex conjugation."""
+    cube = itertools.product((0, 1), repeat=s)
+    vals = [v.astype(np.complex128, copy=False) for v in values]
+    return [np.conj(v) if sum(w) % 2 else v for w, v in zip(cube, vals)]
+
+
+def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
+    """E_{h_1..h_(s-2)} ||Delta...f||_{U^2}^4 via batched transforms, the
+    rows Delta_{h_1} ... Delta_{h_(s-2)} f formed and transformed a block
+    at a time."""
     values = values.astype(np.complex128, copy=False)  # float64 sums round differently
     if s == 1:
-        mu = np.sum(values) / size
-        return float(abs(mu) ** 2)
+        return float(abs(np.sum(values) / p**m) ** 2)
     if s == 2:
-        a2 = np.abs(dft_batch(values[None, :], p, m)[0]) ** 2
-        return float(np.sum(a2 * a2))
-    x = np.arange(size)
-    shift = combine(p, m, (1, 1), (x[:, None], x[None, :]))  # shift[h, x] = x + h
-    batch = values[None, :]
-    for _ in range(s - 2):
-        # row r * size + h of the next batch is Delta_h of row r
-        moved = np.conj(batch)[:, shift]
-        batch = np.multiply(batch[:, None, :], moved, out=moved).reshape(-1, size)
-    fourths = u2_fourth_batch(batch, p, m)
-    return float(np.sum(fourths) / len(fourths))
+        return float(u2_fourth_batch(values[None, :], p, m)[0])
+    total = 0.0
+    for (rows,) in _cube_rows([_signed([values] * 2 ** (s - 2), s - 2)], p, m, s - 2):
+        total += float(np.sum(u2_fourth_batch(rows, p, m)))
+    return total / p ** (m * (s - 2))
 
 
-#: Entries per index block of the difference-cube kernel, which bounds its
-#: index and product temporaries at a few tens of MB.
-_CUBE_BLOCK = 1 << 20
-
-
-def _cube_average(corners, steps, p: int, m: int) -> complex:
-    """E over (h_1, ..., h_s) and x of prod_w C^|w| corners[w](x + w . h).
+def _cube_average(corners, p: int, m: int) -> complex:
+    """E over x and (h_1, ..., h_s) of prod_w C^|w| corners[w](x + w . h).
 
     ``corners`` holds 2^s flat value arrays on Z_p^m, one per w in
     {0,1}^s taken in itertools.product order, and C is complex
-    conjugation.  ``steps[i]`` is the index array of the group elements
-    that h_i runs over.
+    conjugation; every h_i runs over the whole group.
 
-    Python loops over (h_1, ..., h_(s-1)) only.  The pairs (h_s, x) form
-    one flat range, cut into blocks of at most _CUBE_BLOCK entries whose
-    indices x + h_s come from ``combine``.  The corners with w_s = 0 do
-    not depend on h_s, so their product is formed once per tuple and
-    gathered as one factor.
+    For fixed h' = (h_1, ..., h_(s-1)) the corners split by w_s, and
+    y = x + h_s turns the average over (x, h_s) into a product of two
+    means, which is the U^1 base of the literal recursion:
+
+        E_x prod_{w_s=0} C^|w| corners[w](x + w'.h')
+            * E_y prod_{w_s=1} C^|w| corners[w](y + w'.h')
+
+    The tuples h' come in blocks from _cube_rows, so the cost is
+    2 * 2^(s-1) gathers of p^(ms) entries, with no transform.
     """
-    s = len(steps)
-    size = p**m
-    cube = list(itertools.product((0, 1), repeat=s))
-    corners = [c.astype(np.complex128, copy=False) for c in corners]
-    factors = [np.conj(c) if sum(bits) % 2 else c for bits, c in zip(cube, corners)]
+    s = len(corners).bit_length() - 1
+    factors = _signed(corners, s)
     # product order makes w_s the last bit: even positions have w_s = 0,
     # and positions 2j, 2j + 1 share the j-th w' = (w_1, ..., w_(s-1))
-    low, high = factors[0::2], factors[1::2]
-    outer_bits = np.array(cube[0::2], dtype=np.int64)[:, :-1]
-    outer, last = steps[:-1], steps[-1]
-    x = np.arange(size)
-    pairs = len(last) * size
     total = 0.0 + 0.0j
-    for start in range(0, pairs, _CUBE_BLOCK):
-        flat = np.arange(start, min(start + _CUBE_BLOCK, pairs))
-        xk = flat % size
-        moved = combine(p, m, (1, 1), (xk, last[flat // size]))
-        for hs in itertools.product(*outer):
-            # offsets[j] is the index of w' . (h_1, ..., h_(s-1)); a 0/1
-            # multiple of an index is the index of that multiple, and at
-            # s = 1 combine returns a scalar zero
-            offsets = np.broadcast_to(
-                combine(p, m, (1,) * (s - 1), [outer_bits[:, i] * h for i, h in enumerate(hs)]),
-                (len(low),),
-            )
-            cols = combine(p, m, (1, 1), (offsets[:, None], x[None, :]))
-            base = low[0][cols[0]]
-            for vals, col in zip(low[1:], cols[1:]):
-                base *= vals[col]
-            prod = base[xk]
-            for vals, col in zip(high, cols):
-                prod *= vals[col][moved]
-            total += prod.sum()
-    return complex(total / (pairs * math.prod(len(h) for h in outer)))
+    for low, high in _cube_rows([factors[0::2], factors[1::2]], p, m, s - 1):
+        total += np.sum(low.mean(axis=1) * high.mean(axis=1))
+    return complex(total / p ** (m * (s - 1)))
 
 
 def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:
     """The literal nested sum over all (h_1, ..., h_s) difference tuples."""
-    return _cube_average([values] * 2**s, [np.arange(p**m)] * s, p, m)
+    return _cube_average([values] * 2**s, p, m)
 
 
 def gowers_norm(f: FunctionTable, s: int, definition_only: bool = False) -> NormValue:
@@ -259,7 +302,7 @@ def gcs_check(family, s: int) -> dict:
     # family position w has bit i = coordinate i of the corner
     corners = [family[sum(bit << i for i, bit in enumerate(bits))].values
                for bits in itertools.product((0, 1), repeat=s)]
-    lhs = abs(_cube_average(corners, [np.arange(size)] * s, p, m))
+    lhs = abs(_cube_average(corners, p, m))
     norms = [gowers_norm(t, s).value for t in family]
     rhs = float(np.prod(norms))
     return {"product_average": lhs, "norm_product": rhs, "norms": norms, "holds": lhs <= rhs + 1e-9}

@@ -7,13 +7,16 @@ Conventions, used verbatim everywhere downstream:
     Parseval   (1/p^m) sum_x |f|^2 = sum_xi |f_hat|^2
     U^2 link   ||f||_{U^2}^4 = sum_xi |f_hat(xi)|^4
 
-with e_p(k) = exp(2 pi i k / p).  The transform factors into m passes
-of the p-point transform, one per digit axis; below p = 17 the naive
-p^2 butterfly beats anything clever, so that is all there is.
+with e_p(k) = exp(2 pi i k / p).  The transform factors over the digits.
+The digits are taken in groups of k, low digits first, and each group is
+one matrix product against the k-th Kronecker power of the p-point
+kernel, a p^k x p^k matrix; the last group holds what is left.  The
+forward kernels carry the 1/p^k of their group, so no pass divides by p^m.
 
-TODO: add a Rader pass for p >= 17 if large moduli become common.  They
-run today (``lshape norm --p 17 --m 2``), but field.MAX_ENUMERATION
-keeps their tables to a few digits, where the p^2 butterfly is cheap.
+TODO: a Rader or Bluestein pass would beat the dense p x p kernel only
+for large p.  Moduli p >= 17 run today (``lshape norm --p 17 --m 2``),
+but field.MAX_ENUMERATION keeps their tables to a few digits, where one
+dense p^2 product per digit is cheap.
 """
 
 from __future__ import annotations
@@ -53,37 +56,69 @@ def _butterfly(p: int) -> np.ndarray:
     return w
 
 
-def _tensor_passes(values: np.ndarray, p: int, m: int, kernel: np.ndarray) -> np.ndarray:
-    """Apply the p-point kernel along every digit axis of a table.
+#: Size cap of a digit group's kernel: a group has the most digits k with
+#: p^k <= _GROUP_CAP, so k = 3 at p = 3, k = 2 at p = 5 and k = 1 from
+#: p = 7 on.  Caps of 9, 81 and 243 were slower at p = 3.
+_GROUP_CAP = 27
 
-    Axis 0 of ``values`` is the flat canonical order; any further axes
-    are a batch that rides along.  The order is little-endian, so a
-    Fortran-order reshape puts digit i on axis i.
+
+def _group_digits(p: int) -> int:
+    k = 1
+    while p ** (k + 1) <= _GROUP_CAP:
+        k += 1
+    return k
+
+
+@lru_cache(maxsize=64)
+def _group_kernel(p: int, k: int, inverse: bool) -> np.ndarray:
+    """The k-th Kronecker power of the p-point kernel, entry (j, l) =
+    e_p(-j . l) for the k-digit groups j, l; conjugated for the inverse,
+    divided by p^k for the forward transform.  It is symmetric."""
+    w = _butterfly(p)
+    kern = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(k):
+        kern = np.kron(kern, w)
+    kern = np.conj(kern) if inverse else kern / p**k
+    kern.setflags(write=False)
+    return kern
+
+
+def _transform(values: np.ndarray, p: int, m: int, inverse: bool) -> np.ndarray:
+    """Transform along the last axis of ``values``, p^m entries in the
+    canonical order; any leading axes are a batch that rides along.
+
+    The order is little-endian, so in a C-order reshape of a row to
+    (rest, p^k, p^lo) the middle axis holds the group of k digits above
+    the lo lowest ones.  The lowest group is a plain ``rows @ K`` (K is
+    symmetric), each higher group a broadcast ``K @ block``.
     """
-    arr = values.reshape((p,) * m + values.shape[1:], order="F")
-    for axis in range(m):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
-    return arr.reshape(values.shape, order="F")
+    v = np.asarray(values, dtype=np.complex128)
+    if m == 0:
+        return v.copy()
+    step = _group_digits(p)
+    k = min(step, m)
+    out = v.reshape(-1, p**k) @ _group_kernel(p, k, inverse)
+    lo = k
+    while lo < m:
+        k = min(step, m - lo)
+        out = _group_kernel(p, k, inverse) @ out.reshape(-1, p**k, p**lo)
+        lo += k
+    return out.reshape(v.shape)
 
 
 def dft_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
     """Forward transform of a flat value array (with the 1/p^m average)."""
-    if m == 0:
-        return values.astype(np.complex128)
-    return _tensor_passes(np.asarray(values, dtype=np.complex128), p, m, _butterfly(p)) / p**m
+    return _transform(values, p, m, inverse=False)
 
 
 def idft_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
     """Inverse transform (plain sum, no normalization)."""
-    if m == 0:
-        return values.astype(np.complex128)
-    return _tensor_passes(np.asarray(values, dtype=np.complex128), p, m, np.conj(_butterfly(p)))
+    return _transform(values, p, m, inverse=True)
 
 
 def dft_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
     """Forward transform of each row of a (batch, p^m) array."""
-    v = np.asarray(values, dtype=np.complex128)
-    return _tensor_passes(v.T, p, m, _butterfly(p)).T / p**m
+    return _transform(values, p, m, inverse=False)
 
 
 def dft(f: FunctionTable) -> FunctionTable:
@@ -108,12 +143,12 @@ def dft_reference(f: FunctionTable) -> FunctionTable:
 
 def u2_fourth(f: FunctionTable) -> float:
     """sum_xi |f_hat(xi)|^4, which is the fourth power of the U^2 norm."""
-    a2 = np.abs(dft_values(f.values, f.p, f.m)) ** 2
-    return float(np.sum(a2 * a2))
+    return float(u2_fourth_batch(f.values[None, :], f.p, f.m)[0])
 
 
 def u2_fourth_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
-    a2 = np.abs(dft_batch(values, p, m)) ** 2
+    spec = dft_batch(values, p, m)
+    a2 = spec.real**2 + spec.imag**2
     return np.sum(a2 * a2, axis=1)
 
 

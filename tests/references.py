@@ -4,9 +4,10 @@ Nothing in the ``lshape`` package calls these, so they live beside the
 tests rather than in ``src/``.  Unlike ``oracles.py``, which stays free
 of numpy and of package imports, this module builds on the package,
 private helpers included: it holds slow literal definitions (fiber
-levels by explicit coset membership, directional averages through the
-difference-cube kernel), the linear-form systems the complexity tests
-use, and the inequality checks that the acceptance properties assert.
+levels by explicit coset membership, directional averages through a
+difference-cube sum over general steps), the linear-form systems the
+complexity tests use, and the inequality checks that the acceptance
+properties assert.
 Methods of package classes appear here as functions taking the object
 as their first argument.
 """
@@ -14,6 +15,7 @@ as their first argument.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ from lshape.field import (
 )
 from lshape.increment import Cell, ProductCosetPartition, partition_energy
 from lshape.linforms import ComplexityCertificate, LinearForm, LinearFormSystem, _span_contains, cs_complexity
-from lshape.norms import _cube_average, _pair_split, gowers_norm
+from lshape.norms import _pair_split, gowers_norm
 from lshape.patterns import count_system
 from lshape.structured import FiberFamily, StructuredProductSet
 from lshape.tables import FunctionTable
@@ -53,6 +55,61 @@ def delta(f: FunctionTable, h: int) -> FunctionTable:
     return f.times(FunctionTable(f.p, f.m, f.values[add_map(f.p, f.m, h)]).conj())
 
 
+#: Entries per (h_s, x) block of ``cube_average``.
+CUBE_BLOCK = 1 << 20
+
+
+def cube_average(corners, steps, p: int, m: int) -> complex:
+    """E over (h_1, ..., h_s) and x of prod_w C^|w| corners[w](x + w . h).
+
+    ``corners`` holds 2^s flat value arrays on Z_p^m, one per w in
+    {0,1}^s taken in itertools.product order, and C is complex
+    conjugation.  ``steps[i]`` is the index array of the group elements
+    that h_i runs over, so h_i may run over a subgroup; the package's
+    kernel, ``norms._cube_average``, takes every step over the whole group.
+
+    Python loops over (h_1, ..., h_(s-1)) only.  The pairs (h_s, x) form
+    one flat range, cut into blocks of at most CUBE_BLOCK entries whose
+    indices x + h_s come from ``combine``.  The corners with w_s = 0 do
+    not depend on h_s, so their product is formed once per tuple and
+    gathered as one factor.
+    """
+    s = len(steps)
+    size = p**m
+    cube = list(itertools.product((0, 1), repeat=s))
+    corners = [c.astype(np.complex128, copy=False) for c in corners]
+    factors = [np.conj(c) if sum(bits) % 2 else c for bits, c in zip(cube, corners)]
+    # product order makes w_s the last bit: even positions have w_s = 0,
+    # and positions 2j, 2j + 1 share the j-th w' = (w_1, ..., w_(s-1))
+    low, high = factors[0::2], factors[1::2]
+    outer_bits = np.array(cube[0::2], dtype=np.int64)[:, :-1]
+    outer, last = steps[:-1], steps[-1]
+    x = np.arange(size)
+    pairs = len(last) * size
+    total = 0.0 + 0.0j
+    for start in range(0, pairs, CUBE_BLOCK):
+        flat = np.arange(start, min(start + CUBE_BLOCK, pairs))
+        xk = flat % size
+        moved = combine(p, m, (1, 1), (xk, last[flat // size]))
+        for hs in itertools.product(*outer):
+            # offsets[j] is the index of w' . (h_1, ..., h_(s-1)); a 0/1
+            # multiple of an index is the index of that multiple, and at
+            # s = 1 combine returns a scalar zero
+            offsets = np.broadcast_to(
+                combine(p, m, (1,) * (s - 1), [outer_bits[:, i] * h for i, h in enumerate(hs)]),
+                (len(low),),
+            )
+            cols = combine(p, m, (1, 1), (offsets[:, None], x[None, :]))
+            base = low[0][cols[0]]
+            for vals, col in zip(low[1:], cols[1:]):
+                base *= vals[col]
+            prod = base[xk]
+            for vals, col in zip(high, cols):
+                prod *= vals[col][moved]
+            total += prod.sum()
+    return complex(total / (pairs * math.prod(len(h) for h in outer)))
+
+
 def directional_average(g: FunctionTable, directions) -> float:
     """E over (x, y) and one parameter per direction of the stacked
     differences Delta_{(a1 h1, b1 h1)} ... Delta_{(ak hk, bk hk)} g.
@@ -71,7 +128,7 @@ def directional_average(g: FunctionTable, directions) -> float:
     h = np.arange(size)
     # the pair index x + N y is the index of (x, y) in Z_p^(2n)
     steps = [combine(p, n, (a,), (h,)) + size * combine(p, n, (b,), (h,)) for a, b in dirs]
-    total = _cube_average([g.values] * 2 ** len(dirs), steps, p, 2 * n)
+    total = cube_average([g.values] * 2 ** len(dirs), steps, p, 2 * n)
     if g.kind in ("real", "indicator") and abs(total.imag) > 1e-9:
         raise ValueError(f"directional average of a real table has imaginary part {total.imag}")
     return float(total.real)

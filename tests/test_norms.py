@@ -50,6 +50,41 @@ def test_definition_only_path_agrees():
     assert fast.value == pytest.approx(slow.value, abs=1e-10)
 
 
+def test_definition_only_matches_oracle():
+    for p, m, s_max in [(3, 1, 4), (3, 2, 3), (5, 1, 3)]:
+        for s in range(1, s_max + 1):
+            f = _random_table(p, m, 700 + 10 * s + p)
+            raw = orc.gowers_raw_oracle(list(f.values), p, m, s)
+            got = gowers_norm(f, s, definition_only=True).raw_average
+            assert complex(got) == pytest.approx(raw, abs=1e-12), (p, m, s)
+
+
+def test_cube_kernel_matches_general_steps(monkeypatch):
+    # the package kernel factors out the last difference; the reference
+    # sums over it, step by step
+    for p, m, s in [(3, 2, 1), (3, 2, 2), (3, 2, 3), (5, 1, 2), (5, 1, 3), (3, 1, 4)]:
+        size = p**m
+        corners = [_random_table(p, m, 800 + 10 * s + w).values for w in range(2**s)]
+        want = ref.cube_average(corners, [np.arange(size)] * s, p, m)
+        assert norms._cube_average(corners, p, m) == pytest.approx(want, abs=1e-12)
+        # two tuples (h_1, ..., h_(s-1)) a block: p^(m(s-1)) is odd, so
+        # the last block is ragged
+        with monkeypatch.context() as mp:
+            mp.setattr(norms, "_CUBE_BLOCK", 2**s * size)
+            assert norms._cube_average(corners, p, m) == pytest.approx(want, abs=1e-12)
+
+
+def test_fast_path_blocks_agree(monkeypatch):
+    for p, m, s in [(3, 2, 3), (3, 2, 4), (5, 1, 4), (3, 1, 5)]:
+        f = _random_table(p, m, 900 + 10 * s + p)
+        whole = gowers_norm(f, s).raw_average
+        assert complex(whole) == pytest.approx(gowers_norm(f, s, definition_only=True).raw_average, abs=1e-12)
+        for block in (1, 3 * 2 ** (s - 2) * p**m):  # one row a block, then three
+            with monkeypatch.context() as mp:
+                mp.setattr(norms, "_CUBE_BLOCK", block)
+                assert complex(gowers_norm(f, s).raw_average) == pytest.approx(complex(whole), abs=1e-12)
+
+
 def test_gowers_nesting_for_bounded_tables():
     for seed in range(10):
         f = _one_bounded(3, 2, seed + 60)

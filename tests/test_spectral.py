@@ -47,6 +47,46 @@ def test_inversion_round_trip():
         assert np.abs(back.values - f.values).max() < 1e-12
 
 
+# several digit groups (three digits a group at p = 3, two at p = 5, one
+# from p = 7 on) and a ragged last group
+GROUPED_SHAPES = [(3, 4), (3, 5), (3, 7), (5, 3), (7, 2), (11, 2), (13, 1)]
+
+
+def _close(got, want, tol=1e-12):
+    return np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+def test_grouped_transforms_match_references():
+    for p, m in GROUPED_SHAPES:
+        f = _random_table(p, m, 100 * p + m)
+        fc = FunctionTable(p, m, np.conj(f.values), "complex")
+        # idft(g) = p^m conj(dft(conj g)), so both directions meet the references
+        assert _close(dft(f).values, dft_reference(f).values), (p, m)
+        assert _close(idft(f).values, f.size * np.conj(dft_reference(fc).values)), (p, m)
+        if f.size <= 243:  # the double loop takes seconds beyond
+            assert _close(dft(f).values, np.array(orc.dft_oracle(list(f.values), p, m))), (p, m)
+            want = f.size * np.conj(np.array(orc.dft_oracle(list(fc.values), p, m)))
+            assert _close(idft(f).values, want), (p, m)
+
+
+def test_grouped_batch_matches_single_rows():
+    for p, m in GROUPED_SHAPES:
+        rows = np.stack([_random_table(p, m, 7 * p + m + i).values for i in range(4)])
+        batch = dft_batch(rows, p, m)
+        fourths = u2_fourth_batch(rows, p, m)
+        for i, row in enumerate(rows):
+            single = FunctionTable(p, m, row, "complex")
+            assert _close(batch[i], dft(single).values), (p, m, i)
+            assert fourths[i] == pytest.approx(u2_fourth(single), rel=1e-12), (p, m, i)
+
+
+def test_grouped_round_trip():
+    for seed in range(5):
+        f = _random_table(3, 5, seed + 70)
+        assert _close(idft(dft(f)).values, f.values)
+        assert _close(dft(idft(f)).values, f.values)
+
+
 def test_dft_of_character_is_delta():
     # f(x) = e_p(xi . x) has spectrum concentrated at xi with weight 1
     p, m = 5, 2
