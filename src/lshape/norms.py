@@ -80,80 +80,59 @@ def _root(raw: complex, power: int) -> NormValue:
     return NormValue(max(re, 0.0) ** (1.0 / power), power, complex(raw))
 
 
-#: Gathered entries per block of difference-cube rows, which keeps their
-#: index and product temporaries near a MB; larger blocks ran slower.
-_CUBE_BLOCK = 1 << 16
+#: Entries per block of difference-cube rows (128 KiB of complex128).
+#: From 2^14 up, the allocator handed the transform's per-block
+#: temporaries back to the OS and faulted them in again on every block:
+#: a U^3 evaluation at (p, m) = (3, 6) took 4,199 minor page faults and
+#: ~24 ms at 2^16, against 7 and ~17 ms at 2^13.
+_CUBE_BLOCK = 1 << 13
 
 
 @lru_cache(maxsize=16)
-def _cube_index(p: int, m: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables of the r-dimensional difference cube on Z_p^m.
+def _half_sums(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition tables of the low m // 2 digits and of the high digits.
 
-    Corner j over x and the t-th r-tuple h (itertools.product order) is
-    x + a_tj, where a_tj = w_j . h and w_j is the j-th element of {0,1}^r.
-    All the a_tj come from one combine call, since a 0/1 multiple of an
-    index is the index of that multiple.
-
-    A whole row x -> x + a is read from the addition tables of two digit
-    halves: with L = p^(m // 2), index(x + a) = low[a % L, x % L] +
-    high[a // L, x // L].  ``high`` is stacked once per corner, corner j's
-    copy shifted by j p^m, its place in a stack of the corners' values.
-    Returns ``low``, the stacked ``high``, and for every (t, j) the row of
-    each to read: a_tj % L, and a_tj // L in corner j's copy.
+    With L = p^(m // 2), index(x + h) = low[h % L, x % L] +
+    high[h // L, x // L]; ``high`` holds its sums times L.  The tables
+    have p^(2 (m // 2)) and p^(2 (m - m // 2)) entries, not p^(2m).
     """
-    size = p**m
-    bits = np.array(list(itertools.product((0, 1), repeat=r)), dtype=np.int64).reshape(2**r, r)
-    hs = np.indices((size,) * r).reshape(r, size**r)
-    # at r = 0 combine returns a scalar zero
-    offsets = np.broadcast_to(
-        combine(p, m, (1,) * r, [h[:, None] * bits[:, i] for i, h in enumerate(hs)]),
-        (size**r, 2**r),
-    )
     lo, hi = p ** (m // 2), p ** (m - m // 2)
     low = combine(p, m // 2, (1, 1), (np.arange(lo)[:, None], np.arange(lo)))
     high = combine(p, m - m // 2, (1, 1), (np.arange(hi)[:, None], np.arange(hi))) * lo
-    corner = np.arange(2**r)
-    high = (high + size * corner[:, None, None]).reshape(-1, hi)
-    tables = (low, high, offsets % lo, offsets // lo + hi * corner)
-    for table in tables:
+    for table in (low, high):
         table.flags.writeable = False
-    return tables
+    return low, high
 
 
-def _cube_rows(families, p: int, m: int, r: int):
-    """Rows of cube products, a block of difference tuples at a time.
+def _shifted(p: int, m: int, h: np.ndarray) -> np.ndarray:
+    """The (len(h), p^m) indices of x + h, for each h and every x: two
+    table rows and one broadcast add a row."""
+    if m == 1:
+        # one digit: a table would hold p^2 entries for p additions a row
+        return (h[:, None] + np.arange(p)) % p
+    low, high = _half_sums(p, m)
+    lo = len(low)
+    return (high[h // lo][:, :, None] + low[h % lo][:, None, :]).reshape(len(h), p**m)
 
-    Each family lists 2^r flat value arrays on Z_p^m, one per w in
-    {0,1}^r taken in itertools.product order.  For every block of
-    r-tuples h = (h_1, ..., h_r), in itertools.product order, yields one
-    (len(block), p^m) array per family whose row for h holds
-    x -> prod_w family[w](x + w . h).  A block gathers at most
-    _CUBE_BLOCK entries per family, or one row's corners if they are more.
+
+def _delta_rows(batch: np.ndarray, p: int, m: int, r: int):
+    """The rows Delta_{h_1} ... Delta_{h_r} of each row of ``batch``.
+
+    Doubles one difference at a time, row (t, h) of the next batch being
+    batch[t](x) conj(batch[t](x + h)), and yields the rows a block at a
+    time, in the order (t, h_1, ..., h_r).  Each level takes as many h as
+    keep the rows it leads to within _CUBE_BLOCK entries, so no block is
+    larger unless one row is.
     """
-    low, high, low_at, high_at = _cube_index(p, m, r)
-    size, corners = p**m, 2**r
-    stacks = [np.concatenate(fam) for fam in families]
-    step = max(1, _CUBE_BLOCK // (corners * size))
-    for start in range(0, len(low_at), step):
-        at = slice(start, start + step)
-        # cols[t, j, x_hi, x_lo] is the stack index of corner j at x + w_j . h_t
-        cols = high.take(high_at[at], axis=0)[..., None] + low.take(low_at[at], axis=0)[:, :, None, :]
-        rows = []
-        for st in stacks:
-            vals = st.take(cols).reshape(len(cols), corners, size)
-            row = vals[:, 0].copy()
-            for j in range(1, corners):
-                row *= vals[:, j]
-            rows.append(row)
-        yield rows
-
-
-def _signed(values, s: int) -> list[np.ndarray]:
-    """The 2^s corner factors C^|w| values[w] of a difference cube, w in
-    itertools.product order, C complex conjugation."""
-    cube = itertools.product((0, 1), repeat=s)
-    vals = [v.astype(np.complex128, copy=False) for v in values]
-    return [np.conj(v) if sum(w) % 2 else v for w, v in zip(cube, vals)]
+    if r == 0:
+        yield batch
+        return
+    size = p**m
+    conj = np.conj(batch)
+    step = max(1, _CUBE_BLOCK // (len(batch) * size**r))
+    for start in range(0, size, step):
+        moved = conj[:, _shifted(p, m, np.arange(start, min(start + step, size)))]
+        yield from _delta_rows((batch[:, None, :] * moved).reshape(-1, size), p, m, r - 1)
 
 
 def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
@@ -166,7 +145,7 @@ def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
     if s == 2:
         return float(u2_fourth_batch(values[None, :], p, m)[0])
     total = 0.0
-    for (rows,) in _cube_rows([_signed([values] * 2 ** (s - 2), s - 2)], p, m, s - 2):
+    for rows in _delta_rows(values[None, :], p, m, s - 2):
         total += float(np.sum(u2_fourth_batch(rows, p, m)))
     return total / p ** (m * (s - 2))
 
@@ -185,17 +164,41 @@ def _cube_average(corners, p: int, m: int) -> complex:
         E_x prod_{w_s=0} C^|w| corners[w](x + w'.h')
             * E_y prod_{w_s=1} C^|w| corners[w](y + w'.h')
 
-    The tuples h' come in blocks from _cube_rows, so the cost is
-    2 * 2^(s-1) gathers of p^(ms) entries, with no transform.
+    Every corner value is gathered from ``corners`` itself, with no
+    transform and no difference recursion, so this audit shares only the
+    addition tables with the fast path.  The tuples h' come a block at a
+    time, each block gathering at most _CUBE_BLOCK entries per half (or
+    one tuple's, if they are more): 2^s p^(ms) gathers in all, against
+    the p^(m(s+1)) (x, h) points.
     """
     s = len(corners).bit_length() - 1
-    factors = _signed(corners, s)
+    r, size = s - 1, p**m
+    cube = list(itertools.product((0, 1), repeat=s))
+    factors = np.stack([v.astype(np.complex128, copy=False) for v in corners])
+    odd = np.array([sum(w) % 2 == 1 for w in cube])
+    factors[odd] = np.conj(factors[odd])
     # product order makes w_s the last bit: even positions have w_s = 0,
     # and positions 2j, 2j + 1 share the j-th w' = (w_1, ..., w_(s-1))
+    halves = [factors[0::2].ravel(), factors[1::2].ravel()]
+    place = size * np.arange(2**r)[:, None]  # corner j's place in a half
+    step = max(1, _CUBE_BLOCK // (2**r * size))
     total = 0.0 + 0.0j
-    for low, high in _cube_rows([factors[0::2], factors[1::2]], p, m, s - 1):
-        total += np.sum(low.mean(axis=1) * high.mean(axis=1))
-    return complex(total / p ** (m * (s - 1)))
+    for start in range(0, size**r, step):
+        t = np.arange(start, min(start + step, size**r))
+        # offsets[k, j] is the index of w'_j . h'_k, one bit of w' at a time
+        offsets = np.zeros((len(t), 1), dtype=np.int64)
+        for i in range(r):
+            moved = np.take_along_axis(_shifted(p, m, t // size ** (r - 1 - i) % size), offsets, axis=1)
+            offsets = np.stack([offsets, moved], axis=2).reshape(len(t), -1)
+        cols = _shifted(p, m, offsets.ravel()).reshape(len(t), 2**r, size) + place
+        means = []
+        for half in halves:
+            vals = half.take(cols)
+            while vals.shape[1] > 1:  # halving keeps each product contiguous
+                vals = vals[:, : vals.shape[1] // 2] * vals[:, vals.shape[1] // 2 :]
+            means.append(vals[:, 0].mean(axis=1))
+        total += np.sum(means[0] * means[1])
+    return complex(total / p ** (m * r))
 
 
 def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:

@@ -67,8 +67,8 @@ def test_cube_kernel_matches_general_steps(monkeypatch):
         corners = [_random_table(p, m, 800 + 10 * s + w).values for w in range(2**s)]
         want = ref.cube_average(corners, [np.arange(size)] * s, p, m)
         assert norms._cube_average(corners, p, m) == pytest.approx(want, abs=1e-12)
-        # two tuples (h_1, ..., h_(s-1)) a block: p^(m(s-1)) is odd, so
-        # the last block is ragged
+        # two tuples (h_1, ..., h_(s-1)) a block: p^m is odd, so the last
+        # block of each fold is ragged
         with monkeypatch.context() as mp:
             mp.setattr(norms, "_CUBE_BLOCK", 2**s * size)
             assert norms._cube_average(corners, p, m) == pytest.approx(want, abs=1e-12)
@@ -79,10 +79,31 @@ def test_fast_path_blocks_agree(monkeypatch):
         f = _random_table(p, m, 900 + 10 * s + p)
         whole = gowers_norm(f, s).raw_average
         assert complex(whole) == pytest.approx(gowers_norm(f, s, definition_only=True).raw_average, abs=1e-12)
-        for block in (1, 3 * 2 ** (s - 2) * p**m):  # one row a block, then three
+        for block in (1, 3 * p**m):  # one row a block, then three
             with monkeypatch.context() as mp:
                 mp.setattr(norms, "_CUBE_BLOCK", block)
                 assert complex(gowers_norm(f, s).raw_average) == pytest.approx(complex(whole), abs=1e-12)
+
+
+def test_delta_rows_stay_within_block():
+    # 2^r > p^m: many differences on a small group
+    for p, m, r in [(3, 1, 11), (2, 2, 6), (3, 2, 4), (5, 1, 5)]:
+        rows = 0
+        for block in norms._delta_rows(np.ones((1, p**m), complex), p, m, r):
+            assert block.size <= max(norms._CUBE_BLOCK, p**m), (p, m, r)
+            rows += len(block)
+        assert rows == p ** (m * r), (p, m, r)
+
+
+def test_many_differences_on_a_small_group():
+    # 2^s > p^m, where a table of every cube corner outgrows the batch
+    f = _one_bounded(3, 1, 950)
+    fast = gowers_norm(f, 9)
+    slow = gowers_norm(f, 9, definition_only=True)
+    # the average is about 2e-5 here, so compare relatively
+    assert complex(slow.raw_average) == pytest.approx(complex(fast.raw_average), rel=1e-9)
+    # U^12 <= U^13; both rows batches stay within a block
+    assert gowers_norm(f, 12).value <= gowers_norm(f, 13).value + 1e-12
 
 
 def test_gowers_nesting_for_bounded_tables():
@@ -188,9 +209,10 @@ def test_cube_product_matches_oracle(monkeypatch):
         family = [_random_table(p, m, 500 + 10 * s + w) for w in range(2**s)]
         want = abs(orc.cube_raw_oracle([list(t.values) for t in family], p, m, s))
         assert gcs_check(family, s)["product_average"] == pytest.approx(want, abs=1e-12)
-        # blocks of 7 (h_s, x) pairs: several per sum, the last one ragged
+        # two tuples (h_1, ..., h_(s-1)) a block: several per sum, and
+        # p^m is odd, so the last one is ragged
         with monkeypatch.context() as mp:
-            mp.setattr(norms, "_CUBE_BLOCK", 7)
+            mp.setattr(norms, "_CUBE_BLOCK", 2**s * p**m)
             assert gcs_check(family, s)["product_average"] == pytest.approx(want, abs=1e-12)
 
 
