@@ -808,6 +808,7 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
 # ---------------------------------------------------------------------------
 # extremal configuration-free sets
 
+_EXHAUSTIVE_POINTS_CAP = 49
 _HEURISTIC_POINTS_CAP = 16384
 
 
@@ -870,36 +871,56 @@ def _greedy_l_free(
 
 
 def _exhaustive_l_free(quads: np.ndarray, total: int) -> int:
-    """Largest configuration-free set as a bitset, by depth-first
-    branch-and-bound over the points in index order, include first.
+    """Largest configuration-free set as a bitset: the first one of
+    maximum size in include-first order over the points in index order.
 
-    When point idx is decided, only points below idx are chosen, so a
-    configuration can be completed by idx only if idx is its largest
-    point; each is tested there, as the mask of its other three points.
+    Depth-first search with two exact bounds.  Forward checking: points
+    are decided in index order, so a configuration q0 < q1 < q2 < q3 can
+    only be completed by q3, and when q2 is taken with q0 and q1 already
+    chosen, q3 leaves the bitset ``free`` of points that can still be
+    added.  Russian-doll suffix bounds: ``suffix[i]`` is the size of the
+    largest free set inside points i..total-1, found for i = total-1 down
+    to 0 by searching for one of size ``suffix[i+1] + 1``; a node at the
+    first free point idx is cut when even ``min(|free|, suffix[idx])``
+    more points cannot reach the target.  The answer is then the first
+    set of size ``suffix[0]``.  Only subtrees without a set of the target
+    size are cut, and ``free`` holds exactly the points that can be added
+    without completing a configuration, so the search meets the sets in
+    the order of the plain include-first search and returns its answer.
     """
-    masks_at: list[list[int]] = [[] for _ in range(total)]
-    for quad in quads.tolist():
-        top = max(quad)
-        masks_at[top].append(sum(1 << q for q in quad) ^ (1 << top))
-    best, best_size = 0, 0
+    forward: list[list[tuple[int, int]]] = [[] for _ in range(total)]
+    for q0, q1, q2, q3 in np.sort(quads, axis=1).tolist():
+        forward[q2].append((1 << q0 | 1 << q1, 1 << q3))
+    suffix = [0] * (total + 1)
 
-    def dfs(idx: int, chosen: int, size: int) -> None:
-        nonlocal best, best_size
-        if size + (total - idx) <= best_size:
-            return
-        if idx == total:
-            # the bound above makes this a strict improvement
-            best, best_size = chosen, size
-            return
-        for mask in masks_at[idx]:
-            if chosen & mask == mask:
-                break
-        else:
-            dfs(idx + 1, chosen | 1 << idx, size + 1)
-        dfs(idx + 1, chosen, size)
+    def extend(chosen: int, size: int, free: int, target: int) -> int | None:
+        """First set of ``target`` points that adds points of ``free`` to
+        ``chosen``, in include-first order, or None."""
+        if size >= target:
+            return chosen
+        while free:
+            low = free & -free
+            idx = low.bit_length() - 1
+            if size + min(free.bit_count(), suffix[idx]) < target:
+                return None
+            blocked = low
+            for pair, top in forward[idx]:
+                if chosen & pair == pair:
+                    blocked |= top
+            found = extend(chosen | low, size + 1, free & ~blocked, target)
+            if found is not None:
+                return found
+            free ^= low
+        return None
 
-    dfs(0, 0, 0)
-    return best
+    best = None
+    for i in reversed(range(total)):
+        suffix[i] = suffix[i + 1] + 1
+        best = extend(0, 0, (1 << total) - (1 << i), suffix[i])
+        if best is None:
+            suffix[i] -= 1
+    # a set of size suffix[1] + 1 must hold point 0, so it comes first
+    return best if best is not None else extend(0, 0, (1 << total) - 1, suffix[0])
 
 
 def search_extremal_L_free(
@@ -912,8 +933,9 @@ def search_extremal_L_free(
     """Largest (or large) subsets of the pair space with no configuration
     (x,y), (x,y+z), (x,y+2z), (x+z,y) for z != 0.
 
-    ``exhaustive`` runs branch-and-bound on bitsets and is exact; it is
-    capped at pair spaces of at most 25 points.  ``greedy``, ``local`` and
+    ``exhaustive`` runs branch-and-bound on bitsets with forward checking
+    and Russian-doll suffix bounds, and is exact; it is capped at pair
+    spaces of at most 49 points (p=7, n=1).  ``greedy``, ``local`` and
     ``random`` are seeded heuristics, capped at 16384 points (p=11, n=2
     and p=5, n=3 fit).  They share one greedy walk over an int32 table of
     the (p^n - 1) p^(2n) configurations and a CSR index from points to
@@ -924,8 +946,8 @@ def search_extremal_L_free(
     """
     size = p**n
     total = size * size
-    if method == "exhaustive" and total > 25:
-        raise ResourceLimitError(f"exhaustive search capped at 25 points, got {total}")
+    if method == "exhaustive" and total > _EXHAUSTIVE_POINTS_CAP:
+        raise ResourceLimitError(f"exhaustive search capped at {_EXHAUSTIVE_POINTS_CAP} points, got {total}")
     if total > _HEURISTIC_POINTS_CAP:
         raise ResourceLimitError(f"search space has {total} points, capped at {_HEURISTIC_POINTS_CAP}")
     if method not in ("exhaustive", "greedy", "local", "random"):
@@ -1103,14 +1125,22 @@ def increment_driver(
     to the cell's coordinates, and offset alignment.  The trajectory records every
     step; the loop stops when S is empty or fills T, when the ambient
     dimension is exhausted, when no move gains density, or at the step
-    cap.  Configuration-freeness is re-checked after every coordinate
-    change (affine renormalization maps configurations to
-    configurations, so this is an audit, not a hope).
+    cap.  Configuration-freeness is counted on entry and re-counted after
+    every coordinate change (affine renormalization maps configurations
+    to configurations, so this is an audit, not a hope).  A split move
+    keeps the coordinates and returns S ∩ T', which is checked to lie
+    inside S and so cannot gain a configuration.
     """
     _check_scales(eps, tau)
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     _density_inside(s_set, t.table)
+
+    def recount(s: FunctionTable) -> None:
+        if require_l_free and not _verify_l_free(s):
+            raise AssertionError("the candidate set acquired a configuration")
+
+    recount(s_set)
     trajectory: list[dict] = []
     current_s, current_t = s_set, t
     halted = ""
@@ -1118,8 +1148,6 @@ def increment_driver(
         t_mass = current_t.table.cardinality
         s_mass = current_s.cardinality
         sigma = s_mass / t_mass
-        if require_l_free and not _verify_l_free(current_s):
-            raise AssertionError("the candidate set acquired a configuration")
         if s_mass == 0:
             halted = "candidate set is empty"
             break
@@ -1137,19 +1165,17 @@ def increment_driver(
             halted = "candidate set fills the structured set"
             break
 
-        deg1 = fiber_mean_increment(current_s, current_t, tau)
-        if deg1.get("gained"):
-            record["action"] = "fiber-mean"
-            record["detail"] = {k: v for k, v in deg1.items() if not k.startswith("_")}
+        for action, move in (("fiber-mean", fiber_mean_increment), ("skew-line", skew_line_increment)):
+            split = move(current_s, current_t, tau)
+            if split.get("gained"):
+                break
+        if split.get("gained"):
+            record["action"] = action
+            record["detail"] = {k: v for k, v in split.items() if not k.startswith("_")}
             trajectory.append(record)
-            current_s, current_t = deg1["_new_s"], deg1["_new_t"]
-            continue
-        skew = skew_line_increment(current_s, current_t, tau)
-        if skew.get("gained"):
-            record["action"] = "skew-line"
-            record["detail"] = {k: v for k, v in skew.items() if not k.startswith("_")}
-            trajectory.append(record)
-            current_s, current_t = skew["_new_s"], skew["_new_t"]
+            if np.any(split["_new_s"].values & ~current_s.values):
+                raise AssertionError(f"the {action} move left the candidate set")
+            current_s, current_t = split["_new_s"], split["_new_t"]
             continue
 
         pr = pseudorandomize_u2(current_s, current_t, eps, tau)
@@ -1180,6 +1206,7 @@ def increment_driver(
             halted = "no density gain from restriction"
             break
         current_s, current_t = align["_new_s"], align["_new_t"]
+        recount(current_s)
 
     else:
         halted = "step cap reached"

@@ -206,12 +206,18 @@ def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:
     return _cube_average([values] * 2**s, p, m)
 
 
+def _cube_cost(size: int, s: int) -> int:
+    """Operations of the literal cube sum: p^(m(s+1)) products of x and the
+    s differences, and 2^s corners for each of the p^(ms) difference tuples."""
+    return max(size ** (s + 1), 2**s * size**s)
+
+
 def gowers_norm(f: FunctionTable, s: int, definition_only: bool = False) -> NormValue:
     """||f||_{U^s} on the whole group, refused past COST_CAP estimated operations."""
     if s < 1:
         raise ValueError("U^s needs s >= 1")
     size = f.p**f.m
-    est = size ** (s + 1) if definition_only else size ** max(s - 2, 0) * size
+    est = _cube_cost(size, s) if definition_only else size ** max(s - 2, 0) * size
     if est > COST_CAP:
         raise ResourceLimitError(
             f"U^{s} on {size} points needs ~{est} operations (cap {COST_CAP})"
@@ -295,7 +301,7 @@ def gcs_check(family, s: int) -> dict:
     if any((t.p, t.m) != (p, m) for t in family):
         raise ValueError("family members live on different spaces")
     size = p**m
-    est = size ** (s + 1)
+    est = _cube_cost(size, s)
     if est > COST_CAP:
         raise ResourceLimitError(
             f"the U^{s} cube product on {size} points needs ~{est} operations (cap {COST_CAP})"

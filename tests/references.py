@@ -371,6 +371,40 @@ def built_scores(s: FunctionTable, candidates) -> tuple[list[int], list[int]]:
     return inter, mass
 
 
+def exhaustive_l_free_plain(quads: np.ndarray, total: int) -> int:
+    """Largest configuration-free set as a bitset, by depth-first
+    branch-and-bound over the points in index order, include first,
+    pruned only by "chosen + points left".
+
+    When point idx is decided, only points below idx are chosen, so a
+    configuration can be completed by idx only if idx is its largest
+    point; each is tested there, as the mask of its other three points.
+    """
+    masks_at: list[list[int]] = [[] for _ in range(total)]
+    for quad in quads.tolist():
+        top = max(quad)
+        masks_at[top].append(sum(1 << q for q in quad) ^ (1 << top))
+    best, best_size = 0, 0
+
+    def dfs(idx: int, chosen: int, size: int) -> None:
+        nonlocal best, best_size
+        if size + (total - idx) <= best_size:
+            return
+        if idx == total:
+            # the bound above makes this a strict improvement
+            best, best_size = chosen, size
+            return
+        for mask in masks_at[idx]:
+            if chosen & mask == mask:
+                break
+        else:
+            dfs(idx + 1, chosen | 1 << idx, size + 1)
+        dfs(idx + 1, chosen, size)
+
+    dfs(0, 0, 0)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # linear form systems
 

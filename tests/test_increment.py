@@ -12,6 +12,7 @@ from lshape.field import digit_table, index_of, rank_mod, subspace_from_normals
 from lshape.increment import (
     Cell,
     ProductCosetPartition,
+    _exhaustive_l_free,
     _fiber_level_of_points,
     _greedy_l_free,
     _l_quads,
@@ -438,6 +439,24 @@ def test_extremal_exhaustive_matches_subset_scan():
     assert nontrivial == 0
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_exhaustive_returns_the_plain_search_set(data):
+    # the bounded search returns the plain search's bitset, not just a set
+    # of the same size: on random row subsets of the configurations at
+    # (3, 1) and (5, 1), and on random 4-point hyperedges
+    if data.draw(st.booleans(), label="l_quads"):
+        p = data.draw(st.sampled_from([3, 5]), label="p")
+        quads, total = _l_quads(p, 1), p * p
+        rows = data.draw(st.lists(st.booleans(), min_size=len(quads), max_size=len(quads)), label="rows")
+        quads = quads[np.array(rows, dtype=bool)]
+    else:
+        total = data.draw(st.integers(4, 20), label="total")
+        edge = st.lists(st.integers(0, total - 1), min_size=4, max_size=4, unique=True)
+        quads = np.array(data.draw(st.lists(edge, max_size=40), label="edges"), dtype=np.int32).reshape(-1, 4)
+    assert _exhaustive_l_free(quads, total) == ref.exhaustive_l_free_plain(quads, total)
+
+
 def test_extremal_heuristics_produce_free_sets():
     for method in ("greedy", "local", "random"):
         res = search_extremal_L_free(3, 1, method, seed=3, iterations=30)
@@ -554,6 +573,34 @@ def test_driver_restricts_to_the_selected_cell():
     assert step["action"] == "pseudorandomize"
     assert step["alignment"]["identity_lhs"] == step["alignment"]["identity_rhs"]
     assert res["halted_because"] == "no density gain from restriction"
+
+
+def test_driver_recounts_only_after_coordinate_changes(monkeypatch):
+    # a skew-line split, a renormalize-and-align step, then a halt: the set
+    # is counted on entry and after the renormalization, not after the split
+    recounts = []
+    monkeypatch.setattr(increment, "_verify_l_free", lambda s: recounts.append(s) or True)
+    s, t = _random_structured(3, 3, 1, seed=2)
+    res = increment_driver(s, t, eps=0.3, tau=0.5)
+    assert [rec["action"] for rec in res["trajectory"]] == ["skew-line", "pseudorandomize", "halt"]
+    assert len(recounts) == 2
+    assert recounts[0] is s
+
+
+def test_driver_rejects_a_split_that_leaves_the_candidate_set(monkeypatch):
+    real = increment.fiber_mean_increment
+
+    def leaky(s_set, t_set, tau):
+        rep = real(s_set, t_set, tau)
+        values = rep["_new_s"].values.copy()
+        values[np.flatnonzero(~s_set.values)[0]] = True
+        rep["_new_s"] = FunctionTable(s_set.p, s_set.m, values)
+        return rep
+
+    monkeypatch.setattr(increment, "fiber_mean_increment", leaky)
+    s, t = planted_row_instance(3, 2)
+    with pytest.raises(AssertionError, match="left the candidate set"):
+        increment_driver(s, t, eps=0.1, tau=0.1, require_l_free=False)
 
 
 def test_driver_empty_candidate_gives_empty_trajectory():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from lshape.field import index_of, subspace_from_normals
+from lshape.field import digit_table, index_of, subspace_from_normals
 from lshape.spectral import (
     dft,
     dft_batch,
@@ -38,6 +38,16 @@ def test_dft_reference_path_agrees():
     for seed in range(5):
         f = _random_table(3, 3, seed)
         assert np.abs(dft(f).values - dft_reference(f).values).max() < 1e-10
+
+
+def test_dft_reference_indexes_the_literal_phases():
+    # the phase matrix indexes p roots of unity by the exponent table; its
+    # output is bit for bit that of one exp call per entry
+    for p, m in [(3, 1), (3, 4), (3, 6), (5, 3), (7, 2), (13, 1)]:
+        f = _random_table(p, m, 7 * p + m)
+        d = digit_table(p, m)
+        literal = np.exp(-2j * np.pi * ((d @ d.T) % p) / p) @ f.values / f.size
+        assert np.array_equal(dft_reference(f).values, literal), (p, m)
 
 
 def test_inversion_round_trip():
