@@ -281,16 +281,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if suite in ("control", "all"):
         for i in range(trials):
             fs = [_random_table(p, 2 * n, seed + 800 + 4 * i + j) for j in range(4)]
-            ones = ones_like(fs[0])
-            lam = lshape_average(fs[0], fs[1], fs[2], fs[3])
-            _check(checks, "control-slot-1",
-                   abs(lam.average) <= slot_norm(fs[0], 0).value + 1e-9, trial=i)
-            lam = lshape_average(ones, fs[1], fs[2], fs[3])
-            _check(checks, "control-slot-2",
-                   abs(lam.average) <= slot_norm(fs[1], 1).value + 1e-9, trial=i)
-            lam = lshape_average(ones, ones, fs[2], fs[3])
-            _check(checks, "control-slot-3",
-                   abs(lam.average) <= slot_norm(fs[2], 2).value + 1e-9, trial=i)
+            # slot j of lam(1^j, f_j, ..., f_3) is controlled by its slot norm
+            for j in range(3):
+                lam = lshape_average(*[ones_like(fs[0])] * j, *fs[j:])
+                _check(checks, f"control-slot-{j + 1}",
+                       abs(lam.average) <= slot_norm(fs[j], j).value + 1e-9, trial=i)
 
     if suite in ("patterns", "all"):
         ex = obstruction_example("dot", 3, 3, seed)

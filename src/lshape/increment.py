@@ -483,27 +483,19 @@ def pseudorandomize_u2(
     # selection: densest surviving (cell, level) for S, the first one in
     # (level, cell) order on ties
     big = data["big"]
-    lab_digits = data["lab_digits"]
     pair_level = data["levels"][data["pair_x"]]
     on_level = (pair_level >= 0) & (pair_level <= d)
     key = pair_level * (big * big) + data["cid"]
     t_counts = np.bincount(key[t.table.values & on_level], minlength=(d + 1) * big * big)
     s_counts = np.bincount(key[s_set.values & on_level], minlength=(d + 1) * big * big)
-    nonempty = np.flatnonzero(t_counts)
-    pick = None
-    if nonempty.size:
-        best = int(nonempty[np.argmax(s_counts[nonempty] / t_counts[nonempty])])
-        level, cell_id = divmod(best, big * big)
-        pick = (s_counts[best] / t_counts[best], cell_id, level, int(s_counts[best]), int(t_counts[best]))
+    pick = _densest(range(t_counts.size), s_counts, t_counts)
     # the first densest entry meets the margin whenever any entry does
     met = bool(pick is not None and pick[0] >= sigma + tau / 4)
-    cell_obj = None
-    level_pick = None
+    cell_obj = level_pick = None
     if pick is not None:
-        ratio, cell_id, level_pick, s_count, t_count = pick
-        ca, cb = cell_id % big, cell_id // big
-        a_rhs = tuple(int(v) for v in lab_digits[ca])
-        b_rhs = tuple(int(v) for v in lab_digits[cb])
+        level_pick, cell_id = divmod(pick[1], big * big)
+        # cell_id = ca + big * cb labels the cell (a + V) x (b + V)
+        a_rhs, b_rhs = (tuple(data["lab_digits"][c].tolist()) for c in (cell_id % big, cell_id // big))
         cell_obj = Cell(p, n, partition.normals, a_rhs, b_rhs)
     report = {
         "uniformity_scale": "u2",
@@ -523,8 +515,8 @@ def pseudorandomize_u2(
             "cell_b_rhs": list(cell_obj.b_rhs),
             "level": level_pick,
             "ratio": pick[0],
-            "s_count": str(pick[3]),
-            "t_count": str(pick[4]),
+            "s_count": str(pick[2]),
+            "t_count": str(pick[3]),
             "met_threshold": met,
             "threshold": sigma + tau / 4,
         },
@@ -550,18 +542,15 @@ def _densest(keys, inter: np.ndarray, mass: np.ndarray) -> tuple | None:
     is densest, skipping an empty T'; None when every T' is empty.
 
     The candidates come as scores, not as sets: ``inter[i]`` = |S ∩ T'|
-    and ``mass[i]`` = |T'| of the candidate ``keys[i]``.  Nothing is built
-    here; the caller builds the winner alone and checks it with
-    ``_check_winner``.
+    and ``mass[i]`` = |T'| of the candidate ``keys[i]``.
     """
-    best = None
-    for key, s_count, t_count in zip(keys, inter.tolist(), mass.tolist()):
-        if t_count == 0:
-            continue
-        ratio = s_count / t_count
-        if best is None or ratio > best[0]:
-            best = (ratio, key, s_count, t_count)
-    return best
+    nonempty = np.flatnonzero(mass)
+    if not nonempty.size:
+        return None
+    # argmax picks the first maximum, so ties go to the earliest candidate
+    i = int(nonempty[np.argmax(inter[nonempty] / mass[nonempty])])
+    s_count, t_count = int(inter[i]), int(mass[i])
+    return s_count / t_count, keys[i], s_count, t_count
 
 
 def _line_scores(
@@ -1038,11 +1027,7 @@ def planted_skew_instance(p: int, n: int) -> tuple[FunctionTable, StructuredProd
     """
     full = FunctionTable(p, n, np.ones(p**n, dtype=bool))
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
-    size = p**n
-    half = size // 2
-    points = np.arange(size)
-    w = combine(p, n, (2, 1), (points[None, :], points[:, None]))  # w[y, x] = 2x + y
-    return FunctionTable(p, 2 * n, (w < half).reshape(-1)), t
+    return FunctionTable(p, 2 * n, slot_index_array(p, n, "2x+y") < p**n // 2), t
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ so for indicator inputs lam * p^(3n) is the exact configuration count
 (z = 0 included; the z = 0 term is tracked separately because a
 configuration is only interesting when z is nonzero).
 
-The normalization is the full triple average over (x, y, z) in
-(Z_p^n)^3, i.e. division by p^(3n).
+Indicator inputs are counted on bit-packed grids.  Any other average, of
+a configuration or of a linear form system, goes through one enumerator,
+``_form_sum``, which sums over one value of the first variable at a time.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class PatternCount:
     """A normalized configuration average, with exact counts when known.
 
     ``average`` is complex in general (the inputs may be complex
-    tables); for indicator inputs it is real and average * p^(3n)
-    reconstructs ``exact_count`` exactly.  ``nontrivial_count`` drops
-    the z = 0 degenerate triples.
+    tables); for indicator inputs it is real and average times the
+    number of tuples reconstructs ``exact_count`` exactly.
+    ``nontrivial_count`` drops the z = 0 degenerate triples of a
+    configuration; ``count_system`` leaves it None.
     """
 
     average: complex
@@ -60,14 +62,52 @@ class PatternCount:
         return float(self.average.real)
 
 
-def _common_grids(tables: list[FunctionTable]) -> tuple[int, int, list[np.ndarray]]:
-    p = tables[0].p
-    m = tables[0].m
-    if any((t.p, t.m) != (p, m) for t in tables):
-        raise ValueError("configuration tables live on different spaces")
-    if m % 2 != 0:
-        raise ValueError("configuration tables must live on a pair space")
-    return p, m // 2, [t.as_pair_grid() for t in tables]
+#: Most variable tuples ``_form_sum`` enumerates.
+MAX_TUPLES = 10**8
+
+
+def _form_sum(tables: list[np.ndarray], forms, p: int, n: int) -> int | float | complex:
+    """sum over v in (Z_p^n)^r of prod_i tables[i](form_i(v)), one v_0 at a time.
+
+    Form i is k coefficient rows in (v_0, ..., v_{r-1}); tables[i] holds
+    p^(kn) values, row j's image as digit block j.  The sum is exact in
+    int64 when all tables are bool, float64 when all are real, complex128
+    otherwise.  Table i is a C-ordered (p^n,)*k grid, row j on axis k-1-j,
+    and v_l runs on axis r-1-l of the grid of v_1, ..., v_{r-1}: rows
+    c_j v_0 + v_(l_j), l_j increasing, make the translated table a view
+    of that grid, and any other form reads a precomputed gather.
+    """
+    size, r = p**n, len(forms[0][0])
+    if size**r > MAX_TUPLES:
+        raise ResourceLimitError(f"tuple space of size {size ** r} exceeds cap {MAX_TUPLES}")
+    dtype = np.result_type(np.int64, *tables)
+    variables = [np.arange(size).reshape((size,) + (1,) * l) for l in range(r - 1)]
+    factors = []
+    for values, rows in zip(tables, forms):
+        k = len(rows)
+        grid = values.astype(dtype, copy=False).reshape((size,) * k)
+        # translations and gathers own their buffers: fresh ones are paged in anew per v_0
+        shifts = [(k - 1 - j, scale_map(p, n, row[0] % p), np.empty_like(grid))
+                  for j, row in enumerate(rows) if row[0] % p]
+        rests = [[c % p for c in row[1:]] for row in rows]
+        axes = [rest.index(1) for rest in rests if sum(rest) == 1]  # the rows c v_0 + v_l
+        if len(axes) == k and axes == sorted(set(axes)):
+            shape, idx, out = tuple(size if l in axes else 1 for l in range(r - 2, -1, -1)), None, None
+        else:
+            idx = sum(size**j * combine(p, n, row[1:], variables) for j, row in enumerate(rows))
+            shape, out = None, np.empty(idx.shape, dtype)
+        factors.append((grid, shifts, shape, idx, out))
+    acc = np.empty((size,) * (r - 1), dtype=dtype)
+    total = 0
+    for v0 in range(size):
+        acc.fill(1)
+        for grid, shifts, shape, idx, out in factors:
+            for axis, scale, buf in shifts:
+                # the maps are permutations, so mode="clip" changes no index
+                grid = np.take(grid, add_map(p, n, int(scale[v0])), axis=axis, out=buf, mode="clip")
+            acc *= grid.reshape(shape) if idx is None else np.take(grid, idx, out=out, mode="clip")
+        total += acc.sum().item()
+    return total
 
 
 #: Most bits one packed word of an indicator pair grid can hold.
@@ -177,31 +217,28 @@ def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_poi
     return int(totals.sum(dtype=np.int64)), trivial
 
 
+#: The four points as 2-row forms in (z, x, y), an x row over a y row.
+_LSHAPE_FORMS = (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 1)), ((0, 1, 0), (2, 0, 1)), ((1, 1, 0), (0, 0, 1)))
+
+
 def _count_pattern(tables: list[FunctionTable], use_third_point: bool) -> PatternCount:
     """Shared kernel for the corner and the four-point configuration.
 
     Indicator inputs are counted exactly on bit-packed grids (see
-    ``_indicator_counts``), which keeps p = 3, n = 7 within seconds;
-    any other input is averaged in complex arithmetic, real tables too.
+    ``_indicator_counts``), which keeps p = 3, n = 7 within seconds; any
+    other input is summed by ``_form_sum``, which refuses over MAX_TUPLES.
     """
-    p, n, grids = _common_grids(tables)
-    size = p**n
-    denom = size**3
+    p, m = tables[0].p, tables[0].m
+    if any((t.p, t.m) != (p, m) for t in tables):
+        raise ValueError("configuration tables live on different spaces")
+    if m % 2 != 0:
+        raise ValueError("configuration tables must live on a pair space")
+    n, denom = m // 2, p ** (3 * m // 2)
     if all(t.kind == "indicator" for t in tables):
         count, trivial = _indicator_counts(tables, p, n, use_third_point)
         return PatternCount(complex(count / denom), count, count - trivial)
-    grids = [g.astype(np.complex128, copy=False) for g in grids]
-    total = 0.0 + 0.0j
-    for z in range(size):
-        col1 = add_map(p, n, z)
-        if use_third_point:
-            z2 = int(scale_map(p, n, 2)[z])
-            col2 = add_map(p, n, z2)
-            term_grid = grids[0] * grids[1][:, col1] * grids[2][:, col2] * grids[3][col1, :]
-        else:
-            term_grid = grids[0] * grids[1][:, col1] * grids[2][col1, :]
-        total = total + term_grid.sum()
-    return PatternCount(complex(total / denom))
+    forms = _LSHAPE_FORMS if use_third_point else _LSHAPE_FORMS[:2] + _LSHAPE_FORMS[3:]
+    return PatternCount(complex(_form_sum([t.values for t in tables], forms, p, n) / denom))
 
 
 def lshape_average(g0: FunctionTable, g1: FunctionTable, g2: FunctionTable, g3: FunctionTable) -> PatternCount:
@@ -345,31 +382,13 @@ def count_system(tables, system, n: int) -> PatternCount:
 
     ``system`` is a LinearFormSystem; form i may stack k rows, mapping
     the variable tuple to Z_p^(k n), and tables[i] must live there.
-    Indicator inputs give exact integer counts.  Tuple spaces above 10^8
-    are refused.
+    ``_form_sum`` does the sum: indicator inputs give exact integer
+    counts, and tuple spaces above MAX_TUPLES are refused.
     """
-    p = system.p
-    size = p**n
-    r = system.r
-    if size**r > 10**8:
-        raise ResourceLimitError(f"tuple space of size {size ** r} exceeds cap")
     if len(tables) != len(system.forms):
         raise ValueError(f"{len(system.forms)} forms but {len(tables)} tables")
-    mesh = np.indices((size,) * r).reshape(r, -1)
-    all_indicator = all(t.kind == "indicator" for t in tables)
-    prod = np.ones(mesh.shape[1], dtype=np.int64 if all_indicator else np.complex128)
     for form, tab in zip(system.forms, tables):
-        rows = form.rows
-        if tab.m != len(rows) * n:
-            raise ValueError(f"table on {tab.m} coordinates does not match a {len(rows)}-row form")
-        idx = np.zeros(mesh.shape[1], dtype=np.int64)
-        stride = 1
-        for row in rows:
-            idx = idx + stride * combine(p, n, row, mesh)
-            stride *= size
-        prod = prod * tab.values[idx]
-    denom = size**r
-    if all_indicator:
-        count = int(prod.sum())
-        return PatternCount(complex(count / denom), count, None)
-    return PatternCount(complex(prod.sum() / denom))
+        if tab.m != len(form.rows) * n:
+            raise ValueError(f"table on {tab.m} coordinates does not match a {len(form.rows)}-row form")
+    total = _form_sum([t.values for t in tables], [f.rows for f in system.forms], system.p, n)
+    return PatternCount(complex(total / system.p ** (system.r * n)), total if isinstance(total, int) else None)

@@ -371,6 +371,16 @@ def built_scores(s: FunctionTable, candidates) -> tuple[list[int], list[int]]:
     return inter, mass
 
 
+def densest_loop(keys, inter, mass):
+    """The densest-candidate rule as a loop over the scores: the first
+    strictly greater ratio wins and an empty candidate is skipped."""
+    best = None
+    for key, s_count, t_count in zip(keys, inter, mass):
+        if t_count and (best is None or s_count / t_count > best[0]):
+            best = (s_count / t_count, key, s_count, t_count)
+    return best
+
+
 def exhaustive_l_free_plain(quads: np.ndarray, total: int) -> int:
     """Largest configuration-free set as a bitset, by depth-first
     branch-and-bound over the points in index order, include first,
@@ -446,6 +456,29 @@ def lshape_point_system(p: int) -> LinearFormSystem:
 def ap_system(p: int, k: int) -> LinearFormSystem:
     """x, x+y, ..., x+(k-1)y in variables (x, y)."""
     return LinearFormSystem.from_rows(p, [[1, j] for j in range(k)])
+
+
+def form_sum_loop(tables, system: LinearFormSystem, n: int):
+    """sum over v in (Z_p^n)^r of prod_i tables[i](form_i(v)), one tuple at a time.
+
+    The literal counterpart of ``count_system``: each row image is formed
+    digit by digit in Python integers, and form i reads tables[i] at
+    sum_j p^(jn) * (index of row j's image).  Bool tables give an int.
+    """
+    p, size = system.p, system.p**n
+    digits = [[v // p**i % p for i in range(n)] for v in range(size)]
+    values = [t.values.tolist() for t in tables]
+    total = 0
+    for v in itertools.product(range(size), repeat=system.r):
+        term = 1
+        for form, vals in zip(system.forms, values):
+            idx = 0
+            for j, row in enumerate(form.rows):
+                image = sum((sum(c * digits[x][i] for c, x in zip(row, v)) % p) * p**i for i in range(n))
+                idx += size**j * image
+            term *= vals[idx]
+        total += term
+    return total
 
 
 def verify_certificate(system: LinearFormSystem, cert: ComplexityCertificate) -> bool:

@@ -215,6 +215,8 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         # counts x as well as the s differences
         ("verify", "--suite", "norms", "--p", "3", "--n", "9"),
         ("verify", "--suite", "norms", "--p", "3", "--n", "8"),
+        # a non-indicator configuration average past 10^8 triples
+        ("verify", "--suite", "control", "--p", "3", "--n", "6"),
         # the literal sum also pays for its 2^s corners per difference tuple
         ("norm", "--kind", "gowers", "--p", "3", "--m", "1", "--order", "12", "--definition-only"),
         # an empty structured set is refused before any move, by both commands

@@ -639,3 +639,17 @@ def test_driver_accepts_l_free_candidate():
     # every recorded sigma must be a genuine ratio
     for rec in res["trajectory"]:
         assert 0 <= rec["sigma"] <= 1
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12))
+def test_densest_matches_the_candidate_loop(scores):
+    # small counts make equal ratios and empty candidates common, so the
+    # first-maximum tie rule and the skip are both exercised
+    mass = np.array([a + b for a, b in scores], dtype=np.int64)
+    inter = np.array([a for a, _ in scores], dtype=np.int64)
+    keys = [f"cand{i}" for i in range(len(scores))]
+    got = increment._densest(keys, inter, mass)
+    assert got == ref.densest_loop(keys, inter.tolist(), mass.tolist())
+    if got is not None:
+        assert all(type(v) in (float, str, int) for v in got)

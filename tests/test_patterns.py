@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import oracles as orc
 import references as ref
 from lshape import patterns
-from lshape.field import add_map
+from lshape.field import ResourceLimitError, add_map
+from lshape.linforms import LinearForm, LinearFormSystem
 from lshape.patterns import (
     corner_average,
     count_system,
@@ -170,7 +171,7 @@ def test_telescope_inequality():
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1)])
 def test_telescope_terms_match_the_complex_path(p, n):
     # the exact terms against lam(1^j, g, S^(3-j)) of the balanced real
-    # table g = S - sigma, averaged in complex arithmetic
+    # table g = S - sigma, summed by the non-indicator enumerator in float64
     s = _random_set(p, n, 7 * p + n, density=0.5)
     one, g = ones_like(s), ref.balanced(s)
     assert g.kind == "real"
@@ -271,3 +272,80 @@ def test_count_system_agrees_with_direct_counters():
     res3 = count_system([s] * 3, ref.corner_point_system(3), 1)
     direct3 = corner_average(*[s] * 3)
     assert res3.exact_count == direct3.exact_count
+
+
+def _form_tables(system, n, kind, rng):
+    # kind "bool+complex" alternates the two along the forms
+    out = []
+    for i, form in enumerate(system.forms):
+        m = len(form.rows) * n
+        size = system.p**m
+        k = kind.split("+")[i % len(kind.split("+"))]
+        if k == "bool":
+            vals = rng.random(size) < 0.6
+        elif k == "float":
+            vals = rng.standard_normal(size)
+        else:
+            vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        out.append(FunctionTable(system.p, m, vals))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("r", [2, 3])
+def test_count_system_matches_the_tuple_loop(p, n, r):
+    # fixed forms reach every path of the enumerator: a row with v_0
+    # coefficient 0, a row whose other variables are out of index order
+    # (1, 2, 0), 2-row forms with their variables increasing, repeated
+    # and decreasing; random 1- and 2-row forms ride along
+    rng = np.random.default_rng(100 * p + 10 * n + r)
+    fixed = [
+        [(1, 2, 0)], [(0, 1, 0)], [(1, 1, 0), (0, 0, 1)], [(0, 1, 0), (1, 0, 1)],
+        [(0, 0, 1), (1, 1, 0)], [(1, 1, 1)],
+    ] if r == 3 else [[(1, 2)], [(0, 1)], [(1, 1)], [(0, 1), (1, 1)], [(1, 0), (2, 1)]]
+    forms = [LinearForm(tuple(rows)) for rows in fixed]
+    while len(forms) < len(fixed) + 2:
+        rows = tuple(tuple(int(c) for c in rng.integers(0, p, r)) for _ in range(int(rng.integers(1, 3))))
+        if any(any(row) for row in rows):
+            forms.append(LinearForm(rows))
+    system = LinearFormSystem(p, r, tuple(forms))
+    for kind in ("bool", "float", "complex", "bool+complex"):
+        tables = _form_tables(system, n, kind, rng)
+        want = ref.form_sum_loop(tables, system, n)
+        res = count_system(tables, system, n)
+        if kind == "bool":
+            assert res.exact_count == want
+            assert res.average == want / p ** (r * n)
+        else:
+            assert res.exact_count is None
+            assert complex(res.average) == pytest.approx(want / p ** (r * n), abs=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1)])
+def test_non_indicator_averages_match_oracle(p, n):
+    # real, complex and indicator tables mixed, so every dtype of the
+    # enumerator meets the configuration; the corner is the four-point
+    # average with ones in slot 2
+    rng = np.random.default_rng(10 * p + n)
+    size = p ** (2 * n)
+    real = FunctionTable(p, 2 * n, rng.standard_normal(size))
+    cplx = _random_complex_tables(p, n, 5 * p + n, 2)
+    s = _random_set(p, n, 7 * p + n, density=0.5)
+    ones = [1.0] * size
+    for tabs in ([real, real, s, real], [cplx[0], s, cplx[1], real], [s, s, cplx[0], s]):
+        vals = [list(t.values) for t in tabs]
+        got = lshape_average(*tabs)
+        assert got.exact_count is None
+        assert complex(got.average) == pytest.approx(orc.lshape_average_oracle(*vals, p, n), abs=1e-12)
+        got = corner_average(tabs[0], tabs[1], tabs[3])
+        want = orc.lshape_average_oracle(vals[0], vals[1], ones, vals[3], p, n)
+        assert complex(got.average) == pytest.approx(want, abs=1e-12)
+
+
+def test_non_indicator_averages_past_the_cap_are_refused():
+    # 625^3 triples at p = 5, n = 4 is past the 10^8 cap; sets still count
+    g = FunctionTable(5, 8, np.full(5**8, 0.5))
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        lshape_average(g, g, g, g)
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        corner_average(g, g, g)
