@@ -81,7 +81,6 @@ from .structured import (
     random_family,
 )
 from .increment import (
-    Cell,
     ProductCosetPartition,
     align_offset_increment,
     fiber_mean_increment,
@@ -135,7 +134,6 @@ __all__ = [
     "FiberFamily",
     "StructuredProductSet",
     "random_family",
-    "Cell",
     "ProductCosetPartition",
     "align_offset_increment",
     "fiber_mean_increment",

@@ -70,7 +70,14 @@ def _is_prime(q: int) -> bool:
 
 
 def check_modulus(p: int) -> None:
-    """Raise ValueError unless p is an odd prime."""
+    """Raise ValueError unless p is an odd prime.
+
+    A p above MAX_ENUMERATION is refused with ResourceLimitError before
+    the trial division, which would take about sqrt(p) steps: no table
+    with m >= 1 can use it.
+    """
+    if p > MAX_ENUMERATION:
+        raise ResourceLimitError(f"p = {p} exceeds the enumeration cap {MAX_ENUMERATION}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p == 2:

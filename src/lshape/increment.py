@@ -2,7 +2,11 @@
 
 The engine works with product coset partitions: a subspace direction V
 of Z_p^n (stored through the reduced normal rows R that cut it out)
-splits the pair space into cells (a + V) x (b + V).  Relative to a
+splits the pair space into cells (a + V) x (b + V).  The partition owns
+that geometry: a coset of V is labelled by the values of R on it, a
+cell by the labels of its two cosets, and one member table lists every
+coset in the order of V's parameters, for pseudorandomization and for
+the renormalization to a selected cell alike.  Relative to a
 structured product set T = B(y) C(x+y) D(2x+y) Phi(x,y), each cell
 carries 4 + d conditional densities:
 
@@ -28,6 +32,7 @@ return a denser structured pair or an explicit no-gain report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,12 +49,11 @@ from .field import (
 )
 from .norms import RADICAND_FLOOR
 from .patterns import lshape_average
-from .spectral import dft_batch, top_index
+from .spectral import dft_values, top_index
 from .structured import FiberFamily, StructuredProductSet
 from .tables import FunctionTable, line_counts, line_means, slot_index_array
 
 __all__ = [
-    "Cell",
     "ProductCosetPartition",
     "partition_energy",
     "PseudorandomizeResult",
@@ -69,35 +73,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Cell:
-    """One cell (a + V) x (b + V) of a product coset partition.
-
-    ``normals`` are the reduced rows cutting out V; ``a_rhs`` and
-    ``b_rhs`` are the values those rows take on the x and y cosets.
-    """
-
-    p: int
-    n: int
-    normals: tuple[tuple[int, ...], ...]
-    a_rhs: tuple[int, ...]
-    b_rhs: tuple[int, ...]
-
-    @property
-    def x_coset(self) -> AffineSubspace:
-        return subspace_from_normals(self.p, self.n, self.normals, self.a_rhs)
-
-    @property
-    def y_coset(self) -> AffineSubspace:
-        return subspace_from_normals(self.p, self.n, self.normals, self.b_rhs)
-
-    @property
-    def direction_dim(self) -> int:
-        return self.n - len(self.normals)
-
-
-@dataclass(frozen=True)
 class ProductCosetPartition:
-    """All cells (a + V) x (b + V) for a fixed direction V."""
+    """All cells (a + V) x (b + V) for a fixed direction V.
+
+    A coset of V is labelled by the values c in [0, p^codim) its normals
+    take on it, and a cell by ca + p^codim * cb, for its x coset ca and its
+    y coset cb.  The partition owns its coset geometry: the members of
+    every coset, and the labels of the sum and skew cosets of every cell.
+    """
 
     p: int
     n: int
@@ -136,6 +119,40 @@ class ProductCosetPartition:
         if len(piv) != len(self.normals) + 1:
             raise ValueError("character lies in the span of the existing normals")
         return ProductCosetPartition(self.p, self.n, tuple(tuple(int(v) for v in r) for r in red))
+
+    @cached_property
+    def direction(self) -> AffineSubspace:
+        """V itself, the coset of label 0."""
+        return subspace_from_normals(self.p, self.n, self.normals, (0,) * self.codim)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """(p^codim, p^(n - codim)) int64 table: row c holds the points of
+        coset c, ordered by the parameters of V.
+
+        The normals are reduced, so coset c is V translated by the point
+        whose pivot coordinates are the digits of c and whose free
+        coordinates are 0.  The table is audited against the parity
+        checks, not against the basis that built it: every point occurs
+        exactly once, and row c lies on coset c.
+        """
+        p, n = self.p, self.n
+        starts = np.zeros((p**self.codim, n), dtype=np.int64)
+        starts[:, [row.index(1) for row in self.normals]] = digit_table(p, self.codim)
+        out = combine(p, n, (1, 1), (index_of(p, starts)[:, None], self.direction.member_indices()[None, :]))
+        if np.any(np.bincount(out.ravel(), minlength=p**n) != 1):
+            raise AssertionError("the coset member table misses or repeats a point")
+        if np.any(self.label_index()[out] != np.arange(len(out))[:, None]):
+            raise AssertionError("a coset member table row leaves its coset")
+        return out
+
+    @cached_property
+    def cell_labels(self) -> np.ndarray:
+        """(2, p^(2 codim)) int64 table, by cell id: the labels of the sum
+        coset (a + b) + V and of the skew coset (2a + b) + V of every cell."""
+        c = np.arange(self.p**self.codim)
+        cells = (c[None, :], c[:, None])  # (ca, cb) at [cb, ca], so cell ca + p^codim * cb when flat
+        return np.stack([combine(self.p, self.codim, (k, 1), cells).reshape(-1) for k in (1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +201,6 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
         mask_i = phi_mask & (levels[pair_x] >= 0) & (levels[pair_x] <= i)
         phi_dens[i] = np.bincount(cid[mask_i], minlength=big * big) / (coset_size * coset_size)
 
-    # labels of the sum coset (a+b) + V and the skew coset (2a+b) + V of
-    # every cell, indexed like cid
-    ca, cb = np.arange(big)[None, :], np.arange(big)[:, None]
     return {
         "big": big,
         "dens_b": dens_b,
@@ -194,9 +208,6 @@ def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet)
         "dens_d": dens_d,
         "phi_dens": phi_dens,
         "levels": levels,
-        "lab_digits": digit_table(p, k),
-        "sum_lab": combine(p, k, (1, 1), (ca, cb)).reshape(-1),
-        "skew_lab": combine(p, k, (2, 1), (ca, cb)).reshape(-1),
         "cid": cid,
         "pair_x": pair_x,
     }
@@ -215,11 +226,8 @@ def partition_energy(
     data = _partition_tables(partition, t) if tables is None else tables
     big = data["big"]
     d = t.fibers.d
-    val = (
-        np.repeat(data["dens_b"], big) ** 2
-        + data["dens_c"][data["sum_lab"]] ** 2
-        + data["dens_d"][data["skew_lab"]] ** 2
-    )
+    sum_lab, skew_lab = partition.cell_labels
+    val = np.repeat(data["dens_b"], big) ** 2 + data["dens_c"][sum_lab] ** 2 + data["dens_d"][skew_lab] ** 2
     for i in range(d + 1):
         val += data["phi_dens"][i] ** 2
     per_cell = val / (4 + d)
@@ -255,7 +263,7 @@ def _top_characters(rows: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.
     for start in range(0, k, step):
         block = rows[start : start + step].astype(np.complex128)
         block -= block.mean(axis=1, keepdims=True)
-        mags = np.abs(dft_batch(block, p, dim))
+        mags = np.abs(dft_values(block, p, dim))
         del block  # one row can be the whole pair space
         best = top_index(mags)
         corr[start : start + step] = mags[np.arange(len(best)), best]
@@ -316,9 +324,13 @@ def _check_scales(eps: float, tau: float) -> None:
 
 @dataclass
 class PseudorandomizeResult:
+    """``cell`` is the id ca + p^codim * cb of the selected cell on
+    ``partition``, and ``level`` its fiber level; both are None when no
+    cell was selected."""
+
     report: dict
     partition: ProductCosetPartition
-    cell: Cell | None
+    cell: int | None
     level: int | None
     met_threshold: bool
 
@@ -382,17 +394,10 @@ def pseudorandomize_u2(
             break
         big = data["big"]
 
-        # members per label, ordered by coset parameters: the normals are
-        # reduced, so label c's coset is V translated by the point whose
-        # pivot coordinates are c and whose free coordinates are 0
-        direction = subspace_from_normals(p, n, partition.normals, (0,) * partition.codim)
-        x_basis = direction.basis()
-        pivots = [row.index(1) for row in partition.normals]
-        free = np.delete(np.arange(n), pivots)
-        label_points = np.zeros((big, n), dtype=np.int64)
-        label_points[:, pivots] = data["lab_digits"]
-        starts = index_of(p, label_points)
-        members = combine(p, n, (1, 1), (starts[:, None], direction.member_indices()[None, :]))
+        members = partition.members
+        x_basis = partition.direction.basis()
+        free = np.delete(np.arange(n), [row.index(1) for row in partition.normals])
+        sum_lab, skew_lab = partition.cell_labels
 
         # per-label deviations of the y, sum and skew factor sets
         factor_devs = []
@@ -403,8 +408,8 @@ def pseudorandomize_u2(
 
         # a cell expires when one of its factor densities falls below the floor
         cell_b = np.repeat(np.arange(big), big)  # cell ca + big * cb lies on y coset cb
-        lowest = np.minimum.reduce([data["dens_b"][cell_b], data["dens_c"][data["sum_lab"]],
-                                    data["dens_d"][data["skew_lab"]], data["phi_dens"][d]])
+        lowest = np.minimum.reduce([data["dens_b"][cell_b], data["dens_c"][sum_lab],
+                                    data["dens_d"][skew_lab], data["phi_dens"][d]])
         live = np.flatnonzero(lowest >= expiry_floor)
 
         # fiber level i of every live cell, rows ordered by cell then level;
@@ -425,7 +430,7 @@ def pseudorandomize_u2(
         chosen_chars: list[tuple[int, ...]] = []
         trigger_count = 0
         for j, cell_id in enumerate(live.tolist()):
-            labels = (cell_id // big, int(data["sum_lab"][cell_id]), int(data["skew_lab"][cell_id]))
+            labels = (cell_id // big, int(sum_lab[cell_id]), int(skew_lab[cell_id]))
             cell_triggers = [devs[lab] for devs, lab in zip(factor_devs, labels) if lab in devs]
             rows = range(j * (d + 1), (j + 1) * (d + 1))  # the cell's levels 0..d
             cell_triggers += [level_devs[row] for row in rows if row in level_devs]
@@ -491,12 +496,9 @@ def pseudorandomize_u2(
     pick = _densest(range(t_counts.size), s_counts, t_counts)
     # the first densest entry meets the margin whenever any entry does
     met = bool(pick is not None and pick[0] >= sigma + tau / 4)
-    cell_obj = level_pick = None
+    cell = level_pick = None
     if pick is not None:
-        level_pick, cell_id = divmod(pick[1], big * big)
-        # cell_id = ca + big * cb labels the cell (a + V) x (b + V)
-        a_rhs, b_rhs = (tuple(data["lab_digits"][c].tolist()) for c in (cell_id % big, cell_id // big))
-        cell_obj = Cell(p, n, partition.normals, a_rhs, b_rhs)
+        level_pick, cell = divmod(pick[1], big * big)
     report = {
         "uniformity_scale": "u2",
         "eps": eps,
@@ -511,8 +513,8 @@ def pseudorandomize_u2(
         "selected": None
         if pick is None
         else {
-            "cell_a_rhs": list(cell_obj.a_rhs),
-            "cell_b_rhs": list(cell_obj.b_rhs),
+            "cell_a_rhs": digits_of(p, partition.codim, cell % big).tolist(),
+            "cell_b_rhs": digits_of(p, partition.codim, cell // big).tolist(),
             "level": level_pick,
             "ratio": pick[0],
             "s_count": str(pick[2]),
@@ -521,7 +523,7 @@ def pseudorandomize_u2(
             "threshold": sigma + tau / 4,
         },
     }
-    return PseudorandomizeResult(report, partition, cell_obj, level_pick, met)
+    return PseudorandomizeResult(report, partition, cell, level_pick, met)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,58 +1039,37 @@ def planted_skew_instance(p: int, n: int) -> tuple[FunctionTable, StructuredProd
 def _renormalize_to_cell(
     s_set: FunctionTable,
     t: StructuredProductSet,
-    cell: Cell,
+    partition: ProductCosetPartition,
+    cell: int,
     level: int,
 ) -> tuple[FunctionTable, StructuredProductSet] | None:
     """Restrict (S, T) to cell ∩ level and rewrite in coset coordinates.
 
-    The cell is (a + V) x (b + V); points are re-parametrized through a
-    basis M of V, so the new ambient dimension is dim V and the new Phi
-    is the old one on the cell's grid of points.  A fiber meets the y
-    coset in 0 or p^(dim V - l) points, where l is its codimension inside
-    the coset, so the fibers of level ``level`` are the cell rows with
-    p^(dim V - level) points; the rewritten family keeps those rows.  Its
-    fibers need not share an offset, which alignment recovers.  Returns
-    the restricted S and the structured set of the cell, or None when no
-    base point survives on the cell.
+    The cell (a + V) x (b + V) has id ``cell`` on ``partition``; its x, y,
+    sum and skew cosets are rows of the partition's member table, so
+    points are re-parametrized by the parameters of V, the new ambient
+    dimension is dim V and the new Phi is the old one on the cell's grid
+    of points.  A fiber meets the y coset in 0 or p^(dim V - l) points,
+    where l is its codimension inside the coset, so the fibers of level
+    ``level`` are the cell rows with p^(dim V - level) points; the
+    rewritten family keeps those rows.  Its fibers need not share an
+    offset, which alignment recovers.  Returns the restricted S and the
+    structured set of the cell, or None when no base point survives on
+    the cell.
     """
-    p, n = t.p, t.n
-    new_n = cell.direction_dim
+    p = t.p
+    new_n = partition.direction_dim
     if new_n == 0:
         return None
-    x_coset = cell.x_coset
-    basis = x_coset.basis()
-    dt_new = digit_table(p, new_n)
-    x0 = x_coset.offset_point()
-    y0 = cell.y_coset.offset_point()
-
-    def coset_points(start: np.ndarray) -> np.ndarray:
-        """Indices of start + V, ordered by the parameters of the basis."""
-        return np.asarray(index_of(p, (start[None, :] + dt_new @ basis) % p), dtype=np.int64)
-
-    xs, ys = coset_points(x0), coset_points(y0)
-    # audit the parametrization against the parity checks of the x coset,
-    # not against member_indices, which runs through the same basis
-    checks = np.array(cell.normals, dtype=np.int64).reshape(-1, n)
-    on_coset = np.all(digit_table(p, n) @ checks.T % p == np.array(cell.a_rhs, dtype=np.int64), axis=1)
-    if not np.array_equal(np.sort(xs), np.flatnonzero(on_coset)):
-        raise AssertionError("coset parametrization lost members")
-
+    big = p**partition.codim
+    xs, ys, sums, skews = partition.members[[cell % big, cell // big, *partition.cell_labels[:, cell]]]
     cell_phi = t.fibers.table.as_pair_grid()[np.ix_(xs, ys)]
     keep = np.count_nonzero(cell_phi, axis=1) == p ** (new_n - level)
     if not keep.any():
         return None
     fam_new = FiberFamily(p, new_n, level, FunctionTable.from_pair_grid(p, new_n, cell_phi & keep[:, None]))
-
-    def reindex_set(s: FunctionTable, points: np.ndarray) -> FunctionTable:
-        return FunctionTable(p, new_n, s.values[points])
-
-    t_cell = StructuredProductSet(
-        reindex_set(t.y_set, ys),
-        reindex_set(t.sum_set, coset_points(x0 + y0)),
-        reindex_set(t.skew_set, coset_points(2 * x0 + y0)),
-        fam_new,
-    )
+    factors = ((t.y_set, ys), (t.sum_set, sums), (t.skew_set, skews))
+    t_cell = StructuredProductSet(*(FunctionTable(p, new_n, s.values[pts]) for s, pts in factors), fam_new)
     s_cell = s_set.as_pair_grid()[np.ix_(xs, ys)] & fam_new.table.as_pair_grid()
     return FunctionTable.from_pair_grid(p, new_n, s_cell), t_cell
 
@@ -1170,11 +1151,11 @@ def increment_driver(
             trajectory.append(record)
             halted = "no cell to select"
             break
-        if pr.cell.direction_dim == 0:
+        if pr.partition.direction_dim == 0:
             trajectory.append(record)
             halted = "dimension exhausted"
             break
-        renorm = _renormalize_to_cell(current_s, current_t, pr.cell, pr.level)
+        renorm = _renormalize_to_cell(current_s, current_t, pr.partition, pr.cell, pr.level)
         if renorm is None:
             trajectory.append(record)
             halted = "selected cell has no surviving base"

@@ -37,7 +37,6 @@ __all__ = [
     "dft_reference",
     "dft_values",
     "idft_values",
-    "dft_batch",
     "u2_fourth",
     "u2_fourth_batch",
     "top_index",
@@ -107,18 +106,14 @@ def _transform(values: np.ndarray, p: int, m: int, inverse: bool) -> np.ndarray:
 
 
 def dft_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Forward transform of a flat value array (with the 1/p^m average)."""
+    """Forward transform (with the 1/p^m average) of a flat value array,
+    or of each row of a (batch, p^m) array."""
     return _transform(values, p, m, inverse=False)
 
 
 def idft_values(values: np.ndarray, p: int, m: int) -> np.ndarray:
     """Inverse transform (plain sum, no normalization)."""
     return _transform(values, p, m, inverse=True)
-
-
-def dft_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Forward transform of each row of a (batch, p^m) array."""
-    return _transform(values, p, m, inverse=False)
 
 
 def dft(f: FunctionTable) -> FunctionTable:
@@ -148,7 +143,7 @@ def u2_fourth(f: FunctionTable) -> float:
 
 
 def u2_fourth_batch(values: np.ndarray, p: int, m: int) -> np.ndarray:
-    spec = dft_batch(values, p, m)
+    spec = dft_values(values, p, m)
     a2 = spec.real**2 + spec.imag**2
     return np.sum(a2 * a2, axis=1)
 

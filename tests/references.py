@@ -29,7 +29,7 @@ from lshape.field import (
     rank_mod,
     subspace_from_normals,
 )
-from lshape.increment import Cell, ProductCosetPartition, partition_energy
+from lshape.increment import ProductCosetPartition, partition_energy
 from lshape.linforms import ComplexityCertificate, LinearForm, LinearFormSystem, _span_contains, cs_complexity
 from lshape.norms import _pair_split, gowers_norm
 from lshape.patterns import count_system
@@ -292,12 +292,24 @@ def base_uniformity_transfer_check(fam: FiberFamily, s: int, slack: float = 1e-9
 # partitions and energy
 
 
-def cell_measure(cell: Cell) -> float:
-    return float(cell.p ** (2 * cell.direction_dim)) / float(cell.p ** (2 * cell.n))
+@dataclass(frozen=True)
+class CosetCell:
+    """Cell ``id`` = ca + p^codim * cb of a product coset partition, as its
+    x coset ca and its y coset cb, each built from the partition's parity
+    checks by ``subspace_from_normals`` and not from its member table."""
+
+    id: int
+    x_coset: AffineSubspace
+    y_coset: AffineSubspace
 
 
-def pair_member_mask(cell: Cell) -> np.ndarray:
-    size = cell.p**cell.n
+def cell_measure(cell: CosetCell) -> float:
+    x, y = cell.x_coset, cell.y_coset
+    return x.cardinality * y.cardinality / x.p ** (2 * x.ambient_dim)
+
+
+def pair_member_mask(cell: CosetCell) -> np.ndarray:
+    size = cell.x_coset.p**cell.x_coset.ambient_dim
     xm = np.zeros(size, dtype=bool)
     ym = np.zeros(size, dtype=bool)
     xm[cell.x_coset.member_indices()] = True
@@ -305,12 +317,12 @@ def pair_member_mask(cell: Cell) -> np.ndarray:
     return (xm[:, None] & ym[None, :]).reshape(-1, order="F")
 
 
-def cells(partition: ProductCosetPartition) -> list[Cell]:
-    out = []
-    for b in itertools.product(range(partition.p), repeat=partition.codim):
-        for a in itertools.product(range(partition.p), repeat=partition.codim):
-            out.append(Cell(partition.p, partition.n, partition.normals, a, b))
-    return out
+def cells(partition: ProductCosetPartition) -> list[CosetCell]:
+    """Every cell of the partition, in id order."""
+    p, n, k = partition.p, partition.n, partition.codim
+    big = p**k
+    cosets = [subspace_from_normals(p, n, partition.normals, digits_of(p, k, c)) for c in range(big)]
+    return [CosetCell(c, cosets[c % big], cosets[c // big]) for c in range(big * big)]
 
 
 def cover_check(partition: ProductCosetPartition) -> dict:

@@ -211,6 +211,10 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         # a huge digit count is refused before p^m is formed
         ("norm", "--m", "10000"),
         ("count", "--n", "100000000"),
+        # a prime modulus past the cap is refused before trial division,
+        # even where p^0 = 1 would fit
+        ("count", "--p", "2305843009213693951", "--n", "0"),
+        ("norm", "--p", "2305843009213693951", "--m", "0"),
         # the cube product average is refused by its cost estimate, which
         # counts x as well as the s differences
         ("verify", "--suite", "norms", "--p", "3", "--n", "9"),
@@ -252,6 +256,7 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         ("norm", "--table", "extra.table", "p=3 m=1 kind=real\n" + "0.0 0.0\n" * 4),
         ("count", "--set", "huge.set", "p=3 m=40\n0\n"),
         ("count", "--set", "huger.set", "p=3 m=100000000\n0\n"),
+        ("count", "--set", "huge-prime.set", "p=2305843009213693951 m=0\n"),
         # member indices outside [0, p^m), past int64 too
         ("count", "--set", "outside.set", "p=3 m=2\n9\n"),
         ("increment", "--set", "below.set", "p=3 m=2\n-1\n"),

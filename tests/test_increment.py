@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 import lshape.increment as increment
 import oracles as orc
 import references as ref
-from lshape.field import digit_table, index_of, rank_mod, subspace_from_normals
+from lshape.field import digit_table, digits_of, index_of, rank_mod, subspace_from_normals
 from lshape.increment import (
-    Cell,
     ProductCosetPartition,
     _exhaustive_l_free,
     _fiber_level_of_points,
@@ -51,6 +50,17 @@ def _random_structured(p, n, d, seed, base_density=0.85, factor_density=0.8):
     return FunctionTable(p, 2 * n, s_mask), t
 
 
+def _random_partition(p, n, k, rng):
+    """A partition of codimension k, refined by random characters."""
+    part = ProductCosetPartition(p, n, ())
+    while part.codim < k:
+        try:
+            part = part.refine(tuple(int(v) for v in rng.integers(0, p, size=n)))
+        except ValueError:
+            continue
+    return part
+
+
 def test_trivial_partition_covers():
     part = ProductCosetPartition(3, 2, ())
     assert part.codim == 0
@@ -80,6 +90,37 @@ def test_partition_refinement_and_labels():
     assert masks.any(axis=0).all()
 
 
+def test_member_table_matches_the_coset_route():
+    # row c of the member table is coset c as AffineSubspace lists it from
+    # the parity checks; the sum and skew labels of a cell are the labels of
+    # a + b and 2a + b, for points a and b of its x and y cosets
+    rng = np.random.default_rng(20)
+    for p, n in ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2)):
+        dt = digit_table(p, n)
+        for k in range(n + 1):
+            part = _random_partition(p, n, k, rng)
+            assert part.members.shape == (p**k, p ** (n - k))
+            for c in range(p**k):
+                coset = subspace_from_normals(p, n, part.normals, digits_of(p, k, c))
+                assert np.array_equal(part.members[c], coset.member_indices()), (p, n, k, c)
+            first = dt[part.members[:, 0]]
+            for coeff, want in zip((1, 2), part.cell_labels):
+                got = part.label_index()[index_of(p, (coeff * first[None, :] + first[:, None]) % p)]
+                assert np.array_equal(got.reshape(-1), want), (p, n, k, coeff)
+
+
+def test_member_table_audit_fires_on_a_corrupted_table(monkeypatch):
+    # rows rolled by one label still hold every point once, but row c then
+    # lies on coset c - 1; a point listed twice is caught as well
+    real = increment.combine
+    monkeypatch.setattr(increment, "combine", lambda *a: np.roll(real(*a), 1, axis=0))
+    with pytest.raises(AssertionError, match="leaves its coset"):
+        ProductCosetPartition(3, 2, ((1, 0),)).members
+    monkeypatch.setattr(increment, "combine", lambda *a: np.where(real(*a) == 1, 0, real(*a)))
+    with pytest.raises(AssertionError, match="misses or repeats"):
+        ProductCosetPartition(3, 2, ((1, 0),)).members
+
+
 def test_fiber_levels_match_the_rank_definition():
     # level(x) = rank(R stacked with x's normals) - codim V on the base, -1
     # off it; d = 0, k = 0 and k = n are all among the cases
@@ -91,12 +132,7 @@ def test_fiber_levels_match_the_rank_definition():
             for offsets in (rng.integers(0, p, size=n), rng.integers(0, p, size=(p**n, n))):
                 fam = FiberFamily.from_normals(base, offsets, d, normals)
                 for k in range(n + 1):
-                    part = ProductCosetPartition(p, n, ())
-                    while part.codim < k:
-                        try:
-                            part = part.refine(tuple(int(v) for v in rng.integers(0, p, size=n)))
-                        except ValueError:
-                            continue
+                    part = _random_partition(p, n, k, rng)
                     rows = np.array(part.normals, dtype=np.int64).reshape(k, n)
                     want = np.full(p**n, -1)
                     for x in np.flatnonzero(fam.base.values):
@@ -153,7 +189,7 @@ def test_pseudorandomize_terminates_and_gains():
             assert b > a  # each completed round must strictly gain
         for rec in rep["rounds"]:
             assert rec["certified_gain"] <= rec["energy_gain"] + 1e-9
-        assert res.cell is None or isinstance(res.cell, Cell)
+        assert res.cell is None or 0 <= res.cell < 3 ** (2 * res.partition.codim)
         assert res.met_threshold == rep["selected"]["met_threshold"]
 
 
@@ -538,19 +574,14 @@ def test_renormalized_cell_matches_fiber_levels():
             s = FunctionTable(p, 2 * n, t.table.values & (rng.random(p ** (2 * n)) < 0.5))
             checked.append(0)
             for codim in range(1, n):
-                part = ProductCosetPartition(p, n, ())
-                while part.codim < codim:
-                    try:
-                        part = part.refine(tuple(int(v) for v in rng.integers(0, p, size=n)))
-                    except ValueError:
-                        continue
+                part = _random_partition(p, n, codim, rng)
                 cells = ref.cells(part)
                 for j in rng.choice(len(cells), size=min(len(cells), 12), replace=False):
                     cell = cells[j]
                     xs, ys = cell.x_coset.member_indices(), cell.y_coset.member_indices()
                     levels = ref.fiber_levels(fam, normals, offsets, cell.x_coset, cell.y_coset)
                     for level in range(d + 1):
-                        out = _renormalize_to_cell(s, t, cell, level)
+                        out = _renormalize_to_cell(s, t, part, cell.id, level)
                         exact = levels[level].exact.as_pair_grid()[np.ix_(xs, ys)]
                         if out is None:
                             assert not exact.any()

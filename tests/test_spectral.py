@@ -7,8 +7,8 @@ import oracles as orc
 from lshape.field import digit_table, index_of, subspace_from_normals
 from lshape.spectral import (
     dft,
-    dft_batch,
     dft_reference,
+    dft_values,
     idft,
     inverse_u2,
     parseval_report,
@@ -82,7 +82,7 @@ def test_grouped_transforms_match_references():
 def test_grouped_batch_matches_single_rows():
     for p, m in GROUPED_SHAPES:
         rows = np.stack([_random_table(p, m, 7 * p + m + i).values for i in range(4)])
-        batch = dft_batch(rows, p, m)
+        batch = dft_values(rows, p, m)
         fourths = u2_fourth_batch(rows, p, m)
         for i, row in enumerate(rows):
             single = FunctionTable(p, m, row, "complex")
@@ -136,7 +136,7 @@ def test_u2_fourth_is_spectral_fourth_moment():
 def test_batched_transforms_match_single():
     p, m = 3, 2
     rows = np.stack([_random_table(p, m, s).values for s in range(6)])
-    batch = dft_batch(rows, p, m)
+    batch = dft_values(rows, p, m)
     for i in range(6):
         single = dft(FunctionTable(p, m, rows[i], "complex")).values
         assert np.abs(batch[i] - single).max() < 1e-12

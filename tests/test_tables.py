@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as orc
 import references as ref
@@ -251,3 +253,43 @@ def test_table_file_round_trip(tmp_path):
         back = load_table(str(path))
         assert back.kind == kind
         assert back.values.tobytes() == f.values.tobytes()
+
+
+#: Header moduli: small primes, so that bodies get parsed, small values,
+#: primes and composites past the enumeration cap (2^61 - 1 is prime, so
+#: only the cap keeps its trial division short), and anything up to 2^80
+#: in size.
+HEADER_P = st.one_of(
+    st.sampled_from([3, 5, 7]),
+    st.integers(-3, 60),
+    st.sampled_from([4093, 4099, 2**31 - 1, 2**61 - 1, 2**61 + 1, (2**31 - 1) * (2**61 - 1)]),
+    st.integers(-(2**80), 2**80),
+)
+BODY_LINE = st.one_of(
+    st.integers(-2, 2**70).map(str),
+    st.lists(st.integers(-5, 2**70), min_size=1, max_size=4).map(lambda ds: ",".join(map(str, ds))),
+    st.tuples(st.sampled_from(["0.0", "1.0", "0.5", "nan", "-inf", "1e400", "x"]),
+              st.sampled_from(["0.0", "-0.5", "x"])).map(" ".join),
+    st.text(alphabet="0123456789,.-+e #xj=\t", max_size=12),
+)
+
+
+@given(
+    p=HEADER_P,
+    m=st.one_of(st.integers(0, 2), st.integers(-2, 30)),
+    kind=st.sampled_from([None, "indicator", "real", "complex", "", "junk"]),
+    extra=st.sampled_from(["", " junk", " q=1", " p=5", " m=1"]),
+    body=st.lists(BODY_LINE, max_size=8),
+)
+def test_file_headers_load_or_refuse(tmp_path_factory, p, m, kind, extra, body):
+    # any header and body either loads or is refused with ValueError or
+    # ResourceLimitError, within the default deadline: no trial division
+    # past the cap, and nothing allocated for a size the header refuses
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    header = f"p={p} m={m}" + ("" if kind is None else f" kind={kind}") + extra
+    path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+    try:
+        f = load_any(str(path))
+    except (ValueError, ResourceLimitError):
+        return
+    assert f.values.size == f.p**f.m
