@@ -6,11 +6,17 @@ byte-identical output.  Exact counts are emitted as decimal strings.
 Wall-clock timing goes to stderr only, never into the report.
 
 Exit codes: 0 when the run succeeds and every check holds, 1 when a
-check fails, 2 for usage, input or resource errors.
+check fails or stdout is closed, 2 for usage, setting, input or
+resource errors, 3 when an internal invariant breaks.
 
-Settings can come from a config file of ``key=value`` lines (# starts a
-comment); explicit flags override the file, and the effective settings
-are echoed in the report under "config".
+``COMMANDS`` declares each subcommand once: its handler, its help line
+and its settings with their defaults.  Every setting ``name`` is both a
+flag ``--name`` (``_`` written as ``-``) and a config-file key ``name``,
+of its default's type; the settings named in ``CHOICES`` take only the
+values listed there, or their default.  A config file holds
+``key=value`` lines (# starts a comment); explicit flags override the
+file, and the effective settings are echoed in the report under
+"config".
 """
 
 from __future__ import annotations
@@ -88,20 +94,23 @@ def _coerce(value: str, like) -> object:
     return value
 
 
-def _effective_settings(args: argparse.Namespace, defaults: dict[str, object]) -> dict[str, object]:
+def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
     """defaults < config file < explicit flags, echoed back in the report."""
+    defaults = COMMANDS[args.command][2]
     merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        raw = _read_config(config_path)
-        for key, value in raw.items():
+    if args.config:
+        for key, value in _read_config(args.config).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
             merged[key] = _coerce(value, defaults[key])
     for key in defaults:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
+    # config values bypass argparse's choices; a default is always allowed
+    for key, value in merged.items():
+        if key in CHOICES and value != defaults[key] and value not in CHOICES[key]:
+            raise ValueError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
     return merged
 
 
@@ -172,9 +181,7 @@ def _random_structured(p: int, n: int, d: int, seed: int):
 
 
 def _cmd_norm(args: argparse.Namespace) -> tuple[dict, int]:
-    defaults = {"p": 3, "m": 2, "seed": 0, "order": 2, "kind": "gowers",
-                "definition_only": False, "table": ""}
-    settings = _effective_settings(args, defaults)
+    settings = _effective_settings(args)
     if settings["table"]:
         table = load_any(settings["table"])
     else:
@@ -186,20 +193,16 @@ def _cmd_norm(args: argparse.Namespace) -> tuple[dict, int]:
     elif kind == "box":
         res = box_norm(table)
         result = {"value": res.value, "power": res.power}
-    elif kind in ("slot0", "slot1", "slot2"):
+    else:
         res = slot_norm(table, int(kind[-1]))
         result = {"value": res.value, "power": res.power}
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
     result["p"] = table.p
     result["m"] = table.m
     return {"command": "norm", "config": settings, "result": result, "version": __version__}, 0
 
 
 def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
-    defaults = {"p": 3, "n": 1, "seed": 0, "pattern": "lshape", "set": "",
-                "example": "", "density": 0.5}
-    settings = _effective_settings(args, defaults)
+    settings = _effective_settings(args)
     extras: dict = {}
     if settings["set"]:
         ind = _load_set(settings["set"])
@@ -222,10 +225,8 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
         ind = _random_set(p, 2 * n, settings["seed"], settings["density"])
     if settings["pattern"] == "lshape":
         res = lshape_average(ind, ind, ind, ind)
-    elif settings["pattern"] == "corner":
-        res = corner_average(ind, ind, ind)
     else:
-        raise ValueError(f"unknown pattern {settings['pattern']!r}")
+        res = corner_average(ind, ind, ind)
     result = {
         "p": p,
         "n": n,
@@ -247,13 +248,9 @@ def _check(checks: list, check_id: str, holds: bool, **detail) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    defaults = {"p": 3, "n": 2, "seed": 0, "suite": "all", "trials": 4}
-    settings = _effective_settings(args, defaults)
+    settings = _effective_settings(args)
     p, n, seed, trials = settings["p"], settings["n"], settings["seed"], settings["trials"]
     suite = settings["suite"]
-    known = ("spectral", "control", "patterns", "norms", "trivial", "all")
-    if suite not in known:
-        raise ValueError(f"unknown suite {suite!r}; pick one of {known}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     checks: list[dict] = []
@@ -334,16 +331,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_extremal(args: argparse.Namespace) -> tuple[dict, int]:
-    defaults = {"p": 3, "n": 1, "seed": 0, "method": "exhaustive", "iterations": 200}
-    settings = _effective_settings(args, defaults)
+    settings = _effective_settings(args)
     res = search_extremal_L_free(settings["p"], settings["n"], settings["method"],
                                  settings["seed"], settings["iterations"])
     return {"command": "extremal", "config": settings, "result": res, "version": __version__}, 0
 
 
 def _cmd_pseudorandomize(args: argparse.Namespace) -> tuple[dict, int]:
-    defaults = {"p": 3, "n": 2, "d": 0, "seed": 0, "eps": 0.1, "tau": 0.1}
-    settings = _effective_settings(args, defaults)
+    settings = _effective_settings(args)
     s, t = _random_structured(settings["p"], settings["n"], settings["d"], settings["seed"])
     res = pseudorandomize_u2(s, t, settings["eps"], settings["tau"])
     return {"command": "pseudorandomize", "config": settings, "result": res.report,
@@ -351,10 +346,7 @@ def _cmd_pseudorandomize(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
-    defaults = {"p": 3, "n": 2, "d": 0, "seed": 0, "eps": 0.1, "tau": 0.1,
-                "max_steps": 12, "planted": "none", "require_l_free": False,
-                "set": "", "trajectory_file": ""}
-    settings = _effective_settings(args, defaults)
+    settings = _effective_settings(args)
     p, n = settings["p"], settings["n"]
     if settings["set"]:
         s = _load_set(settings["set"])
@@ -367,10 +359,8 @@ def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
         s, t = planted_row_instance(p, n)
     elif settings["planted"] == "line-bias":
         s, t = planted_skew_instance(p, n)
-    elif settings["planted"] == "none":
-        s, t = _random_structured(p, n, settings["d"], settings["seed"])
     else:
-        raise ValueError(f"unknown planted instance {settings['planted']!r}")
+        s, t = _random_structured(p, n, settings["d"], settings["seed"])
     res = increment_driver(s, t, settings["eps"], settings["tau"],
                            max_steps=settings["max_steps"],
                            require_l_free=settings["require_l_free"])
@@ -385,10 +375,51 @@ def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
 # wiring
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="key=value settings file")
-    sp.add_argument("--p", type=int, help="prime modulus")
-    sp.add_argument("--seed", type=int, help="random seed")
+#: Each subcommand once: its handler, its help line and its settings as
+#: name: default.  The default's type is the setting's type.
+COMMANDS = {
+    "norm": (_cmd_norm, "evaluate a uniformity norm on a table",
+             {"p": 3, "m": 2, "seed": 0, "order": 2, "kind": "gowers",
+              "definition_only": False, "table": ""}),
+    "count": (_cmd_count, "count configurations in a pair-space set",
+              {"p": 3, "n": 1, "seed": 0, "pattern": "lshape", "set": "",
+               "example": "", "density": 0.5}),
+    "verify": (_cmd_verify, "run identity and inequality checks",
+               {"p": 3, "n": 2, "seed": 0, "suite": "all", "trials": 4}),
+    "extremal": (_cmd_extremal, "search for configuration-free sets",
+                 {"p": 3, "n": 1, "seed": 0, "method": "exhaustive", "iterations": 200}),
+    "pseudorandomize": (_cmd_pseudorandomize, "refine a partition until cells look uniform",
+                        {"p": 3, "n": 2, "d": 0, "seed": 0, "eps": 0.1, "tau": 0.1}),
+    "increment": (_cmd_increment, "run the density increment driver",
+                  {"p": 3, "n": 2, "d": 0, "seed": 0, "eps": 0.1, "tau": 0.1,
+                   "max_steps": 12, "planted": "none", "require_l_free": False,
+                   "set": "", "trajectory_file": ""}),
+}
+
+CHOICES = {
+    "kind": ("gowers", "box", "slot0", "slot1", "slot2"),
+    "pattern": ("lshape", "corner"),
+    "example": ("dot", "random-phi", "coordinate"),
+    "suite": ("spectral", "control", "patterns", "norms", "trivial", "all"),
+    "method": ("exhaustive", "greedy", "local", "random"),
+    "planted": ("none", "row-bias", "line-bias"),
+}
+
+HELP = {
+    "p": "prime modulus",
+    "seed": "random seed",
+    "m": "number of digits",
+    "n": "digits per coordinate",
+    "d": "fiber codimension",
+    "order": "uniformity order s",
+    "definition_only": "force the literal nested-sum evaluation",
+    "table": "table or set file to load",
+    "set": "set file to load; for increment, pairs inside the full ambient product",
+    "example": "count a built-in obstruction set",
+    "density": "density of the random demo set",
+    "planted": "use a planted instance instead of a random one",
+    "trajectory_file": "where to write the JSON-lines step trajectory",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,64 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="configuration counting and density increments on pair spaces")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("norm", help="evaluate a uniformity norm on a table")
-    _add_common(sp)
-    sp.add_argument("--m", type=int, help="number of digits")
-    sp.add_argument("--order", type=int, help="uniformity order s")
-    sp.add_argument("--kind", choices=["gowers", "box", "slot0", "slot1", "slot2"])
-    sp.add_argument("--definition-only", dest="definition_only", action="store_const", const=True,
-                    help="force the literal nested-sum evaluation")
-    sp.add_argument("--table", help="table or set file to load")
-    sp.set_defaults(func=_cmd_norm)
-
-    sp = sub.add_parser("count", help="count configurations in a pair-space set")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, help="digits per coordinate")
-    sp.add_argument("--pattern", choices=["lshape", "corner"])
-    sp.add_argument("--set", help="set file to load")
-    sp.add_argument("--example", choices=["dot", "random-phi", "coordinate"],
-                    help="count a built-in obstruction set")
-    sp.add_argument("--density", type=float, help="density of the random demo set")
-    sp.set_defaults(func=_cmd_count)
-
-    sp = sub.add_parser("verify", help="run identity and inequality checks")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, help="digits per coordinate")
-    sp.add_argument("--suite", choices=["spectral", "control", "patterns", "norms", "trivial", "all"])
-    sp.add_argument("--trials", type=int)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("extremal", help="search for configuration-free sets")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--method", choices=["exhaustive", "greedy", "local", "random"])
-    sp.add_argument("--iterations", type=int)
-    sp.set_defaults(func=_cmd_extremal)
-
-    sp = sub.add_parser("pseudorandomize", help="refine a partition until cells look uniform")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int, help="fiber codimension")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.set_defaults(func=_cmd_pseudorandomize)
-
-    sp = sub.add_parser("increment", help="run the density increment driver")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--max-steps", dest="max_steps", type=int)
-    sp.add_argument("--planted", choices=["none", "row-bias", "line-bias"],
-                    help="use a planted instance instead of a random one")
-    sp.add_argument("--set", help="candidate set file (pairs inside the full ambient product)")
-    sp.add_argument("--trajectory-file", dest="trajectory_file",
-                    help="where to write the JSON-lines step trajectory")
-    sp.add_argument("--require-l-free", dest="require_l_free", action="store_const", const=True)
-    sp.set_defaults(func=_cmd_increment)
-
+    for command, (_, help_line, settings) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
+        sp.add_argument("--config", help="key=value settings file")
+        for name, default in settings.items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(default, bool):
+                sp.add_argument(flag, dest=name, action="store_const", const=True, help=HELP.get(name))
+            else:
+                sp.add_argument(flag, dest=name, type=type(default), choices=CHOICES.get(name),
+                                help=HELP.get(name))
     return parser
 
 
@@ -468,13 +451,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report, code = args.func(args)
+        report, code = COMMANDS[args.command][0](args)
     except (ValueError, OSError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     try:
         _emit(report)
         sys.stdout.flush()

@@ -1091,9 +1091,10 @@ def increment_driver(
     to the cell's coordinates, and offset alignment.  The trajectory records every
     step; the loop stops when S is empty or fills T, when the ambient
     dimension is exhausted, when no move gains density, or at the step
-    cap.  Configuration-freeness is counted on entry and re-counted after
-    every coordinate change (affine renormalization maps configurations
-    to configurations, so this is an audit, not a hope).  A split move
+    cap.  With ``require_l_free``, an S that holds configurations on
+    entry is bad input (ValueError), and S is re-counted after every
+    coordinate change (affine renormalization maps configurations to
+    configurations, so this is an audit, not a hope).  A split move
     keeps the coordinates and returns S ∩ T', which is checked to lie
     inside S and so cannot gain a configuration.
     """
@@ -1102,11 +1103,9 @@ def increment_driver(
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     _density_inside(s_set, t.table)
 
-    def recount(s: FunctionTable) -> None:
-        if require_l_free and not _verify_l_free(s):
-            raise AssertionError("the candidate set acquired a configuration")
-
-    recount(s_set)
+    if require_l_free and not _verify_l_free(s_set):
+        found = lshape_average(s_set, s_set, s_set, s_set).nontrivial_count
+        raise ValueError(f"the candidate set holds {found} nontrivial configurations")
     trajectory: list[dict] = []
     current_s, current_t = s_set, t
     halted = ""
@@ -1172,7 +1171,8 @@ def increment_driver(
             halted = "no density gain from restriction"
             break
         current_s, current_t = align["_new_s"], align["_new_t"]
-        recount(current_s)
+        if require_l_free and not _verify_l_free(current_s):
+            raise AssertionError("the candidate set acquired a configuration")
 
     else:
         halted = "step cap reached"

@@ -326,6 +326,9 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
     exactly 1/p, count ~ N^3/p^3 in expectation.
     """
     check_size(p, 2 * n)
+    if n < 1 and kind in ("random_phi", "coordinate"):
+        # no phi(x) != 0 and no digit y_0 exist on Z_p^0
+        raise ValueError(f"the {kind} construction needs n >= 1")
     size = p**n
     d = digit_table(p, n)
     if kind == "dot":

@@ -246,18 +246,21 @@ def save_set(path: str, s: FunctionTable) -> None:
             fh.write(f"{int(idx)}\n")
 
 
-def _parse_header(line: str, want_kind: bool) -> tuple[int, int, str]:
-    parts = dict(tok.split("=", 1) for tok in line.split())
+def _parse_header(path: str, line: str, want_kind: bool) -> tuple[int, int, str]:
+    try:
+        parts = dict(tok.split("=", 1) for tok in line.split())
+    except ValueError:
+        raise ValueError(f"{path}:1: header tokens must be key=value, got {line!r}") from None
     try:
         p = int(parts["p"])
         m = int(parts["m"])
-    except KeyError as exc:
-        raise ValueError(f"malformed header {line!r}: missing {exc}") from None
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}:1: header {line!r} needs integer p= and m=") from None
     check_size(p, m)
     check_modulus(p)
     kind = parts.get("kind", "indicator")
     if want_kind and "kind" not in parts:
-        raise ValueError(f"table header {line!r} lacks kind=")
+        raise ValueError(f"{path}:1: table header {line!r} lacks kind=")
     return p, m, kind
 
 
@@ -266,21 +269,23 @@ def load_set(path: str) -> FunctionTable:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty set file")
-    p, m, _ = _parse_header(lines[0], want_kind=False)
+    p, m, _ = _parse_header(path, lines[0], want_kind=False)
     indices: list[int] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        try:
+            nums = [int(tok) for tok in line.split(",")]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected an index or comma-separated digits") from None
         if "," in line:
-            # reduced here, so that no digit overflows index_of's int64
-            digits = [int(tok) % p for tok in line.split(",")]
-            if len(digits) != m:
+            if len(nums) != m:
                 raise ValueError(f"{path}:{lineno}: expected {m} digits")
-            idx = index_of(p, digits)
+            # reduced here, so that no digit overflows index_of's int64
+            indices.append(index_of(p, [d % p for d in nums]))
         else:
-            idx = int(line)
-        indices.append(idx)
+            indices.append(nums[0])
     return FunctionTable.from_indices(p, m, indices)
 
 
@@ -296,19 +301,20 @@ def load_table(path: str) -> FunctionTable:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty table file")
-    p, m, kind = _parse_header(lines[0], want_kind=True)
+    p, m, kind = _parse_header(path, lines[0], want_kind=True)
     vals = np.zeros(p**m, dtype=np.complex128)
     row = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise ValueError(f"{path}:{lineno}: expected '<re> <im>'")
+        try:
+            re_part, im_part = map(float, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected '<re> <im>'") from None
         if row == p**m:
             raise ValueError(f"{path}:{lineno}: more than {p ** m} values")
-        vals[row] = complex(float(toks[0]), float(toks[1]))
+        vals[row] = complex(re_part, im_part)
         row += 1
     if row != p**m:
         raise ValueError(f"{path}: expected {p ** m} values, found {row}")

@@ -1,12 +1,16 @@
 """End-to-end runs of the command line interface via subprocess."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lshape import cli
 
@@ -191,6 +195,66 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert from_cfg["config"]["seed"] == overridden["config"]["seed"] == 11
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_config_of_every_default_matches_the_bare_command(command, tmp_path, capsys):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in cli.COMMANDS[command][2].items()))
+    assert cli.main([command]) == 0
+    bare = capsys.readouterr().out
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == bare
+
+
+@pytest.mark.parametrize("name", sorted(cli.CHOICES))
+def test_config_value_outside_its_choices_exits_two(name, tmp_path, capsys):
+    command = next(c for c, (_, _, defaults) in cli.COMMANDS.items() if name in defaults)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{name}=cube\n")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {name} must be one of {cli.CHOICES[name]}, got 'cube'"]
+
+
+#: Valid and junk values of every ``count`` setting; p and n stay small,
+#: so that each run takes milliseconds.
+COUNT_VALID = {
+    "p": ["3", "5"], "n": ["0", "1", "2", "3"], "seed": ["0", "7"], "pattern": ["lshape", "corner"],
+    "example": ["", "dot", "random-phi", "coordinate"], "density": ["0", "0.5", "1"], "set": [""],
+}
+COUNT_JUNK = {
+    "p": ["2", "4", "9", "x", "", "3.0"], "n": ["-1", "x"], "seed": ["-1", "x"], "pattern": ["", "cube"],
+    "example": ["random_phi"], "density": ["nan", "-1", "inf", "x"], "set": ["missing.set"],
+}
+#: lines that change nothing
+SKIPPED_LINE = st.sampled_from(["# comment", "", "  \t", "p=3  # trailing comment"])
+#: junk values of known keys, unknown keys and lines without '='
+BAD_LINE = st.one_of(
+    st.sampled_from([f"{key}={value}" for key, values in COUNT_JUNK.items() for value in values]),
+    st.sampled_from(["order=2", "kind=box", "P=3", "=3"]),
+    st.text(alphabet="abp #\t01", min_size=1, max_size=10).filter(lambda t: t.split("#")[0].strip()),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(valid=st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in COUNT_VALID.items()}),
+       skipped=st.lists(SKIPPED_LINE, max_size=2), bad=st.lists(BAD_LINE, max_size=2))
+def test_count_config_fuzz_reports_or_refuses(tmp_path_factory, valid, skipped, bad):
+    lines = skipped[:1] + [f"{key}={value}" for key, value in valid.items()] + skipped[1:] + bad
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["count", "--config", str(cfg)])
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == "count"
+    else:
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+
+
 def test_exit_code_two_on_bad_input(tmp_path):
     missing = tmp_path / "nope.set"
     run_cli("count", "--set", str(missing), expect=2)
@@ -233,6 +297,9 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         ("count", "--p", "3", "--n", "1", "--density", "nan"),
         ("count", "--p", "3", "--n", "1", "--density", "-1"),
         ("count", "--p", "3", "--n", "1", "--density", "2"),
+        # the hyperplane and coordinate examples have nothing to draw at n = 0
+        ("count", "--example", "random-phi", "--n", "0"),
+        ("count", "--example", "coordinate", "--n", "0"),
         ("extremal", "--method", "random", "--iterations", "-3"),
         ("extremal", "--method", "random", "--iterations", "0"),
         ("extremal", "--iterations", "-1"),
@@ -261,6 +328,10 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         ("count", "--set", "outside.set", "p=3 m=2\n9\n"),
         ("increment", "--set", "below.set", "p=3 m=2\n-1\n"),
         ("count", "--set", "overflow.set", "p=3 m=2\n100000000000000000000000\n"),
+        # a header token without '=' and a value that is not a number
+        ("count", "--set", "junk-header.set", "p=3 m=1 junk\n0\n"),
+        ("count", "--set", "junk-member.set", "p=3 m=2\n0\n1,x\n"),
+        ("norm", "--table", "junk-value.table", "p=3 m=1 kind=real\nx 0.0\n0.0 0.0\n0.0 0.0\n"),
     ):
         (tmp_path / name).write_text(text)
         cases.append((command, flag, str(tmp_path / name)))
@@ -275,12 +346,34 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
 
 
 def test_exit_code_one_on_failed_assertion():
+    # a candidate set that arrives holding configurations is bad input
     proc = run_cli(
         "increment", "--planted", "none", "--p", "3", "--n", "2",
         "--require-l-free", "--seed", "0",
-        expect=1,
+        expect=2,
     )
-    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: the candidate set holds 2 nontrivial configurations"]
+
+
+def test_broken_invariant_exits_three(monkeypatch, capsys):
+    from lshape import increment
+
+    def broken(*args):
+        raise AssertionError("scored |T'| disagrees")
+
+    monkeypatch.setattr(increment, "_check_winner", broken)
+    assert cli.main("increment --planted row-bias --p 3 --n 2".split()) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["internal error: scored |T'| disagrees"]
+
+
+def test_failed_check_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "parseval_report", lambda f: {"relative_gap": 1.0})
+    assert cli.main("verify --suite spectral --trials 1".split()) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_hold"] is False
+    assert [c["id"] for c in report["checks"] if not c["holds"]] == ["parseval-identity"]
 
 
 def test_closed_stdout_exits_one_without_traceback():

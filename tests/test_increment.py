@@ -656,7 +656,7 @@ def test_driver_flags_configured_candidates():
     full = ref.full_set(3, 1)
     t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     s = t.table  # everything: full of configurations
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="holds .* nontrivial configurations"):
         increment_driver(s, t, eps=0.1, tau=0.1, require_l_free=True)
 
 

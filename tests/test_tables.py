@@ -230,6 +230,19 @@ def test_set_file_digit_lines(tmp_path):
         load_set(str(path))
 
 
+def test_malformed_lines_name_their_file(tmp_path):
+    for name, text, message in (
+        ("junk.set", "p=3 m=1 junk\n0\n", ":1: header tokens must be key=value"),
+        ("junk.table", "p=3 m=1 kind=real\nx 0.0\n0.0 0.0\n0.0 0.0\n", ":2: expected '<re> <im>'"),
+        ("junk-member.set", "p=3 m=2\n0\n1,x\n", ":3: expected an index or comma-separated digits"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_any(str(path))
+        assert str(info.value).startswith(str(path) + message), info.value
+
+
 def test_table_file_round_trip(tmp_path):
     vals = _random_complex(3, 2, 13)
     f = FunctionTable(3, 2, vals, "complex")
