@@ -111,6 +111,12 @@ def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
     for key, value in merged.items():
         if key in CHOICES and value != defaults[key] and value not in CHOICES[key]:
             raise ValueError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
+    # a negative digit count is refused by the value given: further down a
+    # count would name the 2n digits of its pair space, and the extremal
+    # search would fail with a traceback
+    for key in ("n", "m"):
+        if merged.get(key, 0) < 0:
+            raise ValueError(f"{key} must be nonnegative, got {merged[key]}")
     return merged
 
 

@@ -9,11 +9,12 @@ p**m and all vectorised kernels rely on that single convention.
 A group element is either its digit vector, an int64 array of length
 m, or its canonical index; ``digits_of`` and ``index_of`` convert
 between the two.  Apart from its independent audits, the rest of the
-package combines elements through two helpers here: ``combine`` gives
-the index of a linear combination of elements, and ``rank_mod`` is the
-rank of a residue matrix.  ``check_modulus`` and ``check_size`` hold
-the input rules shared by every table: p an odd prime, and at most
-MAX_ENUMERATION elements.
+package combines elements through three helpers here: ``combine`` gives
+the index of a linear combination of elements, ``translations`` the
+rows x -> x + h of whole translations, and ``rank_mod`` is the rank of a
+residue matrix.  ``check_modulus`` and ``check_size`` hold the input
+rules shared by every table: p an odd prime, and at most MAX_ENUMERATION
+elements.
 
 Cosets w + V are stored in parity-check form: a reduced list of normal
 vectors n_j together with target residues c_j, the coset being
@@ -46,6 +47,7 @@ __all__ = [
     "add_map",
     "scale_map",
     "combine",
+    "translations",
 ]
 
 #: Hard cap on dense enumeration sizes (number of group elements): the
@@ -132,9 +134,12 @@ def index_of(p: int, digits: np.ndarray | Sequence[int]) -> np.ndarray | int:
 
 @lru_cache(maxsize=8192)
 def add_map(p: int, m: int, h_index: int) -> np.ndarray:
-    """Permutation a with a[i] = index of (element i) + (element h), read-only."""
-    d = digit_table(p, m)
-    out = index_of(p, (d + d[h_index]) % p)
+    """Permutation a with a[i] = index of (element i) + (element h), read-only.
+
+    One row of ``translations``, cached; the package's kernels take
+    their rows from ``translations`` a block at a time instead.
+    """
+    out = translations(p, m, np.array([h_index]))[0]
     out.setflags(write=False)
     return out
 
@@ -161,6 +166,36 @@ def combine(p: int, m: int, coeffs: Sequence[int], indices: Sequence[np.ndarray 
         acc = sum(int(c) * (i // place % p) for c, i in zip(coeffs, idx))
         out += acc % p * place
     return out
+
+
+@lru_cache(maxsize=16)
+def _half_sums(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition tables of the low m // 2 digits and of the high digits.
+
+    With L = p^(m // 2), index(x + h) = low[h % L, x % L] +
+    high[h // L, x // L]; ``high`` holds its sums times L.  The tables
+    have p^(2 (m // 2)) and p^(2 (m - m // 2)) entries, not p^(2m).
+    """
+    lo, hi = p ** (m // 2), p ** (m - m // 2)
+    low = combine(p, m // 2, (1, 1), (np.arange(lo)[:, None], np.arange(lo)))
+    high = combine(p, m - m // 2, (1, 1), (np.arange(hi)[:, None], np.arange(hi))) * lo
+    for table in (low, high):
+        table.flags.writeable = False
+    return low, high
+
+
+def translations(p: int, m: int, h: np.ndarray) -> np.ndarray:
+    """The (len(h), p^m) indices of x + h, for each index h and every x.
+
+    Two half-digit table rows and one broadcast add make a row.  At m = 0
+    both tables are the single entry 0, so every row is [0].
+    """
+    if m == 1:
+        # one digit: a table would hold p^2 entries for p additions a row
+        return (h[:, None] + np.arange(p)) % p
+    low, high = _half_sums(p, m)
+    lo = len(low)
+    return (high[h // lo][:, :, None] + low[h % lo][:, None, :]).reshape(len(h), p**m)
 
 
 def modular_rref(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .field import ResourceLimitError, combine
+from .field import ResourceLimitError, combine, translations
 from .spectral import u2_fourth_batch
 from .tables import FunctionTable, line_means
 
@@ -88,33 +87,6 @@ def _root(raw: complex, power: int) -> NormValue:
 _CUBE_BLOCK = 1 << 13
 
 
-@lru_cache(maxsize=16)
-def _half_sums(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Addition tables of the low m // 2 digits and of the high digits.
-
-    With L = p^(m // 2), index(x + h) = low[h % L, x % L] +
-    high[h // L, x // L]; ``high`` holds its sums times L.  The tables
-    have p^(2 (m // 2)) and p^(2 (m - m // 2)) entries, not p^(2m).
-    """
-    lo, hi = p ** (m // 2), p ** (m - m // 2)
-    low = combine(p, m // 2, (1, 1), (np.arange(lo)[:, None], np.arange(lo)))
-    high = combine(p, m - m // 2, (1, 1), (np.arange(hi)[:, None], np.arange(hi))) * lo
-    for table in (low, high):
-        table.flags.writeable = False
-    return low, high
-
-
-def _shifted(p: int, m: int, h: np.ndarray) -> np.ndarray:
-    """The (len(h), p^m) indices of x + h, for each h and every x: two
-    table rows and one broadcast add a row."""
-    if m == 1:
-        # one digit: a table would hold p^2 entries for p additions a row
-        return (h[:, None] + np.arange(p)) % p
-    low, high = _half_sums(p, m)
-    lo = len(low)
-    return (high[h // lo][:, :, None] + low[h % lo][:, None, :]).reshape(len(h), p**m)
-
-
 def _delta_rows(batch: np.ndarray, p: int, m: int, r: int):
     """The rows Delta_{h_1} ... Delta_{h_r} of each row of ``batch``.
 
@@ -131,7 +103,7 @@ def _delta_rows(batch: np.ndarray, p: int, m: int, r: int):
     conj = np.conj(batch)
     step = max(1, _CUBE_BLOCK // (len(batch) * size**r))
     for start in range(0, size, step):
-        moved = conj[:, _shifted(p, m, np.arange(start, min(start + step, size)))]
+        moved = conj[:, translations(p, m, np.arange(start, min(start + step, size)))]
         yield from _delta_rows((batch[:, None, :] * moved).reshape(-1, size), p, m, r - 1)
 
 
@@ -165,8 +137,8 @@ def _cube_average(corners, p: int, m: int) -> complex:
             * E_y prod_{w_s=1} C^|w| corners[w](y + w'.h')
 
     Every corner value is gathered from ``corners`` itself, with no
-    transform and no difference recursion, so this audit shares only the
-    addition tables with the fast path.  The tuples h' come a block at a
+    transform and no difference recursion, so this audit shares only
+    ``field.translations`` with the fast path.  The tuples h' come a block at a
     time, each block gathering at most _CUBE_BLOCK entries per half (or
     one tuple's, if they are more): 2^s p^(ms) gathers in all, against
     the p^(m(s+1)) (x, h) points.
@@ -188,9 +160,9 @@ def _cube_average(corners, p: int, m: int) -> complex:
         # offsets[k, j] is the index of w'_j . h'_k, one bit of w' at a time
         offsets = np.zeros((len(t), 1), dtype=np.int64)
         for i in range(r):
-            moved = np.take_along_axis(_shifted(p, m, t // size ** (r - 1 - i) % size), offsets, axis=1)
+            moved = np.take_along_axis(translations(p, m, t // size ** (r - 1 - i) % size), offsets, axis=1)
             offsets = np.stack([offsets, moved], axis=2).reshape(len(t), -1)
-        cols = _shifted(p, m, offsets.ravel()).reshape(len(t), 2**r, size) + place
+        cols = translations(p, m, offsets.ravel()).reshape(len(t), 2**r, size) + place
         means = []
         for half in halves:
             vals = half.take(cols)

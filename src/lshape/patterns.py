@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import ResourceLimitError, add_map, check_size, combine, digit_table, scale_map
+from .field import ResourceLimitError, check_size, combine, digit_table, scale_map, translations
 from .tables import FunctionTable
 
 __all__ = [
@@ -82,13 +82,16 @@ def _form_sum(tables: list[np.ndarray], forms, p: int, n: int) -> int | float | 
         raise ResourceLimitError(f"tuple space of size {size ** r} exceeds cap {MAX_TUPLES}")
     dtype = np.result_type(np.int64, *tables)
     variables = [np.arange(size).reshape((size,) + (1,) * l) for l in range(r - 1)]
-    factors = []
+    factors, scales = [], []
     for values, rows in zip(tables, forms):
         k = len(rows)
         grid = values.astype(dtype, copy=False).reshape((size,) * k)
         # translations and gathers own their buffers: fresh ones are paged in anew per v_0
-        shifts = [(k - 1 - j, scale_map(p, n, row[0] % p), np.empty_like(grid))
-                  for j, row in enumerate(rows) if row[0] % p]
+        shifts = []
+        for j, row in enumerate(rows):
+            if row[0] % p:
+                shifts.append((k - 1 - j, len(scales), np.empty_like(grid)))
+                scales.append(scale_map(p, n, row[0] % p))
         rests = [[c % p for c in row[1:]] for row in rows]
         axes = [rest.index(1) for rest in rests if sum(rest) == 1]  # the rows c v_0 + v_l
         if len(axes) == k and axes == sorted(set(axes)):
@@ -97,14 +100,17 @@ def _form_sum(tables: list[np.ndarray], forms, p: int, n: int) -> int | float | 
             idx = sum(size**j * combine(p, n, row[1:], variables) for j, row in enumerate(rows))
             shape, out = None, np.empty(idx.shape, dtype)
         factors.append((grid, shifts, shape, idx, out))
+    # column v_0 holds the indices of c v_0 for each shifted row's c
+    multiples = np.array(scales, dtype=np.int64).reshape(len(scales), size)
     acc = np.empty((size,) * (r - 1), dtype=dtype)
     total = 0
     for v0 in range(size):
+        moves = translations(p, n, multiples[:, v0])
         acc.fill(1)
         for grid, shifts, shape, idx, out in factors:
-            for axis, scale, buf in shifts:
+            for axis, row, buf in shifts:
                 # the maps are permutations, so mode="clip" changes no index
-                grid = np.take(grid, add_map(p, n, int(scale[v0])), axis=axis, out=buf, mode="clip")
+                grid = np.take(grid, moves[row], axis=axis, out=buf, mode="clip")
             acc *= grid.reshape(shape) if idx is None else np.take(grid, idx, out=out, mode="clip")
         total += acc.sum().item()
     return total
@@ -182,38 +188,55 @@ def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_poi
     Every point of the configuration but the last shares x with (x, y),
     so each is a row gather y -> y + c z of one packed table.  The last
     point (x + z, y) moves x: digits add without carry, so the low digits
-    of z shift bits inside a word and the high digits permute words.
-    Each distinct table is packed once, the last one's copies for every
-    low shift are made from it by bit shifts, and each z takes one word
-    gather of the copy for its low digits.
+    z_lo of z shift bits inside a word and the high digits z_hi move
+    whole words.  The sum over x of A(x) B(x + z) equals the sum of
+    A(x - z_hi) B(x + z_lo), so once per high shift the words of every
+    first table move by -z_hi, and each z then reads the last table's
+    bit-shifted copy for z_lo as it is.  Each distinct table is packed
+    once, and one ``translations`` call per high shift gives the rows
+    y + c z of its p^k values of z.
     """
     size = p**n
     k, low, dtype = _word_layout(p, n)
+    # a word holds at most low set bits, so a uint8 partial sum of its
+    # counts takes 255 // low values of z, and its uint32 total, at most
+    # low * p^n bits over all p^n values of z, holds them all
+    if low * size >= 2**32:
+        raise AssertionError(f"{low} * {size} set bits overflow the uint32 totals")
     distinct = {id(t): t for t in tables}
     words = {key: _pack_rows(t.as_pair_grid(), low, dtype) for key, t in distinct.items()}
-    first = [words[id(t)] for t in tables[:-1]]
     shifted = _shifted_copies(words[id(tables[-1])], p, k)
+    first = [id(t) for t in tables[:-1]]
+    moved = {key: np.empty_like(words[key]) for key in first}
     steps = (1, 2) if use_third_point else (1,)
-    scales = [scale_map(p, n, c) for c in steps]
-    acc = np.empty_like(first[0])
+    scales = np.stack([scale_map(p, n, c) for c in steps])
+    negated = scale_map(p, n - k, p - 1)
+    acc = np.empty_like(shifted[0])
     gathered = np.empty_like(acc)
     counts = np.empty(acc.shape, dtype=np.uint8)
-    # a word gains at most low set bits per z, so its total is at most
-    # low * p^n <= 64 * 2^12 under the enumeration cap: uint32 is ample
-    totals = np.zeros(acc.shape, dtype=np.uint32)
+    partial, totals = np.zeros_like(counts), np.zeros(acc.shape, dtype=np.uint32)
     trivial = 0
-    for z in range(size):
+    for z_hi in range(size // low):
         # the maps are permutations, so mode="clip" changes no index; it
         # only spares np.take the buffered copy that mode="raise" makes
-        np.take(shifted[z % low], add_map(p, n - k, z // low), axis=1, out=acc, mode="clip")
-        acc &= first[0]
-        for w, scale in zip(first[1:], scales):
-            np.take(w, add_map(p, n, int(scale[z])), axis=0, out=gathered, mode="clip")
-            acc &= gathered
-        np.bitwise_count(acc, out=counts)
-        totals += counts
-        if z == 0:
-            trivial = int(counts.sum())
+        back = translations(p, n - k, negated[z_hi : z_hi + 1])[0]
+        for key, out in moved.items():
+            np.take(words[key], back, axis=1, out=out, mode="clip")
+        block = scales[:, z_hi * low : (z_hi + 1) * low]
+        rows = translations(p, n, block.ravel()).reshape(len(steps), low, size)
+        for z_lo in range(low):
+            np.bitwise_and(shifted[z_lo], moved[first[0]], out=acc)
+            for key, row in zip(first[1:], rows[:, z_lo]):
+                np.take(moved[key], row, axis=0, out=gathered, mode="clip")
+                acc &= gathered
+            np.bitwise_count(acc, out=counts)
+            partial += counts
+            if (z_hi * low + z_lo + 1) % (255 // low) == 0:
+                totals += partial
+                partial.fill(0)
+            if z_hi == z_lo == 0:
+                trivial = int(counts.sum())
+    totals += partial
     return int(totals.sum(dtype=np.int64)), trivial
 
 

@@ -345,6 +345,15 @@ def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
         assert proc.stderr.startswith("error: "), (args, proc.stderr)
 
 
+def test_negative_digit_counts_name_the_value_given():
+    # a count would otherwise be refused for the 2n digits of its pair
+    # space, and the extremal search would fail with a traceback
+    for args in (("count", "--p", "3", "--n", "-1"), ("count", "--example", "dot", "--p", "3", "--n", "-1"),
+                 ("extremal", "--p", "3", "--n", "-1"), ("norm", "--m", "-1")):
+        proc = run_cli(*args, expect=2)
+        assert proc.stderr == f"error: {args[-2][2:]} must be nonnegative, got -1\n", (args, proc.stderr)
+
+
 def test_exit_code_one_on_failed_assertion():
     # a candidate set that arrives holding configurations is bad input
     proc = run_cli(

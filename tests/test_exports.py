@@ -43,9 +43,15 @@ def test_every_module_level_import_is_used():
 
 
 #: Public names that nothing in the package calls, by module: the writers
-#: of the set and table formats that the command line reads, and the
-#: command line's entry points.
-UNCALLED_BUT_PUBLIC = {"tables": {"save_set", "save_table"}, "cli": {"main", "build_parser"}}
+#: of the set and table formats that the command line reads, the command
+#: line's entry points, and ``add_map``, the cached single translation row
+#: whose cache figures the benchmark reads while the kernels take their
+#: rows from ``field.translations``.
+UNCALLED_BUT_PUBLIC = {
+    "tables": {"save_set", "save_table"},
+    "cli": {"main", "build_parser"},
+    "field": {"add_map"},
+}
 
 
 def _loads_outside_own_definition(tree: ast.AST, name: str) -> bool:

@@ -17,6 +17,7 @@ from lshape.field import (
     rank_mod,
     scale_map,
     subspace_from_normals,
+    translations,
 )
 
 
@@ -46,6 +47,18 @@ def test_add_and_scale_maps():
         sm = scale_map(p, m, c)
         for x in range(p**m):
             assert int(sm[x]) == orc.scale_index(c, x, p, m)
+
+
+@pytest.mark.parametrize("p,m", [(3, 0), (3, 1), (3, 2), (3, 5), (3, 6), (5, 5), (67, 1)])
+def test_translations_match_combine(p, m):
+    # odd m splits into unequal halves, m = 1 adds one digit directly and
+    # m = 0 has the single element 0
+    size = p**m
+    h = np.random.default_rng(p + m).integers(0, size, size=min(size, 50))
+    rows = translations(p, m, h)
+    assert rows.shape == (len(h), size)
+    assert np.array_equal(rows, combine(p, m, (1, 1), (np.arange(size), h[:, None])))
+    assert np.array_equal(add_map(p, m, int(h[-1])), rows[-1])
 
 
 def test_modular_rref_properties():

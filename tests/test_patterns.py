@@ -55,11 +55,12 @@ def test_lshape_counts_match_oracle():
         assert res.average == pytest.approx(total / p ** (3 * n))
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (67, 1)])
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (11, 1), (67, 1), (3, 4)])
 def test_counts_of_distinct_sets_match_oracle(p, n):
     # four different sets, so a wrong slot (the shifted last table above
     # all) cannot hide; k = n fills one word, p = 67 > 64 leaves one bit
-    # per word, and p >= 11 is the paper's regime
+    # per word, p >= 11 is the paper's regime, and n = 4 > k = 3 at p = 3
+    # moves the first tables' words by each of three high shifts
     sets = [_random_set(p, n, 100 * p + 10 * n + i, density=0.7) for i in range(4)]
     tabs = sets
     vals = [list(t.values) for t in tabs]
@@ -97,6 +98,17 @@ def test_shift_built_copies_match_packed_gathers(p, n, word):
     for z_lo, copy in enumerate(copies):
         assert copy.dtype == dtype
         assert np.array_equal(copy, patterns._pack_rows(grid[add_map(p, n, z_lo)], low, dtype)), z_lo
+
+
+def test_counting_leaves_the_translation_cache_empty():
+    # the kernels take their rows from field.translations a block at a
+    # time, so no p^n-entry permutation per translation is kept
+    add_map.cache_clear()
+    s = _random_set(3, 4, 7)
+    lshape_average(s, s, s, s)
+    corner_average(s, s, s)
+    lshape_average(*_random_complex_tables(3, 1, 8, 4))
+    assert add_map.cache_info().currsize == 0
 
 
 def test_corner_counts_match_oracle():
