@@ -40,17 +40,19 @@ import numpy as np
 from .field import (
     AffineSubspace,
     ResourceLimitError,
+    check_size,
     combine,
     digit_table,
     digits_of,
     index_of,
     modular_rref,
     subspace_from_normals,
+    translations,
 )
 from .norms import RADICAND_FLOOR
 from .patterns import lshape_average
 from .spectral import dft_values, top_index
-from .structured import FiberFamily, StructuredProductSet
+from .structured import FACTOR_SLOTS, FiberFamily, StructuredProductSet
 from .tables import FunctionTable, line_counts, line_means, slot_index_array
 
 __all__ = [
@@ -79,7 +81,7 @@ class ProductCosetPartition:
     A coset of V is labelled by the values c in [0, p^codim) its normals
     take on it, and a cell by ca + p^codim * cb, for its x coset ca and its
     y coset cb.  The partition owns its coset geometry: the members of
-    every coset, and the labels of the sum and skew cosets of every cell.
+    every coset, and the labels of the y, sum and skew cosets of every cell.
     """
 
     p: int
@@ -148,11 +150,13 @@ class ProductCosetPartition:
 
     @cached_property
     def cell_labels(self) -> np.ndarray:
-        """(2, p^(2 codim)) int64 table, by cell id: the labels of the sum
-        coset (a + b) + V and of the skew coset (2a + b) + V of every cell."""
+        """(3, p^(2 codim)) int64 table, by cell id: row k holds the label of
+        the coset (k a + b) + V of every cell, on which the factor in slot
+        ``FACTOR_SLOTS[k]`` is read: the y coset, the sum coset and the skew
+        coset."""
         c = np.arange(self.p**self.codim)
-        cells = (c[None, :], c[:, None])  # (ca, cb) at [cb, ca], so cell ca + p^codim * cb when flat
-        return np.stack([combine(self.p, self.codim, (k, 1), cells).reshape(-1) for k in (1, 2)])
+        sums = translations(self.p, self.codim, c)  # ca + cb at [cb, ca], so cell ca + p^codim * cb when flat
+        return np.stack([sums[:, combine(self.p, self.codim, (k,), (c,))].reshape(-1) for k in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -176,40 +180,33 @@ def _fiber_level_of_points(fam: FiberFamily, lab: np.ndarray, k: int) -> np.ndar
 
 
 def _partition_tables(partition: ProductCosetPartition, t: StructuredProductSet) -> dict:
-    """Per-cell conditional densities of T's factors, vectorized by label."""
+    """Per-cell conditional densities of T's factors, vectorized by label.
+
+    ``dens[k][c]`` is the density of the factor in slot ``FACTOR_SLOTS[k]``
+    on the coset of label c, so ``dens[k][cell_labels[k]]`` is its density
+    on the matching coset of every cell.
+    ``key[x, y]`` is the (fiber level of x, cell) key of the pair,
+    level * p^(2 codim) + cell; only pairs of Phi, whose rows have a
+    level, are ever keyed.  One bincount of the keys of Phi counts each
+    level in each cell, and its running sum over the levels gives
+    ``phi_dens[i]``, the density in each cell of Phi's pairs of level at
+    most i.
+    """
     p, n = t.p, t.n
     k = partition.codim
     big = p**k
     lab = partition.label_index()
     coset_size = p ** (n - k)
-
-    def set_density_by_label(s: FunctionTable) -> np.ndarray:
-        return np.bincount(lab[s.values], minlength=big) / coset_size
-
-    dens_b = set_density_by_label(t.y_set)
-    dens_c = set_density_by_label(t.sum_set)
-    dens_d = set_density_by_label(t.skew_set)
-
+    dens = np.stack([np.bincount(lab[t.factor(slot).values], minlength=big) for slot in FACTOR_SLOTS]) / coset_size
     levels = _fiber_level_of_points(t.fibers, lab, k)
-    phi_mask = t.fibers.table.values
-    pair_x = slot_index_array(p, n, "x")  # pair index = x + p^n * y
-    pair_y = slot_index_array(p, n, "y")
-    cid = lab[pair_x] + big * lab[pair_y]
-    d = t.fibers.d
-    phi_dens = np.zeros((d + 1, big * big))
-    for i in range(d + 1):
-        mask_i = phi_mask & (levels[pair_x] >= 0) & (levels[pair_x] <= i)
-        phi_dens[i] = np.bincount(cid[mask_i], minlength=big * big) / (coset_size * coset_size)
-
+    key = (levels * (big * big) + lab)[:, None] + big * lab[None, :]
+    counts = np.bincount(key[t.fibers.table.as_pair_grid()], minlength=(t.fibers.d + 1) * big * big)
     return {
         "big": big,
-        "dens_b": dens_b,
-        "dens_c": dens_c,
-        "dens_d": dens_d,
-        "phi_dens": phi_dens,
+        "dens": dens,
+        "phi_dens": np.cumsum(counts.reshape(-1, big * big), axis=0) / (coset_size * coset_size),
         "levels": levels,
-        "cid": cid,
-        "pair_x": pair_x,
+        "key": key,
     }
 
 
@@ -226,10 +223,10 @@ def partition_energy(
     data = _partition_tables(partition, t) if tables is None else tables
     big = data["big"]
     d = t.fibers.d
-    sum_lab, skew_lab = partition.cell_labels
-    val = np.repeat(data["dens_b"], big) ** 2 + data["dens_c"][sum_lab] ** 2 + data["dens_d"][skew_lab] ** 2
-    for i in range(d + 1):
-        val += data["phi_dens"][i] ** 2
+    # a cell's statistics are squared and added one after another, in order
+    val = sum(dens[labels] ** 2 for dens, labels in zip(data["dens"], partition.cell_labels))
+    for phi in data["phi_dens"]:
+        val += phi**2
     per_cell = val / (4 + d)
     # summed cell by cell, in order: np.sum would pair terms and round differently
     energy = float(np.cumsum(val)[-1]) / (big * big) / (4 + d)
@@ -397,19 +394,17 @@ def pseudorandomize_u2(
         members = partition.members
         x_basis = partition.direction.basis()
         free = np.delete(np.arange(n), [row.index(1) for row in partition.normals])
-        sum_lab, skew_lab = partition.cell_labels
 
         # per-label deviations of the y, sum and skew factor sets
         factor_devs = []
-        for s in (t.y_set, t.sum_set, t.skew_set):
-            devs = _triggered_characters(s.values[members], p, 1, eps, x_basis, free)
+        for slot in FACTOR_SLOTS:
+            devs = _triggered_characters(t.factor(slot).values[members], p, 1, eps, x_basis, free)
             # a top character of 0 pulls back to nothing to refine by
             factor_devs.append({lab: dev for lab, dev in devs.items() if dev[1]})
 
         # a cell expires when one of its factor densities falls below the floor
-        cell_b = np.repeat(np.arange(big), big)  # cell ca + big * cb lies on y coset cb
-        lowest = np.minimum.reduce([data["dens_b"][cell_b], data["dens_c"][sum_lab],
-                                    data["dens_d"][skew_lab], data["phi_dens"][d]])
+        lowest = np.minimum.reduce([*(dens[labels] for dens, labels in zip(data["dens"], partition.cell_labels)),
+                                    data["phi_dens"][d]])
         live = np.flatnonzero(lowest >= expiry_floor)
 
         # fiber level i of every live cell, rows ordered by cell then level;
@@ -429,8 +424,7 @@ def pseudorandomize_u2(
         certified = 0.0
         chosen_chars: list[tuple[int, ...]] = []
         trigger_count = 0
-        for j, cell_id in enumerate(live.tolist()):
-            labels = (cell_id // big, int(sum_lab[cell_id]), int(skew_lab[cell_id]))
+        for j, labels in enumerate(partition.cell_labels[:, live].T.tolist()):
             cell_triggers = [devs[lab] for devs, lab in zip(factor_devs, labels) if lab in devs]
             rows = range(j * (d + 1), (j + 1) * (d + 1))  # the cell's levels 0..d
             cell_triggers += [level_devs[row] for row in rows if row in level_devs]
@@ -486,13 +480,11 @@ def pseudorandomize_u2(
             raise AssertionError("round budget exceeded")
 
     # selection: densest surviving (cell, level) for S, the first one in
-    # (level, cell) order on ties
+    # (level, cell) order on ties; T and S sit inside Phi, so each of their
+    # pairs has a key
     big = data["big"]
-    pair_level = data["levels"][data["pair_x"]]
-    on_level = (pair_level >= 0) & (pair_level <= d)
-    key = pair_level * (big * big) + data["cid"]
-    t_counts = np.bincount(key[t.table.values & on_level], minlength=(d + 1) * big * big)
-    s_counts = np.bincount(key[s_set.values & on_level], minlength=(d + 1) * big * big)
+    t_counts, s_counts = (np.bincount(data["key"][g.as_pair_grid()], minlength=(d + 1) * big * big)
+                          for g in (t.table, s_set))
     pick = _densest(range(t_counts.size), s_counts, t_counts)
     # the first densest entry meets the margin whenever any entry does
     met = bool(pick is not None and pick[0] >= sigma + tau / 4)
@@ -624,8 +616,7 @@ def _split_increment(
     candidates are scored from those counts, and only the winner is
     built as a structured set.
     """
-    factors = {"y": t.y_set, "x+y": t.sum_set, "2x+y": t.skew_set}
-    factor = t.fibers.base if slot == "x" else factors[slot]
+    factor = t.factor(slot)
     cands = _best_row_split(factor.values, means, threshold)
     masks = np.array([mask for _, mask in cands]).reshape(len(cands), factor.size)
     best = _densest(range(len(cands)), *_line_scores(s_set, t, slot, masks))
@@ -634,12 +625,7 @@ def _split_increment(
         return report
     ratio, i, inter, mass = best
     cand_name, mask = cands[i]
-    sub = FunctionTable(factor.p, factor.m, mask)
-    if slot == "x":
-        t_new = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.restrict(sub))
-    else:
-        factors[slot] = sub
-        t_new = StructuredProductSet(factors["y"], factors["x+y"], factors["2x+y"], t.fibers)
+    t_new = t.with_factor(slot, FunctionTable(factor.p, factor.m, mask))
     _check_winner(s_set, t_new, inter, mass)
     report.update(
         {
@@ -654,6 +640,11 @@ def _split_increment(
     report["_new_t"] = t_new
     report["_new_s"] = s_set.times(t_new.table)
     return report
+
+
+#: The pencils of lines that the fiber-mean move scans, in order, by name,
+#: with the slot that is constant on each line.
+_PENCILS = {"x-rows": "x", "y-columns": "y", "anti-diagonals": "x+y"}
 
 
 def fiber_mean_increment(s_set: FunctionTable, t: StructuredProductSet, tau: float) -> dict:
@@ -672,21 +663,22 @@ def fiber_mean_increment(s_set: FunctionTable, t: StructuredProductSet, tau: flo
     g = s_set.as_pair_grid() - sigma * t.table.as_pair_grid()
     report: dict = {"sigma": sigma, "tau": tau, "pencils": {}}
     chosen = None
-    for name, means, factor, others in t.pencils(g):
+    for name, slot in _PENCILS.items():
+        means = line_means(g, t.p, t.n, slot)
+        others = t.others_density(slot)
         stat = float(np.mean(np.abs(means) ** 2))
-        trigger = tau * factor.density * others**2
+        trigger = tau * t.factor(slot).density * others**2
         report["pencils"][name] = {"stat": stat, "trigger": trigger, "fires": stat >= trigger}
         if chosen is None and stat >= trigger:
-            chosen = (name, means, others)
+            chosen = (name, slot, means, others)
     if chosen is None:
         report.update({"gained": False, "reason": "no pencil fired"})
         return report
 
-    name, means, others = chosen
+    name, slot, means, others = chosen
     threshold = (tau**0.5 / 4) * others
     report["chosen_pencil"] = name
     report["fiber_threshold"] = threshold
-    slot = {"x-rows": "x", "y-columns": "y", "anti-diagonals": "x+y"}[name]
     return _split_increment(report, s_set, t, sigma, slot, means, threshold)
 
 
@@ -697,15 +689,10 @@ def skew_line_increment(s_set: FunctionTable, t: StructuredProductSet, tau: floa
     tau * alpha beta gamma rho / 4; if any line is biased, the skew
     factor D is split by the signed means and the denser side kept.
     """
-    p, n = t.p, t.n
     sigma = _density_inside(s_set, t.table)
     g = s_set.as_pair_grid() - sigma * t.table.as_pair_grid()
-    alpha = t.fibers.base.density
-    beta = t.y_set.density
-    gamma = t.sum_set.density
-    rho = t.fibers.rho
-    means = line_means(g, p, n, "2x+y")
-    threshold = tau * alpha * beta * gamma * rho / 4
+    means = line_means(g, t.p, t.n, "2x+y")
+    threshold = t.others_density("2x+y", tau) / 4
     fired = bool(np.any(np.abs(means) >= threshold))
     report = {
         "sigma": sigma,
@@ -773,7 +760,7 @@ def align_offset_increment(s_set: FunctionTable, t: StructuredProductSet, tau: f
             "identity_rhs": str(rhs_total),
         }
     ratio, u, inter, mass = best
-    t_u = StructuredProductSet(t.y_set, t.sum_set, t.skew_set, fam.with_common_offset(u))
+    t_u = t.with_factor("x", fam.aligned_base_at(u))
     _check_winner(s_set, t_u, inter, mass)
     s_new = s_set.times(t_u.table)
     report = {
@@ -935,7 +922,7 @@ def search_extremal_L_free(
     point.  Every output is re-verified by counting configurations
     directly before returning.
     """
-    size = p**n
+    size = check_size(p, n)
     total = size * size
     if method == "exhaustive" and total > _EXHAUSTIVE_POINTS_CAP:
         raise ResourceLimitError(f"exhaustive search capped at {_EXHAUSTIVE_POINTS_CAP} points, got {total}")
@@ -1061,15 +1048,16 @@ def _renormalize_to_cell(
     new_n = partition.direction_dim
     if new_n == 0:
         return None
-    big = p**partition.codim
-    xs, ys, sums, skews = partition.members[[cell % big, cell // big, *partition.cell_labels[:, cell]]]
+    xs = partition.members[cell % p**partition.codim]
+    cosets = partition.members[partition.cell_labels[:, cell]]  # the cosets of the factor slots
+    ys = cosets[0]
     cell_phi = t.fibers.table.as_pair_grid()[np.ix_(xs, ys)]
     keep = np.count_nonzero(cell_phi, axis=1) == p ** (new_n - level)
     if not keep.any():
         return None
     fam_new = FiberFamily(p, new_n, level, FunctionTable.from_pair_grid(p, new_n, cell_phi & keep[:, None]))
-    factors = ((t.y_set, ys), (t.sum_set, sums), (t.skew_set, skews))
-    t_cell = StructuredProductSet(*(FunctionTable(p, new_n, s.values[pts]) for s, pts in factors), fam_new)
+    factors = (FunctionTable(p, new_n, t.factor(slot).values[pts]) for slot, pts in zip(FACTOR_SLOTS, cosets))
+    t_cell = StructuredProductSet(*factors, fam_new)
     s_cell = s_set.as_pair_grid()[np.ix_(xs, ys)] & fam_new.table.as_pair_grid()
     return FunctionTable.from_pair_grid(p, new_n, s_cell), t_cell
 

@@ -134,8 +134,6 @@ def _min_classes(vectors: np.ndarray, j: int, p: int) -> tuple[int, tuple[tuple[
                 break
         if not placed:
             classes.append([i])
-            if not class_ok([i]):
-                return -1, ()  # psi_j in the span of a single other form
     best = [tuple(tuple(c) for c in classes)]
     upper = len(classes)
 
@@ -189,8 +187,6 @@ def cs_complexity(system: LinearFormSystem) -> ComplexityCertificate:
     worst = 0
     for j in range(d):
         k, classes = _min_classes(vectors, j, p)
-        if k < 0:  # unreachable once parallel pairs are excluded
-            return ComplexityCertificate(None, (), None)
         worst = max(worst, k)
         partitions.append(classes)
     return ComplexityCertificate(max(worst - 1, 0), tuple(partitions))

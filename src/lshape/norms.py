@@ -114,8 +114,6 @@ def _u_fast_raw(values: np.ndarray, p: int, m: int, s: int) -> float:
     values = values.astype(np.complex128, copy=False)  # float64 sums round differently
     if s == 1:
         return float(abs(np.sum(values) / p**m) ** 2)
-    if s == 2:
-        return float(u2_fourth_batch(values[None, :], p, m)[0])
     total = 0.0
     for rows in _delta_rows(values[None, :], p, m, s - 2):
         total += float(np.sum(u2_fourth_batch(rows, p, m)))

@@ -348,11 +348,11 @@ def obstruction_example(kind: str, p: int, n: int, seed: int | None = None) -> O
     kind "coordinate": {(x, y) : y_0 = u(x)} with u uniform; density
     exactly 1/p, count ~ N^3/p^3 in expectation.
     """
+    size = check_size(p, n)  # refuses a negative n by the n given, not by 2n
     check_size(p, 2 * n)
     if n < 1 and kind in ("random_phi", "coordinate"):
         # no phi(x) != 0 and no digit y_0 exist on Z_p^0
         raise ValueError(f"the {kind} construction needs n >= 1")
-    size = p**n
     d = digit_table(p, n)
     if kind == "dot":
         if n < 3:

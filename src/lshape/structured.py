@@ -23,13 +23,13 @@ factor is invisible to a single coordinate but correlates the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .field import digit_table, rank_mod
-from .tables import FunctionTable, line_means, product_lift
+from .tables import FunctionTable, product_lift
 
 __all__ = [
     "FiberFamily",
@@ -37,6 +37,10 @@ __all__ = [
     "random_family",
 ]
 
+
+#: The slots of the factors B, C and D, in field order: slot k is k x + y.
+FACTOR_SLOTS = ("y", "x+y", "2x+y")
+_FIELD_OF = dict(zip(FACTOR_SLOTS, ("y_set", "sum_set", "skew_set")))
 
 #: Entries of the (points, d, p^n) residue block that from_normals forms
 #: at once while building Phi, which keeps the block to a few MB.
@@ -119,7 +123,11 @@ class FiberFamily:
 
     def aligned_base_at(self, u: int) -> FunctionTable:
         """The set A_u = {x in A : u lies on x's fiber}, for the point of
-        index u: column u of Phi."""
+        index u: column u of Phi.
+
+        For x in A_u, u + V_x is x's fiber itself, so the family restricted
+        to A_u has u as an offset shared by every fiber.
+        """
         return FunctionTable(self.p, self.n, self.table.as_pair_grid()[:, u])
 
     def restrict(self, sub_base: FunctionTable) -> "FiberFamily":
@@ -127,14 +135,6 @@ class FiberFamily:
         every other row cleared."""
         grid = self.table.as_pair_grid() & sub_base.values[:, None]
         return FiberFamily(self.p, self.n, self.d, FunctionTable.from_pair_grid(self.p, self.n, grid))
-
-    def with_common_offset(self, u: int) -> "FiberFamily":
-        """The fibers through the point of index u, over the sub-base A_u.
-
-        For x in A_u, u + V_x is x's fiber itself, so u is an offset
-        shared by every fiber that is kept.
-        """
-        return self.restrict(self.aligned_base_at(u))
 
 
 @lru_cache(maxsize=16)
@@ -205,18 +205,25 @@ class StructuredProductSet:
     def n(self) -> int:
         return self.fibers.n
 
-    def pencils(self, grid: np.ndarray) -> list[tuple[str, np.ndarray, FunctionTable, float]]:
-        """(name, means, factor, product of the other densities) of a pair
-        grid's x-row, y-column and anti-diagonal pencils; the factor is the
-        set the pencil's lines are indexed by."""
-        alpha, beta = self.fibers.base.density, self.y_set.density
-        gamma, delta = self.sum_set.density, self.skew_set.density
-        rho = self.fibers.rho
-        return [
-            ("x-rows", grid.mean(axis=1), self.fibers.base, beta * gamma * delta * rho),
-            ("y-columns", grid.mean(axis=0), self.y_set, alpha * gamma * delta * rho),
-            ("anti-diagonals", line_means(grid, self.p, self.n, "x+y"), self.sum_set, alpha * beta * delta * rho),
-        ]
+    def factor(self, slot: str) -> FunctionTable:
+        """The factor set that lives in ``slot``: B, C or D, or for "x" the
+        base of the fibers."""
+        return self.fibers.base if slot == "x" else getattr(self, _FIELD_OF[slot])
+
+    def with_factor(self, slot: str, sub: FunctionTable) -> "StructuredProductSet":
+        """T with the factor in ``slot`` replaced by ``sub``, rebuilt and
+        audited; for "x" the fibers are restricted to the base ``sub``."""
+        if slot == "x":
+            return replace(self, fibers=self.fibers.restrict(sub))
+        return replace(self, **{_FIELD_OF[slot]: sub})
+
+    def others_density(self, slot: str, scale: float = 1.0) -> float:
+        """scale times the densities of every factor but the one in
+        ``slot``, and rho, multiplied in the slot order x, y, x+y, 2x+y."""
+        for other in ("x", *FACTOR_SLOTS):
+            if other != slot:
+                scale *= self.factor(other).density
+        return scale * self.fibers.rho
 
 
 def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) -> FiberFamily:

@@ -215,9 +215,13 @@ def _lines(grid: np.ndarray, p: int, n: int, slot: str) -> np.ndarray:
 
 
 def line_means(grid: np.ndarray, p: int, n: int, slot: str) -> np.ndarray:
-    """m[w] = E_x grid[x, y] over the (x, y) with slot(x, y) = w: the means
-    of an N x N pair grid along the lines on which the slot "y", "x+y" or
-    "2x+y" is constant, one per w in Z_p^n."""
+    """m[w] = the mean of an N x N pair grid over the (x, y) with
+    slot(x, y) = w: its means along the lines on which the slot "x", "y",
+    "x+y" or "2x+y" is constant, one per w in Z_p^n."""
+    if slot in ("x", "y"):
+        # summed in the F-ordered layout of a pair-grid view whatever the
+        # grid's own: the rows one y after another, the columns along memory
+        return np.asfortranarray(grid).mean(axis=1 if slot == "x" else 0)
     return _lines(grid, p, n, slot).mean(axis=1)
 
 
@@ -225,8 +229,8 @@ def line_counts(grid: np.ndarray, p: int, n: int, slot: str) -> np.ndarray:
     """c[w] = #{(x, y) : grid[x, y], slot(x, y) = w}, as int64: the member
     counts of a bool N x N pair grid along the lines on which the slot
     "x", "y", "x+y" or "2x+y" is constant, one per w in Z_p^n."""
-    if slot == "x":
-        return np.count_nonzero(grid, axis=1)
+    if slot in ("x", "y"):
+        return np.count_nonzero(grid, axis=1 if slot == "x" else 0)
     return np.count_nonzero(_lines(grid, p, n, slot), axis=1)
 
 

@@ -369,7 +369,7 @@ def split_candidate(t: StructuredProductSet, slot: str, sub_factor: FunctionTabl
 
 def aligned_candidate(t: StructuredProductSet, u: int) -> StructuredProductSet:
     """T over the fibers through the point of index u, built in full."""
-    return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.with_common_offset(u))
+    return StructuredProductSet(t.y_set, t.sum_set, t.skew_set, t.fibers.restrict(t.fibers.aligned_base_at(u)))
 
 
 def built_scores(s: FunctionTable, candidates) -> tuple[list[int], list[int]]:

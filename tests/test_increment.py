@@ -92,8 +92,8 @@ def test_partition_refinement_and_labels():
 
 def test_member_table_matches_the_coset_route():
     # row c of the member table is coset c as AffineSubspace lists it from
-    # the parity checks; the sum and skew labels of a cell are the labels of
-    # a + b and 2a + b, for points a and b of its x and y cosets
+    # the parity checks; the y, sum and skew labels of a cell are the labels
+    # of b, a + b and 2a + b, for points a and b of its x and y cosets
     rng = np.random.default_rng(20)
     for p, n in ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2)):
         dt = digit_table(p, n)
@@ -104,7 +104,7 @@ def test_member_table_matches_the_coset_route():
                 coset = subspace_from_normals(p, n, part.normals, digits_of(p, k, c))
                 assert np.array_equal(part.members[c], coset.member_indices()), (p, n, k, c)
             first = dt[part.members[:, 0]]
-            for coeff, want in zip((1, 2), part.cell_labels):
+            for coeff, want in zip((0, 1, 2), part.cell_labels, strict=True):
                 got = part.label_index()[index_of(p, (coeff * first[None, :] + first[:, None]) % p)]
                 assert np.array_equal(got.reshape(-1), want), (p, n, k, coeff)
 
@@ -426,6 +426,63 @@ def test_line_scores_match_built_candidates():
             assert (inter.tolist(), mass.tolist()) == ref.built_scores(s, built), (p, n, d)
 
 
+def _same_structured(a, b):
+    """Whether two structured sets have the same factors, fibers and table."""
+    return (
+        a.fibers.d == b.fibers.d
+        and np.array_equal(a.fibers.table.values, b.fibers.table.values)
+        and all(np.array_equal(a.factor(slot).values, b.factor(slot).values) for slot in ("x", "y", "x+y", "2x+y"))
+        and np.array_equal(a.table.values, b.table.values)
+    )
+
+
+def test_slot_lookups_match_the_reference_builds():
+    # factor(slot) is the set whose points index the slot's lines, and
+    # with_factor builds what the reference builds field by field
+    for p, n, d, seed in ((3, 2, 1, 0), (3, 3, 0, 2), (5, 2, 2, 1)):
+        s, t = _random_structured(p, n, d, seed)
+        rng = np.random.default_rng(seed)
+        fields = {"x": t.fibers.base, "y": t.y_set, "x+y": t.sum_set, "2x+y": t.skew_set}
+        for slot, factor in fields.items():
+            assert t.factor(slot) is factor
+            sub = FunctionTable(p, n, factor.values & (rng.random(p**n) < 0.6))
+            assert _same_structured(t.with_factor(slot, sub), ref.split_candidate(t, slot, sub)), (p, n, d, slot)
+        for u in np.flatnonzero(t.fibers.table.as_pair_grid().any(axis=0)).tolist():
+            got = t.with_factor("x", t.fibers.aligned_base_at(u))
+            assert _same_structured(got, ref.aligned_candidate(t, u)), (p, n, d, u)
+        # the product of the other densities keeps the order of the moves'
+        # thresholds, bit for bit
+        alpha, beta, gamma, delta = (f.density for f in fields.values())
+        rho = t.fibers.rho
+        assert t.others_density("2x+y", 0.3) == 0.3 * alpha * beta * gamma * rho
+        assert t.others_density("x") == beta * gamma * delta * rho
+        assert t.others_density("x+y") == alpha * beta * delta * rho
+
+
+def test_level_cell_counts_match_the_fiber_level_reference():
+    # phi_dens[i] is, cell by cell, the number of Phi's pairs of level at
+    # most i over the squared coset size, with the counts taken from the
+    # reference, which takes every fiber as an explicit coset; the same
+    # integers divided the same way must give the same bits
+    rng = np.random.default_rng(24)
+    for p, n in ((3, 2), (5, 3)):
+        for d in (1, 2):
+            base = FunctionTable(p, n, rng.random(p**n) < 0.8)
+            normals = ref.random_normals(p, n, d, rng)
+            offsets = rng.integers(0, p, size=(p**n, n))
+            fam = FiberFamily.from_normals(base, offsets, d, normals)
+            full = ref.full_set(p, n)
+            t = StructuredProductSet(full, full, full, fam)
+            for k in range(1, n):
+                part = _random_partition(p, n, k, rng)
+                got = increment._partition_tables(part, t)["phi_dens"]
+                counts = [
+                    [lv.cumulative.cardinality for lv in ref.fiber_levels(fam, normals, offsets, c.x_coset, c.y_coset)]
+                    for c in ref.cells(part)
+                ]
+                assert np.array_equal(got, np.array(counts).T / p ** (2 * (n - k))), (p, n, d, k)
+
+
 def _planted_lines(p, n, slot, seed):
     """S = the points of the whole space on a random half of the lines
     along ``slot``, inside the whole space as T."""
@@ -514,6 +571,12 @@ def test_extremal_resource_caps_fire_before_enumeration():
         search_extremal_L_free(3, 2, "exhaustive")
     with pytest.raises(ResourceLimitError):
         search_extremal_L_free(3, 5, "greedy")
+
+
+def test_extremal_search_refuses_a_negative_n_by_the_n_given():
+    for method in ("exhaustive", "greedy"):
+        with pytest.raises(ValueError, match=r"nonnegative, got -1$"):
+            search_extremal_L_free(3, -1, method)
 
 
 @settings(deadline=None, max_examples=20)

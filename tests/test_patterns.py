@@ -275,6 +275,13 @@ def test_unknown_kind_rejected():
         obstruction_example("mystery", 3, 3)
 
 
+def test_obstructions_refuse_a_negative_n_by_the_n_given():
+    # not by the 2n digits of the pair space
+    for kind in ("dot", "random_phi", "coordinate"):
+        with pytest.raises(ValueError, match=r"nonnegative, got -2$"):
+            obstruction_example(kind, 3, -2)
+
+
 def test_count_system_agrees_with_direct_counters():
     s = _random_set(3, 1, 21)
     pair_tables = [s] * 4

@@ -137,7 +137,7 @@ def test_mixed_family_alignment():
     u = 3
     a_u = mixed.aligned_base_at(u)
     if a_u.cardinality:
-        aligned = mixed.with_common_offset(u)
+        aligned = mixed.restrict(mixed.aligned_base_at(u))
         assert aligned.base.cardinality == a_u.cardinality
         # the same fibers rebuilt with u as their shared offset
         rebuilt = FiberFamily.from_normals(a_u, digits_of(p, n, u), d, normals)
@@ -152,7 +152,7 @@ def test_common_offset_lies_on_every_kept_fiber():
     )
     phi = mixed.table.as_pair_grid()
     for u in range(p**n):
-        aligned = mixed.with_common_offset(u)
+        aligned = mixed.restrict(mixed.aligned_base_at(u))
         grid = aligned.table.as_pair_grid()
         # column u of the new Phi is the new base, which is A_u
         assert np.array_equal(grid[:, u], aligned.base.values)

@@ -157,9 +157,10 @@ def test_line_means_match_oracle():
         for n in (1, 2, 3):
             size = p**n
             grid = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            for slot, c in (("y", 0), ("x+y", 1), ("2x+y", 2)):
+            # the rows x = w are the y-columns of the transposed grid
+            for slot, c, oracle_grid in (("x", 0, grid.T), ("y", 0, grid), ("x+y", 1, grid), ("2x+y", 2, grid)):
                 got = line_means(grid, p, n, slot)
-                want = orc.line_means_oracle(grid.tolist(), p, n, c)
+                want = orc.line_means_oracle(oracle_grid.tolist(), p, n, c)
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
                 # pair-grid views are F-ordered; the layout must not change a bit
                 assert np.array_equal(line_means(np.asfortranarray(grid), p, n, slot), got)
