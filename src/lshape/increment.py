@@ -805,16 +805,23 @@ def _l_quads(p: int, n: int) -> np.ndarray:
     return quads.reshape(-1, 4)
 
 
-def _point_index(quads: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR index from points to configurations: ``ids[ptr[pt]:ptr[pt + 1]]``
-    are the rows of ``quads`` that contain pt, in row order."""
-    flat = quads.ravel()
-    # a key of at most 16 bits sorts by radix
-    ids = np.argsort(flat.astype(np.min_scalar_type(total - 1)), kind="stable")
-    ids //= 4
-    ptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=total), out=ptr[1:])
-    return ptr, ids.astype(np.int32)
+def _point_index(quads: np.ndarray, total: int) -> np.ndarray:
+    """Per-point configuration table: row pt of the int32
+    ``(total, 4 (p^n - 1))`` result holds the rows of ``quads`` that
+    contain pt.
+
+    For each shift z, column c of ``quads`` maps the points one to one, so
+    every point appears in it once per z; a stable argsort of each column
+    lists, point by point, the p^n - 1 rows in which that point plays role
+    c.  The four points of a configuration are distinct, so a row of the
+    table names each of its configurations once.
+    """
+    rows = np.empty((total, 4, len(quads) // total), dtype=np.int32)
+    key = np.min_scalar_type(total - 1)
+    for c in range(4):
+        # a key of at most 16 bits sorts by radix
+        rows[:, c] = np.argsort(quads[:, c].astype(key), kind="stable").reshape(total, -1)
+    return rows.reshape(total, -1)
 
 
 def _verify_l_free(s: FunctionTable) -> bool:
@@ -822,30 +829,40 @@ def _verify_l_free(s: FunctionTable) -> bool:
 
 
 def _greedy_l_free(
-    quads: np.ndarray, ptr: np.ndarray, ids: np.ndarray, order: np.ndarray, start: np.ndarray | None = None
-) -> np.ndarray:
+    quads: np.ndarray,
+    rows: np.ndarray,
+    order: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Take the points of ``order`` in turn, skipping any that would
-    complete a configuration with those already taken; ``start`` (a bool
-    mask) is taken before the walk.  Returns the bool mask of taken points.
+    complete a configuration with those already taken.  Returns the bool
+    mask of taken points and ``filled``, the int8 count of taken points in
+    each row of ``quads``.
 
-    Blocking is incremental: ``filled`` counts the taken points of every
-    configuration, and one that reaches three blocks its untaken point, so
-    a point is taken iff it is neither taken nor blocked.
+    ``start`` is a configuration-free mask taken before the walk, with its
+    ``filled`` counts; the walk updates both arrays in place.  ``rows`` is
+    the table of ``_point_index``.  A taken point adds one to the counts
+    of its configurations, and one that reaches three marks its four
+    points seen (three taken, the last blocked), so a point is taken iff
+    it is not yet seen.
     """
-    chosen = np.zeros(len(ptr) - 1, dtype=bool) if start is None else start.copy()
-    filled = chosen[quads].sum(axis=1, dtype=np.int8)
-    blocked = np.zeros_like(chosen)
-    full = quads[filled == 3]
-    blocked[full[~chosen[full]]] = True
+    if start is None:
+        start = np.zeros(len(rows), dtype=bool), np.zeros(len(quads), dtype=np.int8)
+    chosen, filled = start
+    seen = chosen.copy()
+    seen[quads[filled == 3]] = True
+    taken = []
     for pt in order.tolist():
-        if chosen[pt] or blocked[pt]:
+        if seen[pt]:
             continue
-        chosen[pt] = True
-        mine = ids[ptr[pt] : ptr[pt + 1]]
-        filled[mine] += 1
-        full = quads[mine[filled[mine] == 3]]
-        blocked[full[~chosen[full]]] = True
-    return chosen
+        taken.append(pt)
+        seen[pt] = True
+        mine = rows[pt]
+        counts = filled[mine] + 1
+        filled[mine] = counts
+        seen[quads[mine[counts == 3]]] = True
+    chosen[taken] = True
+    return chosen, filled
 
 
 def _exhaustive_l_free(quads: np.ndarray, total: int) -> int:
@@ -916,11 +933,14 @@ def search_extremal_L_free(
     spaces of at most 49 points (p=7, n=1).  ``greedy``, ``local`` and
     ``random`` are seeded heuristics, capped at 16384 points (p=11, n=2
     and p=5, n=3 fit).  They share one greedy walk over an int32 table of
-    the (p^n - 1) p^(2n) configurations and a CSR index from points to
-    configurations, and block a point as soon as three points of one of
-    its configurations are taken, so no configuration is tested point by
-    point.  Every output is re-verified by counting configurations
-    directly before returning.
+    the (p^n - 1) p^(2n) configurations and a table of the 4(p^n - 1)
+    configurations through each point, and block a point as soon as
+    three points of one of its configurations are taken, so no
+    configuration is tested point by point.  ``local`` drops two points
+    and refills; it carries each result's per-configuration counts and
+    subtracts the dropped points' rows, so no trial recounts the table.
+    Every output is re-verified by counting configurations directly
+    before returning.
     """
     size = check_size(p, n)
     total = size * size
@@ -941,31 +961,33 @@ def search_extremal_L_free(
         result = np.array([best >> i & 1 for i in range(total)], dtype=bool)
         extra = {"optimal": True}
     else:
-        ptr, ids = _point_index(quads, total)
+        rows = _point_index(quads, total)
         rng = np.random.default_rng(seed)
 
-        def greedy(start: np.ndarray | None = None) -> np.ndarray:
-            return _greedy_l_free(quads, ptr, ids, rng.permutation(total), start)
+        def greedy(start: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+            return _greedy_l_free(quads, rows, rng.permutation(total), start)
 
         if method == "greedy":
-            result = greedy()
+            result = greedy()[0]
             extra = {"optimal": False}
         elif method == "local":
-            result = greedy()
+            result, filled = greedy()
             for _ in range(iterations):
-                trial = result.copy()
+                trial, counts = result.copy(), filled.copy()
                 members = np.flatnonzero(trial)
                 if members.size:
-                    trial[rng.choice(members, size=min(2, members.size), replace=False)] = False
+                    for pt in rng.choice(members, size=min(2, members.size), replace=False).tolist():
+                        trial[pt] = False
+                        counts[rows[pt]] -= 1
                 # refill greedily in a fresh random order, keeping the survivors
-                trial = greedy(start=trial)
+                trial, counts = greedy(start=(trial, counts))
                 if np.count_nonzero(trial) >= np.count_nonzero(result):
-                    result = trial
+                    result, filled = trial, counts
             extra = {"optimal": False, "iterations": iterations}
         else:
             result = np.zeros(total, dtype=bool)
             for _ in range(iterations):
-                cand = greedy()
+                cand = greedy()[0]
                 if np.count_nonzero(cand) > np.count_nonzero(result):
                     result = cand
             extra = {"optimal": False, "iterations": iterations}

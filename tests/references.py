@@ -393,6 +393,17 @@ def densest_loop(keys, inter, mass):
     return best
 
 
+def point_index_csr(quads: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR index from points to configurations by one argsort of the
+    flattened table: ``ids[ptr[pt]:ptr[pt + 1]]`` are the rows of
+    ``quads`` that contain pt, in row order."""
+    flat = quads.ravel()
+    ids = np.argsort(flat, kind="stable") // 4
+    ptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=total), out=ptr[1:])
+    return ptr, ids
+
+
 def exhaustive_l_free_plain(quads: np.ndarray, total: int) -> int:
     """Largest configuration-free set as a bitset, by depth-first
     branch-and-bound over the points in index order, include first,

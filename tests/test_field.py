@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles as orc
 import references as ref
@@ -27,6 +29,20 @@ def test_digit_round_trip():
             d = digits_of(p, m, i)
             assert tuple(int(t) for t in d) == orc.digits_le(i, p, m)
             assert int(index_of(p, d)) == i
+
+
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(0, 4), st.data())
+def test_digit_round_trip_fuzz(p, m, data):
+    # one index and a batch of them, and digits off by multiples of p
+    size = p**m
+    i = data.draw(st.integers(0, size - 1), label="i")
+    d = digits_of(p, m, i)
+    assert d.shape == (m,) and all(0 <= t < p for t in d.tolist())
+    assert index_of(p, d) == i
+    batch = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=8), label="batch"), dtype=np.int64)
+    assert np.array_equal(index_of(p, digits_of(p, m, batch)), batch)
+    shift = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m), label="shift"))
+    assert index_of(p, d + p * shift) == i
 
 
 def test_digit_table_rows():

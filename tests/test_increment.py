@@ -593,9 +593,11 @@ def test_greedy_matches_oracle_and_is_maximal(pn, seed, data):
     start_mask = np.zeros(total, dtype=bool)
     start_mask[list(start)] = True
     quads = _l_quads(p, n)
-    got = _greedy_l_free(quads, *_point_index(quads, total), order, start=start_mask)
+    start_counts = start_mask[quads].sum(axis=1, dtype=np.int8)
+    got, filled = _greedy_l_free(quads, _point_index(quads, total), order, start=(start_mask, start_counts))
     want = orc.greedy_l_free_oracle(p, n, order.tolist(), start)
     assert set(np.flatnonzero(got).tolist()) == want
+    assert np.array_equal(filled, got[quads].sum(axis=1))
 
     mask = got.tolist()
     assert orc.lshape_count_oracle(mask, p, n)[1] == 0
@@ -606,6 +608,68 @@ def test_greedy_matches_oracle_and_is_maximal(pn, seed, data):
         grown = list(mask)
         grown[pt] = True
         assert orc.lshape_count_oracle(grown, p, n)[1] > 0, pt
+
+
+@pytest.mark.parametrize("pn", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2)])
+def test_point_table_rows_are_the_configurations_through_each_point(pn):
+    p, n = pn
+    total = p ** (2 * n)
+    quads = _l_quads(p, n)
+    rows = _point_index(quads, total)
+    assert rows.shape == (total, 4 * (p**n - 1)) and rows.dtype == np.int32
+    ptr, ids = ref.point_index_csr(quads, total)
+    for pt in range(total):
+        mine = rows[pt]
+        assert len(set(mine.tolist())) == len(mine)
+        assert (quads[mine] == pt).any(axis=1).all()
+        assert set(mine.tolist()) == set(ids[ptr[pt] : ptr[pt + 1]].tolist())
+
+
+@pytest.mark.parametrize("pn", [(3, 2), (5, 2), (3, 3)])
+def test_greedy_counts_carry_through_dropped_points(pn):
+    # the walk's counts are the recount of its set, and a walk resumed from
+    # carried counts, less the dropped points' rows, is the walk resumed
+    # from a recount of the survivors
+    p, n = pn
+    total = p ** (2 * n)
+    quads = _l_quads(p, n)
+    rows = _point_index(quads, total)
+    rng = np.random.default_rng(p + n)
+    chosen, filled = _greedy_l_free(quads, rows, rng.permutation(total))
+    assert np.array_equal(filled, chosen[quads].sum(axis=1))
+    for _ in range(3):
+        trial, carried = chosen.copy(), filled.copy()
+        for pt in rng.choice(np.flatnonzero(chosen), size=2, replace=False).tolist():
+            trial[pt] = False
+            carried[rows[pt]] -= 1
+        recount = trial[quads].sum(axis=1, dtype=np.int8)
+        assert np.array_equal(carried, recount)
+        order = rng.permutation(total)
+        got, got_filled = _greedy_l_free(quads, rows, order, start=(trial.copy(), carried))
+        want, want_filled = _greedy_l_free(quads, rows, order, start=(trial.copy(), recount))
+        assert np.array_equal(got, want) and np.array_equal(got_filled, want_filled)
+        assert np.array_equal(got_filled, got[quads].sum(axis=1))
+        assert not (got_filled == 4).any()
+        chosen, filled = got, got_filled
+
+
+@pytest.mark.parametrize("pn", [(3, 1), (3, 2), (5, 1)])
+def test_local_search_replays_the_oracle_walks(pn):
+    # the same draws through the oracle's walk and a plain drop-and-refill
+    # loop give the set of the search that carries its counts
+    p, n = pn
+    total, seed, iterations = p ** (2 * n), 5, 25
+    rng = np.random.default_rng(seed)
+    best = orc.greedy_l_free_oracle(p, n, rng.permutation(total).tolist())
+    for _ in range(iterations):
+        trial = set(best)
+        if trial:
+            trial -= set(rng.choice(sorted(trial), size=min(2, len(trial)), replace=False).tolist())
+        trial = orc.greedy_l_free_oracle(p, n, rng.permutation(total).tolist(), trial)
+        if len(trial) >= len(best):
+            best = trial
+    res = search_extremal_L_free(p, n, "local", seed=seed, iterations=iterations)
+    assert res["indices"] == sorted(best)
 
 
 def test_driver_on_planted_instances():

@@ -124,6 +124,14 @@ def test_indicator_set_counts():
             FunctionTable.from_indices(3, 2, bad)
 
 
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(0, 3), st.data())
+def test_from_indices_round_trip(p, m, data):
+    # repeats and any order in, the sorted distinct indices out
+    indices = data.draw(st.lists(st.integers(0, p**m - 1), max_size=30), label="indices")
+    members = FunctionTable.from_indices(p, m, indices).member_indices()
+    assert members.tolist() == sorted(set(indices))
+
+
 def test_balanced_function():
     s = FunctionTable(3, 1, np.array([1, 1, 0], dtype=bool))
     g = ref.balanced(s)
