@@ -46,11 +46,12 @@ from .field import (
     digits_of,
     index_of,
     modular_rref,
+    scale_map,
     subspace_from_normals,
     translations,
 )
 from .norms import RADICAND_FLOOR
-from .patterns import lshape_average
+from .patterns import LSHAPE, lshape_average
 from .spectral import dft_values, top_index
 from .structured import FACTOR_SLOTS, FiberFamily, StructuredProductSet
 from .tables import FunctionTable, line_counts, line_means, slot_index_array
@@ -791,34 +792,31 @@ _HEURISTIC_POINTS_CAP = 16384
 
 
 def _l_quads(p: int, n: int) -> np.ndarray:
-    """All configurations ((x,y),(x,y+z),(x,y+2z),(x+z,y)) with z != 0, as
-    an int32 (Q, 4) array of pair indices, one row per (z, x, y), y fastest."""
+    """All configurations of ``LSHAPE`` with z != 0, as an int32 array of
+    pair indices: column c holds point c, one row per (z, x, y), y fastest."""
     size = p**n
-    z = np.arange(1, size)[:, None, None]
-    x = np.arange(size, dtype=np.int32)[None, :, None]
-    y = np.arange(size, dtype=np.int32)[None, None, :]
-    quads = np.empty((size - 1, size, size, 4), dtype=np.int32)
-    quads[..., 0] = x + size * y
-    quads[..., 1] = x + size * combine(p, n, (1, 1), (y, z)).astype(np.int32)
-    quads[..., 2] = x + size * combine(p, n, (1, 2), (y, z)).astype(np.int32)
-    quads[..., 3] = combine(p, n, (1, 1), (x, z)).astype(np.int32) + size * y
-    return quads.reshape(-1, 4)
+    quads = np.empty((size - 1, size, size, len(LSHAPE)), dtype=np.int32)
+    for c, (a, b) in enumerate(LSHAPE):
+        xs = translations(p, n, scale_map(p, n, a)[1:]).astype(np.int32)  # [z - 1, x] is x + a z
+        ys = translations(p, n, scale_map(p, n, b)[1:]).astype(np.int32)
+        np.add(xs[:, :, None], size * ys[:, None, :], out=quads[..., c])
+    return quads.reshape(-1, len(LSHAPE))
 
 
 def _point_index(quads: np.ndarray, total: int) -> np.ndarray:
     """Per-point configuration table: row pt of the int32
-    ``(total, 4 (p^n - 1))`` result holds the rows of ``quads`` that
-    contain pt.
+    ``(total, width (p^n - 1))`` result holds the rows of ``quads``, each
+    a configuration of ``width`` points, that contain pt.
 
     For each shift z, column c of ``quads`` maps the points one to one, so
     every point appears in it once per z; a stable argsort of each column
     lists, point by point, the p^n - 1 rows in which that point plays role
-    c.  The four points of a configuration are distinct, so a row of the
-    table names each of its configurations once.
+    c.  The points of a configuration are distinct, so a row of the table
+    names each of its configurations once.
     """
-    rows = np.empty((total, 4, len(quads) // total), dtype=np.int32)
+    rows = np.empty((total, quads.shape[1], len(quads) // total), dtype=np.int32)
     key = np.min_scalar_type(total - 1)
-    for c in range(4):
+    for c in range(quads.shape[1]):
         # a key of at most 16 bits sorts by radix
         rows[:, c] = np.argsort(quads[:, c].astype(key), kind="stable").reshape(total, -1)
     return rows.reshape(total, -1)
@@ -842,15 +840,16 @@ def _greedy_l_free(
     ``start`` is a configuration-free mask taken before the walk, with its
     ``filled`` counts; the walk updates both arrays in place.  ``rows`` is
     the table of ``_point_index``.  A taken point adds one to the counts
-    of its configurations, and one that reaches three marks its four
-    points seen (three taken, the last blocked), so a point is taken iff
-    it is not yet seen.
+    of its configurations, and one that reaches ``last``, all its points
+    but one, marks its points seen (the one left is blocked), so a point
+    is taken iff it is not yet seen.
     """
     if start is None:
         start = np.zeros(len(rows), dtype=bool), np.zeros(len(quads), dtype=np.int8)
     chosen, filled = start
+    last = quads.shape[1] - 1
     seen = chosen.copy()
-    seen[quads[filled == 3]] = True
+    seen[quads[filled == last]] = True
     taken = []
     for pt in order.tolist():
         if seen[pt]:
@@ -860,7 +859,7 @@ def _greedy_l_free(
         mine = rows[pt]
         counts = filled[mine] + 1
         filled[mine] = counts
-        seen[quads[mine[counts == 3]]] = True
+        seen[quads[mine[counts == last]]] = True
     chosen[taken] = True
     return chosen, filled
 
@@ -870,8 +869,8 @@ def _exhaustive_l_free(quads: np.ndarray, total: int) -> int:
     maximum size in include-first order over the points in index order.
 
     Depth-first search with two exact bounds.  Forward checking: points
-    are decided in index order, so a configuration q0 < q1 < q2 < q3 can
-    only be completed by q3, and when q2 is taken with q0 and q1 already
+    are decided in index order, so a configuration *head < q2 < q3 can
+    only be completed by q3, and when q2 is taken with the head already
     chosen, q3 leaves the bitset ``free`` of points that can still be
     added.  Russian-doll suffix bounds: ``suffix[i]`` is the size of the
     largest free set inside points i..total-1, found for i = total-1 down
@@ -884,8 +883,8 @@ def _exhaustive_l_free(quads: np.ndarray, total: int) -> int:
     the order of the plain include-first search and returns its answer.
     """
     forward: list[list[tuple[int, int]]] = [[] for _ in range(total)]
-    for q0, q1, q2, q3 in np.sort(quads, axis=1).tolist():
-        forward[q2].append((1 << q0 | 1 << q1, 1 << q3))
+    for *head, q2, q3 in np.sort(quads, axis=1).tolist():
+        forward[q2].append((sum(1 << q for q in head), 1 << q3))
     suffix = [0] * (total + 1)
 
     def extend(chosen: int, size: int, free: int, target: int) -> int | None:
@@ -933,9 +932,9 @@ def search_extremal_L_free(
     spaces of at most 49 points (p=7, n=1).  ``greedy``, ``local`` and
     ``random`` are seeded heuristics, capped at 16384 points (p=11, n=2
     and p=5, n=3 fit).  They share one greedy walk over an int32 table of
-    the (p^n - 1) p^(2n) configurations and a table of the 4(p^n - 1)
-    configurations through each point, and block a point as soon as
-    three points of one of its configurations are taken, so no
+    the (p^n - 1) p^(2n) configurations of ``_l_quads`` and a table of
+    the configurations through each point, and block a point as soon as
+    all other points of one of its configurations are taken, so no
     configuration is tested point by point.  ``local`` drops two points
     and refills; it carries each result's per-configuration counts and
     subtracts the dropped points' rows, so no trial recounts the table.

@@ -1,11 +1,13 @@
 """Counting four-point and three-point configurations on Z_p^n x Z_p^n.
 
-The four-point configuration through (x, y) with step z is
+A pattern lists points (a, b), each the point (x + a z, y + b z) through
+(x, y) with step z.  The four-point configuration ``LSHAPE`` is
 
     (x, y), (x, y+z), (x, y+2z), (x+z, y)
 
-and the three-point corner drops the (x, y+2z) point.  The normalized
-average of a quadruple of tables over all (x, y, z) triples is
+and the three-point ``CORNER`` drops (x, y+2z).  The packed kernel needs
+their shape: (x, y) first, and only the last point moving x.  The
+normalized average of a quadruple of tables over all (x, y, z) triples is
 
     lam(g0,g1,g2,g3) = E_{x,y,z} g0(x,y) g1(x,y+z) g2(x,y+2z) g3(x+z,y)
 
@@ -61,6 +63,11 @@ class PatternCount:
             raise ValueError(f"average has imaginary part {self.average.imag}")
         return float(self.average.real)
 
+
+#: Each pattern once, for the counters and the search table: (x, y) first,
+#: the middle points on its x, and the last the only point that moves x.
+LSHAPE = ((0, 0), (0, 1), (0, 2), (1, 0))
+CORNER = ((0, 0), (0, 1), (1, 0))
 
 #: Most variable tuples ``_form_sum`` enumerates.
 MAX_TUPLES = 10**8
@@ -182,19 +189,20 @@ def _shifted_copies(words: np.ndarray, p: int, k: int) -> list[np.ndarray]:
     return copies
 
 
-def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_point: bool) -> tuple[int, int]:
-    """(all, z = 0) configuration counts of indicator tables, in packed words.
+def _indicator_counts(tables: list[FunctionTable], p: int, n: int, pattern: tuple) -> tuple[int, int]:
+    """(all, z = 0) counts of ``pattern`` in indicator tables, in packed words.
 
-    Every point of the configuration but the last shares x with (x, y),
-    so each is a row gather y -> y + c z of one packed table.  The last
-    point (x + z, y) moves x: digits add without carry, so the low digits
-    z_lo of z shift bits inside a word and the high digits z_hi move
-    whole words.  The sum over x of A(x) B(x + z) equals the sum of
+    Table i sits on point i of ``pattern``, which has the shape of
+    ``LSHAPE``: the first point is (x, y), and each middle point
+    (x, y + b z) is a row gather y -> y + b z of one packed table.  The
+    last point (x + z, y) moves x: digits add without carry, so the low
+    digits z_lo of z shift bits inside a word and the high digits z_hi
+    move whole words.  The sum over x of A(x) B(x + z) equals the sum of
     A(x - z_hi) B(x + z_lo), so once per high shift the words of every
     first table move by -z_hi, and each z then reads the last table's
     bit-shifted copy for z_lo as it is.  Each distinct table is packed
     once, and one ``translations`` call per high shift gives the rows
-    y + c z of its p^k values of z.
+    y + b z of its p^k values of z.
     """
     size = p**n
     k, low, dtype = _word_layout(p, n)
@@ -208,8 +216,7 @@ def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_poi
     shifted = _shifted_copies(words[id(tables[-1])], p, k)
     first = [id(t) for t in tables[:-1]]
     moved = {key: np.empty_like(words[key]) for key in first}
-    steps = (1, 2) if use_third_point else (1,)
-    scales = np.stack([scale_map(p, n, c) for c in steps])
+    scales = np.stack([scale_map(p, n, b) for _, b in pattern[1:-1]])
     negated = scale_map(p, n - k, p - 1)
     acc = np.empty_like(shifted[0])
     gathered = np.empty_like(acc)
@@ -223,7 +230,7 @@ def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_poi
         for key, out in moved.items():
             np.take(words[key], back, axis=1, out=out, mode="clip")
         block = scales[:, z_hi * low : (z_hi + 1) * low]
-        rows = translations(p, n, block.ravel()).reshape(len(steps), low, size)
+        rows = translations(p, n, block.ravel()).reshape(len(scales), low, size)
         for z_lo in range(low):
             np.bitwise_and(shifted[z_lo], moved[first[0]], out=acc)
             for key, row in zip(first[1:], rows[:, z_lo]):
@@ -240,12 +247,8 @@ def _indicator_counts(tables: list[FunctionTable], p: int, n: int, use_third_poi
     return int(totals.sum(dtype=np.int64)), trivial
 
 
-#: The four points as 2-row forms in (z, x, y), an x row over a y row.
-_LSHAPE_FORMS = (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 1)), ((0, 1, 0), (2, 0, 1)), ((1, 1, 0), (0, 0, 1)))
-
-
-def _count_pattern(tables: list[FunctionTable], use_third_point: bool) -> PatternCount:
-    """Shared kernel for the corner and the four-point configuration.
+def _count_pattern(tables: list[FunctionTable], pattern: tuple) -> PatternCount:
+    """Average of ``pattern`` over the tables, table i on point i.
 
     Indicator inputs are counted exactly on bit-packed grids (see
     ``_indicator_counts``), which keeps p = 3, n = 7 within seconds; any
@@ -258,20 +261,21 @@ def _count_pattern(tables: list[FunctionTable], use_third_point: bool) -> Patter
         raise ValueError("configuration tables must live on a pair space")
     n, denom = m // 2, p ** (3 * m // 2)
     if all(t.kind == "indicator" for t in tables):
-        count, trivial = _indicator_counts(tables, p, n, use_third_point)
+        count, trivial = _indicator_counts(tables, p, n, pattern)
         return PatternCount(complex(count / denom), count, count - trivial)
-    forms = _LSHAPE_FORMS if use_third_point else _LSHAPE_FORMS[:2] + _LSHAPE_FORMS[3:]
+    # point (a, b) as a 2-row form in (z, x, y), an x row over a y row
+    forms = [((a, 1, 0), (b, 0, 1)) for a, b in pattern]
     return PatternCount(complex(_form_sum([t.values for t in tables], forms, p, n) / denom))
 
 
 def lshape_average(g0: FunctionTable, g1: FunctionTable, g2: FunctionTable, g3: FunctionTable) -> PatternCount:
     """E_{x,y,z} g0(x,y) g1(x,y+z) g2(x,y+2z) g3(x+z,y)."""
-    return _count_pattern([g0, g1, g2, g3], use_third_point=True)
+    return _count_pattern([g0, g1, g2, g3], LSHAPE)
 
 
 def corner_average(g0: FunctionTable, g1: FunctionTable, g2: FunctionTable) -> PatternCount:
     """E_{x,y,z} g0(x,y) g1(x,y+z) g2(x+z,y)."""
-    return _count_pattern([g0, g1, g2], use_third_point=False)
+    return _count_pattern([g0, g1, g2], CORNER)
 
 
 def ones_like(f: FunctionTable) -> FunctionTable:

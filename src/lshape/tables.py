@@ -141,9 +141,6 @@ class FunctionTable:
             raise ValueError("pointwise product of tables on different spaces")
         return self._wrap(self.values * other.values)
 
-    def minus_const(self, c: complex) -> "FunctionTable":
-        return self._wrap(self.values - c)
-
     def restrict(self, coset: AffineSubspace) -> "FunctionTable":
         """Pull f back through the coset parameterization.
 

@@ -43,7 +43,7 @@ from lshape.tables import FunctionTable
 
 def balanced(s: FunctionTable) -> FunctionTable:
     """The mean-zero shift: indicator minus density."""
-    return s.minus_const(s.density)
+    return FunctionTable(s.p, s.m, s.values - s.density)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +281,8 @@ def base_uniformity_transfer_check(fam: FiberFamily, s: int, slack: float = 1e-9
     y-marginal of Phi - alpha*rho is exactly rho * (A - alpha).
     """
     alpha = fam.base.density
-    lhs = gowers_norm(fam.base.minus_const(alpha), s).value
-    rhs = gowers_norm(fam.table.minus_const(alpha * fam.rho), s).value
+    lhs = gowers_norm(FunctionTable(fam.base.p, fam.base.m, fam.base.values - alpha), s).value
+    rhs = gowers_norm(FunctionTable(fam.table.p, fam.table.m, fam.table.values - alpha * fam.rho), s).value
     bound = rhs / fam.rho
     return {"base_norm": lhs, "family_norm": rhs, "rho": fam.rho, "bound": bound,
             "holds": lhs <= bound + slack}
@@ -533,7 +533,7 @@ def uniformity_count_check(system: LinearFormSystem, tables, s: int, n: int, sla
     if cert.is_infinite or cert.s > s:
         raise ValueError(f"system complexity {cert.s} exceeds s = {s}")
     means = [complex(t.mean()) for t in tables]
-    devs = [gowers_norm(t.minus_const(mu), s + 1).value for t, mu in zip(tables, means)]
+    devs = [gowers_norm(FunctionTable(t.p, t.m, t.values - mu), s + 1).value for t, mu in zip(tables, means)]
     lhs = abs(count_system(tables, system, n).average - np.prod(means))
     rhs = len(tables) * max(devs)
     return {

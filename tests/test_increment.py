@@ -564,6 +564,13 @@ def test_extremal_heuristics_produce_free_sets():
         search_extremal_L_free(3, 1, "mystery")
 
 
+def test_extremal_search_at_n_zero_keeps_the_single_point():
+    # the configuration table is empty: no width can be read off a row
+    for method in ("exhaustive", "greedy", "local", "random"):
+        res = search_extremal_L_free(3, 0, method)
+        assert res["indices"] == [0] and res["cardinality"] == 1 and res["verified_free"], method
+
+
 def test_extremal_resource_caps_fire_before_enumeration():
     from lshape.field import ResourceLimitError
 
@@ -623,6 +630,9 @@ def test_point_table_rows_are_the_configurations_through_each_point(pn):
         assert len(set(mine.tolist())) == len(mine)
         assert (quads[mine] == pt).any(axis=1).all()
         assert set(mine.tolist()) == set(ids[ptr[pt] : ptr[pt + 1]].tolist())
+    if pn != (7, 2):  # the oracle walks every (x, y, z) in Python
+        through = orc._configurations_through(p, n)
+        assert set(map(tuple, quads.tolist())) == {q for at_pt in through.values() for q in at_pt}
 
 
 @pytest.mark.parametrize("pn", [(3, 2), (5, 2), (3, 3)])

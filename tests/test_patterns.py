@@ -166,7 +166,7 @@ def test_full_set_counts_everything():
 def test_ones_like_accepts_both():
     s = _random_set(3, 1, 7)
     # a set, or any other table on the same space
-    for arg in (s, s.minus_const(0.5)):
+    for arg in (s, FunctionTable(s.p, s.m, s.values - 0.5)):
         one = ones_like(arg)
         assert one.kind == "indicator"
         assert float(one.values.real.min()) == 1.0
