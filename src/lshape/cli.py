@@ -160,12 +160,15 @@ def _random_set(p: int, m: int, seed: int, density: float = 0.5) -> FunctionTabl
     return FunctionTable(p, m, rng.random(size) < density)
 
 
-def _load_set(path: str) -> FunctionTable:
-    """A set or table file whose table is an indicator."""
+def _load_pair_set(path: str) -> tuple[FunctionTable, int, int]:
+    """(S, p, n) for a set or table file whose table is an indicator on a
+    pair space Z_p^n x Z_p^n."""
     table = load_any(path)
     if table.kind != "indicator":
         raise ValueError("need an indicator-kind table")
-    return table
+    if table.m % 2:
+        raise ValueError(f"need a set on a pair space (an even number of digits), got m = {table.m}")
+    return table, table.p, table.m // 2
 
 
 def _random_structured(p: int, n: int, d: int, seed: int):
@@ -183,11 +186,12 @@ def _random_structured(p: int, n: int, d: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the effective settings and returns (body, exit
+# code); ``main`` wraps the body in the report envelope
 
 
-def _cmd_norm(args: argparse.Namespace) -> tuple[dict, int]:
-    settings = _effective_settings(args)
+def _cmd_norm(settings: dict) -> tuple[dict, int]:
+    """One norm of a loaded or random table, with the table's p and m."""
     if settings["table"]:
         table = load_any(settings["table"])
     else:
@@ -204,17 +208,14 @@ def _cmd_norm(args: argparse.Namespace) -> tuple[dict, int]:
         result = {"value": res.value, "power": res.power}
     result["p"] = table.p
     result["m"] = table.m
-    return {"command": "norm", "config": settings, "result": result, "version": __version__}, 0
+    return {"result": result}, 0
 
 
-def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
-    settings = _effective_settings(args)
+def _cmd_count(settings: dict) -> tuple[dict, int]:
+    """Configuration or corner counts of a loaded, built-in or random set."""
     extras: dict = {}
     if settings["set"]:
-        ind = _load_set(settings["set"])
-        if ind.m % 2:
-            raise ValueError("counting needs a set on a pair space (even number of digits)")
-        p, n = ind.p, ind.m // 2
+        ind, p, n = _load_pair_set(settings["set"])
     elif settings["example"]:
         p, n = settings["p"], settings["n"]
         kind = settings["example"].replace("-", "_")
@@ -244,7 +245,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
         "nontrivial_count": None if res.nontrivial_count is None else str(res.nontrivial_count),
     }
     result.update(extras)
-    return {"command": "count", "config": settings, "result": result, "version": __version__}, 0
+    return {"result": result}, 0
 
 
 def _check(checks: list, check_id: str, holds: bool, **detail) -> None:
@@ -253,8 +254,8 @@ def _check(checks: list, check_id: str, holds: bool, **detail) -> None:
     checks.append(entry)
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    settings = _effective_settings(args)
+def _cmd_verify(settings: dict) -> tuple[dict, int]:
+    """The checks of the chosen suites; exit code 1 unless all of them hold."""
     p, n, seed, trials = settings["p"], settings["n"], settings["seed"], settings["trials"]
     suite = settings["suite"]
     if trials < 0:
@@ -326,39 +327,27 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
                res.exact_count == 0 and res.nontrivial_count == 0)
 
     ok = all(c["holds"] for c in checks)
-    report = {
-        "command": "verify",
-        "config": settings,
-        "checks": checks,
-        "all_hold": ok,
-        "version": __version__,
-    }
-    return report, 0 if ok else 1
+    return {"checks": checks, "all_hold": ok}, 0 if ok else 1
 
 
-def _cmd_extremal(args: argparse.Namespace) -> tuple[dict, int]:
-    settings = _effective_settings(args)
+def _cmd_extremal(settings: dict) -> tuple[dict, int]:
+    """A configuration-free set found by the chosen search method."""
     res = search_extremal_L_free(settings["p"], settings["n"], settings["method"],
                                  settings["seed"], settings["iterations"])
-    return {"command": "extremal", "config": settings, "result": res, "version": __version__}, 0
+    return {"result": res}, 0
 
 
-def _cmd_pseudorandomize(args: argparse.Namespace) -> tuple[dict, int]:
-    settings = _effective_settings(args)
+def _cmd_pseudorandomize(settings: dict) -> tuple[dict, int]:
+    """The U^2 pseudorandomization report of a random structured instance."""
     s, t = _random_structured(settings["p"], settings["n"], settings["d"], settings["seed"])
-    res = pseudorandomize_u2(s, t, settings["eps"], settings["tau"])
-    return {"command": "pseudorandomize", "config": settings, "result": res.report,
-            "version": __version__}, 0
+    return {"result": pseudorandomize_u2(s, t, settings["eps"], settings["tau"]).report}, 0
 
 
-def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
-    settings = _effective_settings(args)
+def _cmd_increment(settings: dict) -> tuple[dict, int]:
+    """The increment driver's run on a loaded, planted or random instance."""
     p, n = settings["p"], settings["n"]
     if settings["set"]:
-        s = _load_set(settings["set"])
-        if s.m % 2:
-            raise ValueError("the candidate set must live on a pair space")
-        p, n = s.p, s.m // 2
+        s, p, n = _load_pair_set(settings["set"])
         full = FunctionTable(p, n, np.ones(p**n, dtype=bool))
         t = StructuredProductSet(full, full, full, FiberFamily.full(full))
     elif settings["planted"] == "row-bias":
@@ -374,7 +363,7 @@ def _cmd_increment(args: argparse.Namespace) -> tuple[dict, int]:
         with open(settings["trajectory_file"], "w", encoding="utf-8") as fh:
             for record in res["trajectory"]:
                 fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
-    return {"command": "increment", "config": settings, "result": res, "version": __version__}, 0
+    return {"result": res}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report, code = COMMANDS[args.command][0](args)
+        settings = _effective_settings(args)
+        body, code = COMMANDS[args.command][0](settings)
     except (ValueError, OSError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -465,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     try:
-        _emit(report)
+        _emit({"command": args.command, "config": settings, **body, "version": __version__})
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone; point stdout at devnull so that the flush

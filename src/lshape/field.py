@@ -272,24 +272,25 @@ class AffineSubspace:
             return 0
         return self.p ** (self.ambient_dim - len(self.normals))
 
-    def _normal_matrix(self) -> np.ndarray:
-        return np.array(self.normals, dtype=np.int64).reshape(len(self.normals), self.ambient_dim)
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot column of each reduced normal: its first nonzero
+        column, which holds a 1 there and a 0 in every other normal."""
+        return [next(c for c, v in enumerate(row) if v) for row in self.normals]
 
-    def _pivots_free(self) -> tuple[list[int], list[int]]:
-        piv = []
-        mat = self._normal_matrix()
-        for row in mat:
-            nz = np.flatnonzero(row)
-            piv.append(int(nz[0]))
-        free = [c for c in range(self.ambient_dim) if c not in piv]
-        return piv, free
+    @property
+    def free(self) -> list[int]:
+        """The columns that are no normal's pivot, ascending: the
+        coordinates that parametrize the direction V."""
+        piv = self.pivots
+        return [c for c in range(self.ambient_dim) if c not in piv]
 
     def offset_point(self) -> np.ndarray:
         """The digits of the canonical member: all free coordinates zero."""
         if self.is_empty:
             raise ValueError("the empty set has no members")
         x = np.zeros(self.ambient_dim, dtype=np.int64)
-        x[self._pivots_free()[0]] = self.offsets
+        x[self.pivots] = self.offsets
         return x
 
     def basis(self) -> np.ndarray:
@@ -298,9 +299,10 @@ class AffineSubspace:
         out = np.zeros((self.dim, self.ambient_dim), dtype=np.int64)
         if self.is_empty:
             return out
-        piv, free = self._pivots_free()
+        free = self.free
         out[np.arange(len(free)), free] = 1
-        out[:, piv] = -self._normal_matrix()[:, free].T % self.p
+        nrm = np.array(self.normals, dtype=np.int64).reshape(len(self.normals), self.ambient_dim)
+        out[:, self.pivots] = -nrm[:, free].T % self.p
         return out
 
     def member_indices(self) -> np.ndarray:

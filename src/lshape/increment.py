@@ -45,7 +45,6 @@ from .field import (
     digit_table,
     digits_of,
     index_of,
-    modular_rref,
     scale_map,
     subspace_from_normals,
     translations,
@@ -83,6 +82,9 @@ class ProductCosetPartition:
     take on it, and a cell by ca + p^codim * cb, for its x coset ca and its
     y coset cb.  The partition owns its coset geometry: the members of
     every coset, and the labels of the y, sum and skew cosets of every cell.
+
+    The normals must be reduced independent rows, so they are exactly the
+    normals of ``direction``, which holds their pivots and free columns.
     """
 
     p: int
@@ -90,19 +92,12 @@ class ProductCosetPartition:
     normals: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.normals:
-            mat = np.array(self.normals, dtype=np.int64)
-            red, piv = modular_rref(mat, self.p)
-            if len(piv) != len(self.normals) or not np.array_equal(red % self.p, mat % self.p):
-                raise ValueError("partition normals must be reduced independent rows")
+        if self.direction.normals != self.normals:
+            raise ValueError("partition normals must be reduced independent rows")
 
     @property
     def codim(self) -> int:
         return len(self.normals)
-
-    @property
-    def direction_dim(self) -> int:
-        return self.n - self.codim
 
     def label_index(self) -> np.ndarray:
         """Coset label of every point, as an integer in [0, p^codim)."""
@@ -117,11 +112,10 @@ class ProductCosetPartition:
     def refine(self, character: Sequence[int]) -> "ProductCosetPartition":
         """New partition with direction V intersected with the kernel of the
         character with these digits."""
-        stacked = list(self.normals) + [tuple(int(v) % self.p for v in character)]
-        red, piv = modular_rref(np.array(stacked, dtype=np.int64), self.p)
-        if len(piv) != len(self.normals) + 1:
+        finer = subspace_from_normals(self.p, self.n, (*self.normals, character), (0,) * (self.codim + 1))
+        if finer.codimension != self.codim + 1:
             raise ValueError("character lies in the span of the existing normals")
-        return ProductCosetPartition(self.p, self.n, tuple(tuple(int(v) for v in r) for r in red))
+        return ProductCosetPartition(self.p, self.n, finer.normals)
 
     @cached_property
     def direction(self) -> AffineSubspace:
@@ -141,7 +135,7 @@ class ProductCosetPartition:
         """
         p, n = self.p, self.n
         starts = np.zeros((p**self.codim, n), dtype=np.int64)
-        starts[:, [row.index(1) for row in self.normals]] = digit_table(p, self.codim)
+        starts[:, self.direction.pivots] = digit_table(p, self.codim)
         out = combine(p, n, (1, 1), (index_of(p, starts)[:, None], self.direction.member_indices()[None, :]))
         if np.any(np.bincount(out.ravel(), minlength=p**n) != 1):
             raise AssertionError("the coset member table misses or repeats a point")
@@ -275,7 +269,7 @@ def _top_characters(rows: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.
     return index, corr
 
 
-def _pull_back(xi: np.ndarray, free: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+def _pull_back(xi: np.ndarray, free: list[int], basis: np.ndarray, p: int) -> np.ndarray:
     """Ambient characters of a (k, dim) stack of coset characters, checked
     to satisfy basis @ nu = xi (mod p).
 
@@ -291,7 +285,7 @@ def _pull_back(xi: np.ndarray, free: np.ndarray, basis: np.ndarray, p: int) -> n
 
 
 def _triggered_characters(
-    rows: np.ndarray, p: int, halves: int, eps: float, basis: np.ndarray, free: np.ndarray
+    rows: np.ndarray, p: int, halves: int, eps: float, basis: np.ndarray, free: list[int]
 ) -> dict[int, tuple[float, list[tuple[int, ...]]]]:
     """{row: (correlation, [ambient character])} for the rows of a stack
     whose U^2 norm reaches eps.
@@ -330,7 +324,6 @@ class PseudorandomizeResult:
     partition: ProductCosetPartition
     cell: int | None
     level: int | None
-    met_threshold: bool
 
 
 def pseudorandomize_u2(
@@ -387,14 +380,13 @@ def pseudorandomize_u2(
     stopped_because = ""
 
     while True:
-        if partition.direction_dim == 0:
+        if partition.direction.dim == 0:
             stopped_because = "direction dimension exhausted"
             break
         big = data["big"]
 
         members = partition.members
-        x_basis = partition.direction.basis()
-        free = np.delete(np.arange(n), [row.index(1) for row in partition.normals])
+        x_basis, free = partition.direction.basis(), partition.direction.free
 
         # per-label deviations of the y, sum and skew factor sets
         factor_devs = []
@@ -516,7 +508,7 @@ def pseudorandomize_u2(
             "threshold": sigma + tau / 4,
         },
     }
-    return PseudorandomizeResult(report, partition, cell, level_pick, met)
+    return PseudorandomizeResult(report, partition, cell, level_pick)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +554,6 @@ def _line_scores(
     return inter, mass
 
 
-def _recount_pairs(s_mask: np.ndarray, t_new: StructuredProductSet) -> int:
-    """Independent recount of |S ∩ T| by a gather at T's members."""
-    return int(np.count_nonzero(s_mask[t_new.table.member_indices()]))
-
-
 def _check_winner(s_set: FunctionTable, t_new: StructuredProductSet, inter: int, mass: int) -> None:
     """Check the built (and so pointwise audited) winner T' against the
     scores it won with: its cardinality, and |S ∩ T'| counted twice, by
@@ -575,7 +562,7 @@ def _check_winner(s_set: FunctionTable, t_new: StructuredProductSet, inter: int,
         raise AssertionError(f"scored |T'| = {mass}, built {t_new.table.cardinality}")
     if int(np.count_nonzero(s_set.values & t_new.table.values)) != inter:
         raise AssertionError("scored |S ∩ T'| disagrees with the built set")
-    if _recount_pairs(s_set.values, t_new) != inter:
+    if int(np.count_nonzero(s_set.values[t_new.table.member_indices()])) != inter:
         raise AssertionError("density recount disagrees")
 
 
@@ -1066,7 +1053,7 @@ def _renormalize_to_cell(
     the cell.
     """
     p = t.p
-    new_n = partition.direction_dim
+    new_n = partition.direction.dim
     if new_n == 0:
         return None
     xs = partition.members[cell % p**partition.codim]
@@ -1159,7 +1146,7 @@ def increment_driver(
             trajectory.append(record)
             halted = "no cell to select"
             break
-        if pr.partition.direction_dim == 0:
+        if pr.partition.direction.dim == 0:
             trajectory.append(record)
             halted = "dimension exhausted"
             break

@@ -113,29 +113,12 @@ def _span_contains(vectors: np.ndarray, target: np.ndarray, p: int) -> bool:
 
 def _min_classes(vectors: np.ndarray, j: int, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Fewest classes splitting the forms other than j with psi_j out of
-    every class span.  Greedy first for an upper bound, then exhaustive
-    assignment search downward."""
+    every class span, by exhaustive assignment search downward from its
+    first descent with a class per form: greedy first fit, which never
+    backtracks once ``cs_complexity`` has ruled out forms parallel to psi_j."""
     others = [i for i in range(len(vectors)) if i != j]
-    target = vectors[j]
     if not others:
         return 0, ()
-
-    def class_ok(members: list[int]) -> bool:
-        return not _span_contains(vectors[members], target, p)
-
-    # greedy first fit
-    classes: list[list[int]] = []
-    for i in others:
-        placed = False
-        for cls in classes:
-            if class_ok(cls + [i]):
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
-    best = [tuple(tuple(c) for c in classes)]
-    upper = len(classes)
 
     def feasible(count: int) -> tuple[tuple[int, ...], ...] | None:
         assign: list[list[int]] = [[] for _ in range(count)]
@@ -150,7 +133,7 @@ def _min_classes(vectors: np.ndarray, j: int, p: int) -> tuple[int, tuple[tuple[
                     if seen_empty:
                         break  # empty classes are interchangeable
                     seen_empty = True
-                if class_ok(cls + [i]):
+                if not _span_contains(vectors[cls + [i]], vectors[j], p):
                     cls.append(i)
                     if rec(pos + 1):
                         return True
@@ -161,14 +144,15 @@ def _min_classes(vectors: np.ndarray, j: int, p: int) -> tuple[int, tuple[tuple[
             return tuple(tuple(c) for c in assign if c)
         return None
 
-    k = upper
+    best = feasible(len(others))
+    k = len(best)
     while k > 1:
         got = feasible(k - 1)
         if got is None:
             break
-        best[0] = got
+        best = got
         k -= 1
-    return k, best[0]
+    return k, best
 
 
 def cs_complexity(system: LinearFormSystem) -> ComplexityCertificate:

@@ -171,11 +171,6 @@ def _cube_average(corners, p: int, m: int) -> complex:
     return complex(total / p ** (m * r))
 
 
-def _u_definition_raw(values: np.ndarray, p: int, m: int, s: int) -> complex:
-    """The literal nested sum over all (h_1, ..., h_s) difference tuples."""
-    return _cube_average([values] * 2**s, p, m)
-
-
 def _cube_cost(size: int, s: int) -> int:
     """Operations of the literal cube sum: p^(m(s+1)) products of x and the
     s differences, and 2^s corners for each of the p^(ms) difference tuples."""
@@ -193,7 +188,7 @@ def gowers_norm(f: FunctionTable, s: int, definition_only: bool = False) -> Norm
             f"U^{s} on {size} points needs ~{est} operations (cap {COST_CAP})"
         )
     if definition_only:
-        raw = _u_definition_raw(f.values, f.p, f.m, s)
+        raw = _cube_average([f.values] * 2**s, f.p, f.m)  # the literal sum over all difference tuples
     else:
         raw = _u_fast_raw(f.values, f.p, f.m, s)
     return _root(raw, 2**s)

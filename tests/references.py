@@ -151,7 +151,7 @@ def contains(sub: AffineSubspace, x) -> bool:
     xd = digits_of(sub.p, sub.ambient_dim, x) if np.ndim(x) == 0 else np.asarray(x)
     if not sub.normals:
         return True
-    lhs = (sub._normal_matrix() @ xd) % sub.p
+    lhs = (np.array(sub.normals, dtype=np.int64) @ xd) % sub.p
     return bool(np.array_equal(lhs, np.array(sub.offsets, dtype=np.int64)))
 
 
@@ -330,7 +330,7 @@ def cover_check(partition: ProductCosetPartition) -> dict:
     size = partition.p**partition.n
     lab = partition.label_index()
     counts = np.bincount(lab, minlength=partition.p**partition.codim)
-    ok = bool(np.all(counts == partition.p**partition.direction_dim))
+    ok = bool(np.all(counts == partition.p**partition.direction.dim))
     return {"cells": (partition.p**partition.codim) ** 2, "point_cover_ok": ok,
             "pair_count": size * size}
 

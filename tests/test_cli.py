@@ -262,6 +262,16 @@ def test_exit_code_two_on_bad_input(tmp_path):
     run_cli("extremal", "--p", "3", "--n", "9", expect=2)
 
 
+def test_odd_digit_set_is_refused_by_count_and_increment(tmp_path):
+    # both commands read a set on Z_p^n x Z_p^n, so m = 3 digits has no n
+    odd = tmp_path / "odd.set"
+    odd.write_text("p=3 m=3\n0\n5\n")
+    for command in ("count", "increment"):
+        proc = run_cli(command, "--set", str(odd), expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr == "error: need a set on a pair space (an even number of digits), got m = 3\n"
+
+
 def test_bad_modulus_values_and_sizes_exit_two(tmp_path):
     odd_modulus = tmp_path / "p9.set"
     odd_modulus.write_text("p=9 m=2\n0\n")

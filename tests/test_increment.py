@@ -83,11 +83,19 @@ def test_partition_refinement_and_labels():
     with pytest.raises(ValueError):
         fine.refine((2, 0))
     finer = fine.refine((0, 1))
-    assert finer.direction_dim == 0
+    assert finer.direction.dim == 0
     cells = ref.cells(fine)
     masks = np.stack([ref.pair_member_mask(c) for c in cells])
     assert masks.sum(axis=0).max() == 1
     assert masks.any(axis=0).all()
+
+
+def test_partition_refuses_unreduced_normals():
+    # a scaled row, rows left unreduced, and a row with an entry past p are
+    # each refused at construction, before any table reads the pivots
+    for normals in (((2, 0),), ((1, 1), (1, 0)), ((4, 0),)):
+        with pytest.raises(ValueError, match="reduced independent rows"):
+            ProductCosetPartition(3, 2, normals)
 
 
 def test_member_table_matches_the_coset_route():
@@ -190,7 +198,7 @@ def test_pseudorandomize_terminates_and_gains():
         for rec in rep["rounds"]:
             assert rec["certified_gain"] <= rec["energy_gain"] + 1e-9
         assert res.cell is None or 0 <= res.cell < 3 ** (2 * res.partition.codim)
-        assert res.met_threshold == rep["selected"]["met_threshold"]
+        assert rep["selected"]["met_threshold"] == (rep["selected"]["ratio"] >= rep["selected"]["threshold"])
 
 
 def test_pseudorandomize_builds_each_partition_tables_once(monkeypatch):
@@ -226,7 +234,7 @@ def test_pseudorandomize_flat_instance_reports_no_rounds():
     res = pseudorandomize_u2(s, t, eps=0.1, tau=0.1)
     assert res.report["round_count"] == 0
     assert res.report["energy_trace"] == [pytest.approx(1.0)]  # all factor densities are 1
-    assert not res.met_threshold
+    assert not res.report["selected"]["met_threshold"]
     assert res.report["selected"]["ratio"] == pytest.approx(s.cardinality / 81)
 
 

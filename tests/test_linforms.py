@@ -68,6 +68,39 @@ def test_complexity_matches_oracle_on_random_systems():
     assert agree >= 25
 
 
+def _first_fit_classes(p, rows, j):
+    """Classes of greedy first fit for form j: each other form joins the
+    first class whose span stays clear of form j, or opens a new one."""
+    classes = []
+    for i, row in enumerate(rows):
+        if i == j:
+            continue
+        fit = next((c for c in classes if not orc._span_contains(rows[j], c + [row], p)), None)
+        if fit is None:
+            classes.append([row])
+        else:
+            fit.append(row)
+    return len(classes)
+
+
+@pytest.mark.parametrize("p, r, d", [(5, 3, 5), (5, 3, 6), (7, 3, 6)])
+def test_complexity_is_the_minimum_on_random_systems(p, r, d):
+    # five or six forms in three variables: first fit often opens a class
+    # too many, so the downward search must lower its count, and the
+    # complexity must still be the oracle's
+    rng = np.random.default_rng(1000 * p + 10 * r + d)
+    lowered = 0
+    for _ in range(30):
+        rows = [tuple(int(v) for v in row) for row in rng.integers(0, p, size=(d, r)) if row.any()]
+        system = LinearFormSystem.from_rows(p, rows)
+        cert = cs_complexity(system)
+        assert cert.s == orc.cs_complexity_oracle(p, rows), rows
+        assert ref.verify_certificate(system, cert)
+        if not cert.is_infinite:
+            lowered += any(_first_fit_classes(p, rows, j) > len(classes) for j, classes in enumerate(cert.partitions))
+    assert lowered > 0
+
+
 def test_complexity_needs_scalar_forms():
     # the stacked point systems are not scalar, so complexity is undefined
     with pytest.raises(ValueError):
