@@ -359,6 +359,9 @@ def _cmd_increment(settings: dict) -> tuple[dict, int]:
     res = increment_driver(s, t, settings["eps"], settings["tau"],
                            max_steps=settings["max_steps"],
                            require_l_free=settings["require_l_free"])
+    if settings["set"]:
+        # the file's p and n, which "config" does not hold
+        res = {**res, "p": p, "n": n}
     if settings["trajectory_file"]:
         with open(settings["trajectory_file"], "w", encoding="utf-8") as fh:
             for record in res["trajectory"]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import rank_mod
+from .field import modular_rref
 from .norms import gowers_norm
 from .patterns import count_system
 
@@ -105,10 +105,10 @@ class ComplexityCertificate:
 
 
 def _span_contains(vectors: np.ndarray, target: np.ndarray, p: int) -> bool:
-    if vectors.size == 0:
-        return False
-    base = rank_mod(vectors, p)
-    return rank_mod(np.vstack([vectors, target[None, :]]), p) == base
+    """Whether ``target`` lies in the span of the rows of ``vectors``, by
+    one reduction: among the columns of [vectors; target]^T, the last is
+    a pivot exactly when it is independent of the columns before it."""
+    return len(vectors) not in modular_rref(np.vstack([vectors, target]).T, p)[1]
 
 
 def _min_classes(vectors: np.ndarray, j: int, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:

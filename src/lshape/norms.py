@@ -79,12 +79,14 @@ def _root(raw: complex, power: int) -> NormValue:
     return NormValue(max(re, 0.0) ** (1.0 / power), power, complex(raw))
 
 
-#: Entries per block of difference-cube rows (128 KiB of complex128).
+#: Entries per block of rows (128 KiB of complex128): the difference-cube
+#: rows of ``_delta_rows``, the corner gathers of ``_cube_average`` and
+#: slot 0's pair rows.
 #: From 2^14 up, the allocator handed the transform's per-block
 #: temporaries back to the OS and faulted them in again on every block:
 #: a U^3 evaluation at (p, m) = (3, 6) took 4,199 minor page faults and
 #: ~24 ms at 2^16, against 7 and ~17 ms at 2^13.
-_CUBE_BLOCK = 1 << 13
+_ROW_BLOCK = 1 << 13
 
 
 def _delta_rows(batch: np.ndarray, p: int, m: int, r: int):
@@ -93,7 +95,7 @@ def _delta_rows(batch: np.ndarray, p: int, m: int, r: int):
     Doubles one difference at a time, row (t, h) of the next batch being
     batch[t](x) conj(batch[t](x + h)), and yields the rows a block at a
     time, in the order (t, h_1, ..., h_r).  Each level takes as many h as
-    keep the rows it leads to within _CUBE_BLOCK entries, so no block is
+    keep the rows it leads to within _ROW_BLOCK entries, so no block is
     larger unless one row is.
     """
     if r == 0:
@@ -101,7 +103,7 @@ def _delta_rows(batch: np.ndarray, p: int, m: int, r: int):
         return
     size = p**m
     conj = np.conj(batch)
-    step = max(1, _CUBE_BLOCK // (len(batch) * size**r))
+    step = max(1, _ROW_BLOCK // (len(batch) * size**r))
     for start in range(0, size, step):
         moved = conj[:, translations(p, m, np.arange(start, min(start + step, size)))]
         yield from _delta_rows((batch[:, None, :] * moved).reshape(-1, size), p, m, r - 1)
@@ -137,7 +139,7 @@ def _cube_average(corners, p: int, m: int) -> complex:
     Every corner value is gathered from ``corners`` itself, with no
     transform and no difference recursion, so this audit shares only
     ``field.translations`` with the fast path.  The tuples h' come a block at a
-    time, each block gathering at most _CUBE_BLOCK entries per half (or
+    time, each block gathering at most _ROW_BLOCK entries per half (or
     one tuple's, if they are more): 2^s p^(ms) gathers in all, against
     the p^(m(s+1)) (x, h) points.
     """
@@ -151,7 +153,7 @@ def _cube_average(corners, p: int, m: int) -> complex:
     # and positions 2j, 2j + 1 share the j-th w' = (w_1, ..., w_(s-1))
     halves = [factors[0::2].ravel(), factors[1::2].ravel()]
     place = size * np.arange(2**r)[:, None]  # corner j's place in a half
-    step = max(1, _CUBE_BLOCK // (2**r * size))
+    step = max(1, _ROW_BLOCK // (2**r * size))
     total = 0.0 + 0.0j
     for start in range(0, size**r, step):
         t = np.arange(start, min(start + step, size**r))
@@ -206,18 +208,62 @@ def _pair_split(g: FunctionTable) -> tuple[int, int, np.ndarray]:
     return g.p, n, g.as_pair_grid().astype(np.complex128, copy=False)
 
 
-def _box_raw(grid: np.ndarray) -> float:
+def _box_raw(rows: np.ndarray) -> float:
     """E over (x, x', y, y') of the alternating rectangle product of a
-    pair grid: the mean of |corr|^2 over the row correlations
-    corr = grid grid^*, summed as one vdot with no |corr| temporary."""
-    corr = grid @ np.conj(grid).T
-    return float(np.vdot(corr, corr).real) / grid.shape[0] ** 4
+    pair grid, from an (N, N) complex array whose rows run along either
+    axis of the grid: the sum is symmetric in x and y.
+
+    It is the mean of |corr|^2 over the row correlations corr = H H^*
+    of H = A + iB, split into real products.  With R the float64 view of
+    H, each entry's real and imaginary part side by side, R R^T is
+    A A^T + B B^T = Re corr as one syrk (a column permutation leaves
+    R R^T alone), and Im corr = M - M^T with M = B A^T is one real gemm:
+    half the multiply-adds of the complex product.  Each temporary is
+    freed before the next is made.
+    """
+    h = np.ascontiguousarray(rows)
+    split = h.view(np.float64)
+    part = split @ split.T
+    total = float(np.vdot(part, part))
+    del part
+    re, im = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
+    part = im @ re.T
+    del re, im
+    part = part - part.T
+    total += float(np.vdot(part, part))
+    return total / h.shape[0] ** 4
 
 
 def box_norm(g: FunctionTable) -> NormValue:
     """The rectangle norm: fourth root of E over (x, x', y, y') of the
-    alternating product g(x,y) conj g(x,y') conj g(x',y) g(x',y')."""
-    return _root(_box_raw(_pair_split(g)[2]), 4)
+    alternating product g(x,y) conj g(x,y') conj g(x',y) g(x',y').
+    The columns of the F-ordered pair grid view are C-ordered rows, which
+    ``_box_raw`` reads with no copy."""
+    return _root(_box_raw(_pair_split(g)[2].T), 4)
+
+
+def _slot0_raw(rows: np.ndarray, p: int, n: int, reps: np.ndarray) -> float:
+    """E_{x,h3} ||y -> g(x,y) conj g(x+h3,y)||_{U^2}^4 from the C-order
+    pair grid ``rows`` (row x is y -> g(x, y)) and the indices ``reps``
+    of h3 = 0 and of one member of each pair {h3, -h3}.
+
+    Each h3 takes its x + h3 from one translation row, and its pair rows
+    are formed and transformed _ROW_BLOCK entries (or one row) at a time,
+    so no block spans more than one h3 and no index array spans all the
+    pairs.  Rows with h3 = 0 count once and the others twice.
+    """
+    size = p**n
+    step = max(1, _ROW_BLOCK // size)
+    total = 0.0
+    for h3 in reps.tolist():
+        moved = translations(p, n, np.array([h3]))[0]
+        part = 0.0
+        for start in range(0, size, step):
+            pair = np.conj(rows[moved[start : start + step]])
+            pair *= rows[start : start + step]
+            part += float(np.sum(u2_fourth_batch(pair, p, n)))
+        total += part if h3 == 0 else 2 * part
+    return total / size**2
 
 
 def slot_norm(g: FunctionTable, slot: int) -> NormValue:
@@ -226,26 +272,24 @@ def slot_norm(g: FunctionTable, slot: int) -> NormValue:
     slot 0: eighth root of E_{x,h3} ||y -> g(x,y) conj g(x+h3,y)||_{U^2}^4.
             The rows for -h3 are those for h3, conjugated and permuted,
             so their fourth powers agree: each pair {h3, -h3} is
-            transformed once and counted twice.
+            transformed once and counted twice.  The rows are formed and
+            transformed _ROW_BLOCK entries at a time (``_slot0_raw``).
     slot 1: the box norm after the shear (a, b) = (x, x+y); the two
             directions (0,h1), (-h2,h2) become the axis pair (0,h1), (-h2,0).
+            Row a of the sheared grid, y -> g(a, y - a), is gathered
+            through the translation row of -a, straight into the rows
+            that ``_box_raw`` reads.
     slot 2: square root of E_z |E_x g(x, z-2x)|^2, averaging over the
             lines on which 2x + y is constant.
     """
     p, n, grid = _pair_split(g)
-    size = p**n
+    x = np.arange(p**n)
+    neg = combine(p, n, (-1,), (x,))
     if slot == 0:
-        x = np.arange(size)
-        acc = 0.0
         # h3 = 0 and the smaller index of each pair {h3, -h3}
-        for h3 in np.flatnonzero(x <= combine(p, n, (-1,), (x,))):
-            rows = grid * np.conj(grid[combine(p, n, (1, 1), (x, h3)), :])
-            term = float(np.mean(u2_fourth_batch(rows, p, n)))
-            acc += term if h3 == 0 else 2 * term
-        return _root(acc / size, 8)
+        return _root(_slot0_raw(np.ascontiguousarray(grid), p, n, np.flatnonzero(x <= neg)), 8)
     if slot == 1:
-        x = np.arange(size)
-        return _root(_box_raw(grid[x[:, None], combine(p, n, (1, -1), (x[None, :], x[:, None]))]), 4)
+        return _root(_box_raw(grid[x[:, None], translations(p, n, neg)]), 4)
     if slot == 2:
         raw = float(np.mean(np.abs(line_means(grid, p, n, "2x+y")) ** 2))
         return _root(raw, 2)

@@ -183,6 +183,16 @@ def test_increment_candidate_set_file(tmp_path):
     assert traj.read_text() == ""
 
 
+def test_increment_set_file_names_its_p_and_n(tmp_path):
+    # "config" echoes the unused defaults; "result" names the file's space
+    path = tmp_path / "s5.set"
+    path.write_text("p=5 m=2\n0\n6\n12\n")
+    payload = json.loads(run_cli("increment", "--set", str(path)).stdout)
+    assert (payload["result"]["p"], payload["result"]["n"]) == (5, 1)
+    counted = json.loads(run_cli("count", "--set", str(path)).stdout)["result"]
+    assert (counted["p"], counted["n"]) == (5, 1)
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=3\nm=2\norder=3\nseed=11\n")

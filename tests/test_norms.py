@@ -70,7 +70,7 @@ def test_cube_kernel_matches_general_steps(monkeypatch):
         # two tuples (h_1, ..., h_(s-1)) a block: p^m is odd, so the last
         # block of each fold is ragged
         with monkeypatch.context() as mp:
-            mp.setattr(norms, "_CUBE_BLOCK", 2**s * size)
+            mp.setattr(norms, "_ROW_BLOCK", 2**s * size)
             assert norms._cube_average(corners, p, m) == pytest.approx(want, abs=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_fast_path_blocks_agree(monkeypatch):
         assert complex(whole) == pytest.approx(gowers_norm(f, s, definition_only=True).raw_average, abs=1e-12)
         for block in (1, 3 * p**m):  # one row a block, then three
             with monkeypatch.context() as mp:
-                mp.setattr(norms, "_CUBE_BLOCK", block)
+                mp.setattr(norms, "_ROW_BLOCK", block)
                 assert complex(gowers_norm(f, s).raw_average) == pytest.approx(complex(whole), abs=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_delta_rows_stay_within_block():
     for p, m, r in [(3, 1, 11), (2, 2, 6), (3, 2, 4), (5, 1, 5)]:
         rows = 0
         for block in norms._delta_rows(np.ones((1, p**m), complex), p, m, r):
-            assert block.size <= max(norms._CUBE_BLOCK, p**m), (p, m, r)
+            assert block.size <= max(norms._ROW_BLOCK, p**m), (p, m, r)
             rows += len(block)
         assert rows == p ** (m * r), (p, m, r)
 
@@ -154,7 +154,7 @@ def test_slot_norms_match_oracles():
         slot_norm(g, 3)
 
 
-def test_slot0_pairs_match_oracle_at_n2():
+def test_slot0_pairs_match_oracle_at_n2(monkeypatch):
     # n = 2 has four pairs {h3, -h3}; n = 1 has only one
     rng = np.random.default_rng(12)
     tables = [
@@ -166,6 +166,41 @@ def test_slot0_pairs_match_oracle_at_n2():
         want = orc.slot0_raw_oracle(list(g.values), 3, 2)
         got = slot_norm(g, 0).raw_average
         assert complex(got) == pytest.approx(complex(want), abs=1e-12), g.kind
+        # blocks of 2 or 4 rows split the nine rows of each h3 and end on
+        # a partial block
+        for rows in (1, 2, 4):
+            with monkeypatch.context() as mp:
+                mp.setattr(norms, "_ROW_BLOCK", rows * 9)
+                got = slot_norm(g, 0).raw_average
+            assert complex(got) == pytest.approx(complex(want), rel=1e-12), (g.kind, rows)
+
+
+def _pair_tables(p, n, seed):
+    """A complex, a real and an indicator table on Z_p^(2n)."""
+    rng = np.random.default_rng(seed)
+    size = p ** (2 * n)
+    return [
+        _random_table(p, 2 * n, seed),
+        FunctionTable(p, 2 * n, rng.standard_normal(size), "real"),
+        FunctionTable(p, 2 * n, rng.random(size) < 0.5),
+    ]
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 1), (5, 2), (7, 1)])
+def test_box_and_slot1_match_oracles_beyond_n1(p, n):
+    for g in _pair_tables(p, n, 30 + 10 * p + n):
+        vals = list(g.values)
+        box = orc.box_raw_oracle(vals, p, n).real
+        assert box_norm(g).raw_average == pytest.approx(box, rel=1e-12), g.kind
+        # box_norm reads the columns of the F-ordered pair grid view in
+        # place; the rows of the view, and of a C-contiguous copy, give
+        # the same sum
+        grid = g.as_pair_grid().astype(np.complex128, copy=False)
+        assert grid.flags.f_contiguous
+        for rows in (grid, np.ascontiguousarray(grid)):
+            assert norms._box_raw(rows) == pytest.approx(box, rel=1e-12), g.kind
+        want = complex(orc.slot1_raw_oracle(vals, p, n))
+        assert complex(slot_norm(g, 1).raw_average) == pytest.approx(want, rel=1e-12), g.kind
 
 
 def test_constant_slot_norms_are_modulus():
@@ -212,7 +247,7 @@ def test_cube_product_matches_oracle(monkeypatch):
         # two tuples (h_1, ..., h_(s-1)) a block: several per sum, and
         # p^m is odd, so the last one is ragged
         with monkeypatch.context() as mp:
-            mp.setattr(norms, "_CUBE_BLOCK", 2**s * p**m)
+            mp.setattr(norms, "_ROW_BLOCK", 2**s * p**m)
             assert gcs_check(family, s)["product_average"] == pytest.approx(want, abs=1e-12)
 
 
