@@ -10,9 +10,10 @@ inverse second-order argument (``spectral``), the full uniformity norm
 hierarchy with slot norms adapted to the configuration (``norms``),
 exact counting and obstruction constructions (``patterns``), complexity
 certificates for linear form systems (``linforms``), fibered structured
-sets (``structured``) and the partition energy / density increment
-machinery (``increment``).  ``lshape`` on the command line fronts all
-of it with deterministic JSON reports.
+sets (``structured``), the partition energy / density increment
+machinery (``increment``) and the search for configuration-free sets
+(``extremal``).  ``lshape`` on the command line fronts all of it with
+deterministic JSON reports.
 
 Two representations run through every module.  A set is a
 ``FunctionTable`` of kind "indicator" (bool values), which carries its
@@ -89,9 +90,9 @@ from .increment import (
     planted_row_instance,
     planted_skew_instance,
     pseudorandomize_u2,
-    search_extremal_L_free,
     skew_line_increment,
 )
+from .extremal import search_extremal_L_free
 
 __version__ = "0.1.0"
 

@@ -31,13 +31,13 @@ from functools import cache
 import numpy as np
 
 from . import __version__
+from .extremal import METHODS, search_extremal_L_free
 from .field import ResourceLimitError, check_size, subspace_from_normals
 from .increment import (
     increment_driver,
     planted_row_instance,
     planted_skew_instance,
     pseudorandomize_u2,
-    search_extremal_L_free,
 )
 from .linforms import cs_complexity, lshape_slot_system, von_neumann_check
 from .norms import box_norm, gcs_check, gowers_norm, slot_norm
@@ -399,7 +399,7 @@ CHOICES = {
     "pattern": ("lshape", "corner"),
     "example": ("dot", "random-phi", "coordinate"),
     "suite": ("spectral", "control", "patterns", "norms", "trivial", "all"),
-    "method": ("exhaustive", "greedy", "local", "random"),
+    "method": METHODS,
     "planted": ("none", "row-bias", "line-bias"),
 }
 

@@ -15,6 +15,7 @@ import pytest
 
 import oracles as orc
 import references as ref
+from lshape.extremal import search_extremal_L_free
 from lshape.field import subspace_from_normals
 from lshape.increment import (
     ProductCosetPartition,
@@ -23,7 +24,6 @@ from lshape.increment import (
     planted_row_instance,
     planted_skew_instance,
     pseudorandomize_u2,
-    search_extremal_L_free,
     skew_line_increment,
 )
 from lshape.linforms import cs_complexity, lshape_slot_system, von_neumann_check

@@ -1,21 +1,28 @@
-"""Partitions, energy, the refinement loop, splits, and the driver."""
+"""Partitions, energy, the refinement loop, splits, the driver, and the extremal search."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lshape.extremal as extremal
 import lshape.increment as increment
 import oracles as orc
 import references as ref
-from lshape.field import digit_table, digits_of, index_of, rank_mod, subspace_from_normals
-from lshape.increment import (
-    ProductCosetPartition,
+from lshape.extremal import (
+    METHODS,
     _exhaustive_l_free,
-    _fiber_level_of_points,
     _greedy_l_free,
     _l_quads,
     _point_index,
+    search_extremal_L_free,
+)
+from lshape.field import digit_table, digits_of, index_of, rank_mod, subspace_from_normals
+from lshape.increment import (
+    ProductCosetPartition,
+    _fiber_level_of_points,
     _pull_back,
     _renormalize_to_cell,
     _top_characters,
@@ -26,7 +33,6 @@ from lshape.increment import (
     planted_row_instance,
     planted_skew_instance,
     pseudorandomize_u2,
-    search_extremal_L_free,
     skew_line_increment,
 )
 from lshape.norms import gowers_norm
@@ -594,6 +600,17 @@ def test_extremal_search_refuses_a_negative_n_by_the_n_given():
             search_extremal_L_free(3, -1, method)
 
 
+@pytest.mark.parametrize("p", [9, 121])
+def test_extremal_search_refuses_a_composite_modulus_before_any_table(p, monkeypatch):
+    def unbuilt(p, n):
+        raise AssertionError("the configuration table was built")
+
+    monkeypatch.setattr(extremal, "_l_quads", unbuilt)
+    for method in METHODS:
+        with pytest.raises(ValueError, match=rf"^p = {p} is not prime$"):
+            search_extremal_L_free(p, 1, method)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2)]), st.integers(0, 2**32 - 1), st.data())
 def test_greedy_matches_oracle_and_is_maximal(pn, seed, data):
@@ -690,6 +707,22 @@ def test_local_search_replays_the_oracle_walks(pn):
     assert res["indices"] == sorted(best)
 
 
+@pytest.mark.parametrize("pn", [(3, 1), (3, 2), (5, 1)])
+def test_random_search_replays_the_oracle_walks(pn):
+    # the best of the oracle's walks over the same draws, replaced only by
+    # a strictly larger set, is the set of the random search
+    p, n = pn
+    total, seed, iterations = p ** (2 * n), 5, 25
+    rng = np.random.default_rng(seed)
+    best = set()
+    for _ in range(iterations):
+        walk = orc.greedy_l_free_oracle(p, n, rng.permutation(total).tolist())
+        if len(walk) > len(best):
+            best = walk
+    res = search_extremal_L_free(p, n, "random", seed=seed, iterations=iterations)
+    assert res["indices"] == sorted(best)
+
+
 def test_driver_on_planted_instances():
     for maker in (planted_row_instance, planted_skew_instance):
         s, t = maker(3, 2)
@@ -755,7 +788,12 @@ def test_driver_recounts_only_after_coordinate_changes(monkeypatch):
     # a skew-line split, a renormalize-and-align step, then a halt: the set
     # is counted on entry and after the renormalization, not after the split
     recounts = []
-    monkeypatch.setattr(increment, "_verify_l_free", lambda s: recounts.append(s) or True)
+
+    def counted(s, *others):
+        recounts.append(s)
+        return SimpleNamespace(nontrivial_count=0)
+
+    monkeypatch.setattr(increment, "lshape_average", counted)
     s, t = _random_structured(3, 3, 1, seed=2)
     res = increment_driver(s, t, eps=0.3, tau=0.5)
     assert [rec["action"] for rec in res["trajectory"]] == ["skew-line", "pseudorandomize", "halt"]
