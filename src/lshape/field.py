@@ -26,6 +26,7 @@ up, contradictory ones included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -231,12 +232,38 @@ def modular_rref(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> tuple[
     return a[:r].copy(), tuple(pivots)
 
 
-def rank_mod(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> int:
-    """Rank of a residue matrix mod p; 0 for an empty one."""
-    a = np.asarray(matrix)
-    if a.size == 0:
-        return 0
-    return len(modular_rref(a, p)[1])
+def rank_mod(matrix: np.ndarray | Sequence[Sequence[int]], p: int) -> int | np.ndarray:
+    """Rank of a residue matrix mod p; 0 for an empty one.
+
+    A stack of shape (..., r, c) gives the array of its matrices' ranks,
+    by one elimination vectorized over the stack.  The pivot row is never
+    normalized: a row below it becomes row * pivot - row[col] * pivot_row,
+    a unit multiple of the usual update, so no inverse mod p is formed
+    and every product stays below p^2.
+    """
+    a = np.array(matrix, dtype=np.int64) % p
+    single = a.ndim <= 2
+    if a.ndim < 2:
+        a = a.reshape(1, -1)
+    stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
+    rows, cols = stack.shape[1:]
+    rank = np.zeros(len(stack), dtype=np.int64)
+    row_ids = np.arange(rows)
+    for col in range(cols):
+        hit = (stack[:, :, col] != 0) & (row_ids >= rank[:, None])
+        found = np.flatnonzero(hit.any(axis=1))
+        if not found.size:
+            continue
+        top, piv = rank[found], hit[found].argmax(axis=1)
+        pivot_row = stack[found, piv]
+        stack[found, piv] = stack[found, top]
+        block = stack[found]
+        lead = block[:, :, col] * (row_ids > top[:, None])
+        block = (block * pivot_row[:, col, None, None] - lead[:, :, None] * pivot_row[:, None, :]) % p
+        block[np.arange(len(found)), top] = pivot_row
+        stack[found] = block
+        rank[found] += 1
+    return int(rank[0]) if single else rank.reshape(a.shape[:-2])
 
 
 @dataclass(frozen=True)

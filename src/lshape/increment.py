@@ -238,25 +238,39 @@ def _top_characters(rows: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.
     fourth power sum |f_hat|^4 and the top coefficient are both read off
     that spectrum.  A row with entries in [0, 1] stays 1-bounded when
     balanced, so its correlation is at least its squared U^2 norm.
+
+    A constant row balances to 0, so its U^2 norm is 0 < eps: it keeps
+    index -1 and correlation 0 without a transform.  The other rows keep
+    the blocks a transform of every row would use, and a varied row left
+    alone in a longer block is transformed beside a neighbour: numpy
+    multiplies a lone row through gemv, whose sums round differently
+    from gemm, and every row keeps the bits of its block's transform.
     """
     k, size = rows.shape
     index = np.full(k, -1, dtype=np.int64)
     corr = np.zeros(k)
+    varied = (rows != rows[:, :1]).any(axis=1)
     step = max(1, _U2_BLOCK // size)
     for start in range(0, k, step):
-        block = rows[start : start + step].astype(np.complex128)
+        at = start + np.flatnonzero(varied[start : start + step])
+        if not at.size:
+            continue
+        take = at
+        if at.size == 1 and min(step, k - start) > 1:
+            take = np.array([at[0], start + (at[0] == start)])
+        block = rows[take].astype(np.complex128)
         block -= block.mean(axis=1, keepdims=True)
-        mags = np.abs(dft_values(block, p, dim))
+        mags = np.abs(dft_values(block, p, dim))[: at.size]
         del block  # one row can be the whole pair space
         best = top_index(mags)
-        corr[start : start + step] = mags[np.arange(len(best)), best]
+        corr[at] = mags[np.arange(len(best)), best]
         mags *= mags
         mags *= mags
         fourth = mags.sum(axis=1)
         del mags  # freed before the next block's transform
         if np.any(fourth < RADICAND_FLOOR):
             raise ValueError(f"U^2 radicand {fourth.min()} is negative beyond tolerance; likely a bug")
-        index[start : start + step] = np.where(np.maximum(fourth, 0.0) ** 0.25 >= eps, best, -1)
+        index[at] = np.where(np.maximum(fourth, 0.0) ** 0.25 >= eps, best, -1)
     return index, corr
 
 
@@ -344,9 +358,10 @@ def pseudorandomize_u2(
     Each round searches for characters in two batched U^2 steps: the
     coset rows of each factor set, one per coset label, are stacked and
     transformed together, and so are the fiber-level rows of every cell
-    that has not expired (expired cells are never transformed).  The
-    norm and the top character of a row come from one spectrum, and each
-    character is pulled back to Z_p^n by placing it on the free
+    that has not expired (expired cells are never transformed, and
+    neither are constant rows, which balance to 0 and so never trigger).
+    The norm and the top character of a row come from one spectrum, and
+    each character is pulled back to Z_p^n by placing it on the free
     coordinates of the direction.
 
     Afterwards the densest surviving (cell, fiber level) pair for S is

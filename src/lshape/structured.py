@@ -241,11 +241,14 @@ def random_family(p: int, n: int, d: int, seed: int, base_density: float = 1.0) 
         if not mask.any():
             mask[int(rng.integers(size))] = True
     base = FunctionTable(p, n, mask)
+    # each point takes the first rank-d candidate drawn after the previous
+    # point's; a batch holds one candidate per point still to fill, so it
+    # never draws past the last one, and the stream stays the per-point one
     normals = np.zeros((size, d, n), dtype=np.int64)
-    for x in base.member_indices().tolist():
-        while True:
-            cand = rng.integers(0, p, size=(d, n))
-            if rank_mod(cand, p) == d:
-                normals[x] = cand
-                break
+    todo = base.member_indices()
+    while todo.size:
+        cand = rng.integers(0, p, size=(len(todo), d, n))
+        cand = cand[rank_mod(cand, p) == d]
+        normals[todo[: len(cand)]] = cand
+        todo = todo[len(cand) :]
     return FiberFamily.from_normals(base, rng.integers(0, p, size=n), d, normals)

@@ -81,10 +81,17 @@ class FunctionTable:
         """The indicator of the set with the given member indices.
 
         Repeated indices are allowed; one outside [0, p^m) is refused.
+        An integer array is checked by its min and max; anything else goes
+        through Python ints, which no dtype can overflow.
         """
         size = check_size(p, m)
-        idx = [int(i) for i in indices]
-        if any(not 0 <= i < size for i in idx):
+        if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+            idx = indices
+            bad = idx.size and (idx.min() < 0 or idx.max() >= size)
+        else:
+            idx = [int(i) for i in indices]
+            bad = any(not 0 <= i < size for i in idx)
+        if bad:
             raise ValueError("set element index out of range")
         vals = np.zeros(size, dtype=bool)
         vals[idx] = True

@@ -26,13 +26,15 @@ from lshape.field import (
     add_map,
     combine,
     digits_of,
+    modular_rref,
     rank_mod,
     subspace_from_normals,
 )
-from lshape.increment import ProductCosetPartition, partition_energy
+from lshape.increment import _U2_BLOCK, ProductCosetPartition, partition_energy
 from lshape.linforms import ComplexityCertificate, LinearForm, LinearFormSystem, _span_contains, cs_complexity
 from lshape.norms import _pair_split, gowers_norm
 from lshape.patterns import count_system
+from lshape.spectral import dft_values, top_index
 from lshape.structured import FiberFamily, StructuredProductSet
 from lshape.tables import FunctionTable
 
@@ -162,6 +164,28 @@ def random_normals(p: int, n: int, d: int, rng: np.random.Generator) -> np.ndarr
         while rank_mod(normals[x], p) != d:
             normals[x] = rng.integers(0, p, size=(d, n))
     return normals
+
+
+def random_family_loop(p: int, n: int, d: int, seed: int, base_density: float = 1.0) -> FiberFamily:
+    """``random_family`` drawn one base point at a time: the coin-flip
+    base, then for each base point in index order d x n candidates until
+    one has rank d (by ``modular_rref``), then the shared offset."""
+    rng = np.random.default_rng(seed)
+    size = p**n
+    if base_density >= 1.0:
+        mask = np.ones(size, dtype=bool)
+    else:
+        mask = rng.random(size) < base_density
+        if not mask.any():
+            mask[int(rng.integers(size))] = True
+    normals = np.zeros((size, d, n), dtype=np.int64)
+    for x in np.flatnonzero(mask).tolist():
+        while True:
+            cand = rng.integers(0, p, size=(d, n))
+            if len(modular_rref(cand, p)[1]) == d:
+                normals[x] = cand
+                break
+    return FiberFamily.from_normals(FunctionTable(p, n, mask), rng.integers(0, p, size=n), d, normals)
 
 
 def offset(base: FunctionTable, offsets) -> np.ndarray:
@@ -351,6 +375,25 @@ def energy_monotone_check(
     e0 = partition_energy(coarse, t)["energy"]
     e1 = partition_energy(fine, t)["energy"]
     return {"coarse_energy": e0, "fine_energy": e1, "holds": e1 >= e0 - slack}
+
+
+def top_characters_dense(rows: np.ndarray, p: int, dim: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``increment._top_characters`` with every row transformed, constant
+    rows included, in blocks of ``_U2_BLOCK`` entries."""
+    k, size = rows.shape
+    index = np.full(k, -1, dtype=np.int64)
+    corr = np.zeros(k)
+    step = max(1, _U2_BLOCK // size)
+    for start in range(0, k, step):
+        block = rows[start : start + step].astype(np.complex128)
+        block -= block.mean(axis=1, keepdims=True)
+        mags = np.abs(dft_values(block, p, dim))
+        best = top_index(mags)
+        corr[start : start + step] = mags[np.arange(len(best)), best]
+        mags *= mags
+        fourth = np.sum(mags * mags, axis=1)
+        index[start : start + step] = np.where(np.maximum(fourth, 0.0) ** 0.25 >= eps, best, -1)
+    return index, corr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Digit arithmetic, residue linear algebra and coset enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -103,6 +105,28 @@ def test_rank_mod_counts_pivots():
     assert rank_mod([[1, 2], [2, 4]], 5) == 1
     assert rank_mod([[1, 2], [2, 1]], 3) == 1  # (2, 1) = 2 * (1, 2) mod 3
     assert rank_mod([[1, 2], [2, 1]], 5) == 2
+
+
+def test_rank_mod_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(7)
+    for p in (3, 5, 7, 11):
+        for shape in ((300, 3, 3), (300, 3, 5), (300, 4, 2), (300, 2, 4), (300, 1, 3), (4, 6, 5, 3),
+                      (0, 2, 3), (5, 0, 3), (5, 3, 0)):
+            # entries outside [0, p) too, so the reduction mod p is exercised
+            stack = rng.integers(-p, 2 * p, size=shape)
+            flat = stack.reshape(math.prod(shape[:-2]), *shape[-2:])
+            rows = shape[-2]
+            if rows >= 3 and len(flat):
+                flat[::4, 0] = 0  # a zero row
+                flat[1::4, 1] = flat[1::4, 0] * rng.integers(0, p)  # a multiple of another row
+                flat[2::4] = np.outer(rng.integers(0, p, size=rows), flat[2, 0])  # rank at most 1
+                flat[3::4, 2] = flat[3::4, 0] + 2 * flat[3::4, 1]  # a combination of two rows
+            got = rank_mod(stack, p)
+            want = [len(modular_rref(mat, p)[1]) for mat in flat]
+            assert got.shape == shape[:-2] and got.reshape(-1).tolist() == want, (p, shape)
+    # a 2-D input still gives a plain int
+    for mat in ([[1, 2], [2, 4]], np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+        assert type(rank_mod(mat, 3)) is int
 
 
 def test_combine_matches_oracle():

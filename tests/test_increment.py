@@ -307,6 +307,39 @@ def test_batched_top_characters_match_the_one_row_path():
         assert _top_characters(row, p, dim, u2 * (1 - 1e-9))[0][0] == top
 
 
+def test_constant_rows_skip_the_transform_and_keep_the_other_rows_bits():
+    rng = np.random.default_rng(47)
+    eps = 0.15
+    for p, dim in ((3, 2), (5, 2), (3, 6)):
+        size = p**dim
+        k = 40 if dim == 2 else increment._U2_BLOCK // size + 9
+        # 0/1 rows biased along a random character, so that some reach eps
+        xi = rng.integers(0, p, size=(k, dim))
+        phase = 2 * np.pi * ((xi @ digit_table(p, dim).T) % p) / p
+        rows = rng.random((k, size)) < 0.5 + rng.uniform(0, 0.45, size=(k, 1)) * np.cos(phase)
+        constant = rng.random(k) < 0.4
+        rows[constant] = (rng.random(k) < 0.5)[constant, None]  # all True or all False
+        index, corr = _top_characters(rows, p, dim, eps)
+        assert np.all(index[constant] == -1) and np.all(corr[constant] == 0.0)
+        assert np.any(index[~constant] >= 0)
+        # bit for bit what the stack without its constant rows gives, and
+        # what a transform of every row gives
+        sub_index, sub_corr = _top_characters(rows[~constant], p, dim, eps)
+        assert np.array_equal(index[~constant], sub_index) and np.array_equal(corr[~constant], sub_corr)
+        dense_index, dense_corr = ref.top_characters_dense(rows, p, dim, eps)
+        assert np.array_equal(index[~constant], dense_index[~constant])
+        assert np.array_equal(corr[~constant], dense_corr[~constant])
+    # one varied row among constant ones keeps its bits too: a transform of
+    # that row alone can round differently from the block
+    rows = np.zeros((5, 9), dtype=bool)
+    rows[1:3] = True
+    rows[3, [0, 1, 2, 3, 7]] = True  # alone, its top coefficient 2/9 can round an ulp off
+    index, corr = _top_characters(rows, 3, 2, 1e-3)
+    dense_index, dense_corr = ref.top_characters_dense(rows, 3, 2, 1e-3)
+    assert index.tolist() == [-1, -1, -1, dense_index[3], -1] and dense_index[3] >= 0
+    assert corr[3] == dense_corr[3] and np.count_nonzero(corr) == 1
+
+
 def test_pull_back_solves_basis_nu_equals_xi():
     rng = np.random.default_rng(43)
     n = 3

@@ -309,3 +309,26 @@ def test_random_family_refuses_a_codimension_outside_zero_to_n():
     for d in (-1, 3):
         with pytest.raises(ValueError, match=r"^codimension d = -?\d outside \[0, 2\]$"):
             random_family(3, 2, d, seed=0)
+
+
+def test_random_family_draws_the_per_point_stream(monkeypatch):
+    # a batch holds one candidate per point still to fill and its rank-d
+    # candidates go to those points in draw order, so the normals and the
+    # offset drawn after them are the per-point loop's; d = n at p = 3
+    # rejects over half the candidates.  Phi is from_normals of the base,
+    # the offset and the normals, so the two draws are compared through
+    # the arguments they pass it, which skips 144 Phi builds at p = 11
+    drawn = []
+    monkeypatch.setattr(FiberFamily, "from_normals",
+                        classmethod(lambda cls, base, u, d, normals: drawn.append((base.values, u, normals))))
+    for p in (3, 5, 7, 11):
+        for n in range(4):
+            for d in range(n + 1):
+                for seed in range(6):
+                    for density in (1.0, 0.85, 0.3):
+                        random_family(p, n, d, seed, density)
+                        ref.random_family_loop(p, n, d, seed, density)
+                        got, want = drawn
+                        drawn.clear()
+                        for a, b in zip(got, want):
+                            assert np.array_equal(a, b), (p, n, d, seed, density)

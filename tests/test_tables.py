@@ -119,13 +119,23 @@ def test_indicator_set_counts():
     for bad in ([9], [-1], [10**30]):
         with pytest.raises(ValueError, match="out of range"):
             FunctionTable.from_indices(3, 2, bad)
+    # an integer array is range-checked by its min and max, unsigned ones
+    # past 2^63 included
+    for bad in (np.array([3, -1]), np.array([0, 9]), np.array([2**63 + 5], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="out of range"):
+            FunctionTable.from_indices(3, 2, bad)
+    assert np.array_equal(FunctionTable.from_indices(3, 2, np.array([7, 0, 3, 2, 3], dtype=np.uint8)).values, mask)
+    assert FunctionTable.from_indices(3, 2, np.array([], dtype=np.int64)).cardinality == 0
 
 
-@given(st.sampled_from([3, 5, 7, 11]), st.integers(0, 3), st.data())
-def test_from_indices_round_trip(p, m, data):
-    # repeats and any order in, the sorted distinct indices out
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(0, 3),
+       st.sampled_from([None, np.int64, np.int32, np.uint64, np.uint16]), st.data())
+def test_from_indices_round_trip(p, m, dtype, data):
+    # repeats and any order in, the sorted distinct indices out, from a list
+    # (dtype None) or from an integer array
     indices = data.draw(st.lists(st.integers(0, p**m - 1), max_size=30), label="indices")
-    members = FunctionTable.from_indices(p, m, indices).member_indices()
+    given_as = indices if dtype is None else np.array(indices, dtype=dtype)
+    members = FunctionTable.from_indices(p, m, given_as).member_indices()
     assert members.tolist() == sorted(set(indices))
 
 
